@@ -477,7 +477,6 @@ class RunConfig:
     cut_family: str = "optKT++"
     aggregation: str = "multi"    # multi | single
     chance_mode: str = "exact"    # exact | safe
-    soc_mode: str = "outer"       # outer | conic
     saa_m: int = 5
     saa_n: int = 50
     saa_nprime: int = 1000
@@ -513,8 +512,6 @@ class RunConfig:
                             "into a single cut")
         if self.chance_mode not in ("exact", "safe"):
             raise CaseError(f"unknown chance mode {self.chance_mode!r}")
-        if self.soc_mode not in ("outer", "conic"):
-            raise CaseError(f"unknown soc mode {self.soc_mode!r}")
         if not (0.0 <= self.pfail_gen <= 1.0 and 0.0 <= self.pfail_line <= 1.0):
             raise CaseError("failure-probability thresholds must lie in [0, 1]")
         if not (0.0 < self.significance < 1.0):

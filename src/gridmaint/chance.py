@@ -5,8 +5,8 @@ falls below the target spawns an extended-cover inequality, which by the
 monotonicity of the oracle also bans every later-shifted variant of that
 schedule.  Safe mode builds the conservative two-block approximation whose
 only nonlinearity is the bivariate product of the class reliability levels;
-that product region is a rotated cone, handled either by a conic backend or
-by tangent outer-approximation cuts inside the master loop.
+that product region is handled by tangent outer-approximation cuts inside
+the master loop.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .pboracle import SuccessProbTable, joint_oracle
 
-__all__ = ["LinearCut", "Cover", "separate", "extend_cover", "cover_cut",
+__all__ = ["LinearCut", "separate", "extend_cover", "cover_cut",
            "SafeApproxBlock", "safe_block", "soc_outer_cuts", "XYCut",
            "xy_cut_to_master"]
 
@@ -61,11 +61,6 @@ class LinearCut:
         terms = [f"{c:+g} v[{h},{t}]" for (h, t), c in self.v_coeffs]
         terms += [f"{c:+g} theta[{key}]" for key, c in self.theta_coeffs]
         return f"{self.name or 'cut'}: {' '.join(terms)} {self.sense} {self.rhs:g}"
-
-
-# A cover is a full schedule of the maintenance candidates whose oracle value
-# misses the reliability target; we keep it as the plain period map.
-Cover = dict
 
 
 def extend_cover(cover: dict[str, int], tbar: int) -> list[tuple[str, int]]:

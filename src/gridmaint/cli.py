@@ -17,10 +17,9 @@ import logging
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import decomp, preflow, saa
-from .caseio import load_config, load_demand, parse_case, synth_demand
+from .caseio import dump_config, load_config, load_demand, parse_case, \
+    synth_demand
 from .degrade import ScenarioSet
 from .instance import build_instance, test_scenarios, training_scenarios
 
@@ -59,13 +58,16 @@ def _load_context(args):
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)
     net = parse_case(case_text, subperiods=cfg.subperiods)
+    demand_text = Path(args.demand).read_text() if args.demand else ""
     if args.demand:
-        grid = load_demand(Path(args.demand).read_text(), net, cfg)
+        grid = load_demand(demand_text, net, cfg)
     else:
         grid = synth_demand(net, cfg, seed=cfg.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    config_hash = hashlib.sha256(cfg_text.encode()).hexdigest()[:16]
+    # the effective config (overrides applied) plus every input that shapes the run
+    config_hash = hashlib.sha256("\0".join(
+        (dump_config(cfg), case_text, demand_text)).encode()).hexdigest()[:16]
     return net, grid, cfg, out_dir, config_hash
 
 
@@ -93,8 +95,12 @@ def _read_schedule(path: str) -> dict[str, int]:
         line = line.strip()
         if not line or line.lower().startswith("component"):
             continue
-        comp, period = line.split(",")
-        schedule[comp.strip()] = int(period)
+        try:
+            comp, period = line.split(",")
+            schedule[comp.strip()] = int(period)
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {lineno}: expected 'component,period', "
+                             f"got {line!r}") from exc
     if not schedule:
         raise ValueError(f"schedule file {path} is empty")
     return schedule

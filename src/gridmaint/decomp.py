@@ -15,6 +15,8 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import chance, mastercuts, solver, ucmodel
 from .caseio import RunConfig
 from .degrade import ScenarioSet
@@ -23,11 +25,15 @@ from .instance import Instance
 log = logging.getLogger(__name__)
 
 __all__ = ["StatusCache", "SolveReport", "DecompositionRun",
-           "compute_lower_bounds", "solve"]
+           "compute_lower_bounds", "day_values", "solve"]
 
 
 class StatusCache:
-    """Per-day map of seen status vectors to their subproblem values."""
+    """Per-day map of seen status vectors to their subproblem values.
+
+    ``solved`` counts stored solves; ``aliased`` counts the scenario-days
+    :func:`day_values` served without one.
+    """
 
     def __init__(self):
         self.psi: dict[int, dict[tuple, tuple[float, float]]] = {}
@@ -94,34 +100,34 @@ def compute_lower_bounds(inst: Instance, scenarios: ScenarioSet,
 
 def _theta_lower_bounds(day_bounds: dict, scenarios: ScenarioSet,
                         cfg: RunConfig) -> dict:
-    if mastercuts.theta_granularity(cfg) == "per_kt":
+    if cfg.cut_family == "optKT++":
         return dict(day_bounds)
     return {k: sum(day_bounds[(k, t)] for t in range(1, cfg.horizon_days + 1))
             for k in range(scenarios.size)}
 
 
-def _day_values(inst: Instance, scenarios: ScenarioSet, cfg: RunConfig,
-                schedule: dict[str, int], cache: StatusCache,
-                counters: dict) -> dict[tuple[int, int], tuple[float, float]]:
-    """Q_t for every (k, t), solving each unseen status vector exactly once."""
+def day_values(inst: Instance, scenarios: ScenarioSet, cfg: RunConfig,
+               schedule: dict[str, int], components: tuple[str, ...],
+               cache: StatusCache) -> np.ndarray:
+    """Recourse objective and bound of every scenario-day, shape ``(n, T, 2)``.
+
+    A scenario-day is keyed by its day and its status over ``components``;
+    each key the cache lacks is solved exactly once and stored, every other
+    scenario-day is counted as aliased.
+    """
     kinds = inst.kinds
-    new_tasks: dict[tuple[int, tuple], list[tuple[int, int]]] = {}
-    resolved: dict[tuple[int, int], tuple[float, float]] = {}
+    horizon = cfg.horizon_days
+    keys: dict[tuple[int, tuple], int] = {}
+    key_ids = np.empty((scenarios.size, horizon), dtype=np.intp)
     for k in range(scenarios.size):
         xi = scenarios.xi(k)
-        for t in range(1, cfg.horizon_days + 1):
-            status = ucmodel.status_vector(schedule, xi, t, cfg, inst.hprime, kinds)
-            hit = cache.lookup(t, status)
-            if hit is not None:
-                resolved[(k, t)] = hit
-                cache.aliased += 1
-                counters["aliased"] += 1
-            else:
-                new_tasks.setdefault((t, status), []).append((k, t))
+        for t in range(1, horizon + 1):
+            status = ucmodel.status_vector(schedule, xi, t, cfg, components, kinds)
+            key_ids[k, t - 1] = keys.setdefault((t, status), len(keys))
 
     def solve_one(key):
         t, status = key
-        down = ucmodel.unavailable_components(inst.hprime, status)
+        down = ucmodel.unavailable_components(components, status)
         model = ucmodel.build_subproblem(
             inst.net, inst.demand.day(t), down, cfg,
             omit_bounds=inst.omit_bounds_for(t, down),
@@ -130,30 +136,23 @@ def _day_values(inst: Instance, scenarios: ScenarioSet, cfg: RunConfig,
         if outcome.status != "optimal":
             raise solver.SolverError(
                 f"subproblem day {t} status {status} ended {outcome.status}")
-        return key, float(outcome.objective), float(outcome.bound)
+        return float(outcome.objective), float(outcome.bound)
 
-    keys = sorted(new_tasks, key=lambda kt: (kt[0], kt[1]))
-    if cfg.threads > 1 and len(keys) > 1:
+    missing = [key for key in keys if cache.lookup(*key) is None]
+    if cfg.threads > 1 and len(missing) > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(solve_one, keys))
+            results = list(pool.map(solve_one, missing))
     else:
-        results = [solve_one(key) for key in keys]
-
-    for (t, status), objective, bound in results:
-        cache.store(t, status, objective, bound)
-        counters["solved"] += 1
-        first, *rest = new_tasks[(t, status)]
-        resolved[first] = (objective, bound)
-        for kt in rest:  # same-iteration duplicates alias the fresh value
-            resolved[kt] = (objective, bound)
-            cache.aliased += 1
-            counters["aliased"] += 1
-    return resolved
+        results = [solve_one(key) for key in missing]
+    for key, (objective, bound) in zip(missing, results):
+        cache.store(*key, objective, bound)
+    cache.aliased += key_ids.size - len(missing)
+    values = np.array([cache.lookup(*key) for key in keys], dtype=float)
+    return values[key_ids]
 
 
-def _optimality_cuts(master: mastercuts.MasterState, inst: Instance,
-                     scenarios: ScenarioSet, cfg: RunConfig,
-                     schedule: dict[str, int], day_vals: dict,
+def _optimality_cuts(inst: Instance, scenarios: ScenarioSet, cfg: RunConfig,
+                     schedule: dict[str, int], day_vals: np.ndarray,
                      day_bounds: dict) -> list[chance.LinearCut]:
     cuts = []
     horizon = cfg.horizon_days
@@ -162,25 +161,27 @@ def _optimality_cuts(master: mastercuts.MasterState, inst: Instance,
         for k in range(scenarios.size):
             xi = scenarios.xi(k)
             for t in range(1, horizon + 1):
-                q_bound = day_vals[(k, t)][1]
                 ttilde = mastercuts.same_status_periods(schedule, xi, t, cfg, kinds)
-                cuts.append(mastercuts.cut_same_status(
-                    schedule, (k, t), q_bound, day_bounds[(k, t)], ttilde))
+                cuts.append(mastercuts.cut_over_periods(
+                    schedule, (k, t), float(day_vals[k, t - 1, 1]),
+                    day_bounds[(k, t)], ttilde, cfg.cut_family))
         return cuts
 
     per_k = []
     for k in range(scenarios.size):
-        q_bound = sum(day_vals[(k, t)][1] for t in range(1, horizon + 1))
+        q_bound = sum(day_vals[k, :, 1].tolist())
         lower = sum(day_bounds[(k, t)] for t in range(1, horizon + 1))
         if cfg.cut_family == "intLS":
             per_k.append(mastercuts.cut_int_lshaped(schedule, k, q_bound, lower,
                                                     cfg.tbar))
-        elif cfg.cut_family == "optK":
-            per_k.append(mastercuts.cut_dropped_complement(schedule, k, q_bound,
-                                                           lower))
+            continue
+        if cfg.cut_family == "optK":
+            periods = {comp: {period} for comp, period in schedule.items()}
         else:  # optK+
-            that = mastercuts.same_cost_periods(schedule, scenarios.xi(k), cfg.tbar)
-            per_k.append(mastercuts.cut_same_cost(schedule, k, q_bound, lower, that))
+            periods = mastercuts.same_cost_periods(schedule, scenarios.xi(k),
+                                                   cfg.tbar)
+        per_k.append(mastercuts.cut_over_periods(schedule, k, q_bound, lower,
+                                                 periods, cfg.cut_family))
     if cfg.aggregation == "single" and per_k:
         return [mastercuts.aggregate_cuts(per_k, name=f"{cfg.cut_family}-single")]
     return per_k
@@ -200,7 +201,7 @@ class DecompositionRun:
         self.day_bounds = day_bounds if day_bounds is not None \
             else compute_lower_bounds(inst, scenarios, cfg)
         cost_of = {comp: inst.maint_cost(comp) for comp in inst.hprime}
-        self.master = mastercuts.build_master(
+        self.master = mastercuts.MasterState(
             inst.hprime, scenarios, cfg, cost_of,
             _theta_lower_bounds(self.day_bounds, scenarios, cfg))
 
@@ -209,17 +210,14 @@ class DecompositionRun:
         if self.chance_mode == "safe":
             self.block = chance.safe_block(inst.table, cfg.rho_gen, cfg.rho_line,
                                            cfg.alpha)
-            if cfg.soc_mode == "conic" and not solver.supports_cones():
-                log.warning("backend has no conic support; product row handled "
-                            "by outer approximation")
             # reliability levels live in [0, 1]: class loads can never exceed one
             self.master.add_static_row(chance.xy_cut_to_master(
                 chance.XYCut(1.0, 0.0, 1.0), self.block, name="gen_load_cap"))
             self.master.add_static_row(chance.xy_cut_to_master(
                 chance.XYCut(0.0, 1.0, 1.0), self.block, name="line_load_cap"))
 
-        self.counters = {"solved": 0, "aliased": 0, "chance_cuts": 0,
-                         "opt_cuts": 0}
+        self._cache_start = (self.cache.solved, self.cache.aliased)
+        self.counters = {"chance_cuts": 0, "opt_cuts": 0}
         self.ub, self.lb = float("inf"), -float("inf")
         self.incumbent: dict[str, int] = {}
         self.history: list[dict] = []
@@ -276,37 +274,41 @@ class DecompositionRun:
             # at the region boundary; accept the schedule and move on
 
         self.lb = max(self.lb, ms.bound)
-        day_vals = _day_values(self.inst, self.scenarios, cfg, ms.schedule,
-                               self.cache, self.counters)
+        day_vals = day_values(self.inst, self.scenarios, cfg, ms.schedule,
+                              self.inst.hprime, self.cache)
         upper = sum(float(self.scenarios.probs[k])
                     * (self.master.first_stage_cost(ms.schedule, k)
-                       + sum(day_vals[(k, t)][0]
-                             for t in range(1, cfg.horizon_days + 1)))
+                       + sum(day_vals[k, :, 0].tolist()))
                     for k in range(self.scenarios.size))
         if upper < self.ub:
             self.ub, self.incumbent = upper, dict(ms.schedule)
 
         gap = _relative_gap(self.ub, self.lb)
+        tallies = self._cache_counts()
         self.history.append({"iter": self.iterations, "lb": self.lb,
-                             "ub": self.ub, "gap": gap,
-                             "solved": self.counters["solved"],
-                             "aliased": self.counters["aliased"]})
+                             "ub": self.ub, "gap": gap, **tallies})
         log.info("iter %d: LB %.6g UB %.6g gap %.3g (solved %d aliased %d)",
                  self.iterations, self.lb, self.ub, gap,
-                 self.counters["solved"], self.counters["aliased"])
+                 tallies["solved"], tallies["aliased"])
         if gap <= cfg.epsilon:
             self.status = "optimal"
             return False
 
-        for cut in _optimality_cuts(self.master, self.inst, self.scenarios, cfg,
-                                    ms.schedule, day_vals, self.day_bounds):
+        for cut in _optimality_cuts(self.inst, self.scenarios, cfg, ms.schedule,
+                                    day_vals, self.day_bounds):
             if self.master.add_cut(cut, pool="opt"):
                 self.counters["opt_cuts"] += 1
         return True
 
+    def _cache_counts(self) -> dict[str, int]:
+        """Subproblems solved and scenario-days aliased since this run began."""
+        solved0, aliased0 = self._cache_start
+        return {"solved": self.cache.solved - solved0,
+                "aliased": self.cache.aliased - aliased0}
+
     def report(self) -> SolveReport:
-        counters = dict(self.counters)
-        counters["psi_total"] = self.cache.psi_total
+        counters = {**self._cache_counts(), **self.counters,
+                    "psi_total": self.cache.psi_total}
         return SolveReport(status=self.status or "limit", schedule=self.incumbent,
                            objective=self.ub, bound=self.lb,
                            gap=_relative_gap(self.ub, self.lb),

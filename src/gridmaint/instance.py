@@ -140,10 +140,6 @@ def build_instance(net: Network, demand: DemandGrid, cfg: RunConfig,
                     preflow_report)
 
 
-def _rlds_for(inst: Instance, comps) -> dict[str, degrade.ComponentRLD | None]:
-    return {c: inst.components[c].rld for c in comps}
-
-
 def training_scenarios(inst: Instance, n: int, seed) -> degrade.ScenarioSet:
     """Failure scenarios over the maintenance candidates only."""
     return _sample(inst, inst.hprime, n, seed)

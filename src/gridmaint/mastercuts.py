@@ -3,11 +3,10 @@
 The master carries the binary schedule, one recourse variable per scenario
 (or per scenario and day when the per-period family is active), the pooled
 optimality and chance cuts, and the chance-mode rows.  Cut families, from
-weakest to strongest: the classical integer L-shaped cut, the variant that
-drops its complement terms, the same-cost strengthening that widens each
-component's coefficient set to schedule periods with identical operational
-cost, and the per-day same-status strengthening built from status-vector
-equality.
+weakest to strongest: the classical integer L-shaped cut, then one cut over
+per-component period sets: the scheduled period alone (complement terms
+dropped), the same-cost sets of periods with identical operational cost, and
+the per-day same-status sets built from status-vector equality.
 """
 
 from __future__ import annotations
@@ -25,23 +24,14 @@ from .ucmodel import maintenance_cost_coeffs, status_bit
 
 log = logging.getLogger(__name__)
 
-__all__ = ["MasterState", "MasterSolution", "build_master", "cut_int_lshaped",
-           "cut_dropped_complement", "cut_same_cost", "cut_same_status",
-           "same_cost_periods", "same_status_periods", "aggregate_cuts",
-           "theta_granularity"]
-
-
-def theta_granularity(cfg: RunConfig) -> str:
-    return "per_kt" if cfg.cut_family == "optKT++" else "per_k"
+__all__ = ["MasterState", "MasterSolution", "cut_int_lshaped",
+           "cut_over_periods", "same_cost_periods", "same_status_periods",
+           "aggregate_cuts"]
 
 
 # ---------------------------------------------------------------------------
 # Cut families
 # ---------------------------------------------------------------------------
-
-def _scheduled_pairs(schedule: dict[str, int]) -> list[tuple[str, int]]:
-    return sorted(schedule.items())
-
 
 def cut_int_lshaped(schedule: dict[str, int], theta_key, q_value: float,
                     lower: float, tbar: int) -> LinearCut:
@@ -56,41 +46,23 @@ def cut_int_lshaped(schedule: dict[str, int], theta_key, q_value: float,
                           theta_coeffs={theta_key: 1.0}, name="intLS")
 
 
-def cut_dropped_complement(schedule: dict[str, int], theta_key, q_value: float,
-                           lower: float) -> LinearCut:
-    """Stronger cut keeping only the scheduled-period indicators."""
-    diff = q_value - lower
-    coeffs = {pair: -diff for pair in _scheduled_pairs(schedule)}
-    return LinearCut.make(coeffs, rhs=q_value - diff * len(schedule), sense=">=",
-                          theta_coeffs={theta_key: 1.0}, name="optK")
+def cut_over_periods(schedule: dict[str, int], theta_key, q_value: float,
+                     lower: float, period_sets: dict[str, set[int]],
+                     name: str) -> LinearCut:
+    """Optimality cut with coefficients over each component's period set.
 
-
-def cut_same_cost(schedule: dict[str, int], theta_key, q_value: float,
-                  lower: float, that_sets: dict[str, set[int]]) -> LinearCut:
-    """Same-cost strengthening: coefficients over each component's T-hat set."""
+    Singleton sets ``{t*}`` give the cut that drops the complement terms;
+    the same-cost (T-hat) and same-status (T-tilde) sets strengthen it.
+    """
     diff = q_value - lower
     coeffs: dict[tuple[str, int], float] = {}
-    for comp, periods in that_sets.items():
+    for comp, periods in period_sets.items():
         if schedule[comp] not in periods:
-            raise ValueError(f"{comp}: T-hat set must contain the scheduled period")
+            raise ValueError(f"{comp}: period set must contain the scheduled period")
         for t in periods:
             coeffs[(comp, t)] = -diff
     return LinearCut.make(coeffs, rhs=q_value - diff * len(schedule), sense=">=",
-                          theta_coeffs={theta_key: 1.0}, name="optK+")
-
-
-def cut_same_status(schedule: dict[str, int], theta_key, q_value: float,
-                    lower: float, ttilde_sets: dict[str, set[int]]) -> LinearCut:
-    """Per-day same-status strengthening over the T-tilde sets."""
-    diff = q_value - lower
-    coeffs: dict[tuple[str, int], float] = {}
-    for comp, periods in ttilde_sets.items():
-        if schedule[comp] not in periods:
-            raise ValueError(f"{comp}: T-tilde set must contain the scheduled period")
-        for t in periods:
-            coeffs[(comp, t)] = -diff
-    return LinearCut.make(coeffs, rhs=q_value - diff * len(schedule), sense=">=",
-                          theta_coeffs={theta_key: 1.0}, name="optKT++")
+                          theta_coeffs={theta_key: 1.0}, name=name)
 
 
 def same_cost_periods(schedule: dict[str, int], xi_map: dict[str, int],
@@ -167,7 +139,7 @@ class MasterState:
         self.hprime = tuple(hprime)
         self.scenarios = scenarios
         self.cfg = cfg
-        self.granularity = theta_granularity(cfg)
+        self.per_day = cfg.cut_family == "optKT++"
         self.tbar = cfg.tbar
         self.lower_bounds = dict(lower_bounds)
         self.opt_cuts: list[LinearCut] = []
@@ -193,7 +165,7 @@ class MasterState:
             self.cost_vectors[k] = per_comp
 
         self.theta_keys: list = []
-        if self.granularity == "per_kt":
+        if self.per_day:
             for k in range(scenarios.size):
                 for t in range(1, cfg.horizon_days + 1):
                     self.theta_keys.append((k, t))
@@ -233,7 +205,7 @@ class MasterState:
         return solver.write_lp(spec)
 
     def theta_weight(self, key) -> float:
-        k = key[0] if self.granularity == "per_kt" else key
+        k = key[0] if self.per_day else key
         return float(self.scenarios.probs[k])
 
     # -- solving ---------------------------------------------------------------
@@ -278,7 +250,3 @@ class MasterState:
         theta = {key: float(outcome.x[tidx[key]]) for key in self.theta_keys}
         return MasterSolution("optimal", schedule, theta,
                               float(outcome.objective), float(outcome.bound))
-
-
-def build_master(hprime, scenarios, cfg, cost_of, lower_bounds) -> MasterState:
-    return MasterState(hprime, scenarios, cfg, cost_of, lower_bounds)

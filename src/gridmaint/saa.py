@@ -75,7 +75,6 @@ def evaluate_schedule(inst: Instance, schedule: dict[str, int],
     violations = 0
     gm = np.zeros(n)
     tlm = np.zeros(n)
-    ops = np.zeros(n)
     cost_of = {comp: inst.maint_cost(comp) for comp in inst.hprime}
 
     for k in range(n):
@@ -112,25 +111,8 @@ def evaluate_schedule(inst: Instance, schedule: dict[str, int],
             else:
                 tlm[k] += cost
 
-        for day in range(1, horizon + 1):
-            status = ucmodel.status_vector(schedule, xi, day, cfg, comps, kinds)
-            hit = cache.lookup(day, status)
-            if hit is None:
-                down = ucmodel.unavailable_components(comps, status)
-                model = ucmodel.build_subproblem(
-                    inst.net, inst.demand.day(day), down, cfg,
-                    omit_bounds=inst.omit_bounds_for(day, down),
-                    label=f"eval_day{day}")
-                outcome = solver.solve(model.spec, tolerance=cfg.subproblem_gap)
-                if outcome.status != "optimal":
-                    raise solver.SolverError(f"evaluation day {day} ended "
-                                             f"{outcome.status}")
-                hit = (float(outcome.objective), float(outcome.bound))
-                cache.store(day, status, *hit)
-            else:
-                cache.aliased += 1
-            ops[k] += hit[0]
-
+    day_vals = decomp.day_values(inst, scens, cfg, schedule, comps, cache)
+    ops = day_vals[:, :, 0].sum(axis=1)
     total = gm + tlm + ops
     return EvalReport(
         n_scenarios=n,

@@ -2,10 +2,7 @@
 
 All optimization modules describe models through :class:`ModelSpec` and call
 :func:`solve`.  The single in-process backend is HiGHS, reached through
-``scipy.optimize.milp`` (which handles pure LPs as well).  Conic rows can be
-declared on a spec, but this backend rejects them with
-:class:`CapabilityError`; callers that can fall back to a polyhedral
-approximation are expected to catch it.
+``scipy.optimize.milp`` (which handles pure LPs as well).
 """
 
 from __future__ import annotations
@@ -21,10 +18,6 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 log = logging.getLogger(__name__)
 
 INF = float("inf")
-
-
-class CapabilityError(RuntimeError):
-    """The model uses a row type the active backend cannot handle."""
 
 
 class SolverError(RuntimeError):
@@ -64,7 +57,6 @@ class ModelSpec:
         self._var_names: list[str] = []
         # each row: (coeffs dict var->coef, lb, ub, name)
         self._rows: list[tuple[dict[int, float], float, float, str]] = []
-        self._cone_rows: list[tuple[int, int, list[int]]] = []
 
     # -- variables ---------------------------------------------------------
 
@@ -111,14 +103,6 @@ class ModelSpec:
     def add_ge(self, coeffs: dict[int, float], rhs: float, name: str | None = None) -> int:
         return self.add_row(coeffs, rhs, INF, name)
 
-    def add_rotated_cone_row(self, u: int, v: int, zs: list[int]) -> None:
-        """Declare ``2*u*v >= sum(z^2)`` with u, v >= 0 (rotated second-order cone)."""
-        self._cone_rows.append((u, v, list(zs)))
-
-    @property
-    def has_cone_rows(self) -> bool:
-        return bool(self._cone_rows)
-
     # -- assembly ----------------------------------------------------------
 
     def _matrices(self):
@@ -137,23 +121,16 @@ class ModelSpec:
         return a, np.array(rlb), np.array(rub)
 
 
-def supports_cones() -> bool:
-    """Capability query for the active backend (HiGHS: no conic rows)."""
-    return False
-
-
 _STATUS_MAP = {0: "optimal", 1: "limit", 2: "infeasible", 3: "error", 4: "error"}
 
 
-def solve(spec: ModelSpec, tolerance: float = 1e-9, time_limit: float | None = None,
-          threads: int = 1) -> SolveOutcome:
+def solve(spec: ModelSpec, tolerance: float = 1e-9,
+          time_limit: float | None = None) -> SolveOutcome:
     """Solve a spec to the requested relative gap.
 
-    ``threads`` is accepted for interface completeness; the scipy HiGHS entry
-    point runs single-threaded, which keeps results deterministic.
+    The scipy HiGHS entry point runs single-threaded, which keeps results
+    deterministic.
     """
-    if spec.has_cone_rows:
-        raise CapabilityError("backend is LP/MILP only; cannot accept cone rows")
     sign = 1.0 if spec.sense == "min" else -1.0
     c = sign * np.array(spec._obj, dtype=float)
     integrality = np.array(spec._integer, dtype=np.uint8)

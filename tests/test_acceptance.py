@@ -19,8 +19,7 @@ from gridmaint.degrade import (ComponentRLD, SignalObservations, bucket_probs,
                                posterior_drift, sample_scenarios)
 from gridmaint.instance import build_instance, training_scenarios
 from gridmaint.instance import test_scenarios as evaluation_scenarios
-from gridmaint.mastercuts import (cut_dropped_complement, cut_int_lshaped,
-                                  cut_same_cost, cut_same_status,
+from gridmaint.mastercuts import (cut_int_lshaped, cut_over_periods,
                                   same_cost_periods, same_status_periods)
 from gridmaint.pboracle import joint_oracle, pb_cdf
 
@@ -203,15 +202,17 @@ def test_c05_cut_validity_and_strength():
 
         all_points = list(enumerate_schedules(inst.hprime, tbar))
         for gen_point in all_points[:: max(1, len(all_points) // 6)]:
+            singles = {comp: {p} for comp, p in gen_point.items()}
             for k in range(scens.size):
                 xi = scens.xi(k)
                 q_val = q_full(gen_point, k)
                 lower = sum(day_bounds[(k, t)]
                             for t in range(1, cfg.horizon_days + 1))
                 c16 = cut_int_lshaped(gen_point, k, q_val, lower, tbar)
-                c18 = cut_dropped_complement(gen_point, k, q_val, lower)
-                c20 = cut_same_cost(gen_point, k, q_val, lower,
-                                    same_cost_periods(gen_point, xi, tbar))
+                c18 = cut_over_periods(gen_point, k, q_val, lower, singles, "optK")
+                c20 = cut_over_periods(gen_point, k, q_val, lower,
+                                       same_cost_periods(gen_point, xi, tbar),
+                                       "optK+")
                 # tightness at the generating point
                 for cut in (c16, c18, c20):
                     assert theta_floor(cut, gen_point) == pytest.approx(q_val,
@@ -228,11 +229,12 @@ def test_c05_cut_validity_and_strength():
                 for t in range(1, cfg.horizon_days + 1):
                     q_t = q_day(gen_point, k, t)
                     lower_t = day_bounds[(k, t)]
-                    baseline = cut_dropped_complement(gen_point, (k, t), q_t,
-                                                      lower_t)
-                    strong = cut_same_status(
+                    baseline = cut_over_periods(gen_point, (k, t), q_t, lower_t,
+                                                singles, "optK")
+                    strong = cut_over_periods(
                         gen_point, (k, t), q_t, lower_t,
-                        same_status_periods(gen_point, xi, t, cfg, inst.kinds))
+                        same_status_periods(gen_point, xi, t, cfg, inst.kinds),
+                        "optKT++")
                     assert theta_floor(strong, gen_point) == pytest.approx(
                         q_t, rel=1e-9)
                     for point in all_points:

@@ -1,0 +1,55 @@
+"""The benchmark's traced cross-checks, run on a toy instance.
+
+The benchmark in ``perfbench/`` counts solves by wrapping module attributes
+(``solver.solve``, ``ucmodel.*``) and by the names of the specs solved
+(``day...`` for day UC models, ``lb_day...`` for lower-bound LPs).  These
+checks fail when the program stops going through those attributes or renames
+those specs, so the benchmark's counts would no longer match the program's.
+"""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from gridmaint import decomp, saa
+from gridmaint.degrade import ScenarioSet
+
+from cases import toy_instance
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import spans  # noqa: E402
+
+
+def traced(call):
+    """Run ``call`` under a fresh tracer; return its result and layer counts."""
+    tracer = spans.Tracer()
+    spans.install(tracer)
+    try:
+        result = call()
+    finally:
+        leaked = tracer.restore()
+    assert leaked == []
+    return result, spans.layer_metrics(tracer.spans, wall_s=1.0)
+
+
+def test_traced_solve_counts_match_program_counters():
+    inst, scens = toy_instance(seed=7)
+    report, layers = traced(lambda: decomp.solve(inst, scens, inst.cfg))
+    assert report.ok
+    assert layers["solver.uc_n"] == report.counts["solved"] > 0
+    assert layers["solver.lb_n"] == scens.size * inst.cfg.horizon_days
+
+
+def test_traced_evaluation_counts_match_cache_counters():
+    inst, _ = toy_instance(seed=7)
+    comps = inst.all_components
+    n, horizon = 40, inst.cfg.horizon_days
+    times = np.random.default_rng(3).integers(1, horizon + 2, size=(n, len(comps)))
+    test_set = ScenarioSet(comps, times, np.full(n, 1.0 / n), horizon)
+    cache = decomp.StatusCache()
+    schedule = {comp: 1 for comp in inst.hprime}
+    _, layers = traced(lambda: saa.evaluate_schedule(inst, schedule, test_set,
+                                                     cache, inst.cfg))
+    assert layers["solver.uc_n"] == cache.solved > 0
+    assert cache.solved + cache.aliased == n * horizon

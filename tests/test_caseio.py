@@ -195,8 +195,9 @@ def test_config_invariants(bad):
 
 
 def test_config_unknown_key():
-    with pytest.raises(CaseError, match="unknown config"):
-        load_config('{"no_such_option": 1}')
+    for text in ('{"no_such_option": 1}', '{"soc_mode": "outer"}'):
+        with pytest.raises(CaseError, match="unknown config"):
+            load_config(text)
 
 
 def test_config_priors_parsed():

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from gridmaint.cli import EXIT_ERROR, EXIT_LIMIT, EXIT_OK, main
+from gridmaint.cli import EXIT_ERROR, EXIT_LIMIT, EXIT_OK, _read_schedule, main
 
 from cases import CASE_SINGLE_BUS
 
@@ -56,6 +56,17 @@ def test_preprocess_writes_report(workdir):
     assert "config_hash" in report
     csv_text = (workdir / "out" / "flow_redundancy.csv").read_text()
     assert csv_text.startswith("line,dir,scope,f_star,redundant")
+
+
+def test_config_hash_covers_overrides_and_repeats(workdir):
+    def preprocess_hash(seed):
+        assert run_cli(workdir, "preprocess", "--seed", seed) == EXIT_OK
+        report = (workdir / "out" / "preprocess_report.json").read_text()
+        return json.loads(report)["config_hash"]
+
+    first = preprocess_hash("7")
+    assert preprocess_hash("8") != first
+    assert preprocess_hash("7") == first
 
 
 def test_plan_writes_schedule_and_report(workdir):
@@ -117,6 +128,14 @@ def test_evaluate_rejects_empty_schedule(workdir, tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("component,period\n")
     assert run_cli(workdir, "evaluate", "--schedule", str(empty)) == EXIT_ERROR
+
+
+@pytest.mark.parametrize("row", ["g2,3,4", "g1,x"])
+def test_read_schedule_names_file_and_line_of_bad_row(tmp_path, row):
+    path = tmp_path / "schedule.csv"
+    path.write_text(f"component,period\ng1,2\n{row}\n")
+    with pytest.raises(ValueError, match=rf"schedule\.csv, line 3: .*{row}"):
+        _read_schedule(str(path))
 
 
 def test_evaluate_deterministic_rerun(workdir):

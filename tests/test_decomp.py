@@ -89,17 +89,6 @@ def test_exact_and_safe_agree_when_constraint_void():
     assert safe.objective == pytest.approx(off.objective, rel=1e-8)
 
 
-def test_conic_request_falls_back_to_outer_approximation(caplog):
-    import logging
-    inst, scens = toy_instance(seed=11, alpha=0.4)
-    cfg = inst.cfg.__class__(**{**inst.cfg.__dict__, "chance_mode": "safe",
-                                "soc_mode": "conic"})
-    with caplog.at_level(logging.WARNING, logger="gridmaint.decomp"):
-        report = decomp.solve(inst, scens, cfg)
-    assert any("outer approximation" in rec.message for rec in caplog.records)
-    assert report.status in ("optimal", "infeasible")
-
-
 def test_safe_mode_schedule_is_conservative():
     inst, scens = toy_instance(seed=11, alpha=0.25)
     cfg = inst.cfg.__class__(**{**inst.cfg.__dict__, "chance_mode": "safe"})
@@ -122,7 +111,7 @@ def test_iterate_once_branches():
     while True:
         opt_before = len(run.master.opt_cuts)
         chance_before = len(run.master.chance_cuts)
-        solved_before = run.counters["solved"] + run.counters["aliased"]
+        solved_before = run.cache.solved + run.cache.aliased
         more = run.iterate_once()
         last = run.history[-1]
         if "event" in last:
@@ -130,11 +119,11 @@ def test_iterate_once_branches():
             # optimality pool and subproblem tallies stay untouched
             assert len(run.master.chance_cuts) == chance_before + 1
             assert len(run.master.opt_cuts) == opt_before
-            assert run.counters["solved"] + run.counters["aliased"] == solved_before
+            assert run.cache.solved + run.cache.aliased == solved_before
         else:
             seen_eval = True
             cells = scens.size * inst.cfg.horizon_days
-            delta = run.counters["solved"] + run.counters["aliased"] - solved_before
+            delta = run.cache.solved + run.cache.aliased - solved_before
             assert delta == cells
         assert run.iterations < 500
         if not more:
@@ -147,13 +136,12 @@ def test_iterate_once_branches():
 def test_repeat_schedule_costs_no_new_solves():
     inst, scens = toy_instance(seed=5)
     cache = decomp.StatusCache()
-    counters = {"solved": 0, "aliased": 0}
     schedule = {comp: 1 for comp in inst.hprime}
-    decomp._day_values(inst, scens, inst.cfg, schedule, cache, counters)
-    first_solved = counters["solved"]
+    decomp.day_values(inst, scens, inst.cfg, schedule, inst.hprime, cache)
+    first_solved = cache.solved
     assert first_solved > 0
-    decomp._day_values(inst, scens, inst.cfg, schedule, cache, counters)
-    assert counters["solved"] == first_solved  # every cell aliased on repeat
+    decomp.day_values(inst, scens, inst.cfg, schedule, inst.hprime, cache)
+    assert cache.solved == first_solved  # every cell aliased on repeat
 
 
 def test_alias_accounting_partitions_all_cells():

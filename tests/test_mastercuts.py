@@ -5,10 +5,9 @@ import pytest
 
 from gridmaint.caseio import RunConfig
 from gridmaint.degrade import ScenarioSet
-from gridmaint.mastercuts import (aggregate_cuts, build_master,
-                                  cut_dropped_complement, cut_int_lshaped,
-                                  cut_same_cost, cut_same_status,
-                                  same_cost_periods, same_status_periods)
+from gridmaint.mastercuts import (MasterState, aggregate_cuts, cut_int_lshaped,
+                                  cut_over_periods, same_cost_periods,
+                                  same_status_periods)
 from gridmaint.ucmodel import status_bit
 
 CFG = RunConfig(horizon_days=4, subperiods=2)
@@ -19,6 +18,11 @@ def theta_floor(cut, schedule):
     """Lower bound the cut imposes on its theta at a binary schedule point."""
     point = {(h, t): 1.0 for h, t in schedule.items()}
     return cut.rhs - sum(c * point.get(pair, 0.0) for pair, c in cut.v_coeffs)
+
+
+def singletons(schedule):
+    """Period sets of the cut that drops the complement terms (optK)."""
+    return {comp: {t} for comp, t in schedule.items()}
 
 
 def all_schedules(comps, tbar):
@@ -50,7 +54,8 @@ def test_int_lshaped_degenerate_q_equals_l():
 
 def test_dropped_complement_tight_and_floors_to_lower():
     sched = {"h1": 2, "h2": 3}
-    cut = cut_dropped_complement(sched, 0, q_value=100.0, lower=40.0)
+    cut = cut_over_periods(sched, 0, q_value=100.0, lower=40.0,
+                           period_sets=singletons(sched), name="optK")
     assert theta_floor(cut, sched) == pytest.approx(100.0)
     moved = {"h1": 1, "h2": 3}
     assert theta_floor(cut, moved) <= 40.0 + 1e-12
@@ -62,7 +67,7 @@ def test_dropped_complement_dominates_classical():
         sched = {"h1": int(rng.integers(1, 6)), "h2": int(rng.integers(1, 6))}
         q, lower = float(rng.uniform(50, 150)), float(rng.uniform(0, 50))
         classical = cut_int_lshaped(sched, 0, q, lower, tbar=5)
-        improved = cut_dropped_complement(sched, 0, q, lower)
+        improved = cut_over_periods(sched, 0, q, lower, singletons(sched), "optK")
         for point in all_schedules(["h1", "h2"], 5):
             assert theta_floor(improved, point) >= theta_floor(classical, point) - 1e-9
 
@@ -70,14 +75,14 @@ def test_dropped_complement_dominates_classical():
 def test_same_cost_reduces_to_dropped_complement_on_singletons():
     sched = {"h1": 2, "h2": 3}
     that = {"h1": {2}, "h2": {3}}
-    a = cut_same_cost(sched, 0, 100.0, 40.0, that)
-    b = cut_dropped_complement(sched, 0, 100.0, 40.0)
+    a = cut_over_periods(sched, 0, 100.0, 40.0, that, "optK+")
+    b = cut_over_periods(sched, 0, 100.0, 40.0, singletons(sched), "optK")
     assert a.v_coeffs == b.v_coeffs and a.rhs == b.rhs
 
 
 def test_same_cost_requires_scheduled_period():
     with pytest.raises(ValueError, match="scheduled period"):
-        cut_same_cost({"h1": 2}, 0, 100.0, 40.0, {"h1": {3}})
+        cut_over_periods({"h1": 2}, 0, 100.0, 40.0, {"h1": {3}}, "optK+")
 
 
 def test_same_cost_dominates_dropped_complement():
@@ -87,8 +92,8 @@ def test_same_cost_dominates_dropped_complement():
         xi = {"h1": int(rng.integers(1, 6)), "h2": int(rng.integers(1, 6))}
         q, lower = float(rng.uniform(50, 150)), float(rng.uniform(0, 50))
         that = same_cost_periods(sched, xi, tbar=5)
-        stronger = cut_same_cost(sched, 0, q, lower, that)
-        weaker = cut_dropped_complement(sched, 0, q, lower)
+        stronger = cut_over_periods(sched, 0, q, lower, that, "optK+")
+        weaker = cut_over_periods(sched, 0, q, lower, singletons(sched), "optK")
         for point in all_schedules(["h1", "h2"], 5):
             assert theta_floor(stronger, point) >= theta_floor(weaker, point) - 1e-9
 
@@ -101,8 +106,9 @@ def test_same_status_dominates_per_period_baseline():
         day = int(rng.integers(1, 5))
         q, lower = float(rng.uniform(50, 150)), float(rng.uniform(0, 50))
         ttilde = same_status_periods(sched, xi, day, CFG, KINDS)
-        stronger = cut_same_status(sched, (0, day), q, lower, ttilde)
-        baseline = cut_dropped_complement(sched, (0, day), q, lower)
+        stronger = cut_over_periods(sched, (0, day), q, lower, ttilde, "optKT++")
+        baseline = cut_over_periods(sched, (0, day), q, lower, singletons(sched),
+                                    "optK")
         for point in all_schedules(["h1", "h2"], 5):
             assert theta_floor(stronger, point) >= theta_floor(baseline, point) - 1e-9
 
@@ -166,8 +172,9 @@ def test_same_status_independent_of_other_components():
 def test_single_cut_equals_scenario_sum():
     rng = np.random.default_rng(21)
     scheds = {"h1": 2, "h2": 4}
-    cuts = [cut_dropped_complement(scheds, k, float(rng.uniform(50, 150)),
-                                   float(rng.uniform(0, 40))) for k in range(3)]
+    cuts = [cut_over_periods(scheds, k, float(rng.uniform(50, 150)),
+                             float(rng.uniform(0, 40)), singletons(scheds), "optK")
+            for k in range(3)]
     merged = aggregate_cuts(cuts)
     for point in all_schedules(["h1", "h2"], 5):
         assert theta_floor(merged, point) == pytest.approx(
@@ -197,8 +204,8 @@ def test_master_requires_scenarios():
 def test_master_cost_coefficients_no_failure():
     cfg = RunConfig(horizon_days=5, subperiods=2, cut_family="optK")
     scens = scen([[6]], 5)
-    master = build_master(("h1",), scens, cfg, {"h1": (100.0, 300.0)},
-                          {0: 0.0})
+    master = MasterState(("h1",), scens, cfg, {"h1": (100.0, 300.0)},
+                         {0: 0.0})
     coeffs = [master.obj_v[("h1", t)] for t in range(1, 7)]
     assert coeffs == [100.0] * 5 + [0.0]
 
@@ -206,7 +213,7 @@ def test_master_cost_coefficients_no_failure():
 def test_master_cost_coefficients_split():
     cfg = RunConfig(horizon_days=4, subperiods=2, cut_family="optK")
     scens = scen([[3]], 4)
-    master = build_master(("h1",), scens, cfg, {"h1": (100.0, 300.0)}, {0: 0.0})
+    master = MasterState(("h1",), scens, cfg, {"h1": (100.0, 300.0)}, {0: 0.0})
     coeffs = [master.obj_v[("h1", t)] for t in range(1, 6)]
     assert coeffs == [100.0, 100.0, 300.0, 300.0, 300.0]
 
@@ -215,13 +222,14 @@ def test_master_solve_honours_theta_floor_and_cuts():
     cfg = RunConfig(horizon_days=2, subperiods=1, cut_family="optK",
                     chance_mode="safe")
     scens = scen([[3]], 2)
-    master = build_master(("h1",), scens, cfg, {"h1": (10.0, 30.0)}, {0: 5.0})
+    master = MasterState(("h1",), scens, cfg, {"h1": (10.0, 30.0)}, {0: 5.0})
     sol = master.solve()
     assert sol.status == "optimal"
     assert sol.schedule["h1"] == 3        # the free no-maintenance slot
     assert sol.theta[0] == pytest.approx(5.0)
     # pin theta up at the chosen point and re-solve
-    cut = cut_dropped_complement(sol.schedule, 0, 50.0, 5.0)
+    cut = cut_over_periods(sol.schedule, 0, 50.0, 5.0, singletons(sol.schedule),
+                           "optK")
     assert master.add_cut(cut)
     assert not master.add_cut(cut)        # deduplicated
     sol2 = master.solve()
@@ -233,15 +241,15 @@ def test_master_missing_lower_bounds_rejected():
     cfg = RunConfig(horizon_days=2, subperiods=1, cut_family="optKT++")
     scens = scen([[1]], 2)
     with pytest.raises(ValueError, match="lower bounds"):
-        build_master(("h1",), scens, cfg, {"h1": (10.0, 30.0)}, {(0, 1): 0.0})
+        MasterState(("h1",), scens, cfg, {"h1": (10.0, 30.0)}, {(0, 1): 0.0})
 
 
 def test_master_exports_lp_and_cut_log():
     cfg = RunConfig(horizon_days=2, subperiods=1, cut_family="optK",
                     chance_mode="safe")
     scens = scen([[3]], 2)
-    master = build_master(("h1",), scens, cfg, {"h1": (10.0, 30.0)}, {0: 0.0})
-    master.add_cut(cut_dropped_complement({"h1": 3}, 0, 42.0, 0.0))
+    master = MasterState(("h1",), scens, cfg, {"h1": (10.0, 30.0)}, {0: 0.0})
+    master.add_cut(cut_over_periods({"h1": 3}, 0, 42.0, 0.0, {"h1": {3}}, "optK"))
     text = master.export_lp()
     assert "Minimize" in text and "vh1_3" in text
     log = master.cut_log()

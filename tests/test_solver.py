@@ -39,17 +39,6 @@ def test_equality_row_and_offset():
     assert res.objective == pytest.approx(9.0)
 
 
-def test_cone_rows_rejected():
-    m = solver.ModelSpec()
-    u = m.add_var("u")
-    v = m.add_var("v")
-    z = m.add_var("z")
-    m.add_rotated_cone_row(u, v, [z])
-    assert not solver.supports_cones()
-    with pytest.raises(solver.CapabilityError):
-        solver.solve(m)
-
-
 def test_milp_gap_and_bound():
     m = solver.ModelSpec()
     xs = [m.add_binary(f"x{i}", obj=-float(i)) for i in range(6)]
