@@ -90,17 +90,21 @@ def _schedule_csv(schedule: dict[str, int]) -> str:
 
 
 def _read_schedule(path: str) -> dict[str, int]:
-    schedule = {}
+    schedule, line_of = {}, {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
         if not line or line.lower().startswith("component"):
             continue
         try:
             comp, period = line.split(",")
-            schedule[comp.strip()] = int(period)
+            comp, period = comp.strip(), int(period)
         except ValueError as exc:
             raise ValueError(f"{path}, line {lineno}: expected 'component,period', "
                              f"got {line!r}") from exc
+        if comp in schedule:
+            raise ValueError(f"{path}, lines {line_of[comp]} and {lineno}: "
+                             f"component {comp!r} is scheduled twice")
+        schedule[comp], line_of[comp] = period, lineno
     if not schedule:
         raise ValueError(f"schedule file {path} is empty")
     return schedule

@@ -79,31 +79,22 @@ def _relative_gap(ub: float, lb: float) -> float:
 
 
 def compute_lower_bounds(inst: Instance, scenarios: ScenarioSet,
-                         cfg: RunConfig) -> dict[tuple[int, int], float]:
-    """Per-(scenario, day) LP lower bounds, solved up front (parallel)."""
-    kinds = inst.kinds
-    tasks = [(k, t) for k in range(scenarios.size)
-             for t in range(1, cfg.horizon_days + 1)]
+                         cfg: RunConfig) -> np.ndarray:
+    """LP lower bound of every scenario-day, shape ``(n, T)``, solved up front."""
+    horizon = cfg.horizon_days
+    tasks = [(k, t) for k in range(scenarios.size) for t in range(1, horizon + 1)]
 
     def one(task):
         k, t = task
         return ucmodel.lp_lower_bound(inst.net, inst.demand, scenarios.xi(k), t,
-                                      cfg, inst.hprime, kinds)
+                                      cfg, inst.hprime, inst.kinds)
 
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
             values = list(pool.map(one, tasks))
     else:
         values = [one(task) for task in tasks]
-    return dict(zip(tasks, values))
-
-
-def _theta_lower_bounds(day_bounds: dict, scenarios: ScenarioSet,
-                        cfg: RunConfig) -> dict:
-    if cfg.cut_family == "optKT++":
-        return dict(day_bounds)
-    return {k: sum(day_bounds[(k, t)] for t in range(1, cfg.horizon_days + 1))
-            for k in range(scenarios.size)}
+    return np.array(values, dtype=float).reshape(scenarios.size, horizon)
 
 
 def day_values(inst: Instance, scenarios: ScenarioSet, cfg: RunConfig,
@@ -113,17 +104,21 @@ def day_values(inst: Instance, scenarios: ScenarioSet, cfg: RunConfig,
 
     A scenario-day is keyed by its day and its status over ``components``;
     each key the cache lacks is solved exactly once and stored, every other
-    scenario-day is counted as aliased.
+    scenario-day is counted as aliased.  Missing keys are solved in the
+    scenario-major order of their first appearance.
     """
-    kinds = inst.kinds
-    horizon = cfg.horizon_days
-    keys: dict[tuple[int, tuple], int] = {}
-    key_ids = np.empty((scenarios.size, horizon), dtype=np.intp)
-    for k in range(scenarios.size):
-        xi = scenarios.xi(k)
-        for t in range(1, horizon + 1):
-            status = ucmodel.status_vector(schedule, xi, t, cfg, components, kinds)
-            key_ids[k, t - 1] = keys.setdefault((t, status), len(keys))
+    n, horizon = scenarios.size, cfg.horizon_days
+    key_ids = np.empty((n, horizon), dtype=np.intp)
+    first_seen, keys = [], []
+    for t in range(1, horizon + 1):
+        status = ucmodel.status_vector(schedule, scenarios, t, cfg, components,
+                                       inst.kinds)
+        _, first, inverse = np.unique(np.packbits(status, axis=1), axis=0,
+                                      return_index=True, return_inverse=True)
+        key_ids[:, t - 1] = len(keys) + inverse.reshape(-1)
+        first_seen.append(first * horizon + t - 1)
+        keys += [(t, tuple(row)) for row in status[first].tolist()]
+    in_scan_order = [keys[i] for i in np.argsort(np.concatenate(first_seen)).tolist()]
 
     def solve_one(key):
         t, status = key
@@ -138,7 +133,7 @@ def day_values(inst: Instance, scenarios: ScenarioSet, cfg: RunConfig,
                 f"subproblem day {t} status {status} ended {outcome.status}")
         return float(outcome.objective), float(outcome.bound)
 
-    missing = [key for key in keys if cache.lookup(*key) is None]
+    missing = [key for key in in_scan_order if cache.lookup(*key) is None]
     if cfg.threads > 1 and len(missing) > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
             results = list(pool.map(solve_one, missing))
@@ -153,24 +148,24 @@ def day_values(inst: Instance, scenarios: ScenarioSet, cfg: RunConfig,
 
 def _optimality_cuts(inst: Instance, scenarios: ScenarioSet, cfg: RunConfig,
                      schedule: dict[str, int], day_vals: np.ndarray,
-                     day_bounds: dict) -> list[chance.LinearCut]:
+                     day_bounds: np.ndarray) -> list[chance.LinearCut]:
     cuts = []
-    horizon = cfg.horizon_days
+    bounds = day_bounds.tolist()
     if cfg.cut_family == "optKT++":
-        kinds = inst.kinds
         for k in range(scenarios.size):
             xi = scenarios.xi(k)
-            for t in range(1, horizon + 1):
-                ttilde = mastercuts.same_status_periods(schedule, xi, t, cfg, kinds)
+            for t in range(1, cfg.horizon_days + 1):
+                ttilde = mastercuts.same_status_periods(schedule, xi, t, cfg,
+                                                        inst.kinds)
                 cuts.append(mastercuts.cut_over_periods(
                     schedule, (k, t), float(day_vals[k, t - 1, 1]),
-                    day_bounds[(k, t)], ttilde, cfg.cut_family))
+                    bounds[k][t - 1], ttilde, cfg.cut_family))
         return cuts
 
     per_k = []
     for k in range(scenarios.size):
         q_bound = sum(day_vals[k, :, 1].tolist())
-        lower = sum(day_bounds[(k, t)] for t in range(1, horizon + 1))
+        lower = sum(bounds[k])
         if cfg.cut_family == "intLS":
             per_k.append(mastercuts.cut_int_lshaped(schedule, k, q_bound, lower,
                                                     cfg.tbar))
@@ -192,7 +187,7 @@ class DecompositionRun:
 
     def __init__(self, inst: Instance, scenarios: ScenarioSet, cfg: RunConfig,
                  enforce_chance: bool = True, cache: StatusCache | None = None,
-                 day_bounds: dict | None = None):
+                 day_bounds: np.ndarray | None = None):
         self.inst = inst
         self.scenarios = scenarios
         self.cfg = cfg
@@ -200,10 +195,15 @@ class DecompositionRun:
         self.cache = cache if cache is not None else StatusCache()
         self.day_bounds = day_bounds if day_bounds is not None \
             else compute_lower_bounds(inst, scenarios, cfg)
+        bounds = self.day_bounds.tolist()
+        if cfg.cut_family == "optKT++":
+            theta_lower = {(k, t): b for k, row in enumerate(bounds)
+                           for t, b in enumerate(row, start=1)}
+        else:
+            theta_lower = {k: sum(row) for k, row in enumerate(bounds)}
         cost_of = {comp: inst.maint_cost(comp) for comp in inst.hprime}
-        self.master = mastercuts.MasterState(
-            inst.hprime, scenarios, cfg, cost_of,
-            _theta_lower_bounds(self.day_bounds, scenarios, cfg))
+        self.master = mastercuts.MasterState(inst.hprime, scenarios, cfg, cost_of,
+                                             theta_lower)
 
         self.chance_mode = cfg.chance_mode if enforce_chance else "off"
         self.block = None
@@ -217,7 +217,7 @@ class DecompositionRun:
                 chance.XYCut(0.0, 1.0, 1.0), self.block, name="line_load_cap"))
 
         self._cache_start = (self.cache.solved, self.cache.aliased)
-        self.counters = {"chance_cuts": 0, "opt_cuts": 0}
+        self.counters = {"chance_cuts": 0, "opt_cuts": 0, "boundary_accepts": 0}
         self.ub, self.lb = float("inf"), -float("inf")
         self.incumbent: dict[str, int] = {}
         self.history: list[dict] = []
@@ -270,15 +270,20 @@ class DecompositionRun:
                 self.history.append({"iter": self.iterations, "lb": self.lb,
                                      "ub": self.ub, "event": "product-region cut"})
                 return True
-            # a violated point whose cuts are all duplicates is numeric noise
-            # at the region boundary; accept the schedule and move on
+            if xy_cuts:
+                # every tangent cut is already pooled: the point sits on the
+                # region boundary up to numeric noise, so it is accepted
+                self.counters["boundary_accepts"] += 1
+                log.warning("iter %d: safe-mode point at loads (%.6g, %.6g) "
+                            "yields only pooled cuts; accepted at the boundary",
+                            self.iterations, *loads)
 
         self.lb = max(self.lb, ms.bound)
         day_vals = day_values(self.inst, self.scenarios, cfg, ms.schedule,
                               self.inst.hprime, self.cache)
+        first_stage = self.master.first_stage_costs(ms.schedule).tolist()
         upper = sum(float(self.scenarios.probs[k])
-                    * (self.master.first_stage_cost(ms.schedule, k)
-                       + sum(day_vals[k, :, 0].tolist()))
+                    * (first_stage[k] + sum(day_vals[k, :, 0].tolist()))
                     for k in range(self.scenarios.size))
         if upper < self.ub:
             self.ub, self.incumbent = upper, dict(ms.schedule)
@@ -320,7 +325,7 @@ class DecompositionRun:
 
 def solve(inst: Instance, scenarios: ScenarioSet, cfg: RunConfig | None = None,
           enforce_chance: bool = True, cache: StatusCache | None = None,
-          day_bounds: dict | None = None) -> SolveReport:
+          day_bounds: np.ndarray | None = None) -> SolveReport:
     """Run the decomposition to the configured relative optimality gap."""
     cfg = cfg or inst.cfg
     run = DecompositionRun(inst, scenarios, cfg, enforce_chance, cache, day_bounds)

@@ -248,6 +248,20 @@ class ScenarioSet:
         row = self.failure_times[k]
         return {comp: int(row[j]) for j, comp in enumerate(self.component_ids)}
 
+    def failure_days(self, components: tuple[str, ...], never: int) -> np.ndarray:
+        """Failure days of ``components`` in every scenario, ``(n, c)`` int16.
+
+        Columns follow ``components``; one the set does not cover gets ``never``.
+        int16 keeps per-day status derivation over large sets small; a
+        ``never`` beyond its range raises ``OverflowError``.
+        """
+        col = {comp: j for j, comp in enumerate(self.component_ids)}
+        out = np.full((self.size, len(components)), never, dtype=np.int16)
+        for j, comp in enumerate(components):
+            if comp in col:
+                out[:, j] = self.failure_times[:, col[comp]]
+        return out
+
     def to_csv(self) -> str:
         out = io.StringIO()
         out.write("component,k,xi\n")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,22 +43,21 @@ class Instance:
     hsecond: tuple[str, ...]
     table: SuccessProbTable
     preflow_report: RedundancyReport | None = None
+    kinds: dict[str, str] = field(init=False, repr=False)
+    _maint_costs: dict[str, tuple[float, float]] = field(init=False, repr=False)
 
-    @property
-    def kinds(self) -> dict[str, str]:
-        return {c.id: c.kind for c in self.components.values()}
+    def __post_init__(self):
+        self.kinds = {c.id: c.kind for c in self.components.values()}
+        self._maint_costs = {unit.id: (unit.maint_cost_pred, unit.maint_cost_corr)
+                             for unit in (*self.net.generators, *self.net.lines)}
 
     @property
     def all_components(self) -> tuple[str, ...]:
         return tuple(self.components)
 
     def maint_cost(self, comp: str) -> tuple[float, float]:
-        kind = self.components[comp].kind
-        if kind == "gen":
-            gen = next(g for g in self.net.generators if g.id == comp)
-            return gen.maint_cost_pred, gen.maint_cost_corr
-        line = next(ln for ln in self.net.lines if ln.id == comp)
-        return line.maint_cost_pred, line.maint_cost_corr
+        """Predictive and corrective maintenance cost of one component."""
+        return self._maint_costs[comp]
 
     def omit_bounds_for(self, day: int, unavailable: frozenset[str]) -> frozenset:
         """Preflow deletions valid for this availability pattern.
@@ -69,9 +68,8 @@ class Instance:
         """
         if self.preflow_report is None:
             return frozenset()
-        kinds = self.kinds
         for comp in unavailable:
-            if kinds.get(comp) == "line" and comp not in self.hprime:
+            if self.kinds.get(comp) == "line" and comp not in self.hprime:
                 return frozenset()
         return self.preflow_report.omitted_for_day(day, self.cfg.subperiods)
 

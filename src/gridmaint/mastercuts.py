@@ -87,14 +87,15 @@ def same_status_periods(schedule: dict[str, int], xi_map: dict[str, int],
                         day: int, cfg: RunConfig,
                         kinds: dict[str, str]) -> dict[str, set[int]]:
     """Periods that leave each component's day-``day`` availability unchanged."""
-    out: dict[str, set[int]] = {}
-    for comp, period in schedule.items():
-        xi = xi_map.get(comp, cfg.tbar)
-        tau_p, tau_c = cfg.tau(kinds[comp])
-        bit = status_bit(period, xi, day, tau_p, tau_c, cfg.horizon_days)
-        out[comp] = {t for t in range(1, cfg.tbar + 1)
-                     if status_bit(t, xi, day, tau_p, tau_c, cfg.horizon_days) == bit}
-    return out
+    comps = list(schedule)
+    periods = np.arange(1, cfg.tbar + 1)
+    xi = np.array([xi_map.get(comp, cfg.tbar) for comp in comps], dtype=int)
+    tau = np.array([cfg.tau(kinds[comp]) for comp in comps], dtype=int).reshape(-1, 2)
+    bits = status_bit(periods[:, None], xi, day, tau[:, 0], tau[:, 1],
+                      cfg.horizon_days)  # (tbar, components)
+    scheduled = bits[[schedule[comp] - 1 for comp in comps], range(len(comps))]
+    same = bits == scheduled
+    return {comp: set(periods[same[:, j]].tolist()) for j, comp in enumerate(comps)}
 
 
 def aggregate_cuts(cuts: list[LinearCut], name: str = "single") -> LinearCut:
@@ -147,22 +148,16 @@ class MasterState:
         self.static_rows: list[LinearCut] = []
         self._seen: set = set()
 
-        # expected first-stage cost coefficient per (component, period)
+        # expected first-stage cost coefficient per (component, period),
+        # accumulated in scenario order
+        self.cost_of = cost_of
+        self.xi = scenarios.failure_days(self.hprime, self.tbar)
         self.obj_v: dict[tuple[str, int], float] = {}
-        self.cost_vectors: dict[int, dict[str, np.ndarray]] = {}
-        for k in range(scenarios.size):
-            xi = scenarios.xi(k)
-            pi = float(scenarios.probs[k])
-            per_comp = {}
-            for comp in self.hprime:
-                pred, corr = cost_of[comp]
-                coeffs = maintenance_cost_coeffs(pred, corr, xi.get(comp, self.tbar),
-                                                 self.tbar)
-                per_comp[comp] = coeffs
-                for t in range(1, self.tbar + 1):
-                    key = (comp, t)
-                    self.obj_v[key] = self.obj_v.get(key, 0.0) + pi * coeffs[t - 1]
-            self.cost_vectors[k] = per_comp
+        for j, comp in enumerate(self.hprime):
+            coeffs = maintenance_cost_coeffs(*cost_of[comp], self.xi[:, j], self.tbar)
+            expected = np.add.accumulate(scenarios.probs[:, None] * coeffs)[-1]
+            for t, value in enumerate(expected.tolist(), start=1):
+                self.obj_v[(comp, t)] = value
 
         self.theta_keys: list = []
         if self.per_day:
@@ -189,9 +184,13 @@ class MasterState:
     def add_static_row(self, cut: LinearCut) -> None:
         self.static_rows.append(cut)
 
-    def first_stage_cost(self, schedule: dict[str, int], k: int) -> float:
-        return float(sum(self.cost_vectors[k][comp][schedule[comp] - 1]
-                         for comp in self.hprime))
+    def first_stage_costs(self, schedule: dict[str, int]) -> np.ndarray:
+        """First-stage cost of ``schedule`` in every scenario, summed in H' order."""
+        total = np.zeros(self.scenarios.size)
+        for j, comp in enumerate(self.hprime):
+            total += maintenance_cost_coeffs(*self.cost_of[comp], self.xi[:, j],
+                                             self.tbar, period=schedule[comp])
+        return total
 
     def cut_log(self) -> str:
         """One pooled inequality per line, for audit."""

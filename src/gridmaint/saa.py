@@ -66,50 +66,32 @@ def evaluate_schedule(inst: Instance, schedule: dict[str, int],
         if not (1 <= period <= cfg.tbar):
             raise ValueError(f"{comp}: period {period} outside 1..{cfg.tbar}")
     cache = cache if cache is not None else decomp.StatusCache()
-    kinds = inst.kinds
     comps = inst.all_components
-    horizon = cfg.horizon_days
-
     n = scens.size
-    fail_gp = fail_lp = fail_second = 0
-    violations = 0
+    xi = scens.failure_days(comps, cfg.tbar)
+    periods = np.array([schedule.get(comp, cfg.tbar) for comp in comps])
+    is_gen = np.array([inst.kinds[comp] == "gen" for comp in comps], dtype=bool)
+    prime = np.array([comp in inst.hprime for comp in comps], dtype=bool)
+
+    # a failure inside the horizon that no earlier maintenance prevented
+    failed = (xi <= cfg.horizon_days) & (periods >= xi)
+    violations = int(np.count_nonzero(
+        (failed[:, is_gen].sum(axis=1) > cfg.rho_gen)
+        | (failed[:, ~is_gen].sum(axis=1) > cfg.rho_line)))
+    fail_gp = int(failed[:, prime & is_gen].sum())
+    fail_lp = int(failed[:, prime & ~is_gen].sum())
+    fail_second = int(failed[:, ~prime].sum())
+
     gm = np.zeros(n)
     tlm = np.zeros(n)
-    cost_of = {comp: inst.maint_cost(comp) for comp in inst.hprime}
-
-    for k in range(n):
-        xi = scens.xi(k)
-        corr_gen = corr_line = 0
-        for comp in comps:
-            xi_c = xi.get(comp, cfg.tbar)
-            if xi_c > horizon:
-                continue
-            covered = comp in schedule and schedule[comp] < xi_c
-            if covered:
-                continue
-            if kinds[comp] == "gen":
-                corr_gen += 1
-            else:
-                corr_line += 1
-            if comp in inst.hprime:
-                if kinds[comp] == "gen":
-                    fail_gp += 1
-                else:
-                    fail_lp += 1
-            else:
-                fail_second += 1
-        if corr_gen > cfg.rho_gen or corr_line > cfg.rho_line:
-            violations += 1
-
-        for comp in inst.hprime:
-            pred, corr = cost_of[comp]
-            coeffs = ucmodel.maintenance_cost_coeffs(pred, corr,
-                                                     xi.get(comp, cfg.tbar), cfg.tbar)
-            cost = float(coeffs[schedule[comp] - 1])
-            if kinds[comp] == "gen":
-                gm[k] += cost
-            else:
-                tlm[k] += cost
+    for comp in inst.hprime:
+        j = comps.index(comp)
+        cost = ucmodel.maintenance_cost_coeffs(*inst.maint_cost(comp), xi[:, j],
+                                               cfg.tbar, period=periods[j])
+        if is_gen[j]:
+            gm += cost
+        else:
+            tlm += cost
 
     day_vals = decomp.day_values(inst, scens, cfg, schedule, comps, cache)
     ops = day_vals[:, :, 0].sum(axis=1)

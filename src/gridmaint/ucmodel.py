@@ -20,42 +20,42 @@ import numpy as np
 
 from . import solver
 from .caseio import DemandGrid, Network, RunConfig
+from .degrade import ScenarioSet
 
 __all__ = ["status_bit", "status_vector", "unavailable_components", "DayModel",
            "SubproblemResult", "build_subproblem", "solve_subproblem",
            "lp_lower_bound", "maintenance_cost_coeffs"]
 
 
-def status_bit(period: int, xi: int, day: int, tau_pred: int, tau_corr: int,
-               horizon: int) -> int:
-    """Availability of one component on one day (1 = available).
+def status_bit(period, xi, day, tau_pred, tau_corr, horizon):
+    """Availability of a component on a day (1 = available); broadcasts.
 
     Maintenance entered at ``period`` before the failure time is predictive
     and takes the component down for ``tau_pred`` days from its start; a
     failure at ``xi`` within the horizon that no earlier maintenance prevented
     takes it down for ``tau_corr`` days from the failure.  Outage windows are
-    clamped to the horizon.
+    clamped to the horizon.  Scalar arguments give an ``int``, arrays a
+    ``uint8`` array of their broadcast shape.
     """
-    if period < xi:  # predictive maintenance scheduled before failure
-        if period <= day <= period + tau_pred - 1:
-            return 0
-    elif xi <= horizon:  # failed first: corrective outage from the failure day
-        if xi <= day <= xi + tau_corr - 1:
-            return 0
-    return 1
+    predictive = (period < xi) & (period <= day) & (day - period < tau_pred)
+    corrective = (period >= xi) & (xi <= horizon) & (xi <= day) & (day - xi < tau_corr)
+    bits = np.logical_not(predictive | corrective)
+    return int(bits) if bits.ndim == 0 else bits.astype(np.uint8)
 
 
-def status_vector(schedule: dict[str, int], xi_map: dict[str, int], day: int,
+def status_vector(schedule: dict[str, int], scenarios: ScenarioSet, day: int,
                   cfg: RunConfig, components: tuple[str, ...],
-                  kinds: dict[str, str]) -> tuple[int, ...]:
-    """Availability bits of the listed components on ``day`` (hashable)."""
-    bits = []
-    for comp in components:
-        tau_p, tau_c = cfg.tau(kinds[comp])
-        period = schedule.get(comp, cfg.tbar)  # unscheduled = never in horizon
-        bits.append(status_bit(period, xi_map.get(comp, cfg.tbar), day,
-                               tau_p, tau_c, cfg.horizon_days))
-    return tuple(bits)
+                  kinds: dict[str, str]) -> np.ndarray:
+    """Availability of ``components`` on ``day`` in every scenario, ``(n, c)`` uint8.
+
+    Unscheduled components are never maintained in the horizon, and
+    components the scenario set does not cover never fail.
+    """
+    xi = scenarios.failure_days(components, cfg.tbar)
+    period = np.array([schedule.get(comp, cfg.tbar) for comp in components], dtype=int)
+    tau = np.array([cfg.tau(kinds[comp]) for comp in components],
+                   dtype=int).reshape(-1, 2)
+    return status_bit(period, xi, day, tau[:, 0], tau[:, 1], cfg.horizon_days)
 
 
 def unavailable_components(components: tuple[str, ...],
@@ -63,22 +63,18 @@ def unavailable_components(components: tuple[str, ...],
     return frozenset(c for c, bit in zip(components, status) if bit == 0)
 
 
-def maintenance_cost_coeffs(comp_pred: float, comp_corr: float, xi: int,
-                            tbar: int) -> np.ndarray:
-    """First-stage cost of maintaining in each period 1..tbar under one scenario.
+def maintenance_cost_coeffs(comp_pred, comp_corr, xi, tbar: int,
+                            period=None) -> np.ndarray:
+    """First-stage cost of maintaining in ``period`` under failure time ``xi``.
 
     Predictive cost before the failure time, corrective cost from it on; a
     component that never fails costs nothing in the no-maintenance slot.
+    Arguments broadcast; without ``period`` a last axis runs over 1..tbar.
     """
-    coeffs = np.empty(tbar)
-    for t in range(1, tbar + 1):
-        if t < xi:
-            coeffs[t - 1] = comp_pred
-        elif xi != tbar:
-            coeffs[t - 1] = comp_corr
-        else:  # t == xi == tbar: no failure and no maintenance
-            coeffs[t - 1] = 0.0
-    return coeffs
+    if period is None:
+        period = np.arange(1, tbar + 1)
+        xi = np.expand_dims(xi, -1)
+    return np.where(period < xi, comp_pred, np.where(xi != tbar, comp_corr, 0.0))
 
 
 @dataclass
@@ -283,27 +279,18 @@ def lp_lower_bound(net: Network, demand: DemandGrid, xi_map: dict[str, int],
             v[(comp, m)] = spec.add_var(f"v{comp}_{m}", lb=0.0, ub=1.0)
         spec.add_eq({v[(comp, m)]: 1.0 for m in periods}, 1.0)
 
-    def outage_terms(comp: str, kind: str) -> dict[int, float]:
-        """Coefficients of sum(v) giving the outage indicator on `day`."""
-        xi = xi_map.get(comp, tbar)
+    def down(comp: str, kind: str, period):
         tau_p, tau_c = cfg.tau(kind)
-        terms: dict[int, float] = {}
-        for m in periods:
-            if m < xi and m <= day <= m + tau_p - 1:
-                terms[v[(comp, m)]] = 1.0
-        if xi <= cfg.horizon_days and xi <= day <= xi + tau_c - 1:
-            for m in periods:
-                if m >= xi:
-                    terms[v[(comp, m)]] = terms.get(v[(comp, m)], 0.0) + 1.0
-        return terms
+        return status_bit(period, xi_map.get(comp, tbar), day, tau_p, tau_c,
+                          cfg.horizon_days) == 0
 
-    def fixed_bit(comp: str, kind: str) -> int:
-        tau_p, tau_c = cfg.tau(kind)
-        return status_bit(tbar, xi_map.get(comp, tbar), day, tau_p, tau_c,
-                          cfg.horizon_days)
+    def outage_row(comp: str, kind: str) -> dict[int, float]:
+        """Sum of the schedule variables whose period leaves ``comp`` out."""
+        out = np.flatnonzero(down(comp, kind, np.arange(1, tbar + 1))) + 1
+        return {v[(comp, m)]: 1.0 for m in out.tolist()}
 
     hard_off = frozenset(gen.id for gen in net.generators
-                         if gen.id not in candidate_set and fixed_bit(gen.id, "gen") == 0)
+                         if gen.id not in candidate_set and down(gen.id, "gen", tbar))
 
     delta, q = _add_bus_vars(spec, net, demand_day, cfg)
     p, x, u, nu = _add_gen_vars(spec, net, demand_day.shape[1], hard_off,
@@ -313,7 +300,7 @@ def lp_lower_bound(net: Network, demand: DemandGrid, xi_map: dict[str, int],
     for g, gen in enumerate(net.generators):
         if gen.id not in candidate_set:
             continue
-        terms = outage_terms(gen.id, "gen")
+        terms = outage_row(gen.id, "gen")
         if not terms:
             continue
         for s in range(s_count):
@@ -327,9 +314,10 @@ def lp_lower_bound(net: Network, demand: DemandGrid, xi_map: dict[str, int],
         b_mw = net.line_susceptance_mw(line)
         fi, ti = bus_pos[line.from_bus], bus_pos[line.to_bus]
         is_candidate = line.id in candidate_set
-        down = not is_candidate and fixed_bit(line.id, "line") == 0
+        fixed_off = not is_candidate and down(line.id, "line", tbar)
+        terms = outage_row(line.id, "line") if is_candidate else {}
         for s in range(s_count):
-            if down:
+            if fixed_off:
                 f[j, s] = spec.add_var(f"f{line.id}_{s}", lb=0.0, ub=0.0)
                 continue
             f[j, s] = spec.add_var(f"f{line.id}_{s}", lb=-line.flow_limit,
@@ -337,7 +325,6 @@ def lp_lower_bound(net: Network, demand: DemandGrid, xi_map: dict[str, int],
             if not is_candidate:
                 spec.add_eq({f[j, s]: 1.0, delta[fi, s]: -b_mw, delta[ti, s]: b_mw}, 0.0)
                 continue
-            terms = outage_terms(line.id, "line")
             yv = spec.add_var(f"y{line.id}_{s}", lb=0.0, ub=1.0)
             row = dict(terms)
             row[yv] = 1.0

@@ -3,8 +3,10 @@
 import numpy as np
 
 from gridmaint.caseio import Bus, DemandGrid, Generator, Line, Network
+from gridmaint.degrade import ScenarioSet
 from gridmaint.instance import Component, Instance
 from gridmaint.pboracle import SuccessProbTable
+from gridmaint.ucmodel import status_vector
 
 # 9-bus test system with linear generation costs.
 CASE9 = """
@@ -149,7 +151,6 @@ def toy_instance(seed, horizon=3, subperiods=2, n_scen=3, alpha=0.3,
                  extra_candidate=False):
     """Seeded 3-bus toy with a scenario set, sized for exhaustive oracles."""
     from gridmaint.caseio import RunConfig
-    from gridmaint.degrade import ScenarioSet
 
     rng = np.random.default_rng(seed)
     net = build_net(n_bus=3, n_gen=2, lines=[(1, 2), (1, 3), (2, 3)],
@@ -170,3 +171,22 @@ def toy_instance(seed, horizon=3, subperiods=2, n_scen=3, alpha=0.3,
     times = rng.integers(1, horizon + 2, size=(n_scen, len(inst.hprime)))
     scens = ScenarioSet(inst.hprime, times, np.full(n_scen, 1.0 / n_scen), horizon)
     return inst, scens
+
+
+def one_status(schedule, xi_map, day, cfg, components, kinds):
+    """Status tuple of a single scenario given as a component -> failure-day map."""
+    comps = tuple(xi_map)
+    one = ScenarioSet(comps, np.array([[xi_map[c] for c in comps]], dtype=int),
+                      np.array([1.0]), cfg.horizon_days)
+    return tuple(status_vector(schedule, one, day, cfg, components, kinds)[0].tolist())
+
+
+def reference_status_bit(period, xi, day, tau_pred, tau_corr, horizon):
+    """Branchy scalar statement of the availability rule, for cross-checks."""
+    if period < xi:  # predictive maintenance scheduled before failure
+        if period <= day <= period + tau_pred - 1:
+            return 0
+    elif xi <= horizon:  # failed first: corrective outage from the failure day
+        if xi <= day <= xi + tau_corr - 1:
+            return 0
+    return 1

@@ -23,7 +23,7 @@ from gridmaint.mastercuts import (cut_int_lshaped, cut_over_periods,
                                   same_cost_periods, same_status_periods)
 from gridmaint.pboracle import joint_oracle, pb_cdf
 
-from cases import CASE9, build_net, make_instance, toy_instance
+from cases import CASE9, build_net, make_instance, one_status, toy_instance
 from oracle_extform import enumerate_schedules, extensive_solve
 from test_pboracle import brute_force_pmf, table_from_rows
 
@@ -187,8 +187,7 @@ def test_c05_cut_validity_and_strength():
 
         def q_day(schedule, k, t):
             xi = scens.xi(k)
-            status = ucmodel.status_vector(schedule, xi, t, cfg, inst.hprime,
-                                           inst.kinds)
+            status = one_status(schedule, xi, t, cfg, inst.hprime, inst.kinds)
             key = (t, status)
             if key not in cache:
                 down = ucmodel.unavailable_components(inst.hprime, status)
@@ -206,8 +205,7 @@ def test_c05_cut_validity_and_strength():
             for k in range(scens.size):
                 xi = scens.xi(k)
                 q_val = q_full(gen_point, k)
-                lower = sum(day_bounds[(k, t)]
-                            for t in range(1, cfg.horizon_days + 1))
+                lower = sum(day_bounds[k].tolist())
                 c16 = cut_int_lshaped(gen_point, k, q_val, lower, tbar)
                 c18 = cut_over_periods(gen_point, k, q_val, lower, singles, "optK")
                 c20 = cut_over_periods(gen_point, k, q_val, lower,
@@ -228,7 +226,7 @@ def test_c05_cut_validity_and_strength():
 
                 for t in range(1, cfg.horizon_days + 1):
                     q_t = q_day(gen_point, k, t)
-                    lower_t = day_bounds[(k, t)]
+                    lower_t = day_bounds[k, t - 1]
                     baseline = cut_over_periods(gen_point, (k, t), q_t, lower_t,
                                                 singles, "optK")
                     strong = cut_over_periods(
@@ -268,8 +266,8 @@ def test_c06_status_cache_soundness():
         triples.append((schedule, k, t))
 
     def fresh_value(schedule, k, t):
-        status = ucmodel.status_vector(schedule, scens.xi(k), t, cfg,
-                                       inst.hprime, inst.kinds)
+        status = one_status(schedule, scens.xi(k), t, cfg, inst.hprime,
+                            inst.kinds)
         down = ucmodel.unavailable_components(inst.hprime, status)
         model = ucmodel.build_subproblem(inst.net, inst.demand.day(t), down, cfg)
         return status, ucmodel.solve_subproblem(model, 1e-9).objective

@@ -138,6 +138,13 @@ def test_read_schedule_names_file_and_line_of_bad_row(tmp_path, row):
         _read_schedule(str(path))
 
 
+def test_read_schedule_rejects_a_component_scheduled_twice(tmp_path):
+    path = tmp_path / "schedule.csv"
+    path.write_text("component,period\ng1,2\ng2,4\ng1,5\n")
+    with pytest.raises(ValueError, match=r"schedule\.csv, lines 2 and 4: .*'g1'"):
+        _read_schedule(str(path))
+
+
 def test_evaluate_deterministic_rerun(workdir):
     run_cli(workdir, "plan")
     out = workdir / "out"

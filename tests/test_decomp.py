@@ -1,13 +1,15 @@
+import logging
+
 import numpy as np
 import pytest
 
-from gridmaint import decomp, ucmodel
+from gridmaint import chance, decomp, ucmodel
 from gridmaint.caseio import RunConfig
 from gridmaint.chance import safe_block
 from gridmaint.degrade import ScenarioSet
 from gridmaint.pboracle import joint_oracle
 
-from cases import build_net, make_instance, toy_instance
+from cases import build_net, make_instance, one_status, toy_instance
 from oracle_extform import chance_feasible_set, extensive_solve
 
 
@@ -87,6 +89,20 @@ def test_exact_and_safe_agree_when_constraint_void():
     assert exact.ok and safe.ok and off.ok
     assert exact.objective == pytest.approx(off.objective, rel=1e-8)
     assert safe.objective == pytest.approx(off.objective, rel=1e-8)
+
+
+def test_safe_mode_counts_points_whose_cuts_are_all_pooled(monkeypatch, caplog):
+    # x + y <= 2 is implied by the load caps; once pooled, every later master
+    # point yields only that duplicate and is accepted at the boundary
+    inst, scens = toy_instance(seed=11, chance_mode="safe")
+    pooled = chance.XYCut(1.0, 1.0, 2.0)
+    monkeypatch.setattr(chance, "soc_outer_cuts", lambda loads, alpha: [pooled])
+    with caplog.at_level(logging.WARNING, logger="gridmaint.decomp"):
+        report = decomp.solve(inst, scens, inst.cfg)
+    assert report.ok
+    assert report.counts["chance_cuts"] == 1
+    assert report.counts["boundary_accepts"] == report.iterations - 1 >= 1
+    assert "accepted at the boundary" in caplog.text
 
 
 def test_safe_mode_schedule_is_conservative():
@@ -247,8 +263,7 @@ def test_time_decomposability_of_fixed_schedule():
     day_sum = 0.0
     xi = one.xi(0)
     for day in range(1, cfg.horizon_days + 1):
-        status = ucmodel.status_vector(schedule, xi, day, cfg, inst.hprime,
-                                       inst.kinds)
+        status = one_status(schedule, xi, day, cfg, inst.hprime, inst.kinds)
         down = ucmodel.unavailable_components(inst.hprime, status)
         model = ucmodel.build_subproblem(inst.net, inst.demand.day(day), down, cfg)
         day_sum += ucmodel.solve_subproblem(model, 1e-9).objective

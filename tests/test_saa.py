@@ -3,13 +3,13 @@ import statistics
 import numpy as np
 import pytest
 
-from gridmaint import decomp, saa
+from gridmaint import decomp, saa, ucmodel
 from gridmaint.caseio import RunConfig
 from gridmaint.degrade import ScenarioSet
 from gridmaint.pboracle import joint_oracle
 from gridmaint.ucmodel import build_subproblem, solve_subproblem
 
-from cases import build_net, make_instance, toy_instance
+from cases import build_net, make_instance, reference_status_bit, toy_instance
 from oracle_extform import extensive_solve
 
 
@@ -65,6 +65,66 @@ def test_evaluate_counts_second_set_failures():
     scens = ScenarioSet(comps, times, np.full(4, 0.25), inst.cfg.horizon_days)
     report = saa.evaluate_schedule(inst, schedule, scens)
     assert report.avg_failures["second"] == pytest.approx(0.5)
+
+
+def brute_evaluate(inst, schedule, scens, cfg):
+    """Scenario-by-scenario evaluation from the scalar statements of the rules."""
+    comps, n = inst.all_components, scens.size
+    values = {}
+    totals = np.zeros(n)
+    fails = {"gen_prime": 0, "line_prime": 0, "second": 0}
+    violations = 0
+    for k in range(n):
+        xi = scens.xi(k)
+        corrective = {"gen": 0, "line": 0}
+        for comp in comps:
+            x = xi.get(comp, cfg.tbar)
+            if x > cfg.horizon_days or (comp in schedule and schedule[comp] < x):
+                continue
+            kind = inst.kinds[comp]
+            corrective[kind] += 1
+            fails[f"{kind}_prime" if comp in inst.hprime else "second"] += 1
+        violations += corrective["gen"] > cfg.rho_gen \
+            or corrective["line"] > cfg.rho_line
+        for comp in inst.hprime:
+            pred, corr = inst.maint_cost(comp)
+            x = xi.get(comp, cfg.tbar)
+            if schedule[comp] < x:
+                totals[k] += pred
+            elif x != cfg.tbar:
+                totals[k] += corr
+        for day in range(1, cfg.horizon_days + 1):
+            status = tuple(reference_status_bit(
+                schedule.get(c, cfg.tbar), xi.get(c, cfg.tbar), day,
+                *cfg.tau(inst.kinds[c]), cfg.horizon_days) for c in comps)
+            if (day, status) not in values:
+                down = ucmodel.unavailable_components(comps, status)
+                model = build_subproblem(inst.net, inst.demand.day(day), down, cfg,
+                                         omit_bounds=inst.omit_bounds_for(day, down))
+                values[(day, status)] = solve_subproblem(
+                    model, cfg.subproblem_gap).objective
+            totals[k] += values[(day, status)]
+    return totals, violations / n, {key: v / n for key, v in fails.items()}
+
+
+def test_evaluate_matches_a_per_scenario_loop():
+    # columns in reverse case order, and a schedule that also maintains the
+    # non-candidate generator g2
+    inst, _ = toy_instance(seed=11)
+    cfg = inst.cfg
+    drawn = sample_from_table(inst, inst.all_components, 60, seed=5)
+    comps = inst.all_components[::-1]
+    times = drawn.failure_times[:, ::-1].copy()
+    times[:20, comps.index("g2")] = 2  # g2 fails unless maintained on day 1
+    scens = ScenarioSet(comps, times, drawn.probs, drawn.horizon_days)
+    assert "g2" not in inst.hprime
+    for schedule in ({"g1": 2, "l1": 1, "g2": 1}, {"g1": 3, "l1": 4}):
+        report = saa.evaluate_schedule(inst, schedule, scens)
+        totals, violation_freq, avg_failures = brute_evaluate(inst, schedule,
+                                                              scens, cfg)
+        assert report.per_scenario_total == pytest.approx(totals, rel=1e-9, abs=1e-6)
+        assert report.violation_freq == violation_freq
+        assert report.avg_failures == avg_failures
 
 
 def test_evaluate_rejects_incomplete_schedule():

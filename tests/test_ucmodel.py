@@ -1,13 +1,15 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from gridmaint.caseio import DemandGrid, RunConfig
+from gridmaint.degrade import ScenarioSet
 from gridmaint.ucmodel import (build_subproblem, lp_lower_bound,
                                maintenance_cost_coeffs, solve_subproblem,
-                               status_bit, status_vector,
-                               unavailable_components)
+                               status_bit, status_vector, unavailable_components)
 
-from cases import build_net
+from cases import build_net, one_status, reference_status_bit
 
 
 def day_cfg(S=24, T=2, **kw):
@@ -28,7 +30,7 @@ WORKED_KINDS = {"h1": "gen", "h2": "line"}
 
 
 def worked_status(schedule, xi):
-    return [status_vector(schedule, xi, t, WORKED_CFG, ("h1", "h2"), WORKED_KINDS)
+    return [one_status(schedule, xi, t, WORKED_CFG, ("h1", "h2"), WORKED_KINDS)
             for t in range(1, 5)]
 
 
@@ -71,6 +73,54 @@ def test_status_maintenance_on_failure_day_is_corrective():
     assert status_bit(period=2, xi=2, day=1, tau_pred=1, tau_corr=2, horizon=4) == 1
 
 
+@pytest.mark.parametrize("tau_pred", [1, 2, 3])
+@pytest.mark.parametrize("tau_corr", [1, 2, 3])
+def test_status_bit_broadcast_matches_scalar_reference(tau_pred, tau_corr):
+    horizon = 5
+    tbar = horizon + 1
+    grid = np.meshgrid(np.arange(1, tbar + 1), np.arange(1, tbar + 1),
+                       np.arange(1, horizon + 1), indexing="ij")
+    period, xi, day = (axis.astype(np.int16) for axis in grid)
+    bits = status_bit(period, xi, day, tau_pred, tau_corr, horizon)
+    assert bits.dtype == np.uint8 and bits.shape == (tbar, tbar, horizon)
+    for m, x, d in itertools.product(range(1, tbar + 1), range(1, tbar + 1),
+                                     range(1, horizon + 1)):
+        want = reference_status_bit(m, x, d, tau_pred, tau_corr, horizon)
+        assert bits[m - 1, x - 1, d - 1] == want
+        scalar = status_bit(m, x, d, tau_pred, tau_corr, horizon)
+        assert type(scalar) is int and scalar == want
+
+
+def test_status_vector_reads_failure_days_by_component_id():
+    # a scenario file may order its columns differently from the component
+    # tuple, or leave a component out (it then never fails)
+    cfg = WORKED_CFG
+    comps = ("h1", "h2")
+    rng = np.random.default_rng(3)
+    times = rng.integers(1, cfg.tbar + 1, size=(30, 2))
+    probs = np.full(30, 1 / 30)
+    schedule = {"h1": 2, "h2": 3}
+    ordered = ScenarioSet(comps, times, probs, cfg.horizon_days)
+    swapped = ScenarioSet(("h2", "h1"), times[:, ::-1], probs, cfg.horizon_days)
+    no_h2 = ScenarioSet(("h1",), times[:, :1], probs, cfg.horizon_days)
+    never = times.copy()
+    never[:, 1] = cfg.tbar
+    h2_never_fails = ScenarioSet(comps, never, probs, cfg.horizon_days)
+    for day in range(1, cfg.horizon_days + 1):
+        rows = status_vector(schedule, ordered, day, cfg, comps, WORKED_KINDS)
+        assert rows.shape == (30, 2) and rows.dtype == np.uint8
+        for k in range(30):
+            assert tuple(rows[k]) == tuple(
+                reference_status_bit(schedule[c], int(times[k, j]), day,
+                                     *cfg.tau(WORKED_KINDS[c]), cfg.horizon_days)
+                for j, c in enumerate(comps))
+        assert np.array_equal(
+            status_vector(schedule, swapped, day, cfg, comps, WORKED_KINDS), rows)
+        assert np.array_equal(
+            status_vector(schedule, no_h2, day, cfg, comps, WORKED_KINDS),
+            status_vector(schedule, h2_never_fails, day, cfg, comps, WORKED_KINDS))
+
+
 def test_unavailable_components_helper():
     comps = ("a", "b", "c")
     assert unavailable_components(comps, (1, 0, 0)) == frozenset({"b", "c"})
@@ -86,6 +136,19 @@ def test_cost_coeffs_no_failure():
 def test_cost_coeffs_split_at_failure():
     coeffs = maintenance_cost_coeffs(100.0, 300.0, xi=3, tbar=5)
     assert list(coeffs) == [100.0, 100.0, 300.0, 300.0, 300.0]
+
+
+def test_cost_coeffs_at_a_period_match_the_full_vector():
+    tbar = 5
+    xi = np.arange(1, tbar + 1)
+    full = maintenance_cost_coeffs(100.0, 300.0, xi, tbar)
+    assert full.shape == (tbar, tbar)
+    for period in range(1, tbar + 1):
+        at = maintenance_cost_coeffs(100.0, 300.0, xi, tbar, period=period)
+        assert list(at) == list(full[:, period - 1])
+        for x in range(1, tbar + 1):
+            assert list(full[x - 1]) == list(maintenance_cost_coeffs(100.0, 300.0,
+                                                                     x, tbar))
 
 
 # -- one-day subproblems ---------------------------------------------------------
@@ -192,8 +255,8 @@ def test_status_sufficiency_same_unavailable_same_cost():
         xi_a = {c: int(rng.integers(1, 6)) for c in comps}
         xi_b = {c: int(rng.integers(1, 6)) for c in comps}
         day = int(rng.integers(1, 5))
-        sa = status_vector(sched_a, xi_a, day, cfg, comps, kinds)
-        sb = status_vector(sched_b, xi_b, day, cfg, comps, kinds)
+        sa = one_status(sched_a, xi_a, day, cfg, comps, kinds)
+        sb = one_status(sched_b, xi_b, day, cfg, comps, kinds)
         if sa != sb:
             continue
         ra = solve_day(net, demand, unavailable_components(comps, sa), cfg)
@@ -255,7 +318,7 @@ def test_lower_bound_nonnegative_and_below_recourse():
             for t_g in range(1, 5):
                 for t_l in range(1, 5):
                     sched = {"g1": t_g, "l1": t_l}
-                    status = status_vector(sched, xi, day, cfg, comps, kinds)
+                    status = one_status(sched, xi, day, cfg, comps, kinds)
                     res = solve_day(net, grid.day(day),
                                     unavailable_components(comps, status), cfg)
                     assert lb <= res.objective + 1e-6
