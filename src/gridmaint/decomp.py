@@ -127,10 +127,7 @@ def day_values(inst: Instance, scenarios: ScenarioSet, cfg: RunConfig,
             inst.net, inst.demand.day(t), down, cfg,
             omit_bounds=inst.omit_bounds_for(t, down),
             label=f"day{t}:{''.join(map(str, status))}")
-        outcome = solver.solve(model.spec, tolerance=cfg.subproblem_gap)
-        if outcome.status != "optimal":
-            raise solver.SolverError(
-                f"subproblem day {t} status {status} ended {outcome.status}")
+        outcome = ucmodel.solve_subproblem(model, cfg.subproblem_gap)
         return float(outcome.objective), float(outcome.bound)
 
     missing = [key for key in in_scan_order if cache.lookup(*key) is None]
@@ -152,14 +149,14 @@ def _optimality_cuts(inst: Instance, scenarios: ScenarioSet, cfg: RunConfig,
     cuts = []
     bounds = day_bounds.tolist()
     if cfg.cut_family == "optKT++":
+        xi = scenarios.failure_days(tuple(schedule), cfg.tbar)
+        ttilde = [mastercuts.same_status_periods(schedule, xi, t, cfg, inst.kinds)
+                  for t in range(1, cfg.horizon_days + 1)]
         for k in range(scenarios.size):
-            xi = scenarios.xi(k)
             for t in range(1, cfg.horizon_days + 1):
-                ttilde = mastercuts.same_status_periods(schedule, xi, t, cfg,
-                                                        inst.kinds)
                 cuts.append(mastercuts.cut_over_periods(
                     schedule, (k, t), float(day_vals[k, t - 1, 1]),
-                    bounds[k][t - 1], ttilde, cfg.cut_family))
+                    bounds[k][t - 1], ttilde[t - 1][k], cfg.cut_family))
         return cuts
 
     per_k = []
@@ -232,11 +229,14 @@ class DecompositionRun:
         """
         cfg = self.cfg
         self.iterations += 1
+        # time_limit is one wall budget: the master gets only what is left
+        remaining = None if cfg.time_limit is None else \
+            max(0.0, cfg.time_limit - (time.perf_counter() - self.started))
         # the proven master bound feeds LB, so a master gap one order tighter
         # than the loop tolerance keeps convergence honest without paying for
         # exact branch-and-bound every round
         ms = self.master.solve(tolerance=max(cfg.epsilon * 0.1, 1e-9),
-                               time_limit=cfg.time_limit)
+                               time_limit=remaining)
         if ms.status != "optimal":
             self.status = "infeasible" if ms.status == "infeasible" else "limit"
             return False

@@ -304,18 +304,23 @@ class ScenarioSet:
         return cls(tuple(comps), times, np.full(n, 1.0 / n), horizon_days)
 
 
-def sample_scenarios(rlds: dict[str, ComponentRLD], n: int, horizon_days: int,
+def sample_scenarios(rlds: dict[str, ComponentRLD | None], n: int, horizon_days: int,
                      seed: int | np.random.Generator | None = None) -> ScenarioSet:
-    """Sample independent day-bucket failure times for each component."""
+    """Sample independent day-bucket failure times for each component.
+
+    A ``None`` lifetime marks a non-degrading component: it never fails (T+1)
+    and takes no draw from the generator.
+    """
     if n < 1:
         raise ValueError("need at least one scenario")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     comps = tuple(rlds)
-    times = np.empty((n, len(comps)), dtype=int)
+    times = np.full((n, len(comps)), horizon_days + 1, dtype=int)
     days = np.arange(1, horizon_days + 2)  # 1..T plus the no-failure slot T+1
     for j, comp in enumerate(comps):
-        probs = bucket_probs(rlds[comp], horizon_days)
-        times[:, j] = rng.choice(days, size=n, p=probs)
+        if rlds[comp] is not None:
+            probs = bucket_probs(rlds[comp], horizon_days)
+            times[:, j] = rng.choice(days, size=n, p=probs)
     return ScenarioSet(comps, times, np.full(n, 1.0 / n), horizon_days)
 
 

@@ -156,15 +156,5 @@ def no_failure_scenarios(inst: Instance) -> degrade.ScenarioSet:
 
 
 def _sample(inst: Instance, comps, n, seed) -> degrade.ScenarioSet:
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    horizon = inst.cfg.horizon_days
-    times = np.empty((n, len(comps)), dtype=int)
-    days = np.arange(1, horizon + 2)
-    for j, comp in enumerate(comps):
-        dist = inst.components[comp].rld
-        if dist is None:
-            times[:, j] = horizon + 1
-            continue
-        probs = degrade.bucket_probs(dist, horizon)
-        times[:, j] = rng.choice(days, size=n, p=probs)
-    return degrade.ScenarioSet(tuple(comps), times, np.full(n, 1.0 / n), horizon)
+    rlds = {comp: inst.components[comp].rld for comp in comps}
+    return degrade.sample_scenarios(rlds, n, inst.cfg.horizon_days, seed)

@@ -83,19 +83,23 @@ def same_cost_periods(schedule: dict[str, int], xi_map: dict[str, int],
     return out
 
 
-def same_status_periods(schedule: dict[str, int], xi_map: dict[str, int],
+def same_status_periods(schedule: dict[str, int], failure_days: np.ndarray,
                         day: int, cfg: RunConfig,
-                        kinds: dict[str, str]) -> dict[str, set[int]]:
-    """Periods that leave each component's day-``day`` availability unchanged."""
+                        kinds: dict[str, str]) -> list[dict[str, set[int]]]:
+    """Periods that leave each component's day-``day`` availability unchanged.
+
+    ``failure_days`` is ``(n, c)`` with columns in ``schedule`` order; the
+    result holds one period-set map per scenario row.
+    """
     comps = list(schedule)
     periods = np.arange(1, cfg.tbar + 1)
-    xi = np.array([xi_map.get(comp, cfg.tbar) for comp in comps], dtype=int)
     tau = np.array([cfg.tau(kinds[comp]) for comp in comps], dtype=int).reshape(-1, 2)
-    bits = status_bit(periods[:, None], xi, day, tau[:, 0], tau[:, 1],
-                      cfg.horizon_days)  # (tbar, components)
-    scheduled = bits[[schedule[comp] - 1 for comp in comps], range(len(comps))]
-    same = bits == scheduled
-    return {comp: set(periods[same[:, j]].tolist()) for j, comp in enumerate(comps)}
+    bits = status_bit(periods[:, None, None], failure_days, day, tau[:, 0], tau[:, 1],
+                      cfg.horizon_days)  # (tbar, n, components)
+    at = np.array([schedule[comp] - 1 for comp in comps], dtype=int).reshape(1, 1, -1)
+    same = (bits == np.take_along_axis(bits, at, axis=0)).transpose(1, 2, 0).tolist()
+    return [{comp: {m for m, hit in enumerate(row[j], start=1) if hit}
+             for j, comp in enumerate(comps)} for row in same]
 
 
 def aggregate_cuts(cuts: list[LinearCut], name: str = "single") -> LinearCut:

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import solver
 from .caseio import DemandGrid, Network
+from .ucmodel import add_switched_line_rows
 
 log = logging.getLogger(__name__)
 
@@ -107,12 +108,7 @@ class _RelaxedFlowLP:
             if line.id in candidate_lines:
                 # switchable: relaxed on/off with big-M Ohm and linked bounds
                 yv = spec.add_var(f"y{line.id}", lb=0.0, ub=1.0)
-                spec.add_le({fv: 1.0, delta[fi]: -b_mw, delta[ti]: b_mw,
-                             yv: line.big_m}, line.big_m)
-                spec.add_ge({fv: 1.0, delta[fi]: -b_mw, delta[ti]: b_mw,
-                             yv: -line.big_m}, -line.big_m)
-                spec.add_le({fv: 1.0, yv: -line.flow_limit}, 0.0)
-                spec.add_ge({fv: 1.0, yv: line.flow_limit}, 0.0)
+                add_switched_line_rows(spec, fv, delta[fi], delta[ti], yv, line, b_mw)
             else:
                 # static line: Ohm only; its own limit rows are what we probe
                 spec.add_eq({fv: 1.0, delta[fi]: -b_mw, delta[ti]: b_mw}, 0.0)

@@ -123,28 +123,28 @@ def cost_improvement(dm_total: float, sp_total: float) -> dict[str, float]:
     return out
 
 
+def _mean_and_ci(values, quantile: float) -> tuple[float, float, tuple[float, float]]:
+    """Mean, standard error of the mean, and mean -/+ ``quantile`` standard errors."""
+    values = np.asarray(values, dtype=float)
+    n = len(values)
+    mu = float(values.mean())
+    sigma_sq = float(np.sum((values - mu) ** 2)) / (n * (n - 1)) if n > 1 else 0.0
+    sigma = float(np.sqrt(sigma_sq))
+    return mu, sigma, (mu - quantile * sigma, mu + quantile * sigma)
+
+
 def upper_bound_stats(costs: np.ndarray,
                       significance: float) -> tuple[float, float, tuple[float, float]]:
     """Mean, standard error, and normal-quantile CI of the evaluation costs."""
-    costs = np.asarray(costs, dtype=float)
-    n = len(costs)
-    mu = float(costs.mean())
-    sigma_sq = float(np.sum((costs - mu) ** 2)) / (n * (n - 1)) if n > 1 else 0.0
-    sigma = float(np.sqrt(sigma_sq))
-    z_q = float(norm.ppf(1.0 - significance / 2.0))
-    return mu, sigma, (mu - z_q * sigma, mu + z_q * sigma)
+    return _mean_and_ci(costs, float(norm.ppf(1.0 - significance / 2.0)))
 
 
 def lower_bound_stats(replicate_values: np.ndarray,
                       significance: float) -> tuple[float, float, tuple[float, float]]:
     """Mean, standard error, and t-quantile CI of the replicate optima."""
-    zs = np.asarray(replicate_values, dtype=float)
-    m = len(zs)
-    mu = float(zs.mean())
-    sigma_sq = float(np.sum((zs - mu) ** 2)) / (m * (m - 1)) if m > 1 else 0.0
-    sigma = float(np.sqrt(sigma_sq))
-    t_q = float(student_t.ppf(1.0 - significance / 2.0, df=m - 1))
-    return mu, sigma, (mu - t_q * sigma, mu + t_q * sigma)
+    df = len(replicate_values) - 1
+    return _mean_and_ci(replicate_values,
+                        float(student_t.ppf(1.0 - significance / 2.0, df=df)))
 
 
 @dataclass

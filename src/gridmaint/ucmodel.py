@@ -19,11 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import solver
-from .caseio import DemandGrid, Network, RunConfig
+from .caseio import DemandGrid, Line, Network, RunConfig
 from .degrade import ScenarioSet
 
 __all__ = ["status_bit", "status_vector", "unavailable_components", "DayModel",
-           "SubproblemResult", "build_subproblem", "solve_subproblem",
+           "build_subproblem", "solve_subproblem", "add_switched_line_rows",
            "lp_lower_bound", "maintenance_cost_coeffs"]
 
 
@@ -78,50 +78,10 @@ def maintenance_cost_coeffs(comp_pred, comp_corr, xi, tbar: int,
 
 
 @dataclass
-class SubproblemResult:
-    objective: float
-    status: str
-    gap: float
-    p: np.ndarray       # (|G|, |S|) generation MW
-    x: np.ndarray       # (|G|, |S|) commitment
-    u: np.ndarray       # (|G|, |S|) start-up
-    nu: np.ndarray      # (|G|, |S|) shut-down
-    y: np.ndarray       # (|L|, |S|) line on/off (availability data here)
-    f: np.ndarray       # (|L|, |S|) flows MW
-    delta: np.ndarray   # (|B|, |S|) angles
-    q: np.ndarray       # (|B|, |S|) curtailment MW
-
-
 class DayModel:
     """Built one-day operational model plus its variable index maps."""
-
-    def __init__(self, net: Network, spec: solver.ModelSpec, subperiods: int,
-                 idx: dict[str, np.ndarray], line_on: np.ndarray, label: str):
-        self.net = net
-        self.spec = spec
-        self.subperiods = subperiods
-        self.idx = idx
-        self.line_on = line_on
-        self.label = label
-
-    def extract(self, outcome: solver.SolveOutcome) -> SubproblemResult:
-        vals = outcome.x
-
-        def grab(key):
-            arr = self.idx[key]
-            out = np.zeros(arr.shape)
-            mask = arr >= 0
-            out[mask] = vals[arr[mask]]
-            return out
-
-        return SubproblemResult(objective=float(outcome.objective),
-                                status=outcome.status, gap=outcome.gap,
-                                p=grab("p"), x=grab("x"), u=grab("u"),
-                                nu=grab("nu"), y=self.line_on.copy(),
-                                f=grab("f"), delta=grab("delta"), q=grab("q"))
-
-    def export_lp(self) -> str:
-        return solver.write_lp(self.spec)
+    spec: solver.ModelSpec
+    idx: dict[str, np.ndarray]  # "p", "x", ... -> (units, hours) column indices
 
 
 def _curtail_cost(bus, cfg: RunConfig) -> float:
@@ -200,7 +160,7 @@ def _add_balance_rows(spec, net, demand_day, p, f, q):
 
 def build_subproblem(net: Network, demand_day: np.ndarray, unavailable: frozenset[str],
                      cfg: RunConfig, omit_bounds: frozenset = frozenset(),
-                     label: str = "day", relax_binaries: bool = False) -> DayModel:
+                     label: str = "day") -> DayModel:
     """One-day MILP: hourly commitment, dispatch, flows, and curtailment.
 
     ``unavailable`` holds component ids out of service the whole day;
@@ -216,19 +176,16 @@ def build_subproblem(net: Network, demand_day: np.ndarray, unavailable: frozense
     bus_pos = net.bus_index()
 
     delta, q = _add_bus_vars(spec, net, demand_day, cfg)
-    p, x, u, nu = _add_gen_vars(spec, net, s_count, unavailable,
-                                integer_x=not relax_binaries)
+    p, x, u, nu = _add_gen_vars(spec, net, s_count, unavailable, integer_x=True)
 
     n_line = len(net.lines)
     f = np.empty((n_line, s_count), dtype=int)
-    line_on = np.ones((n_line, s_count))
     for j, line in enumerate(net.lines):
         down = line.id in unavailable
         b_mw = net.line_susceptance_mw(line)
         fi, ti = bus_pos[line.from_bus], bus_pos[line.to_bus]
         for s in range(s_count):
             if down:
-                line_on[j, s] = 0.0
                 f[j, s] = spec.add_var(f"f{line.id}_{s}", lb=0.0, ub=0.0)
                 continue
             lo = -solver.INF if (line.id, "lb", s) in omit_bounds else -line.flow_limit
@@ -241,15 +198,33 @@ def build_subproblem(net: Network, demand_day: np.ndarray, unavailable: frozense
     _add_balance_rows(spec, net, demand_day, p, f, q)
 
     idx = {"p": p, "x": x, "u": u, "nu": nu, "f": f, "delta": delta, "q": q}
-    return DayModel(net, spec, s_count, idx, line_on, label)
+    return DayModel(spec, idx)
 
 
-def solve_subproblem(model: DayModel, eps: float = 1e-6,
-                     time_limit: float | None = None) -> SubproblemResult:
-    outcome = solver.solve(model.spec, tolerance=eps, time_limit=time_limit)
+def solve_subproblem(model: DayModel, gap: float) -> solver.SolveOutcome:
+    """Solve a day model to relative ``gap``: the one way a day is solved.
+
+    Returns the optimal outcome, whose primal values are
+    ``outcome.x[model.idx[name]]``; any other status raises ``SolverError``.
+    """
+    outcome = solver.solve(model.spec, tolerance=gap)
     if outcome.status != "optimal":
-        raise solver.SolverError(f"{model.label}: subproblem ended {outcome.status}")
-    return model.extract(outcome)
+        raise solver.SolverError(f"{model.spec.name}: subproblem ended {outcome.status}")
+    return outcome
+
+
+def add_switched_line_rows(spec: solver.ModelSpec, f: int, d_from: int, d_to: int,
+                           y: int, line: Line, b_mw: float) -> None:
+    """Big-M Ohm rows and on/off-linked flow bounds of a switchable line.
+
+    With ``y`` = 1 the line obeys Ohm's law within its flow limit; with
+    ``y`` = 0 its flow is zero and the angle difference is free up to big-M.
+    """
+    ohm = {f: 1.0, d_from: -b_mw, d_to: b_mw}
+    spec.add_le({**ohm, y: line.big_m}, line.big_m)
+    spec.add_ge({**ohm, y: -line.big_m}, -line.big_m)
+    spec.add_le({f: 1.0, y: -line.flow_limit}, 0.0)
+    spec.add_ge({f: 1.0, y: line.flow_limit}, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -329,12 +304,8 @@ def lp_lower_bound(net: Network, demand: DemandGrid, xi_map: dict[str, int],
             row = dict(terms)
             row[yv] = 1.0
             spec.add_eq(row, 1.0)  # line is on exactly when not in an outage
-            spec.add_le({f[j, s]: 1.0, delta[fi, s]: -b_mw, delta[ti, s]: b_mw,
-                         yv: line.big_m}, line.big_m)
-            spec.add_ge({f[j, s]: 1.0, delta[fi, s]: -b_mw, delta[ti, s]: b_mw,
-                         yv: -line.big_m}, -line.big_m)
-            spec.add_le({f[j, s]: 1.0, yv: -line.flow_limit}, 0.0)
-            spec.add_ge({f[j, s]: 1.0, yv: line.flow_limit}, 0.0)
+            add_switched_line_rows(spec, f[j, s], delta[fi, s], delta[ti, s], yv,
+                                   line, b_mw)
 
     _add_gen_rows(spec, net, p, x, u, nu, s_count)
     _add_balance_rows(spec, net, demand_day, p, f, q)

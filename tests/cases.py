@@ -5,6 +5,7 @@ import numpy as np
 from gridmaint.caseio import Bus, DemandGrid, Generator, Line, Network
 from gridmaint.degrade import ScenarioSet
 from gridmaint.instance import Component, Instance
+from gridmaint.mastercuts import same_status_periods
 from gridmaint.pboracle import SuccessProbTable
 from gridmaint.ucmodel import status_vector
 
@@ -179,6 +180,12 @@ def one_status(schedule, xi_map, day, cfg, components, kinds):
     one = ScenarioSet(comps, np.array([[xi_map[c] for c in comps]], dtype=int),
                       np.array([1.0]), cfg.horizon_days)
     return tuple(status_vector(schedule, one, day, cfg, components, kinds)[0].tolist())
+
+
+def one_same_status(schedule, xi_map, day, cfg, kinds):
+    """Same-status period sets of a single scenario given as a failure-day map."""
+    xi = np.array([[xi_map.get(c, cfg.tbar) for c in schedule]], dtype=int)
+    return same_status_periods(schedule, xi, day, cfg, kinds)[0]
 
 
 def reference_status_bit(period, xi, day, tau_pred, tau_corr, horizon):

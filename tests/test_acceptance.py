@@ -20,10 +20,11 @@ from gridmaint.degrade import (ComponentRLD, SignalObservations, bucket_probs,
 from gridmaint.instance import build_instance, training_scenarios
 from gridmaint.instance import test_scenarios as evaluation_scenarios
 from gridmaint.mastercuts import (cut_int_lshaped, cut_over_periods,
-                                  same_cost_periods, same_status_periods)
+                                  same_cost_periods)
 from gridmaint.pboracle import joint_oracle, pb_cdf
 
-from cases import CASE9, build_net, make_instance, one_status, toy_instance
+from cases import (CASE9, build_net, make_instance, one_same_status, one_status,
+                   toy_instance)
 from oracle_extform import enumerate_schedules, extensive_solve
 from test_pboracle import brute_force_pmf, table_from_rows
 
@@ -122,24 +123,33 @@ def test_c03_separation_fixed_point_exact():
         table, comps = _chance_instance(seed, n_comp, horizon)
         tbar = horizon + 1
         assert tbar ** n_comp <= 10_000
+        schedules = list(enumerate_schedules(tuple(comps), tbar))
         cuts = []
-        truth = {}
-        for sched in enumerate_schedules(tuple(comps), tbar):
+        truth = []
+        for sched in schedules:
             ok, cut, pv = separate(sched, table, 1, 1, alpha)
-            truth[tuple(sorted(sched.items()))] = pv >= 1 - alpha
+            truth.append(pv >= 1 - alpha)
             assert ok == (pv >= 1 - alpha)
             if not ok:
                 cuts.append(cut)
-        false_accepts = false_rejects = 0
-        for sched in enumerate_schedules(tuple(comps), tbar):
-            point = {pair: 1.0 for pair in sched.items()}
-            excluded = any(c.violated_by(point) for c in cuts)
-            feasible = truth[tuple(sorted(sched.items()))]
-            if excluded and feasible:
-                false_rejects += 1
-            if not excluded and not feasible:
-                false_accepts += 1
-            total_points += 1
+        # every schedule against every cover cut in one 0/1 matrix product,
+        # with LinearCut.violated_by's test lhs > rhs + 1e-9
+        column = {pair: i for i, pair in
+                  enumerate(itertools.product(comps, range(1, tbar + 1)))}
+        points = np.zeros((len(schedules), len(column)))
+        for r, sched in enumerate(schedules):
+            points[r, [column[pair] for pair in sched.items()]] = 1.0
+        coeffs = np.zeros((len(column), len(cuts)))
+        for j, cut in enumerate(cuts):
+            assert cut.sense == "<=" and not cut.theta_coeffs
+            for pair, c in cut.v_coeffs:
+                coeffs[column[pair], j] = c
+        rhs = np.array([cut.rhs for cut in cuts])
+        excluded = (points @ coeffs > rhs + 1e-9).any(axis=1)
+        feasible = np.array(truth)
+        false_rejects = int(np.count_nonzero(excluded & feasible))
+        false_accepts = int(np.count_nonzero(~excluded & ~feasible))
+        total_points += len(schedules)
         assert false_accepts == 0 and false_rejects == 0
     passed(3, f"separation fixed point exact on {total_points} enumerated "
               "schedules (0 false accepts / rejects)")
@@ -231,7 +241,7 @@ def test_c05_cut_validity_and_strength():
                                                 singles, "optK")
                     strong = cut_over_periods(
                         gen_point, (k, t), q_t, lower_t,
-                        same_status_periods(gen_point, xi, t, cfg, inst.kinds),
+                        one_same_status(gen_point, xi, t, cfg, inst.kinds),
                         "optKT++")
                     assert theta_floor(strong, gen_point) == pytest.approx(
                         q_t, rel=1e-9)

@@ -1,9 +1,10 @@
 import logging
+import time
 
 import numpy as np
 import pytest
 
-from gridmaint import chance, decomp, ucmodel
+from gridmaint import chance, decomp, mastercuts, ucmodel
 from gridmaint.caseio import RunConfig
 from gridmaint.chance import safe_block
 from gridmaint.degrade import ScenarioSet
@@ -222,6 +223,26 @@ def test_iteration_limit_reported():
     report = decomp.solve(inst, scens, cfg)
     assert report.status == "limit"
     assert report.iterations == 1
+
+
+def test_master_gets_only_the_remaining_time_budget(monkeypatch):
+    inst, scens = toy_instance(seed=23)
+    cfg = inst.cfg.__class__(**{**inst.cfg.__dict__, "time_limit": 600.0})
+    limits = []
+    real_solve = mastercuts.MasterState.solve
+
+    def spy(self, tolerance=1e-9, time_limit=None):
+        limits.append(time_limit)
+        return real_solve(self, tolerance=tolerance, time_limit=time_limit)
+
+    monkeypatch.setattr(mastercuts.MasterState, "solve", spy)
+    run = decomp.DecompositionRun(inst, scens, cfg)
+    going = True
+    while going:
+        elapsed = time.perf_counter() - run.started
+        going = run.iterate_once()
+        assert limits[-1] <= cfg.time_limit - elapsed
+    assert run.status == "optimal" and len(limits) == run.iterations >= 2
 
 
 def test_subproblem_economy():

@@ -248,6 +248,17 @@ def test_sample_scenarios_always_fails_day_one():
     assert np.all(scen.failure_times == 1)
 
 
+def test_sample_scenarios_none_lifetime_never_fails_and_draws_nothing():
+    # a non-degrading component gets T+1 and leaves the generator untouched,
+    # so every other column is the draw the set without it gives
+    dist = ComponentRLD(5.0, 60.0)
+    with_c = sample_scenarios({"g1": dist, "c": None, "l2": dist}, 300, 7, seed=9)
+    without = sample_scenarios({"g1": dist, "l2": dist}, 300, 7, seed=9)
+    assert with_c.component_ids == ("g1", "c", "l2")
+    assert np.all(with_c.failure_times[:, 1] == 8)
+    assert with_c.failure_times[:, [0, 2]].tobytes() == without.failure_times.tobytes()
+
+
 def test_bucket_probs_sum_to_one():
     rng = np.random.default_rng(4)
     for _ in range(25):

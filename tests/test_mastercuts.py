@@ -10,6 +10,8 @@ from gridmaint.mastercuts import (MasterState, aggregate_cuts, cut_int_lshaped,
                                   same_status_periods)
 from gridmaint.ucmodel import status_bit
 
+from cases import one_same_status
+
 CFG = RunConfig(horizon_days=4, subperiods=2)
 KINDS = {"h1": "gen", "h2": "line"}
 
@@ -105,7 +107,7 @@ def test_same_status_dominates_per_period_baseline():
         xi = {"h1": int(rng.integers(1, 6)), "h2": int(rng.integers(1, 6))}
         day = int(rng.integers(1, 5))
         q, lower = float(rng.uniform(50, 150)), float(rng.uniform(0, 50))
-        ttilde = same_status_periods(sched, xi, day, CFG, KINDS)
+        ttilde = one_same_status(sched, xi, day, CFG, KINDS)
         stronger = cut_over_periods(sched, (0, day), q, lower, ttilde, "optKT++")
         baseline = cut_over_periods(sched, (0, day), q, lower, singletons(sched),
                                     "optK")
@@ -131,7 +133,7 @@ def test_same_status_scheduled_period_always_included():
         sched = {"h1": int(rng.integers(1, 6))}
         xi = {"h1": int(rng.integers(1, 6))}
         day = int(rng.integers(1, 5))
-        ttilde = same_status_periods(sched, xi, day, CFG, KINDS)
+        ttilde = one_same_status(sched, xi, day, CFG, KINDS)
         assert sched["h1"] in ttilde["h1"]
 
 
@@ -140,7 +142,7 @@ def test_same_status_early_day_includes_all_later_periods():
     # strictly after the day leaves the component available
     sched = {"h1": 4}
     xi = {"h1": 5}  # extended slot: never fails
-    ttilde = same_status_periods(sched, xi, 1, CFG, KINDS)
+    ttilde = one_same_status(sched, xi, 1, CFG, KINDS)
     assert {2, 3, 4, 5} <= ttilde["h1"]
 
 
@@ -150,7 +152,7 @@ def test_same_status_probe_matches_status_bit():
         period = int(rng.integers(1, 6))
         xi = int(rng.integers(1, 6))
         day = int(rng.integers(1, 5))
-        ttilde = same_status_periods({"h1": period}, {"h1": xi}, day, CFG, KINDS)
+        ttilde = one_same_status({"h1": period}, {"h1": xi}, day, CFG, KINDS)
         bit = status_bit(period, xi, day, 1, 2, 4)
         for t in range(1, 6):
             expected = status_bit(t, xi, day, 1, 2, 4) == bit
@@ -162,9 +164,28 @@ def test_same_status_independent_of_other_components():
     sched_b = {"h1": 2, "h2": 4}
     xi = {"h1": 3, "h2": 2}
     for day in range(1, 5):
-        ta = same_status_periods(sched_a, xi, day, CFG, KINDS)
-        tb = same_status_periods(sched_b, xi, day, CFG, KINDS)
+        ta = one_same_status(sched_a, xi, day, CFG, KINDS)
+        tb = one_same_status(sched_b, xi, day, CFG, KINDS)
         assert ta["h1"] == tb["h1"]
+
+
+def test_same_status_rows_match_status_bit_per_scenario():
+    # one call over the scenario array gives every row's sets, in row order,
+    # with components in schedule order
+    rng = np.random.default_rng(17)
+    sched = {"h2": 3, "h1": 2}
+    xi = rng.integers(1, CFG.tbar + 1, size=(25, 2))
+    periods = range(1, CFG.tbar + 1)
+    for day in range(1, CFG.horizon_days + 1):
+        rows = same_status_periods(sched, xi, day, CFG, KINDS)
+        assert len(rows) == 25
+        for k, sets in enumerate(rows):
+            assert list(sets) == ["h2", "h1"]
+            for j, comp in enumerate(sched):
+                tau = CFG.tau(KINDS[comp])
+                bits = {m: status_bit(m, int(xi[k, j]), day, *tau, CFG.horizon_days)
+                        for m in periods}
+                assert sets[comp] == {m for m in periods if bits[m] == bits[sched[comp]]}
 
 
 # -- aggregation -------------------------------------------------------------------

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from gridmaint import solver
 from gridmaint.caseio import DemandGrid, RunConfig
 from gridmaint.degrade import ScenarioSet
 from gridmaint.ucmodel import (build_subproblem, lp_lower_bound,
@@ -17,9 +18,10 @@ def day_cfg(S=24, T=2, **kw):
 
 
 def solve_day(net, demand_row, unavailable=frozenset(), cfg=None, **kw):
+    """The built day model and its optimal outcome."""
     cfg = cfg or day_cfg(S=demand_row.shape[1])
     model = build_subproblem(net, demand_row, frozenset(unavailable), cfg, **kw)
-    return solve_subproblem(model, eps=1e-9)
+    return model, solve_subproblem(model, 1e-9)
 
 
 # -- status vectors ------------------------------------------------------------
@@ -155,26 +157,26 @@ def test_cost_coeffs_at_a_period_match_the_full_vector():
 
 def test_zero_demand_costs_nothing():
     net = build_net(n_bus=2, demands=[0.0, 0.0])
-    res = solve_day(net, np.zeros((2, 4)))
+    model, res = solve_day(net, np.zeros((2, 4)))
     assert res.objective == pytest.approx(0.0, abs=1e-9)
-    assert np.all(res.x == 0)
+    assert np.all(res.x[model.idx["x"]] == 0)
 
 
 def test_single_bus_dispatch_cost():
     net = build_net(n_bus=1, demands=[100.0], p_max=200.0, gen_cost=10.0,
                     curtail=1000.0)
-    res = solve_day(net, np.full((1, 24), 100.0))
+    model, res = solve_day(net, np.full((1, 24), 100.0))
     assert res.objective == pytest.approx(24 * 1000.0)
-    assert np.allclose(res.p, 100.0)
+    assert np.allclose(res.x[model.idx["p"]], 100.0)
 
 
 def test_unavailable_generator_forces_curtailment():
     net = build_net(n_bus=1, demands=[100.0], p_max=200.0, gen_cost=10.0,
                     curtail=1000.0)
-    res = solve_day(net, np.full((1, 24), 100.0), unavailable={"g1"})
+    model, res = solve_day(net, np.full((1, 24), 100.0), unavailable={"g1"})
     assert res.objective == pytest.approx(24 * 100.0 * 1000.0)
-    assert np.allclose(res.q, 100.0)
-    assert np.all(res.x == 0)
+    assert np.allclose(res.x[model.idx["q"]], 100.0)
+    assert np.all(res.x[model.idx["x"]] == 0)
 
 
 def congested_triangle():
@@ -189,37 +191,41 @@ def congested_triangle():
 def test_triangle_congestion_matches_hand_lp():
     # the 10 MW limit on line 1-2 caps the cheap unit at 30 MW, so the hand
     # optimum is 30 * 10 + 120 * 50 per hour
-    res = solve_day(congested_triangle(), np.array([[0.0], [0.0], [150.0]]))
+    model, res = solve_day(congested_triangle(), np.array([[0.0], [0.0], [150.0]]))
     assert res.objective == pytest.approx(30 * 10.0 + 120 * 50.0, rel=1e-7)
-    assert abs(res.f[0, 0]) == pytest.approx(10.0, abs=1e-6)
+    assert abs(res.x[model.idx["f"][0, 0]]) == pytest.approx(10.0, abs=1e-6)
 
 
 def test_line_outage_redistributes_flows():
     # removing line 1-2 kills the loop-flow split: the direct line now carries
     # the whole cheap transfer up to its own 100 MW limit
-    res = solve_day(congested_triangle(), np.array([[0.0], [0.0], [150.0]]),
-                    unavailable={"l1"})
+    model, res = solve_day(congested_triangle(), np.array([[0.0], [0.0], [150.0]]),
+                           unavailable={"l1"})
+    f = model.idx["f"]
     assert res.objective == pytest.approx(100 * 10.0 + 50 * 50.0, rel=1e-7)
-    assert res.f[0, 0] == 0.0
-    assert res.f[1, 0] == pytest.approx(100.0, abs=1e-6)
-    assert res.y[0, 0] == 0.0 and res.y[1, 0] == 1.0
+    assert res.x[f[0, 0]] == 0.0
+    assert res.x[f[1, 0]] == pytest.approx(100.0, abs=1e-6)
+    # the down line's flow is fixed at zero; the in-service line keeps its limit
+    spec = model.spec
+    assert spec._lb[f[0, 0]] == spec._ub[f[0, 0]] == 0.0
+    assert (spec._lb[f[1, 0]], spec._ub[f[1, 0]]) == (-100.0, 100.0)
 
 
 def test_min_up_time_enforced_within_day():
     net = build_net(n_bus=1, demands=[100.0], p_max=200.0, gen_cost=10.0,
                     noload=100.0, curtail=10000.0, min_up=3)
     demand = np.array([[100.0, 0.0, 0.0, 100.0, 0.0, 0.0]])
-    res = solve_day(net, demand)
+    model, res = solve_day(net, demand)
     # the hour-4 restart drags hours 5-6 on at no-load cost; without the
     # min-up rows the optimum would be 2200 with x = [1,0,0,1,0,0]
     assert res.objective == pytest.approx(2400.0)
-    assert list(res.x[0]) == [1, 0, 0, 1, 1, 1]
+    assert list(res.x[model.idx["x"][0]]) == [1, 0, 0, 1, 1, 1]
 
 
 def test_ramping_limits_force_curtailment():
     net = build_net(n_bus=1, demands=[100.0], p_max=200.0, gen_cost=10.0,
                     curtail=1000.0, ramp=30.0)
-    res = solve_day(net, np.array([[50.0, 100.0]]))
+    _, res = solve_day(net, np.array([[50.0, 100.0]]))
     assert res.objective == pytest.approx(10 * (50 + 80) + 1000 * 20)
 
 
@@ -229,15 +235,15 @@ def test_startup_cost_counted_after_first_hour():
     net = build_net(n_bus=1, demands=[100.0], p_max=200.0, p_min=80.0,
                     gen_cost=1.0, curtail=1000.0, startup=500.0)
     demand = np.array([[0.0, 100.0]])
-    res = solve_day(net, demand)
+    model, res = solve_day(net, demand)
     assert res.objective == pytest.approx(100.0 + 500.0)
-    assert res.u[0, 1] == pytest.approx(1.0)
+    assert res.x[model.idx["u"][0, 1]] == pytest.approx(1.0)
 
 
 def test_first_hour_start_is_free():
     net = build_net(n_bus=1, demands=[100.0], p_max=200.0, gen_cost=1.0,
                     curtail=1000.0, startup=500.0)
-    res = solve_day(net, np.array([[100.0]]))
+    _, res = solve_day(net, np.array([[100.0]]))
     assert res.objective == pytest.approx(100.0)
 
 
@@ -259,8 +265,8 @@ def test_status_sufficiency_same_unavailable_same_cost():
         sb = one_status(sched_b, xi_b, day, cfg, comps, kinds)
         if sa != sb:
             continue
-        ra = solve_day(net, demand, unavailable_components(comps, sa), cfg)
-        rb = solve_day(net, demand, unavailable_components(comps, sb), cfg)
+        _, ra = solve_day(net, demand, unavailable_components(comps, sa), cfg)
+        _, rb = solve_day(net, demand, unavailable_components(comps, sb), cfg)
         assert ra.objective == pytest.approx(rb.objective, abs=1e-9)
 
 
@@ -271,7 +277,7 @@ def test_every_status_pattern_is_feasible():
     comps = ("g1", "g2", "l1")
     for mask in range(8):
         down = frozenset(c for i, c in enumerate(comps) if mask >> i & 1)
-        res = solve_day(net, demand, down, cfg)
+        _, res = solve_day(net, demand, down, cfg)
         assert res.status == "optimal"
 
 
@@ -279,15 +285,15 @@ def test_omitted_bounds_drop_rows():
     net = build_net(n_bus=2, demands=[0.0, 30.0], flow_limit=100.0)
     cfg = day_cfg(S=1)
     omit = frozenset({("l1", "ub", 0), ("l1", "lb", 0)})
-    base = solve_day(net, np.array([[0.0], [30.0]]), cfg=cfg)
-    dropped = solve_day(net, np.array([[0.0], [30.0]]), cfg=cfg, omit_bounds=omit)
+    _, base = solve_day(net, np.array([[0.0], [30.0]]), cfg=cfg)
+    _, dropped = solve_day(net, np.array([[0.0], [30.0]]), cfg=cfg, omit_bounds=omit)
     assert dropped.objective == pytest.approx(base.objective)
 
 
 def test_lp_export_available():
     net = build_net(n_bus=1, demands=[10.0])
     model = build_subproblem(net, np.array([[10.0]]), frozenset(), day_cfg(S=1))
-    assert "Minimize" in model.export_lp()
+    assert "Minimize" in solver.write_lp(model.spec)
 
 
 # -- lower bounds ---------------------------------------------------------------
@@ -319,8 +325,8 @@ def test_lower_bound_nonnegative_and_below_recourse():
                 for t_l in range(1, 5):
                     sched = {"g1": t_g, "l1": t_l}
                     status = one_status(sched, xi, day, cfg, comps, kinds)
-                    res = solve_day(net, grid.day(day),
-                                    unavailable_components(comps, status), cfg)
+                    _, res = solve_day(net, grid.day(day),
+                                       unavailable_components(comps, status), cfg)
                     assert lb <= res.objective + 1e-6
 
 
