@@ -73,18 +73,16 @@ class RedundancyReport:
 
 
 class _RelaxedFlowLP:
-    """Single-period relaxation reused across target lines for one cap vector."""
+    """Single-period relaxation, built once and re-solved for every cap vector
+    (the demand variables' upper bounds) and target line (the objective)."""
 
-    def __init__(self, net: Network, demand_cap: np.ndarray,
-                 candidate_lines: frozenset[str]):
-        if np.any(demand_cap < 0):
-            raise ValueError("demand caps must be nonnegative")
+    def __init__(self, net: Network, candidate_lines: frozenset[str]):
         spec = solver.ModelSpec("flow_relax")
         bus_pos = net.bus_index()
         n_bus = len(net.buses)
 
-        d = [spec.add_var(f"dem{b.id}", lb=0.0, ub=float(demand_cap[i]))
-             for i, b in enumerate(net.buses)]
+        # upper bounds are the demand caps, written by set_caps
+        d = [spec.add_var(f"dem{b.id}", lb=0.0, ub=0.0) for b in net.buses]
         q = [spec.add_var(f"q{b.id}", lb=0.0) for b in net.buses]
         delta = [spec.add_var(f"delta{b.id}", lb=b.delta_min, ub=b.delta_max)
                  for b in net.buses]
@@ -126,13 +124,22 @@ class _RelaxedFlowLP:
                     coeffs[fv] = coeffs.get(fv, 0.0) + 1.0
             spec.add_eq(coeffs, 0.0)
         self.spec = spec
+        self.dem = d
+        self._target: int | None = None
+
+    def set_caps(self, demand_cap: np.ndarray) -> None:
+        if np.any(demand_cap < 0):
+            raise ValueError("demand caps must be nonnegative")
+        for i, var in enumerate(self.dem):
+            self.spec.set_bounds(var, 0.0, float(demand_cap[i]))
 
     def extreme(self, line_id: str, direction: str) -> float:
         """max f (direction "ub") or min f (direction "lb") over the relaxation."""
-        for j in range(self.spec.num_vars):
-            self.spec.set_obj(j, 0.0)
+        if self._target is not None:
+            self.spec.set_obj(self._target, 0.0)
+        self._target = self.fvar[line_id]
         self.spec.sense = "max" if direction == "ub" else "min"
-        self.spec.set_obj(self.fvar[line_id], 1.0)
+        self.spec.set_obj(self._target, 1.0)
         outcome = solver.solve(self.spec, tolerance=1e-9)
         if outcome.status != "optimal":
             raise solver.SolverError(f"flow relaxation for {line_id} ended "
@@ -143,7 +150,9 @@ class _RelaxedFlowLP:
 def flow_extreme(net: Network, demand_cap: np.ndarray, line_id: str,
                  direction: str, candidate_lines: frozenset[str] = frozenset()) -> float:
     """Extreme flow of one line under one demand-cap vector."""
-    return _RelaxedFlowLP(net, demand_cap, candidate_lines).extreme(line_id, direction)
+    lp = _RelaxedFlowLP(net, candidate_lines)
+    lp.set_caps(demand_cap)
+    return lp.extreme(line_id, direction)
 
 
 def _cap_vectors(grid: DemandGrid, mode: str):
@@ -171,8 +180,9 @@ def analyze(net: Network, grid: DemandGrid, mode: str,
     started = time.perf_counter()
     entries: list[RedundancyEntry] = []
     targets = [line for line in net.lines if line.id not in candidate_lines]
+    lp = _RelaxedFlowLP(net, candidate_lines)
     for scope, caps in _cap_vectors(grid, mode):
-        lp = _RelaxedFlowLP(net, caps, candidate_lines)
+        lp.set_caps(caps)
         for line in targets:
             hi = lp.extreme(line.id, "ub")
             entries.append(RedundancyEntry(line.id, "ub", scope, hi,

@@ -1,19 +1,28 @@
 """Narrow LP/MILP backend abstraction.
 
 All optimization modules describe models through :class:`ModelSpec` and call
-:func:`solve`.  The single in-process backend is HiGHS, reached through
-``scipy.optimize.milp`` (which handles pure LPs as well).
+:func:`solve`.  The single in-process backend is HiGHS, driven through the
+bindings SciPy bundles (``scipy.optimize._highspy._core``); pure LPs go
+through the same call.
 """
 
 from __future__ import annotations
 
 import io
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 import scipy.sparse as sp
-from scipy.optimize import Bounds, LinearConstraint, milp
+
+try:
+    from scipy.optimize._highspy import _core as _highs
+except ImportError as exc:  # the bindings are private to SciPy and moved once
+    raise ImportError(
+        "gridmaint drives HiGHS through scipy.optimize._highspy._core, which "
+        f"SciPy ships from 1.15 on; found SciPy {scipy.__version__}") from exc
 
 log = logging.getLogger(__name__)
 
@@ -31,6 +40,8 @@ class SolveOutcome:
     objective: float | None
     bound: float | None  # proven bound on the optimum (== objective for LPs)
     gap: float
+    seconds: float  # HiGHS run time
+    nodes: int      # branch-and-bound nodes; 0 for an LP
 
     @property
     def ok(self) -> bool:
@@ -41,7 +52,9 @@ class ModelSpec:
     """Incrementally built sparse LP/MILP description.
 
     Variables are referenced by the integer index returned from
-    :meth:`add_var`.  Rows are two-sided: ``lb <= a.x <= ub``.
+    :meth:`add_var`.  Rows are two-sided: ``lb <= a.x <= ub``.  The assembled
+    matrix and row bounds are kept until a row or variable is added; costs and
+    variable bounds are read afresh by every solve.
     """
 
     def __init__(self, name: str = "model", sense: str = "min"):
@@ -57,6 +70,7 @@ class ModelSpec:
         self._var_names: list[str] = []
         # each row: (coeffs dict var->coef, lb, ub, name)
         self._rows: list[tuple[dict[int, float], float, float, str]] = []
+        self._assembled: tuple[list, ...] | None = None
 
     # -- variables ---------------------------------------------------------
 
@@ -68,6 +82,7 @@ class ModelSpec:
         self._integer.append(integer)
         self._obj.append(obj)
         self._var_names.append(name if name is not None else f"x{idx}")
+        self._assembled = None
         return idx
 
     def add_binary(self, name: str | None = None, obj: float = 0.0) -> int:
@@ -75,6 +90,10 @@ class ModelSpec:
 
     def set_obj(self, var: int, coef: float) -> None:
         self._obj[var] = coef
+
+    def set_bounds(self, var: int, lb: float, ub: float) -> None:
+        self._lb[var] = lb
+        self._ub[var] = ub
 
     @property
     def num_vars(self) -> int:
@@ -92,6 +111,7 @@ class ModelSpec:
             raise ValueError(f"row {name!r}: lb {lb} > ub {ub}")
         idx = len(self._rows)
         self._rows.append((dict(coeffs), lb, ub, name or f"c{idx}"))
+        self._assembled = None
         return idx
 
     def add_eq(self, coeffs: dict[int, float], rhs: float, name: str | None = None) -> int:
@@ -105,66 +125,140 @@ class ModelSpec:
 
     # -- assembly ----------------------------------------------------------
 
-    def _matrices(self):
-        n = self.num_vars
-        data, ri, ci = [], [], []
-        rlb, rub = [], []
-        for r, (coeffs, lb, ub, _) in enumerate(self._rows):
-            for var, coef in coeffs.items():
-                if coef != 0.0:
-                    ri.append(r)
-                    ci.append(var)
-                    data.append(coef)
-            rlb.append(lb)
-            rub.append(ub)
-        a = sp.csr_matrix((data, (ri, ci)), shape=(len(self._rows), n))
-        return a, np.array(rlb), np.array(rub)
+    def assembled(self) -> tuple[list, ...]:
+        """The rows as CSC ``indptr``, ``indices`` and ``data``, then row ``lb``
+        and ``ub``, all as lists (the form the HiGHS bindings copy fastest)."""
+        if self._assembled is None:
+            data, ri, ci = [], [], []
+            for r, (coeffs, _, _, _) in enumerate(self._rows):
+                for var, coef in coeffs.items():
+                    if coef != 0.0:
+                        ri.append(r)
+                        ci.append(var)
+                        data.append(coef)
+            a = sp.csc_matrix((np.array(data, dtype=float), (ri, ci)),
+                              shape=(len(self._rows), self.num_vars))
+            if not np.isfinite(a.data).all():
+                raise SolverError(f"{self.name}: constraint coefficients must be finite")
+            self._assembled = (a.indptr.tolist(), a.indices.tolist(), a.data.tolist(),
+                               [float(row[1]) for row in self._rows],
+                               [float(row[2]) for row in self._rows])
+        return self._assembled
 
 
-_STATUS_MAP = {0: "optimal", 1: "limit", 2: "infeasible", 3: "error", 4: "error"}
+@dataclass
+class HighsRun:
+    """One HiGHS run, in the minimisation sense it was handed."""
+    status: str
+    x: np.ndarray | None          # None unless a solution may be read
+    fun: float | None
+    mip_dual_bound: float | None  # None for an LP
+    mip_gap: float | None
+    mip_node_count: int
+    seconds: float
+
+
+_MODEL_STATUS = {
+    _highs.HighsModelStatus.kOptimal: "optimal",
+    _highs.HighsModelStatus.kTimeLimit: "limit",
+    _highs.HighsModelStatus.kIterationLimit: "limit",
+    _highs.HighsModelStatus.kInfeasible: "infeasible",
+    _highs.HighsModelStatus.kModelError: "infeasible",
+}
+
+
+def _check(spec: ModelSpec, step: str, status) -> None:
+    if status == _highs.HighsStatus.kError:
+        raise SolverError(f"{spec.name}: HiGHS {step} returned kError")
+
+
+def milp(spec: ModelSpec, cost: list[float], rows: tuple[list, ...],
+         tolerance: float, time_limit: float | None) -> HighsRun:
+    """Minimise ``cost . x`` over ``rows`` (``spec.assembled()``) and the
+    variable bounds of ``spec``.
+
+    Each call runs a fresh HiGHS instance with the options
+    ``scipy.optimize.milp`` sets (no console log, presolve on, relative MIP
+    gap ``tolerance``, the time limit when given), so a model gets the same
+    answer through either entry point.  HiGHS runs its MIP search serially,
+    which keeps results deterministic.
+    """
+    indptr, indices, data, row_lb, row_ub = rows
+    n = spec.num_vars
+    lp = _highs.HighsLp()
+    lp.num_col_ = n
+    lp.num_row_ = spec.num_rows
+    lp.a_matrix_.num_col_ = n
+    lp.a_matrix_.num_row_ = spec.num_rows
+    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = indptr
+    lp.a_matrix_.index_ = indices
+    lp.a_matrix_.value_ = data
+    lp.col_cost_ = cost
+    lp.col_lower_ = spec._lb
+    lp.col_upper_ = spec._ub
+    lp.row_lower_ = row_lb
+    lp.row_upper_ = row_ub
+    is_mip = any(spec._integer)
+    if is_mip:
+        lp.integrality_ = [_highs.HighsVarType.kInteger if integer
+                           else _highs.HighsVarType.kContinuous
+                           for integer in spec._integer]
+
+    options = _highs.HighsOptions()
+    options.log_to_console = False
+    options.presolve = "on"
+    options.mip_rel_gap = tolerance
+    if time_limit is not None:
+        options.time_limit = time_limit
+    highs = _highs._Highs()
+    _check(spec, "passOptions", highs.passOptions(options))
+    _check(spec, "passModel", highs.passModel(lp))
+    _check(spec, "run", highs.run())
+
+    status = _MODEL_STATUS.get(highs.getModelStatus(), "error")
+    info = highs.getInfo()
+    nodes = info.mip_node_count if is_mip else 0
+    seconds = highs.getRunTime()
+    # an LP solution is read only at optimality; a MIP stopped at a limit
+    # keeps its incumbent when it found one
+    readable = status == "optimal" or (
+        is_mip and status == "limit"
+        and info.objective_function_value != _highs.kHighsInf)
+    if not readable:
+        return HighsRun(status, None, None, None, None, nodes, seconds)
+    return HighsRun(status, np.array(highs.getSolution().col_value),
+                    info.objective_function_value,
+                    info.mip_dual_bound if is_mip else None,
+                    info.mip_gap if is_mip else None, nodes, seconds)
 
 
 def solve(spec: ModelSpec, tolerance: float = 1e-9,
           time_limit: float | None = None) -> SolveOutcome:
-    """Solve a spec to the requested relative gap.
-
-    The scipy HiGHS entry point runs single-threaded, which keeps results
-    deterministic.
-    """
+    """Solve a spec to the requested relative gap within ``time_limit`` seconds."""
+    if not tolerance >= 0.0:
+        raise ValueError(f"{spec.name}: tolerance must be >= 0, got {tolerance!r}")
+    if time_limit is not None and not time_limit >= 0.0:
+        raise ValueError(f"{spec.name}: time_limit must be >= 0, got {time_limit!r}")
     sign = 1.0 if spec.sense == "min" else -1.0
-    c = sign * np.array(spec._obj, dtype=float)
-    integrality = np.array(spec._integer, dtype=np.uint8)
-    bounds = Bounds(np.array(spec._lb, dtype=float), np.array(spec._ub, dtype=float))
-    options = {"presolve": True, "mip_rel_gap": tolerance}
-    if time_limit is not None:
-        options["time_limit"] = float(time_limit)
+    cost = spec._obj if sign > 0 else [-c for c in spec._obj]
+    if not all(map(math.isfinite, cost)):
+        raise SolverError(f"{spec.name}: objective coefficients must be finite")
+    # assembled here, outside milp, so that time spent in milp is HiGHS's
+    run = milp(spec, cost, spec.assembled(), float(tolerance),
+               None if time_limit is None else float(time_limit))
 
-    constraints = None
-    if spec.num_rows:
-        a, rlb, rub = spec._matrices()
-        constraints = LinearConstraint(a, rlb, rub)
-
-    try:
-        res = milp(c, constraints=constraints, integrality=integrality,
-                   bounds=bounds, options=options)
-    except Exception as exc:  # backend blow-up, not model infeasibility
-        raise SolverError(f"{spec.name}: {exc}") from exc
-
-    status = _STATUS_MAP.get(res.status, "error")
-    if status in ("infeasible", "error"):
-        return SolveOutcome(status, None, None, None, INF)
-    if res.x is None:
-        # limit hit before any incumbent
-        return SolveOutcome("limit", None, None, None, INF)
-
-    objective = sign * float(res.fun) + spec.obj_offset
-    if integrality.any() and res.mip_dual_bound is not None:
-        bound = sign * float(res.mip_dual_bound) + spec.obj_offset
-        gap = float(res.mip_gap) if res.mip_gap is not None else 0.0
+    if run.x is None:
+        return SolveOutcome(run.status, None, None, None, INF,
+                            run.seconds, run.mip_node_count)
+    objective = sign * run.fun + spec.obj_offset
+    if run.mip_dual_bound is None:
+        bound, gap = objective, 0.0
     else:
-        bound = objective
-        gap = 0.0
-    return SolveOutcome(status, np.asarray(res.x), objective, bound, gap)
+        bound = sign * run.mip_dual_bound + spec.obj_offset
+        gap = run.mip_gap
+    return SolveOutcome(run.status, run.x, objective, bound, gap,
+                        run.seconds, run.mip_node_count)
 
 
 def write_lp(spec: ModelSpec) -> str:

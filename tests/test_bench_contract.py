@@ -12,10 +12,11 @@ from pathlib import Path
 
 import numpy as np
 
-from gridmaint import decomp, saa
+from gridmaint import decomp, preflow, saa
+from gridmaint.caseio import DemandGrid
 from gridmaint.degrade import ScenarioSet
 
-from cases import toy_instance
+from cases import build_net, toy_instance
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import spans  # noqa: E402
@@ -53,3 +54,14 @@ def test_traced_evaluation_counts_match_cache_counters():
                                                      cache, inst.cfg))
     assert layers["solver.uc_n"] == cache.solved > 0
     assert cache.solved + cache.aliased == n * horizon
+
+
+def test_traced_preflow_sees_every_backend_call():
+    net = build_net(n_bus=3, n_gen=2, lines=[(1, 2), (1, 3), (2, 3)],
+                    demands=[0.0, 40.0, 60.0], flow_limit=70.0, p_max=120.0)
+    grid = DemandGrid((1, 2, 3), np.full((3, 2, 2), 30.0))
+    report, layers = traced(lambda: preflow.analyze(net, grid, "III",
+                                                    frozenset({"l1"})))
+    assert layers["solver.flow_n"] == len(report.entries) > 0
+    assert layers["solver.flow_highs_s"] > 0
+    assert layers["solver.flow_nodes"] == 0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gridmaint.caseio import DemandGrid, RunConfig
-from gridmaint.preflow import analyze, flow_extreme
+from gridmaint.preflow import _cap_vectors, analyze, flow_extreme
 from gridmaint.ucmodel import build_subproblem, solve_subproblem
 
 from cases import build_net
@@ -116,3 +116,31 @@ def test_report_csv_and_ratio():
     text = report.to_csv()
     assert text.startswith("line,dir,scope,f_star,redundant")
     assert 0.0 <= report.redundancy_ratio("ub") <= 1.0
+
+
+def test_shared_relaxation_matches_a_fresh_model_per_probe():
+    # analyze re-solves one model with new caps and objectives; every probe
+    # must return the bits of a model built for that probe alone
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        n_bus = int(rng.integers(3, 6))
+        lines = [(i + 1, i + 2) for i in range(n_bus - 1)] + [(1, n_bus)]
+        net = build_net(n_bus=n_bus, n_gen=2, lines=lines,
+                        flow_limits=list(rng.uniform(20, 90, size=len(lines))),
+                        p_max=150.0)
+        candidates = frozenset({"l1"}) if seed % 2 else frozenset()
+        grid = grid_of(rng.uniform(0, 60, size=(n_bus, 2, 2)))
+        for mode in ("I", "II", "III"):
+            report = analyze(net, grid, mode, candidate_lines=candidates)
+            caps = dict(_cap_vectors(grid, mode))
+            assert len(report.entries) == 2 * len(caps) * (len(lines) - len(candidates))
+            for e in report.entries:
+                fresh = flow_extreme(net, caps[e.scope], e.line_id, e.direction,
+                                     candidates)
+                assert np.float64(e.f_star).tobytes() == np.float64(fresh).tobytes()
+
+
+def test_negative_caps_rejected():
+    net = build_net(n_bus=2, demands=[0.0, 50.0], flow_limit=100.0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        flow_extreme(net, np.array([0.0, -1.0]), "l1", "ub")

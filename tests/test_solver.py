@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from gridmaint import solver
@@ -58,3 +64,191 @@ def test_lp_export_round_shape():
     text = solver.write_lp(m)
     assert "Minimize" in text and "General" in text
     assert "x" in text and "y" in text
+
+
+def reference_solve(spec, tolerance=1e-9, time_limit=None):
+    """``spec`` solved through ``scipy.optimize.milp``, which drives the same
+    HiGHS with the same options, so ``solver.solve`` must match it bit for bit.
+
+    Returns ``(status, x bytes, objective, bound, gap)`` under the status
+    mapping and sign handling of ``solver.solve``.
+    """
+    import scipy.sparse as sp
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    sign = 1.0 if spec.sense == "min" else -1.0
+    integrality = np.array(spec._integer, dtype=np.uint8)
+    options = {"presolve": True, "mip_rel_gap": tolerance}
+    if time_limit is not None:
+        options["time_limit"] = float(time_limit)
+    constraints = None
+    if spec.num_rows:
+        data, ri, ci = [], [], []
+        for r, (coeffs, _, _, _) in enumerate(spec._rows):
+            for var, coef in coeffs.items():
+                if coef != 0.0:
+                    ri.append(r)
+                    ci.append(var)
+                    data.append(coef)
+        a = sp.csr_matrix((data, (ri, ci)), shape=(spec.num_rows, spec.num_vars))
+        constraints = LinearConstraint(a, np.array([row[1] for row in spec._rows]),
+                                       np.array([row[2] for row in spec._rows]))
+    res = milp(sign * np.array(spec._obj, dtype=float), constraints=constraints,
+               integrality=integrality,
+               bounds=Bounds(np.array(spec._lb, dtype=float),
+                             np.array(spec._ub, dtype=float)),
+               options=options)
+    status = {0: "optimal", 1: "limit", 2: "infeasible"}.get(res.status, "error")
+    if status in ("infeasible", "error") or res.x is None:
+        return status, None, None, None, solver.INF
+    objective = sign * float(res.fun) + spec.obj_offset
+    if integrality.any():
+        return (status, res.x.tobytes(), objective,
+                sign * float(res.mip_dual_bound) + spec.obj_offset, float(res.mip_gap))
+    return status, res.x.tobytes(), objective, objective, 0.0
+
+
+def outcome_fields(res):
+    return (res.status, None if res.x is None else res.x.tobytes(),
+            res.objective, res.bound, res.gap)
+
+
+def no_row_lp():
+    m = solver.ModelSpec("no_rows")
+    m.add_var("x", lb=-2.5, ub=4.0, obj=1.5)
+    m.add_var("y", lb=1.0, ub=3.0, obj=-2.0)
+    return m
+
+
+def equality_lp():
+    m = solver.ModelSpec("equalities")
+    x = m.add_var("x", lb=-10.0, obj=2.0)
+    y = m.add_var("y", obj=3.0)
+    z = m.add_var("z", ub=7.0, obj=-1.0)
+    m.add_eq({x: 1.0, y: 2.0}, 4.0)
+    m.add_eq({y: 1.0, z: -1.0}, -1.5)
+    m.add_row({x: 1.0, z: 1.0}, lb=-3.0, ub=9.0)
+    m.obj_offset = 12.25
+    return m
+
+
+def max_knapsack(n=24):
+    m = solver.ModelSpec("knapsack", sense="max")
+    xs = [m.add_binary(f"x{i}", obj=float(i % 7 + 1) + 0.1 * i) for i in range(n)]
+    w = m.add_var("w", ub=3.5, obj=0.75)
+    m.add_le({**{x: float(i % 5 + 2) for i, x in enumerate(xs)}, w: 1.0}, 23.0)
+    m.add_le({xs[0]: 1.0, xs[1]: 1.0}, 1.0)
+    m.obj_offset = -4.0
+    return m
+
+
+def infeasible_lp():
+    m = solver.ModelSpec("infeasible")
+    x = m.add_var("x")
+    m.add_le({x: 1.0}, 0.0)
+    m.add_ge({x: 1.0}, 1.0)
+    return m
+
+
+def unbounded_lp():
+    m = solver.ModelSpec("unbounded", sense="max")
+    x = m.add_var("x", obj=1.0)
+    y = m.add_var("y")
+    m.add_ge({x: 1.0, y: -1.0}, 0.0)
+    return m
+
+
+@pytest.mark.parametrize("build, kwargs, status", [
+    (no_row_lp, {}, "optimal"),
+    (equality_lp, {}, "optimal"),
+    (max_knapsack, {}, "optimal"),
+    (max_knapsack, {"tolerance": 0.05}, "optimal"),
+    (infeasible_lp, {}, "infeasible"),
+    (unbounded_lp, {}, "error"),
+    (max_knapsack, {"time_limit": 0.0}, "limit"),
+])
+def test_outcome_matches_scipy_milp_bit_for_bit(build, kwargs, status):
+    got = outcome_fields(solver.solve(build(), **kwargs))
+    assert got == reference_solve(build(), **kwargs)
+    assert got[0] == status
+
+
+def test_outcome_reports_seconds_and_nodes():
+    mip = solver.solve(max_knapsack())
+    lp = solver.solve(equality_lp())
+    assert mip.ok and lp.ok
+    assert mip.nodes >= 1 and lp.nodes == 0
+    assert mip.seconds >= 0.0 and lp.seconds >= 0.0
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"time_limit": -1.0}, {"time_limit": float("nan")},
+    {"tolerance": -1.0}, {"tolerance": float("nan")},
+])
+def test_invalid_limits_raise(kwargs):
+    with pytest.raises(ValueError, match="no_rows"):
+        solver.solve(no_row_lp(), **kwargs)
+
+
+@pytest.mark.parametrize("step", ["passOptions", "passModel", "run"])
+def test_backend_error_names_the_spec(monkeypatch, step):
+    real = solver._highs._Highs
+
+    class Failing:
+        def __init__(self):
+            self._inner = real()
+
+        def __getattr__(self, name):
+            if name == step:
+                return lambda *args: solver._highs.HighsStatus.kError
+            return getattr(self._inner, name)
+
+    monkeypatch.setattr(solver._highs, "_Highs", Failing)
+    with pytest.raises(solver.SolverError, match=f"knapsack: HiGHS {step}"):
+        solver.solve(max_knapsack())
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+def test_non_finite_model_data_raise(bad):
+    m = no_row_lp()
+    m.set_obj(0, bad)
+    with pytest.raises(solver.SolverError, match="no_rows"):
+        solver.solve(m)
+    m = equality_lp()
+    m.add_le({0: bad}, 1.0)
+    with pytest.raises(solver.SolverError, match="equalities"):
+        solver.solve(m)
+
+
+def test_assembly_cache_honours_every_change():
+    m = solver.ModelSpec("cache")
+    x = m.add_var("x", ub=10.0, obj=-1.0)
+    y = m.add_var("y", ub=10.0, obj=-1.0)
+    m.add_le({x: 1.0, y: 1.0}, 8.0)
+    first = solver.solve(m)
+    assert first.objective == pytest.approx(-8.0)
+    assert m.assembled() is m.assembled()
+
+    m.add_le({x: 1.0}, 2.0)              # a new row
+    m.set_bounds(y, 0.0, 5.0)            # a tighter bound
+    m.set_obj(x, -3.0)                   # a new cost
+    second = solver.solve(m)
+    assert outcome_fields(second) == reference_solve(m)
+    assert second.objective == pytest.approx(-3.0 * 2.0 - 5.0)
+    z = m.add_var("z", ub=1.0, obj=-1.0)  # a new column joins the cached rows
+    m.add_le({z: 1.0, y: 1.0}, 5.5)
+    assert solver.solve(m).objective == pytest.approx(-6.0 - 5.0 - 0.5)
+
+
+def test_missing_bindings_name_the_scipy_version():
+    code = ("import sys; sys.modules['scipy.optimize._highspy._core'] = None\n"
+            "import scipy\n"
+            "try:\n"
+            "    import gridmaint.solver\n"
+            "except ImportError as exc:\n"
+            "    assert scipy.__version__ in str(exc), exc\n"
+            "    print('ok')\n")
+    src = Path(solver.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert out.stdout.strip() == "ok", out.stderr
