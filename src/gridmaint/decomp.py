@@ -78,23 +78,54 @@ def _relative_gap(ub: float, lb: float) -> float:
     return (ub - lb) / abs(ub)
 
 
-def compute_lower_bounds(inst: Instance, scenarios: ScenarioSet,
-                         cfg: RunConfig) -> np.ndarray:
-    """LP lower bound of every scenario-day, shape ``(n, T)``, solved up front."""
-    horizon = cfg.horizon_days
-    tasks = [(k, t) for k in range(scenarios.size) for t in range(1, horizon + 1)]
+def compute_lower_bounds(inst: Instance, scenarios: ScenarioSet, cfg: RunConfig,
+                         deadline: float | None = None,
+                         counts: dict[str, int] | None = None) -> np.ndarray:
+    """LP lower bound of every scenario-day, shape ``(n, T)``, solved up front.
 
-    def one(task):
-        k, t = task
-        return ucmodel.lp_lower_bound(inst.net, inst.demand, scenarios.xi(k), t,
-                                      cfg, inst.hprime, inst.kinds)
+    The scenario-days of one day with equal :func:`ucmodel.lower_bound_patterns`
+    rows share one built LP, solved once for each of them; each LP is dropped
+    once its scenario-days are solved.  Past ``deadline`` (a
+    ``time.perf_counter()`` value) no further LP is built and the remaining
+    entries stay 0.0, which still bounds the non-negative recourse.
+    ``counts``, when given, gains ``lb_solved``, ``lb_aliased`` and
+    ``lb_models``.
+    """
+    n, horizon = scenarios.size, cfg.horizon_days
+    xi = scenarios.failure_days(ucmodel.lower_bound_components(inst.net, inst.hprime),
+                                cfg.tbar)
+    groups = []  # (day, pattern, scenario rows), in order of first appearance
+    for t in range(1, horizon + 1):
+        patterns = ucmodel.lower_bound_patterns(inst.net, xi, t, cfg, inst.hprime)
+        _, first, inverse = np.unique(np.packbits(patterns, axis=1), axis=0,
+                                      return_index=True, return_inverse=True)
+        inverse = inverse.reshape(-1)
+        groups += [(t, patterns[first[key]], np.flatnonzero(inverse == key))
+                   for key in np.argsort(first).tolist()]
+
+    def bound_group(group):
+        t, pattern, rows = group
+        if deadline is not None and time.perf_counter() > deadline:
+            return None
+        spec = ucmodel.lp_lower_bound(inst.net, inst.demand, pattern, t, cfg,
+                                      inst.hprime)
+        return [ucmodel.solve_lower_bound(spec) for _ in rows]
 
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            values = list(pool.map(one, tasks))
+            results = list(pool.map(bound_group, groups))
     else:
-        values = [one(task) for task in tasks]
-    return np.array(values, dtype=float).reshape(scenarios.size, horizon)
+        results = [bound_group(group) for group in groups]
+    values = np.zeros((n, horizon))
+    solved = models = 0
+    for (t, _, rows), result in zip(groups, results):
+        if result is not None:
+            values[rows, t - 1] = result
+            solved += len(rows)
+            models += 1
+    if counts is not None:
+        counts.update(lb_solved=solved, lb_aliased=0, lb_models=models)
+    return values
 
 
 def day_values(inst: Instance, scenarios: ScenarioSet, cfg: RunConfig,
@@ -148,8 +179,8 @@ def _optimality_cuts(inst: Instance, scenarios: ScenarioSet, cfg: RunConfig,
                      day_bounds: np.ndarray) -> list[chance.LinearCut]:
     cuts = []
     bounds = day_bounds.tolist()
+    xi = scenarios.failure_days(tuple(schedule), cfg.tbar)
     if cfg.cut_family == "optKT++":
-        xi = scenarios.failure_days(tuple(schedule), cfg.tbar)
         ttilde = [mastercuts.same_status_periods(schedule, xi, t, cfg, inst.kinds)
                   for t in range(1, cfg.horizon_days + 1)]
         for k in range(scenarios.size):
@@ -159,6 +190,8 @@ def _optimality_cuts(inst: Instance, scenarios: ScenarioSet, cfg: RunConfig,
                     bounds[k][t - 1], ttilde[t - 1][k], cfg.cut_family))
         return cuts
 
+    if cfg.cut_family == "optK+":
+        same_cost = mastercuts.same_cost_periods(schedule, xi, cfg.tbar)
     per_k = []
     for k in range(scenarios.size):
         q_bound = sum(day_vals[k, :, 1].tolist())
@@ -170,8 +203,7 @@ def _optimality_cuts(inst: Instance, scenarios: ScenarioSet, cfg: RunConfig,
         if cfg.cut_family == "optK":
             periods = {comp: {period} for comp, period in schedule.items()}
         else:  # optK+
-            periods = mastercuts.same_cost_periods(schedule, scenarios.xi(k),
-                                                   cfg.tbar)
+            periods = same_cost[k]
         per_k.append(mastercuts.cut_over_periods(schedule, k, q_bound, lower,
                                                  periods, cfg.cut_family))
     if cfg.aggregation == "single" and per_k:
@@ -190,8 +222,13 @@ class DecompositionRun:
         self.cfg = cfg
         self.started = time.perf_counter()
         self.cache = cache if cache is not None else StatusCache()
-        self.day_bounds = day_bounds if day_bounds is not None \
-            else compute_lower_bounds(inst, scenarios, cfg)
+        self.lb_counts = {"lb_solved": 0, "lb_aliased": 0, "lb_models": 0}
+        if day_bounds is None:
+            deadline = None if cfg.time_limit is None \
+                else self.started + cfg.time_limit
+            day_bounds = compute_lower_bounds(inst, scenarios, cfg, deadline,
+                                              self.lb_counts)
+        self.day_bounds = day_bounds
         bounds = self.day_bounds.tolist()
         if cfg.cut_family == "optKT++":
             theta_lower = {(k, t): b for k, row in enumerate(bounds)
@@ -313,7 +350,7 @@ class DecompositionRun:
 
     def report(self) -> SolveReport:
         counters = {**self._cache_counts(), **self.counters,
-                    "psi_total": self.cache.psi_total}
+                    "psi_total": self.cache.psi_total, **self.lb_counts}
         return SolveReport(status=self.status or "limit", schedule=self.incumbent,
                            objective=self.ub, bound=self.lb,
                            gap=_relative_gap(self.ub, self.lb),

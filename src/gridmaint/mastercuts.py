@@ -65,22 +65,19 @@ def cut_over_periods(schedule: dict[str, int], theta_key, q_value: float,
                           theta_coeffs={theta_key: 1.0}, name=name)
 
 
-def same_cost_periods(schedule: dict[str, int], xi_map: dict[str, int],
-                      tbar: int) -> dict[str, set[int]]:
+def same_cost_periods(schedule: dict[str, int], failure_days: np.ndarray,
+                      tbar: int) -> list[dict[str, set[int]]]:
     """Periods with identical first+second stage behaviour per component.
 
     Predictive maintenance pins the single scheduled period; a component that
     failed first behaves the same whenever maintenance lands at or after the
-    failure day.
+    failure day.  ``failure_days`` is ``(n, c)`` with columns in ``schedule``
+    order; the result holds one period-set map per scenario row.
     """
-    out: dict[str, set[int]] = {}
-    for comp, period in schedule.items():
-        xi = xi_map.get(comp, tbar)
-        if period < xi:
-            out[comp] = {period}
-        else:
-            out[comp] = set(range(xi, tbar + 1))
-    return out
+    comps = list(schedule)
+    return [{comp: {schedule[comp]} if schedule[comp] < xi else set(range(xi, tbar + 1))
+             for comp, xi in zip(comps, row)}
+            for row in np.asarray(failure_days).tolist()]
 
 
 def same_status_periods(schedule: dict[str, int], failure_days: np.ndarray,

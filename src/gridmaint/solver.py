@@ -8,6 +8,7 @@ through the same call.
 
 from __future__ import annotations
 
+import functools
 import io
 import logging
 import math
@@ -172,16 +173,33 @@ def _check(spec: ModelSpec, step: str, status) -> None:
         raise SolverError(f"{spec.name}: HiGHS {step} returned kError")
 
 
+def _options(tolerance: float, time_limit: float | None) -> _highs.HighsOptions:
+    """The options ``scipy.optimize.milp`` sets: no console log, presolve on,
+    relative MIP gap ``tolerance``, the time limit when given."""
+    options = _highs.HighsOptions()
+    options.log_to_console = False
+    options.presolve = "on"
+    options.mip_rel_gap = tolerance
+    if time_limit is not None:
+        options.time_limit = time_limit
+    return options
+
+
+# HiGHS copies the options it is passed, so one object per tolerance serves
+# every untimed solve; time-limited options are built fresh to keep this small
+_untimed_options = functools.lru_cache(maxsize=16)(
+    lambda tolerance: _options(tolerance, None))
+
+
 def milp(spec: ModelSpec, cost: list[float], rows: tuple[list, ...],
          tolerance: float, time_limit: float | None) -> HighsRun:
     """Minimise ``cost . x`` over ``rows`` (``spec.assembled()``) and the
     variable bounds of ``spec``.
 
     Each call runs a fresh HiGHS instance with the options
-    ``scipy.optimize.milp`` sets (no console log, presolve on, relative MIP
-    gap ``tolerance``, the time limit when given), so a model gets the same
-    answer through either entry point.  HiGHS runs its MIP search serially,
-    which keeps results deterministic.
+    ``scipy.optimize.milp`` sets (see :func:`_options`), so a model gets the
+    same answer through either entry point.  HiGHS runs its MIP search
+    serially, which keeps results deterministic.
     """
     indptr, indices, data, row_lb, row_ub = rows
     n = spec.num_vars
@@ -205,12 +223,8 @@ def milp(spec: ModelSpec, cost: list[float], rows: tuple[list, ...],
                            else _highs.HighsVarType.kContinuous
                            for integer in spec._integer]
 
-    options = _highs.HighsOptions()
-    options.log_to_console = False
-    options.presolve = "on"
-    options.mip_rel_gap = tolerance
-    if time_limit is not None:
-        options.time_limit = time_limit
+    options = _untimed_options(tolerance) if time_limit is None \
+        else _options(tolerance, time_limit)
     highs = _highs._Highs()
     _check(spec, "passOptions", highs.passOptions(options))
     _check(spec, "passModel", highs.passModel(lp))

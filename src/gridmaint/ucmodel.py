@@ -24,7 +24,8 @@ from .degrade import ScenarioSet
 
 __all__ = ["status_bit", "status_vector", "unavailable_components", "DayModel",
            "build_subproblem", "solve_subproblem", "add_switched_line_rows",
-           "lp_lower_bound", "maintenance_cost_coeffs"]
+           "lower_bound_components", "lower_bound_patterns", "lp_lower_bound",
+           "solve_lower_bound", "maintenance_cost_coeffs"]
 
 
 def status_bit(period, xi, day, tau_pred, tau_corr, horizon):
@@ -231,17 +232,60 @@ def add_switched_line_rows(spec: solver.ModelSpec, f: int, d_from: int, d_to: in
 # Scenario lower bound (relaxed schedule folded into one day's LP)
 # ---------------------------------------------------------------------------
 
-def lp_lower_bound(net: Network, demand: DemandGrid, xi_map: dict[str, int],
-                   day: int, cfg: RunConfig, candidates: tuple[str, ...],
-                   kinds: dict[str, str]) -> float:
-    """LP value bounding the day's recourse cost below, over relaxed schedules.
+def lower_bound_components(net: Network,
+                           candidates: tuple[str, ...]) -> tuple[str, ...]:
+    """Columns of the failure-day array :func:`lower_bound_patterns` reads:
+    the candidates, then every other generator and line in network order."""
+    chosen = set(candidates)
+    return tuple(candidates) + tuple(c.id for c in (*net.generators, *net.lines)
+                                     if c.id not in chosen)
 
-    The maintenance decision enters continuously in [0,1] with its assignment
-    rows, availability becomes the induced linear expression, and commitment
-    and switching are relaxed.  Every binary schedule is feasible here, so the
-    optimum bounds every Q_t from below (and is never worse than zero).
+
+def lower_bound_patterns(net: Network, failure_days: np.ndarray, day: int,
+                         cfg: RunConfig, candidates: tuple[str, ...]) -> np.ndarray:
+    """The availability bits the day-``day`` lower-bound LP reads, ``(n, b)`` uint8.
+
+    ``failure_days`` is ``(n, c)`` with columns in
+    :func:`lower_bound_components` order.  A row holds each candidate's
+    availability under maintenance in periods 1..tbar (candidate-major), then
+    each other component's availability when left unmaintained.  Scenarios
+    with equal rows get identical LPs from :func:`lp_lower_bound`.
     """
-    tbar = cfg.tbar
+    tbar, n_cand = cfg.tbar, len(candidates)
+    gens = {gen.id for gen in net.generators}
+    comps = lower_bound_components(net, candidates)
+    tau = np.array([cfg.tau("gen" if comp in gens else "line") for comp in comps],
+                   dtype=int).reshape(-1, 2)
+    periods = np.arange(1, tbar + 1)[:, None, None]
+    xi = np.asarray(failure_days)
+    scheduled = status_bit(periods, xi[:, :n_cand], day, tau[:n_cand, 0],
+                           tau[:n_cand, 1], cfg.horizon_days)  # (tbar, n, n_cand)
+    unmaintained = status_bit(tbar, xi[:, n_cand:], day, tau[n_cand:, 0],
+                              tau[n_cand:, 1], cfg.horizon_days)
+    return np.concatenate([scheduled.transpose(1, 2, 0).reshape(len(xi), n_cand * tbar),
+                           unmaintained], axis=1)
+
+
+def lp_lower_bound(net: Network, demand: DemandGrid, pattern: np.ndarray, day: int,
+                   cfg: RunConfig, candidates: tuple[str, ...]) -> solver.ModelSpec:
+    """LP bounding the day's recourse cost below, over relaxed schedules.
+
+    ``pattern`` is one row of :func:`lower_bound_patterns`.  The maintenance
+    decision enters continuously in [0,1] with its assignment rows,
+    availability becomes the induced linear expression, and commitment and
+    switching are relaxed.  Every binary schedule is feasible here, so the
+    optimum bounds every Q_t from below; :func:`solve_lower_bound` solves it.
+    """
+    tbar, n_cand = cfg.tbar, len(candidates)
+    comps = lower_bound_components(net, candidates)
+    bits = np.asarray(pattern).tolist()
+    if len(bits) != n_cand * tbar + len(comps) - n_cand:
+        raise ValueError(f"pattern has {len(bits)} bits, expected "
+                         f"{n_cand * tbar + len(comps) - n_cand}")
+    outage_periods = {comp: [m for m, bit in enumerate(bits[i * tbar:(i + 1) * tbar],
+                                                       start=1) if bit == 0]
+                      for i, comp in enumerate(candidates)}
+    down = {comp for comp, bit in zip(comps[n_cand:], bits[n_cand * tbar:]) if bit == 0}
     demand_day = demand.day(day)
     spec = solver.ModelSpec(f"lb_day{day}")
     bus_pos = net.bus_index()
@@ -254,18 +298,11 @@ def lp_lower_bound(net: Network, demand: DemandGrid, xi_map: dict[str, int],
             v[(comp, m)] = spec.add_var(f"v{comp}_{m}", lb=0.0, ub=1.0)
         spec.add_eq({v[(comp, m)]: 1.0 for m in periods}, 1.0)
 
-    def down(comp: str, kind: str, period):
-        tau_p, tau_c = cfg.tau(kind)
-        return status_bit(period, xi_map.get(comp, tbar), day, tau_p, tau_c,
-                          cfg.horizon_days) == 0
-
-    def outage_row(comp: str, kind: str) -> dict[int, float]:
+    def outage_row(comp: str) -> dict[int, float]:
         """Sum of the schedule variables whose period leaves ``comp`` out."""
-        out = np.flatnonzero(down(comp, kind, np.arange(1, tbar + 1))) + 1
-        return {v[(comp, m)]: 1.0 for m in out.tolist()}
+        return {v[(comp, m)]: 1.0 for m in outage_periods[comp]}
 
-    hard_off = frozenset(gen.id for gen in net.generators
-                         if gen.id not in candidate_set and down(gen.id, "gen", tbar))
+    hard_off = frozenset(gen.id for gen in net.generators if gen.id in down)
 
     delta, q = _add_bus_vars(spec, net, demand_day, cfg)
     p, x, u, nu = _add_gen_vars(spec, net, demand_day.shape[1], hard_off,
@@ -275,7 +312,7 @@ def lp_lower_bound(net: Network, demand: DemandGrid, xi_map: dict[str, int],
     for g, gen in enumerate(net.generators):
         if gen.id not in candidate_set:
             continue
-        terms = outage_row(gen.id, "gen")
+        terms = outage_row(gen.id)
         if not terms:
             continue
         for s in range(s_count):
@@ -289,8 +326,8 @@ def lp_lower_bound(net: Network, demand: DemandGrid, xi_map: dict[str, int],
         b_mw = net.line_susceptance_mw(line)
         fi, ti = bus_pos[line.from_bus], bus_pos[line.to_bus]
         is_candidate = line.id in candidate_set
-        fixed_off = not is_candidate and down(line.id, "line", tbar)
-        terms = outage_row(line.id, "line") if is_candidate else {}
+        fixed_off = line.id in down
+        terms = outage_row(line.id) if is_candidate else {}
         for s in range(s_count):
             if fixed_off:
                 f[j, s] = spec.add_var(f"f{line.id}_{s}", lb=0.0, ub=0.0)
@@ -309,8 +346,13 @@ def lp_lower_bound(net: Network, demand: DemandGrid, xi_map: dict[str, int],
 
     _add_gen_rows(spec, net, p, x, u, nu, s_count)
     _add_balance_rows(spec, net, demand_day, p, f, q)
+    return spec
 
+
+def solve_lower_bound(spec: solver.ModelSpec) -> float:
+    """Optimum of a :func:`lp_lower_bound` LP, clamped at zero (recourse never is
+    negative)."""
     outcome = solver.solve(spec, tolerance=1e-9)
     if outcome.status != "optimal":
-        raise solver.SolverError(f"lower-bound LP for day {day} ended {outcome.status}")
+        raise solver.SolverError(f"{spec.name}: lower-bound LP ended {outcome.status}")
     return max(0.0, float(outcome.objective))

@@ -5,9 +5,10 @@ import numpy as np
 from gridmaint.caseio import Bus, DemandGrid, Generator, Line, Network
 from gridmaint.degrade import ScenarioSet
 from gridmaint.instance import Component, Instance
-from gridmaint.mastercuts import same_status_periods
+from gridmaint.mastercuts import same_cost_periods, same_status_periods
 from gridmaint.pboracle import SuccessProbTable
-from gridmaint.ucmodel import status_vector
+from gridmaint.ucmodel import (lower_bound_components, lower_bound_patterns,
+                               lp_lower_bound, solve_lower_bound, status_vector)
 
 # 9-bus test system with linear generation costs.
 CASE9 = """
@@ -186,6 +187,20 @@ def one_same_status(schedule, xi_map, day, cfg, kinds):
     """Same-status period sets of a single scenario given as a failure-day map."""
     xi = np.array([[xi_map.get(c, cfg.tbar) for c in schedule]], dtype=int)
     return same_status_periods(schedule, xi, day, cfg, kinds)[0]
+
+
+def one_same_cost(schedule, xi_map, tbar):
+    """Same-cost period sets of a single scenario given as a failure-day map."""
+    xi = np.array([[xi_map.get(c, tbar) for c in schedule]], dtype=int)
+    return same_cost_periods(schedule, xi, tbar)[0]
+
+
+def one_lower_bound(net, demand, xi_map, day, cfg, candidates):
+    """Lower-bound LP value of a single scenario given as a failure-day map."""
+    comps = lower_bound_components(net, candidates)
+    xi = np.array([[xi_map.get(c, cfg.tbar) for c in comps]], dtype=int)
+    pattern = lower_bound_patterns(net, xi, day, cfg, candidates)[0]
+    return solve_lower_bound(lp_lower_bound(net, demand, pattern, day, cfg, candidates))
 
 
 def reference_status_bit(period, xi, day, tau_pred, tau_corr, horizon):

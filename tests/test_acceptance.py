@@ -19,12 +19,11 @@ from gridmaint.degrade import (ComponentRLD, SignalObservations, bucket_probs,
                                posterior_drift, sample_scenarios)
 from gridmaint.instance import build_instance, training_scenarios
 from gridmaint.instance import test_scenarios as evaluation_scenarios
-from gridmaint.mastercuts import (cut_int_lshaped, cut_over_periods,
-                                  same_cost_periods)
+from gridmaint.mastercuts import cut_int_lshaped, cut_over_periods
 from gridmaint.pboracle import joint_oracle, pb_cdf
 
-from cases import (CASE9, build_net, make_instance, one_same_status, one_status,
-                   toy_instance)
+from cases import (CASE9, build_net, make_instance, one_same_cost, one_same_status,
+                   one_status, toy_instance)
 from oracle_extform import enumerate_schedules, extensive_solve
 from test_pboracle import brute_force_pmf, table_from_rows
 
@@ -219,7 +218,7 @@ def test_c05_cut_validity_and_strength():
                 c16 = cut_int_lshaped(gen_point, k, q_val, lower, tbar)
                 c18 = cut_over_periods(gen_point, k, q_val, lower, singles, "optK")
                 c20 = cut_over_periods(gen_point, k, q_val, lower,
-                                       same_cost_periods(gen_point, xi, tbar),
+                                       one_same_cost(gen_point, xi, tbar),
                                        "optK+")
                 # tightness at the generating point
                 for cut in (c16, c18, c20):

@@ -40,6 +40,7 @@ def test_traced_solve_counts_match_program_counters():
     assert report.ok
     assert layers["solver.uc_n"] == report.counts["solved"] > 0
     assert layers["solver.lb_n"] == scens.size * inst.cfg.horizon_days
+    assert layers["solver.lb_n"] == report.counts["lb_solved"]
 
 
 def test_traced_evaluation_counts_match_cache_counters():

@@ -1,0 +1,154 @@
+"""The lower-bound phase: one LP built per (day, outage pattern), solved per scenario-day."""
+
+import dataclasses
+import itertools
+import sys
+
+import numpy as np
+import pytest
+
+from gridmaint import decomp, ucmodel
+from gridmaint.caseio import RunConfig, parse_case, synth_demand
+from gridmaint.degrade import ScenarioSet
+from gridmaint.instance import build_instance, training_scenarios
+
+from cases import CASE9, reference_status_bit, toy_instance
+
+
+def reference_bounds(inst, scens, cfg):
+    """Every scenario-day's bound from an LP built for that scenario-day alone."""
+    comps = ucmodel.lower_bound_components(inst.net, inst.hprime)
+    xi = scens.failure_days(comps, cfg.tbar)
+    out = np.empty((scens.size, cfg.horizon_days))
+    for k in range(scens.size):
+        for t in range(1, cfg.horizon_days + 1):
+            pattern = ucmodel.lower_bound_patterns(inst.net, xi[k:k + 1], t, cfg,
+                                                   inst.hprime)[0]
+            spec = ucmodel.lp_lower_bound(inst.net, inst.demand, pattern, t, cfg,
+                                          inst.hprime)
+            out[k, t - 1] = ucmodel.solve_lower_bound(spec)
+    return out
+
+
+def covering_non_candidates(seed):
+    """Toy instance whose scenarios also fail the non-candidates g2 and l2."""
+    inst, _ = toy_instance(seed=seed)
+    horizon = inst.cfg.horizon_days
+    comps = inst.hprime + ("g2", "l2")
+    times = np.random.default_rng(seed).integers(1, horizon + 2, size=(12, len(comps)))
+    times[0, 2:] = 1  # both non-candidates out on day 1 in at least one scenario
+    return inst, ScenarioSet(comps, times, np.full(12, 1.0 / 12), horizon)
+
+
+def instances():
+    yield toy_instance(seed=7)
+    yield toy_instance(seed=11, extra_candidate=True)
+    yield toy_instance(seed=47, n_scen=8)
+    yield covering_non_candidates(seed=5)
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_grouped_bounds_equal_per_scenario_day_reference(threads):
+    # more threads than cores, switching often: the pool shares the HiGHS options
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for inst, scens in instances():
+            cfg = dataclasses.replace(inst.cfg, threads=threads)
+            got = decomp.compute_lower_bounds(inst, scens, cfg)
+            assert got.shape == (scens.size, cfg.horizon_days)
+            assert got.tobytes() == reference_bounds(inst, scens, cfg).tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_one_build_per_distinct_key_one_solve_per_scenario_day(monkeypatch):
+    inst, scens = covering_non_candidates(seed=5)
+    cfg = inst.cfg
+    calls = {"build": 0, "solve": 0}
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ucmodel, "lp_lower_bound",
+                        counted("build", ucmodel.lp_lower_bound))
+    monkeypatch.setattr(ucmodel, "solve_lower_bound",
+                        counted("solve", ucmodel.solve_lower_bound))
+    counts = {}
+    decomp.compute_lower_bounds(inst, scens, cfg, counts=counts)
+
+    xi = scens.failure_days(ucmodel.lower_bound_components(inst.net, inst.hprime),
+                            cfg.tbar)
+    keys = {(t, tuple(row)) for t in range(1, cfg.horizon_days + 1)
+            for row in ucmodel.lower_bound_patterns(inst.net, xi, t, cfg,
+                                                    inst.hprime).tolist()}
+    n_days = scens.size * cfg.horizon_days
+    assert calls == {"build": len(keys), "solve": n_days}
+    assert len(keys) < n_days  # the set has repeats, so sharing is exercised
+    assert counts == {"lb_solved": n_days, "lb_aliased": 0, "lb_models": len(keys)}
+
+
+def spec_data(spec):
+    return (spec.name, spec.assembled(), spec._obj, spec._lb, spec._ub,
+            spec._integer)
+
+
+def test_pattern_key_is_sound_and_separating():
+    inst, _ = toy_instance(seed=7)
+    cfg = inst.cfg
+    comps = ucmodel.lower_bound_components(inst.net, inst.hprime)
+    assert comps == ("g1", "l1", "g2", "l2", "l3")
+    # every failure row over the candidates and two non-candidates; l3 never fails
+    rows = np.array([row + (cfg.tbar,) for row in
+                     itertools.product(range(1, cfg.tbar + 1), repeat=4)])
+    neighbours = 0
+    kinds = ["gen", "line", "gen", "line", "line"]
+    for t in range(1, cfg.horizon_days + 1):
+        patterns = ucmodel.lower_bound_patterns(inst.net, rows, t, cfg, inst.hprime)
+        # the key holds each candidate's bit per period, then each other's at tbar
+        for row, pattern in zip(rows.tolist(), patterns.tolist()):
+            want = [reference_status_bit(m, row[j], t, *cfg.tau(kinds[j]),
+                                         cfg.horizon_days)
+                    for j in range(2) for m in range(1, cfg.tbar + 1)]
+            want += [reference_status_bit(cfg.tbar, row[j], t, *cfg.tau(kinds[j]),
+                                          cfg.horizon_days) for j in range(2, 5)]
+            assert pattern == want
+        specs = [spec_data(ucmodel.lp_lower_bound(inst.net, inst.demand, p, t, cfg,
+                                                  inst.hprime))
+                 for p in patterns]
+        by_key = {}
+        for pattern, data in zip(patterns.tolist(), specs):
+            # scenario-days with equal keys get identical LPs
+            assert by_key.setdefault(tuple(pattern), data) == data
+        assert len(by_key) < len(rows)
+        keys = list(by_key)
+        for a, b in itertools.combinations(keys, 2):
+            if sum(x != y for x, y in zip(a, b)) == 1:
+                neighbours += 1
+                assert by_key[a] != by_key[b]  # one differing bit, a different LP
+    assert neighbours > 0
+
+
+def test_pattern_rejects_wrong_length():
+    inst, _ = toy_instance(seed=7)
+    with pytest.raises(ValueError, match="bits"):
+        ucmodel.lp_lower_bound(inst.net, inst.demand, np.ones(3, dtype=np.uint8), 1,
+                               inst.cfg, inst.hprime)
+
+
+def test_time_limit_cuts_the_lower_bound_phase():
+    cfg = RunConfig(horizon_days=7, subperiods=24, epsilon=1e-3,
+                    cut_family="optKT++", chance_mode="exact", subproblem_gap=1e-6,
+                    time_limit=0.2)
+    net = parse_case(CASE9, subperiods=24)
+    inst = build_instance(net, synth_demand(net, cfg, seed=1), cfg, seed=34)
+    scens = training_scenarios(inst, 20, seed=5)
+    report = decomp.solve(inst, scens, cfg)
+    assert report.status == "limit"
+    assert report.elapsed <= cfg.time_limit + 0.5
+    assert 0 < report.counts["lb_solved"] < scens.size * cfg.horizon_days
+    assert report.counts["lb_solved"] + report.counts["lb_aliased"] \
+        <= scens.size * cfg.horizon_days

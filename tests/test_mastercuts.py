@@ -6,11 +6,10 @@ import pytest
 from gridmaint.caseio import RunConfig
 from gridmaint.degrade import ScenarioSet
 from gridmaint.mastercuts import (MasterState, aggregate_cuts, cut_int_lshaped,
-                                  cut_over_periods, same_cost_periods,
-                                  same_status_periods)
+                                  cut_over_periods, same_status_periods)
 from gridmaint.ucmodel import status_bit
 
-from cases import one_same_status
+from cases import one_same_cost, one_same_status
 
 CFG = RunConfig(horizon_days=4, subperiods=2)
 KINDS = {"h1": "gen", "h2": "line"}
@@ -93,7 +92,7 @@ def test_same_cost_dominates_dropped_complement():
         sched = {"h1": int(rng.integers(1, 6)), "h2": int(rng.integers(1, 6))}
         xi = {"h1": int(rng.integers(1, 6)), "h2": int(rng.integers(1, 6))}
         q, lower = float(rng.uniform(50, 150)), float(rng.uniform(0, 50))
-        that = same_cost_periods(sched, xi, tbar=5)
+        that = one_same_cost(sched, xi, tbar=5)
         stronger = cut_over_periods(sched, 0, q, lower, that, "optK+")
         weaker = cut_over_periods(sched, 0, q, lower, singletons(sched), "optK")
         for point in all_schedules(["h1", "h2"], 5):
@@ -121,7 +120,7 @@ def test_same_cost_periods_three_cases():
     tbar = 6
     sched = {"pred": 2, "corr": 4, "never": 6}
     xi = {"pred": 4, "corr": 3, "never": 6}
-    that = same_cost_periods(sched, xi, tbar)
+    that = one_same_cost(sched, xi, tbar)
     assert that["pred"] == {2}                       # maintained before failing
     assert that["corr"] == {3, 4, 5, 6}              # failure pins the window
     assert that["never"] == {6}                      # no failure, parked at tbar

@@ -6,11 +6,11 @@ import pytest
 from gridmaint import solver
 from gridmaint.caseio import DemandGrid, RunConfig
 from gridmaint.degrade import ScenarioSet
-from gridmaint.ucmodel import (build_subproblem, lp_lower_bound,
-                               maintenance_cost_coeffs, solve_subproblem,
-                               status_bit, status_vector, unavailable_components)
+from gridmaint.ucmodel import (build_subproblem, maintenance_cost_coeffs,
+                               solve_subproblem, status_bit, status_vector,
+                               unavailable_components)
 
-from cases import build_net, one_status, reference_status_bit
+from cases import build_net, one_lower_bound, one_status, reference_status_bit
 
 
 def day_cfg(S=24, T=2, **kw):
@@ -302,7 +302,7 @@ def test_lower_bound_zero_demand():
     net = build_net(n_bus=2, demands=[0.0, 0.0])
     cfg = day_cfg(S=3, T=2)
     grid = DemandGrid((1, 2), np.zeros((2, 2, 3)))
-    lb = lp_lower_bound(net, grid, {"g1": 3}, 1, cfg, ("g1",), {"g1": "gen"})
+    lb = one_lower_bound(net, grid, {"g1": 3}, 1, cfg, ("g1",))
     assert lb == pytest.approx(0.0, abs=1e-9)
 
 
@@ -318,7 +318,7 @@ def test_lower_bound_nonnegative_and_below_recourse():
     for trial in range(4):
         xi = {c: int(rng.integers(1, 5)) for c in comps}
         for day in (1, 2, 3):
-            lb = lp_lower_bound(net, grid, xi, day, cfg, comps, kinds)
+            lb = one_lower_bound(net, grid, xi, day, cfg, comps)
             assert lb >= -1e-9
             # enumerate every binary schedule; the LP must stay below Q_t
             for t_g in range(1, 5):
@@ -335,6 +335,6 @@ def test_lower_bound_fixed_outage_of_nonsubset_component():
     net = build_net(n_bus=2, demands=[0.0, 50.0], gen_cost=10.0, curtail=500.0)
     cfg = day_cfg(S=1, T=2)
     grid = DemandGrid((1, 2), np.full((2, 2, 1), 50.0))
-    lb = lp_lower_bound(net, grid, {"l1": 1}, 1, cfg, (), {"l1": "line"})
+    lb = one_lower_bound(net, grid, {"l1": 1}, 1, cfg, ())
     # bus 2 demand is stranded on day 1; bus 1 is served by its own unit
     assert lb == pytest.approx(50.0 * 500.0 + 50.0 * 10.0, rel=1e-6)
