@@ -78,6 +78,14 @@ def _relative_gap(ub: float, lb: float) -> float:
     return (ub - lb) / abs(ub)
 
 
+def _distinct_rows(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group equal rows of a 0/1 array: the first row of each group, in the
+    groups' sorted order, and every row's group number."""
+    _, first, inverse = np.unique(np.packbits(bits, axis=1), axis=0,
+                                  return_index=True, return_inverse=True)
+    return first, inverse.reshape(-1)
+
+
 def compute_lower_bounds(inst: Instance, scenarios: ScenarioSet, cfg: RunConfig,
                          deadline: float | None = None,
                          counts: dict[str, int] | None = None) -> np.ndarray:
@@ -97,9 +105,7 @@ def compute_lower_bounds(inst: Instance, scenarios: ScenarioSet, cfg: RunConfig,
     groups = []  # (day, pattern, scenario rows), in order of first appearance
     for t in range(1, horizon + 1):
         patterns = ucmodel.lower_bound_patterns(inst.net, xi, t, cfg, inst.hprime)
-        _, first, inverse = np.unique(np.packbits(patterns, axis=1), axis=0,
-                                      return_index=True, return_inverse=True)
-        inverse = inverse.reshape(-1)
+        first, inverse = _distinct_rows(patterns)
         groups += [(t, patterns[first[key]], np.flatnonzero(inverse == key))
                    for key in np.argsort(first).tolist()]
 
@@ -144,9 +150,8 @@ def day_values(inst: Instance, scenarios: ScenarioSet, cfg: RunConfig,
     for t in range(1, horizon + 1):
         status = ucmodel.status_vector(schedule, scenarios, t, cfg, components,
                                        inst.kinds)
-        _, first, inverse = np.unique(np.packbits(status, axis=1), axis=0,
-                                      return_index=True, return_inverse=True)
-        key_ids[:, t - 1] = len(keys) + inverse.reshape(-1)
+        first, inverse = _distinct_rows(status)
+        key_ids[:, t - 1] = len(keys) + inverse
         first_seen.append(first * horizon + t - 1)
         keys += [(t, tuple(row)) for row in status[first].tolist()]
     in_scan_order = [keys[i] for i in np.argsort(np.concatenate(first_seen)).tolist()]
@@ -316,6 +321,9 @@ class DecompositionRun:
                             self.iterations, *loads)
 
         self.lb = max(self.lb, ms.bound)
+        if remaining is not None and time.perf_counter() - self.started > cfg.time_limit:
+            self.status = "limit"  # the subproblem round has no time bound of its own
+            return False
         day_vals = day_values(self.inst, self.scenarios, cfg, ms.schedule,
                               self.inst.hprime, self.cache)
         first_stage = self.master.first_stage_costs(ms.schedule).tolist()

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import solver
 from .caseio import DemandGrid, Network
-from .ucmodel import add_switched_line_rows
+from .ucmodel import add_ohm_row, add_switched_line_rows
 
 log = logging.getLogger(__name__)
 
@@ -109,7 +109,7 @@ class _RelaxedFlowLP:
                 add_switched_line_rows(spec, fv, delta[fi], delta[ti], yv, line, b_mw)
             else:
                 # static line: Ohm only; its own limit rows are what we probe
-                spec.add_eq({fv: 1.0, delta[fi]: -b_mw, delta[ti]: b_mw}, 0.0)
+                add_ohm_row(spec, fv, delta[fi], delta[ti], b_mw)
 
         for i, bus in enumerate(net.buses):
             coeffs: dict[int, float] = {q[i]: 1.0, d[i]: -1.0}

@@ -23,9 +23,9 @@ from .caseio import DemandGrid, Line, Network, RunConfig
 from .degrade import ScenarioSet
 
 __all__ = ["status_bit", "status_vector", "unavailable_components", "DayModel",
-           "build_subproblem", "solve_subproblem", "add_switched_line_rows",
-           "lower_bound_components", "lower_bound_patterns", "lp_lower_bound",
-           "solve_lower_bound", "maintenance_cost_coeffs"]
+           "build_subproblem", "solve_subproblem", "add_ohm_row",
+           "add_switched_line_rows", "lower_bound_components", "lower_bound_patterns",
+           "lp_lower_bound", "solve_lower_bound", "maintenance_cost_coeffs"]
 
 
 def status_bit(period, xi, day, tau_pred, tau_corr, horizon):
@@ -85,43 +85,6 @@ class DayModel:
     idx: dict[str, np.ndarray]  # "p", "x", ... -> (units, hours) column indices
 
 
-def _curtail_cost(bus, cfg: RunConfig) -> float:
-    return cfg.curtail_cost if cfg.curtail_cost is not None else bus.curtail_cost
-
-
-def _add_bus_vars(spec, net, demand_day, cfg):
-    n_bus, s_count = demand_day.shape
-    delta = np.empty((n_bus, s_count), dtype=int)
-    q = np.empty((n_bus, s_count), dtype=int)
-    for i, bus in enumerate(net.buses):
-        cost = _curtail_cost(bus, cfg)
-        for s in range(s_count):
-            delta[i, s] = spec.add_var(f"d{bus.id}_{s}", lb=bus.delta_min,
-                                       ub=bus.delta_max)
-            # curtailment pays to shed load, never to fabricate injection
-            q[i, s] = spec.add_var(f"q{bus.id}_{s}", lb=0.0,
-                                   ub=float(demand_day[i, s]), obj=cost)
-    return delta, q
-
-
-def _add_gen_vars(spec, net, s_count, fixed_off: frozenset[str], integer_x: bool):
-    n_gen = len(net.generators)
-    p = np.empty((n_gen, s_count), dtype=int)
-    x = np.empty((n_gen, s_count), dtype=int)
-    u = np.empty((n_gen, s_count), dtype=int)
-    nu = np.empty((n_gen, s_count), dtype=int)
-    for g, gen in enumerate(net.generators):
-        off = gen.id in fixed_off
-        for s in range(s_count):
-            x[g, s] = spec.add_var(f"x{gen.id}_{s}", lb=0.0, ub=0.0 if off else 1.0,
-                                   obj=gen.noload_cost, integer=integer_x)
-            p[g, s] = spec.add_var(f"p{gen.id}_{s}", lb=0.0, obj=gen.gen_cost)
-            u[g, s] = spec.add_var(f"u{gen.id}_{s}", lb=0.0, ub=1.0,
-                                   obj=gen.startup_cost)
-            nu[g, s] = spec.add_var(f"nu{gen.id}_{s}", lb=0.0, ub=1.0)
-    return p, x, u, nu
-
-
 def _add_gen_rows(spec, net, p, x, u, nu, s_count):
     for g, gen in enumerate(net.generators):
         for s in range(s_count):
@@ -159,6 +122,66 @@ def _add_balance_rows(spec, net, demand_day, p, f, q):
             spec.add_eq(coeffs, float(demand_day[i, s]))
 
 
+def _add_day_network(spec, net, demand_day, cfg, off, integer_x,
+                     omit_bounds=frozenset(), outage_terms=None):
+    """Columns and rows of one day's network; returns the column index map.
+
+    Components in ``off`` are out all day (zero output, zero flow).
+    ``outage_terms`` maps each candidate to the schedule columns whose period
+    takes it out; one minus their sum caps a candidate generator's commitment
+    and is a candidate line's on/off value ``y``.  Every other line obeys Ohm's
+    law within its static limits, less ``omit_bounds``.
+    """
+    outage_terms = outage_terms or {}
+    n_bus, s_count = demand_day.shape
+    delta, q = np.empty((2, n_bus, s_count), dtype=int)
+    for i, bus in enumerate(net.buses):
+        cost = cfg.curtail_cost if cfg.curtail_cost is not None else bus.curtail_cost
+        for s in range(s_count):
+            delta[i, s] = spec.add_var(f"d{bus.id}_{s}", lb=bus.delta_min,
+                                       ub=bus.delta_max)
+            # curtailment pays to shed load, never to fabricate injection
+            q[i, s] = spec.add_var(f"q{bus.id}_{s}", lb=0.0,
+                                   ub=float(demand_day[i, s]), obj=cost)
+
+    p, x, u, nu = np.empty((4, len(net.generators), s_count), dtype=int)
+    for g, gen in enumerate(net.generators):
+        for s in range(s_count):
+            x[g, s] = spec.add_var(f"x{gen.id}_{s}", lb=0.0,
+                                   ub=0.0 if gen.id in off else 1.0,
+                                   obj=gen.noload_cost, integer=integer_x)
+            p[g, s] = spec.add_var(f"p{gen.id}_{s}", lb=0.0, obj=gen.gen_cost)
+            u[g, s] = spec.add_var(f"u{gen.id}_{s}", lb=0.0, ub=1.0,
+                                   obj=gen.startup_cost)
+            nu[g, s] = spec.add_var(f"nu{gen.id}_{s}", lb=0.0, ub=1.0)
+        for s in range(s_count) if outage_terms.get(gen.id) else ():
+            spec.add_le({**outage_terms[gen.id], x[g, s]: 1.0}, 1.0)
+
+    bus_pos = net.bus_index()
+    f = np.empty((len(net.lines), s_count), dtype=int)
+    for j, line in enumerate(net.lines):
+        b_mw = net.line_susceptance_mw(line)
+        fi, ti = bus_pos[line.from_bus], bus_pos[line.to_bus]
+        for s in range(s_count):
+            if line.id in off:
+                f[j, s] = spec.add_var(f"f{line.id}_{s}", lb=0.0, ub=0.0)
+                continue
+            lo = -solver.INF if (line.id, "lb", s) in omit_bounds else -line.flow_limit
+            hi = solver.INF if (line.id, "ub", s) in omit_bounds else line.flow_limit
+            f[j, s] = spec.add_var(f"f{line.id}_{s}", lb=lo, ub=hi)
+            if line.id not in outage_terms:
+                add_ohm_row(spec, f[j, s], delta[fi, s], delta[ti, s], b_mw)
+                continue
+            y = spec.add_var(f"y{line.id}_{s}", lb=0.0, ub=1.0)
+            spec.add_eq({**outage_terms[line.id], y: 1.0}, 1.0)
+            add_switched_line_rows(spec, f[j, s], delta[fi, s], delta[ti, s], y,
+                                   line, b_mw)
+
+    _add_gen_rows(spec, net, p, x, u, nu, s_count)
+    _add_balance_rows(spec, net, demand_day, p, f, q)
+    return {"p": p, "x": x, "u": u, "nu": nu, "f": f, "delta": delta, "q": q}
+
+
 def build_subproblem(net: Network, demand_day: np.ndarray, unavailable: frozenset[str],
                      cfg: RunConfig, omit_bounds: frozenset = frozenset(),
                      label: str = "day") -> DayModel:
@@ -170,36 +193,11 @@ def build_subproblem(net: Network, demand_day: np.ndarray, unavailable: frozense
     availability pattern stays feasible.
     """
     demand_day = np.asarray(demand_day, dtype=float)
-    n_bus, s_count = len(net.buses), demand_day.shape[1]
-    if demand_day.shape != (n_bus, s_count):
+    if demand_day.ndim != 2 or len(demand_day) != len(net.buses):
         raise ValueError("demand slice does not match the bus count")
     spec = solver.ModelSpec(label)
-    bus_pos = net.bus_index()
-
-    delta, q = _add_bus_vars(spec, net, demand_day, cfg)
-    p, x, u, nu = _add_gen_vars(spec, net, s_count, unavailable, integer_x=True)
-
-    n_line = len(net.lines)
-    f = np.empty((n_line, s_count), dtype=int)
-    for j, line in enumerate(net.lines):
-        down = line.id in unavailable
-        b_mw = net.line_susceptance_mw(line)
-        fi, ti = bus_pos[line.from_bus], bus_pos[line.to_bus]
-        for s in range(s_count):
-            if down:
-                f[j, s] = spec.add_var(f"f{line.id}_{s}", lb=0.0, ub=0.0)
-                continue
-            lo = -solver.INF if (line.id, "lb", s) in omit_bounds else -line.flow_limit
-            hi = solver.INF if (line.id, "ub", s) in omit_bounds else line.flow_limit
-            f[j, s] = spec.add_var(f"f{line.id}_{s}", lb=lo, ub=hi)
-            # Ohm's law for in-service lines
-            spec.add_eq({f[j, s]: 1.0, delta[fi, s]: -b_mw, delta[ti, s]: b_mw}, 0.0)
-
-    _add_gen_rows(spec, net, p, x, u, nu, s_count)
-    _add_balance_rows(spec, net, demand_day, p, f, q)
-
-    idx = {"p": p, "x": x, "u": u, "nu": nu, "f": f, "delta": delta, "q": q}
-    return DayModel(spec, idx)
+    return DayModel(spec, _add_day_network(spec, net, demand_day, cfg, unavailable,
+                                           integer_x=True, omit_bounds=omit_bounds))
 
 
 def solve_subproblem(model: DayModel, gap: float) -> solver.SolveOutcome:
@@ -212,6 +210,12 @@ def solve_subproblem(model: DayModel, gap: float) -> solver.SolveOutcome:
     if outcome.status != "optimal":
         raise solver.SolverError(f"{model.spec.name}: subproblem ended {outcome.status}")
     return outcome
+
+
+def add_ohm_row(spec: solver.ModelSpec, f: int, d_from: int, d_to: int,
+                b_mw: float) -> None:
+    """Ohm's law of an in-service line: its flow follows the angle difference."""
+    spec.add_eq({f: 1.0, d_from: -b_mw, d_to: b_mw}, 0.0)
 
 
 def add_switched_line_rows(spec: solver.ModelSpec, f: int, d_from: int, d_to: int,
@@ -282,70 +286,17 @@ def lp_lower_bound(net: Network, demand: DemandGrid, pattern: np.ndarray, day: i
     if len(bits) != n_cand * tbar + len(comps) - n_cand:
         raise ValueError(f"pattern has {len(bits)} bits, expected "
                          f"{n_cand * tbar + len(comps) - n_cand}")
-    outage_periods = {comp: [m for m, bit in enumerate(bits[i * tbar:(i + 1) * tbar],
-                                                       start=1) if bit == 0]
-                      for i, comp in enumerate(candidates)}
-    down = {comp for comp, bit in zip(comps[n_cand:], bits[n_cand * tbar:]) if bit == 0}
-    demand_day = demand.day(day)
+    off = frozenset(comp for comp, bit in zip(comps[n_cand:], bits[n_cand * tbar:])
+                    if bit == 0)
     spec = solver.ModelSpec(f"lb_day{day}")
-    bus_pos = net.bus_index()
-    periods = range(1, tbar + 1)
-    candidate_set = set(candidates)
-
-    v: dict[tuple[str, int], int] = {}
-    for comp in candidates:
-        for m in periods:
-            v[(comp, m)] = spec.add_var(f"v{comp}_{m}", lb=0.0, ub=1.0)
-        spec.add_eq({v[(comp, m)]: 1.0 for m in periods}, 1.0)
-
-    def outage_row(comp: str) -> dict[int, float]:
-        """Sum of the schedule variables whose period leaves ``comp`` out."""
-        return {v[(comp, m)]: 1.0 for m in outage_periods[comp]}
-
-    hard_off = frozenset(gen.id for gen in net.generators if gen.id in down)
-
-    delta, q = _add_bus_vars(spec, net, demand_day, cfg)
-    p, x, u, nu = _add_gen_vars(spec, net, demand_day.shape[1], hard_off,
-                                integer_x=False)
-    s_count = demand_day.shape[1]
-
-    for g, gen in enumerate(net.generators):
-        if gen.id not in candidate_set:
-            continue
-        terms = outage_row(gen.id)
-        if not terms:
-            continue
-        for s in range(s_count):
-            row = dict(terms)
-            row[x[g, s]] = 1.0
-            spec.add_le(row, 1.0)  # commitment only while not in an outage
-
-    n_line = len(net.lines)
-    f = np.empty((n_line, s_count), dtype=int)
-    for j, line in enumerate(net.lines):
-        b_mw = net.line_susceptance_mw(line)
-        fi, ti = bus_pos[line.from_bus], bus_pos[line.to_bus]
-        is_candidate = line.id in candidate_set
-        fixed_off = line.id in down
-        terms = outage_row(line.id) if is_candidate else {}
-        for s in range(s_count):
-            if fixed_off:
-                f[j, s] = spec.add_var(f"f{line.id}_{s}", lb=0.0, ub=0.0)
-                continue
-            f[j, s] = spec.add_var(f"f{line.id}_{s}", lb=-line.flow_limit,
-                                   ub=line.flow_limit)
-            if not is_candidate:
-                spec.add_eq({f[j, s]: 1.0, delta[fi, s]: -b_mw, delta[ti, s]: b_mw}, 0.0)
-                continue
-            yv = spec.add_var(f"y{line.id}_{s}", lb=0.0, ub=1.0)
-            row = dict(terms)
-            row[yv] = 1.0
-            spec.add_eq(row, 1.0)  # line is on exactly when not in an outage
-            add_switched_line_rows(spec, f[j, s], delta[fi, s], delta[ti, s], yv,
-                                   line, b_mw)
-
-    _add_gen_rows(spec, net, p, x, u, nu, s_count)
-    _add_balance_rows(spec, net, demand_day, p, f, q)
+    outage_terms = {}
+    for i, comp in enumerate(candidates):
+        v = [spec.add_var(f"v{comp}_{m}", lb=0.0, ub=1.0) for m in range(1, tbar + 1)]
+        spec.add_eq(dict.fromkeys(v, 1.0), 1.0)
+        outage_terms[comp] = {v[m]: 1.0 for m, bit
+                              in enumerate(bits[i * tbar:(i + 1) * tbar]) if bit == 0}
+    _add_day_network(spec, net, demand.day(day), cfg, off, integer_x=False,
+                     outage_terms=outage_terms)
     return spec
 
 

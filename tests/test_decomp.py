@@ -245,6 +245,28 @@ def test_master_gets_only_the_remaining_time_budget(monkeypatch):
     assert run.status == "optimal" and len(limits) == run.iterations >= 2
 
 
+def test_spent_time_limit_stops_before_the_subproblem_round(monkeypatch):
+    inst, scens = toy_instance(seed=23)
+    cfg = inst.cfg.__class__(**{**inst.cfg.__dict__, "time_limit": 0.2})
+    real_solve = mastercuts.MasterState.solve
+
+    def slow(self, tolerance=1e-9, time_limit=None):
+        outcome = real_solve(self, tolerance=tolerance, time_limit=time_limit)
+        time.sleep(cfg.time_limit)  # an optimal master that ends past the budget
+        return outcome
+
+    rounds = []
+    real_day_values = decomp.day_values
+    monkeypatch.setattr(mastercuts.MasterState, "solve", slow)
+    monkeypatch.setattr(decomp, "day_values",
+                        lambda *a, **k: rounds.append(a) or real_day_values(*a, **k))
+    run = decomp.DecompositionRun(inst, scens, cfg, enforce_chance=False)
+    assert run.iterate_once() is False
+    assert run.status == "limit" and rounds == []
+    report = run.report()
+    assert report.status == "limit" and report.bound > -float("inf")
+
+
 def test_subproblem_economy():
     inst, scens = toy_instance(seed=29)
     report = decomp.solve(inst, scens, inst.cfg)

@@ -132,6 +132,23 @@ def test_pattern_key_is_sound_and_separating():
     assert neighbours > 0
 
 
+def test_without_candidates_the_bound_is_the_day_model_relaxed():
+    # both builders state one day network: with no candidates the LB LP is the
+    # day MILP for the same outages, commitment relaxed
+    inst, _ = toy_instance(seed=7)
+    cfg, down = inst.cfg, frozenset({"g2", "l2"})
+    comps = ucmodel.lower_bound_components(inst.net, ())
+    pattern = np.array([int(comp not in down) for comp in comps], dtype=np.uint8)
+    for t in range(1, cfg.horizon_days + 1):
+        lb = ucmodel.lp_lower_bound(inst.net, inst.demand, pattern, t, cfg, ())
+        day = ucmodel.build_subproblem(inst.net, inst.demand.day(t), down, cfg).spec
+        assert (lb.sense, lb._obj, lb._lb, lb._ub, lb._var_names, lb.assembled()) \
+            == (day.sense, day._obj, day._lb, day._ub, day._var_names, day.assembled())
+        assert not any(lb._integer) and any(day._integer)
+        assert day._ub[day._var_names.index("xg2_0")] == 0.0
+        assert day._ub[day._var_names.index("fl2_0")] == 0.0
+
+
 def test_pattern_rejects_wrong_length():
     inst, _ = toy_instance(seed=7)
     with pytest.raises(ValueError, match="bits"):
