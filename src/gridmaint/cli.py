@@ -146,8 +146,9 @@ def cmd_plan(args) -> int:
         "status": report.status, "objective": report.objective,
         "bound": report.bound, "gap": report.gap,
         "iterations": report.iterations, "counts": report.counts,
-        "elapsed_s": report.elapsed, "chance_mode": cfg.chance_mode,
-        "cut_family": cfg.cut_family, "seed": cfg.seed,
+        "timings": report.timings, "elapsed_s": report.elapsed,
+        "chance_mode": cfg.chance_mode, "cut_family": cfg.cut_family,
+        "seed": cfg.seed,
         "hprime": list(inst.hprime),
         "schedule_hash": hashlib.sha256(
             repr(sorted(report.schedule.items())).encode()).hexdigest()[:16],

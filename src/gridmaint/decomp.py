@@ -62,6 +62,7 @@ class SolveReport:
     iterations: int
     counts: dict[str, int] = field(default_factory=dict)
     history: list[dict] = field(default_factory=list)
+    timings: dict[str, float] = field(default_factory=dict)  # phase seconds
     elapsed: float = 0.0
     cut_log: str = ""
 
@@ -136,13 +137,15 @@ def compute_lower_bounds(inst: Instance, scenarios: ScenarioSet, cfg: RunConfig,
 
 def day_values(inst: Instance, scenarios: ScenarioSet, cfg: RunConfig,
                schedule: dict[str, int], components: tuple[str, ...],
-               cache: StatusCache) -> np.ndarray:
+               cache: StatusCache, deadline: float | None = None) -> np.ndarray | None:
     """Recourse objective and bound of every scenario-day, shape ``(n, T, 2)``.
 
     A scenario-day is keyed by its day and its status over ``components``;
     each key the cache lacks is solved exactly once and stored, every other
     scenario-day is counted as aliased.  Missing keys are solved in the
-    scenario-major order of their first appearance.
+    scenario-major order of their first appearance.  Past ``deadline`` (a
+    ``time.perf_counter()`` value) no further key is solved: the keys solved
+    so far stay stored and None is returned.
     """
     n, horizon = scenarios.size, cfg.horizon_days
     key_ids = np.empty((n, horizon), dtype=np.intp)
@@ -157,6 +160,8 @@ def day_values(inst: Instance, scenarios: ScenarioSet, cfg: RunConfig,
     in_scan_order = [keys[i] for i in np.argsort(np.concatenate(first_seen)).tolist()]
 
     def solve_one(key):
+        if deadline is not None and time.perf_counter() > deadline:
+            return None
         t, status = key
         down = ucmodel.unavailable_components(components, status)
         model = ucmodel.build_subproblem(
@@ -172,8 +177,11 @@ def day_values(inst: Instance, scenarios: ScenarioSet, cfg: RunConfig,
             results = list(pool.map(solve_one, missing))
     else:
         results = [solve_one(key) for key in missing]
-    for key, (objective, bound) in zip(missing, results):
-        cache.store(*key, objective, bound)
+    for key, result in zip(missing, results):
+        if result is not None:
+            cache.store(*key, *result)
+    if None in results:
+        return None
     cache.aliased += key_ids.size - len(missing)
     values = np.array([cache.lookup(*key) for key in keys], dtype=float)
     return values[key_ids]
@@ -228,11 +236,15 @@ class DecompositionRun:
         self.started = time.perf_counter()
         self.cache = cache if cache is not None else StatusCache()
         self.lb_counts = {"lb_solved": 0, "lb_aliased": 0, "lb_models": 0}
+        self.deadline = None if cfg.time_limit is None \
+            else self.started + cfg.time_limit
         if day_bounds is None:
-            deadline = None if cfg.time_limit is None \
-                else self.started + cfg.time_limit
-            day_bounds = compute_lower_bounds(inst, scenarios, cfg, deadline,
+            day_bounds = compute_lower_bounds(inst, scenarios, cfg, self.deadline,
                                               self.lb_counts)
+        # seconds of the lower-bound phase, then of each phase over iterations
+        self.timings = {"lower_bounds": time.perf_counter() - self.started,
+                        "master": 0.0, "chance": 0.0, "subproblems": 0.0,
+                        "cuts": 0.0}
         self.day_bounds = day_bounds
         bounds = self.day_bounds.tolist()
         if cfg.cut_family == "optKT++":
@@ -267,18 +279,25 @@ class DecompositionRun:
         """One master solve plus its chance/second-stage follow-up.
 
         Returns True while the loop should continue; on termination
-        ``self.status`` holds the outcome.
+        ``self.status`` holds the outcome.  Every history entry carries the
+        iteration's phase seconds (``t_master``, ``t_chance``,
+        ``t_subproblems``, ``t_cuts``; 0.0 for a phase it did not reach),
+        ``n_solved`` and ``master_rows``.
         """
         cfg = self.cfg
         self.iterations += 1
+        self._phases = {"t_master": 0.0, "t_chance": 0.0, "t_subproblems": 0.0,
+                        "t_cuts": 0.0, "n_solved": 0,
+                        "master_rows": self.master.num_rows}
+        clock = time.perf_counter()
         # time_limit is one wall budget: the master gets only what is left
-        remaining = None if cfg.time_limit is None else \
-            max(0.0, cfg.time_limit - (time.perf_counter() - self.started))
+        remaining = None if self.deadline is None else max(0.0, self.deadline - clock)
         # the proven master bound feeds LB, so a master gap one order tighter
         # than the loop tolerance keeps convergence honest without paying for
         # exact branch-and-bound every round
         ms = self.master.solve(tolerance=max(cfg.epsilon * 0.1, 1e-9),
                                time_limit=remaining)
+        clock = self._charge("master", clock)
         if ms.status != "optimal":
             self.status = "infeasible" if ms.status == "infeasible" else "limit"
             return False
@@ -288,6 +307,7 @@ class DecompositionRun:
                                                 cfg.rho_gen, cfg.rho_line,
                                                 cfg.alpha)
             if not feasible:
+                self._charge("chance", clock)
                 if not ms.schedule:
                     self.status = "infeasible"  # no schedule can lift a fixed P(v)
                     return False
@@ -295,9 +315,7 @@ class DecompositionRun:
                     raise solver.SolverError("master returned a schedule its own "
                                              "cover cut should exclude")
                 self.counters["chance_cuts"] += 1
-                self.history.append({"iter": self.iterations, "lb": self.lb,
-                                     "ub": self.ub,
-                                     "event": f"cover cut (P={pv:.4f})"})
+                self._record(event=f"cover cut (P={pv:.4f})")
                 log.info("iter %d: chance-infeasible schedule (P=%.4f), cover cut",
                          self.iterations, pv)
                 return True
@@ -309,8 +327,8 @@ class DecompositionRun:
                 for xy in xy_cuts)
             if added:
                 self.counters["chance_cuts"] += added
-                self.history.append({"iter": self.iterations, "lb": self.lb,
-                                     "ub": self.ub, "event": "product-region cut"})
+                self._charge("chance", clock)
+                self._record(event="product-region cut")
                 return True
             if xy_cuts:
                 # every tangent cut is already pooled: the point sits on the
@@ -319,13 +337,19 @@ class DecompositionRun:
                 log.warning("iter %d: safe-mode point at loads (%.6g, %.6g) "
                             "yields only pooled cuts; accepted at the boundary",
                             self.iterations, *loads)
+        clock = self._charge("chance", clock)
 
         self.lb = max(self.lb, ms.bound)
-        if remaining is not None and time.perf_counter() - self.started > cfg.time_limit:
-            self.status = "limit"  # the subproblem round has no time bound of its own
+        solved_before = self.cache.solved
+        day_vals = None
+        if self.deadline is None or clock <= self.deadline:
+            day_vals = day_values(self.inst, self.scenarios, cfg, ms.schedule,
+                                  self.inst.hprime, self.cache, self.deadline)
+        self._phases["n_solved"] = self.cache.solved - solved_before
+        clock = self._charge("subproblems", clock)
+        if day_vals is None:
+            self.status = "limit"  # the budget ran out before or in the round
             return False
-        day_vals = day_values(self.inst, self.scenarios, cfg, ms.schedule,
-                              self.inst.hprime, self.cache)
         first_stage = self.master.first_stage_costs(ms.schedule).tolist()
         upper = sum(float(self.scenarios.probs[k])
                     * (first_stage[k] + sum(day_vals[k, :, 0].tolist()))
@@ -334,21 +358,33 @@ class DecompositionRun:
             self.ub, self.incumbent = upper, dict(ms.schedule)
 
         gap = _relative_gap(self.ub, self.lb)
+        converged = gap <= cfg.epsilon
+        if not converged:
+            for cut in _optimality_cuts(self.inst, self.scenarios, cfg, ms.schedule,
+                                        day_vals, self.day_bounds):
+                if self.master.add_cut(cut, pool="opt"):
+                    self.counters["opt_cuts"] += 1
+            self._charge("cuts", clock)
         tallies = self._cache_counts()
-        self.history.append({"iter": self.iterations, "lb": self.lb,
-                             "ub": self.ub, "gap": gap, **tallies})
+        self._record(gap=gap, **tallies)
         log.info("iter %d: LB %.6g UB %.6g gap %.3g (solved %d aliased %d)",
                  self.iterations, self.lb, self.ub, gap,
                  tallies["solved"], tallies["aliased"])
-        if gap <= cfg.epsilon:
+        if converged:
             self.status = "optimal"
-            return False
+        return not converged
 
-        for cut in _optimality_cuts(self.inst, self.scenarios, cfg, ms.schedule,
-                                    day_vals, self.day_bounds):
-            if self.master.add_cut(cut, pool="opt"):
-                self.counters["opt_cuts"] += 1
-        return True
+    def _charge(self, phase: str, since: float) -> float:
+        """Add the seconds since ``since`` to ``phase`` in this iteration and
+        in the run totals; return the clock."""
+        now = time.perf_counter()
+        self._phases[f"t_{phase}"] += now - since
+        self.timings[phase] += now - since
+        return now
+
+    def _record(self, **entry) -> None:
+        self.history.append({"iter": self.iterations, "lb": self.lb,
+                             "ub": self.ub, **entry, **self._phases})
 
     def _cache_counts(self) -> dict[str, int]:
         """Subproblems solved and scenario-days aliased since this run began."""
@@ -363,7 +399,7 @@ class DecompositionRun:
                            objective=self.ub, bound=self.lb,
                            gap=_relative_gap(self.ub, self.lb),
                            iterations=self.iterations, counts=counters,
-                           history=self.history,
+                           history=self.history, timings=dict(self.timings),
                            elapsed=time.perf_counter() - self.started,
                            cut_log=self.master.cut_log())
 
@@ -378,8 +414,7 @@ def solve(inst: Instance, scenarios: ScenarioSet, cfg: RunConfig | None = None,
         if run.iterations >= cfg.iteration_limit:
             run.status = "limit"
             break
-        if cfg.time_limit is not None \
-                and time.perf_counter() - run.started > cfg.time_limit:
+        if run.deadline is not None and time.perf_counter() > run.deadline:
             run.status = "limit"
             break
         if not run.iterate_once():

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import log_ndtr, ndtr
 
 from .caseio import DegradationPriors
 
@@ -185,8 +185,8 @@ def ig_cdf(x: float, mu: float, lam: float) -> float:
     root = math.sqrt(lam / x)
     a = root * (x / mu - 1.0)
     b = -root * (x / mu + 1.0)
-    term1 = norm.cdf(a)
-    log_term2 = 2.0 * lam / mu + norm.logcdf(b)
+    term1 = ndtr(a)
+    log_term2 = 2.0 * lam / mu + log_ndtr(b)
     value = term1 + (math.exp(log_term2) if log_term2 > -745 else 0.0)
     return min(1.0, max(0.0, float(value)))
 

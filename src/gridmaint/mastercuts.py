@@ -185,6 +185,12 @@ class MasterState:
     def add_static_row(self, cut: LinearCut) -> None:
         self.static_rows.append(cut)
 
+    @property
+    def num_rows(self) -> int:
+        """Rows of the master the next :meth:`solve` builds."""
+        return (len(self.hprime) + len(self.static_rows) + len(self.chance_cuts)
+                + len(self.opt_cuts))
+
     def first_stage_costs(self, schedule: dict[str, int]) -> np.ndarray:
         """First-stage cost of ``schedule`` in every scenario, summed in H' order."""
         total = np.zeros(self.scenarios.size)

@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.stats import norm, t as student_t
+from scipy.special import ndtri, stdtrit
 
 from . import decomp, solver, ucmodel
 from .caseio import RunConfig
@@ -136,7 +136,7 @@ def _mean_and_ci(values, quantile: float) -> tuple[float, float, tuple[float, fl
 def upper_bound_stats(costs: np.ndarray,
                       significance: float) -> tuple[float, float, tuple[float, float]]:
     """Mean, standard error, and normal-quantile CI of the evaluation costs."""
-    return _mean_and_ci(costs, float(norm.ppf(1.0 - significance / 2.0)))
+    return _mean_and_ci(costs, float(ndtri(1.0 - significance / 2.0)))
 
 
 def lower_bound_stats(replicate_values: np.ndarray,
@@ -144,7 +144,7 @@ def lower_bound_stats(replicate_values: np.ndarray,
     """Mean, standard error, and t-quantile CI of the replicate optima."""
     df = len(replicate_values) - 1
     return _mean_and_ci(replicate_values,
-                        float(student_t.ppf(1.0 - significance / 2.0, df=df)))
+                        float(stdtrit(df, 1.0 - significance / 2.0)))
 
 
 @dataclass

@@ -12,6 +12,7 @@ import functools
 import io
 import logging
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,8 +169,22 @@ _MODEL_STATUS = {
 }
 
 
+# one HiGHS instance per thread, reused by every solve on that thread
+_local = threading.local()
+
+
+def _thread_highs() -> _highs._Highs:
+    """This thread's HiGHS instance; a new one when none is kept or when
+    ``_highs._Highs`` is no longer the class that built the kept one."""
+    highs = getattr(_local, "highs", None)
+    if type(highs) is not _highs._Highs:
+        highs = _local.highs = _highs._Highs()
+    return highs
+
+
 def _check(spec: ModelSpec, step: str, status) -> None:
     if status == _highs.HighsStatus.kError:
+        _local.highs = None  # an instance that failed is not reused
         raise SolverError(f"{spec.name}: HiGHS {step} returned kError")
 
 
@@ -196,10 +211,12 @@ def milp(spec: ModelSpec, cost: list[float], rows: tuple[list, ...],
     """Minimise ``cost . x`` over ``rows`` (``spec.assembled()``) and the
     variable bounds of ``spec``.
 
-    Each call runs a fresh HiGHS instance with the options
-    ``scipy.optimize.milp`` sets (see :func:`_options`), so a model gets the
-    same answer through either entry point.  HiGHS runs its MIP search
-    serially, which keeps results deterministic.
+    Each call passes the options ``scipy.optimize.milp`` sets (see
+    :func:`_options`) and the model to this thread's HiGHS instance, which
+    replaces whatever an earlier solve left there, so a model gets the same
+    answer through either entry point and whatever ran before it.  An
+    instance that returned ``kError`` is dropped, not reused.  HiGHS runs
+    its MIP search serially, which keeps results deterministic.
     """
     indptr, indices, data, row_lb, row_ub = rows
     n = spec.num_vars
@@ -225,7 +242,8 @@ def milp(spec: ModelSpec, cost: list[float], rows: tuple[list, ...],
 
     options = _untimed_options(tolerance) if time_limit is None \
         else _options(tolerance, time_limit)
-    highs = _highs._Highs()
+    highs = _thread_highs()
+    clock = highs.getRunTime()  # the instance's run clock adds up over its runs
     _check(spec, "passOptions", highs.passOptions(options))
     _check(spec, "passModel", highs.passModel(lp))
     _check(spec, "run", highs.run())
@@ -233,7 +251,7 @@ def milp(spec: ModelSpec, cost: list[float], rows: tuple[list, ...],
     status = _MODEL_STATUS.get(highs.getModelStatus(), "error")
     info = highs.getInfo()
     nodes = info.mip_node_count if is_mip else 0
-    seconds = highs.getRunTime()
+    seconds = highs.getRunTime() - clock
     # an LP solution is read only at optimality; a MIP stopped at a limit
     # keeps its incumbent when it found one
     readable = status == "optimal" or (

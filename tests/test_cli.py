@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gridmaint.cli
 from gridmaint.cli import EXIT_ERROR, EXIT_LIMIT, EXIT_OK, _read_schedule, main
 
 from cases import CASE_SINGLE_BUS
@@ -74,6 +79,8 @@ def test_plan_writes_schedule_and_report(workdir):
     report = json.loads((workdir / "out" / "plan_report.json").read_text())
     assert report["status"] == "optimal"
     assert report["gap"] <= BASE_CONFIG["epsilon"]
+    assert set(report["timings"]) == {"lower_bounds", "master", "chance",
+                                      "subproblems", "cuts"}
     schedule = (workdir / "out" / "schedule.csv").read_text()
     assert schedule.startswith("component,period")
     scen_text = (workdir / "out" / "scenarios.csv").read_text()
@@ -228,3 +235,13 @@ def test_saa_writes_summary_table(workdir):
     assert run_cli(workdir, "saa") == EXIT_OK
     table = (workdir / "out" / "saa_summary.csv").read_text()
     assert table.startswith("N,ci_lb_lo,ci_lb_hi,ci_ub_lo,ci_ub_hi,gap_pct")
+
+
+def test_importing_every_module_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about half a second to import; gridmaint needs only
+    # the scipy.special functions it is built on
+    code = "import sys, gridmaint.cli; print('scipy.stats' in sys.modules)"
+    src = Path(gridmaint.cli.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert out.stdout.strip() == "False", out.stderr

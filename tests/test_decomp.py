@@ -190,7 +190,13 @@ def test_single_thread_runs_are_identical():
         runs.append(decomp.solve(inst, scens, inst.cfg))
     assert runs[0].schedule == runs[1].schedule
     assert runs[0].objective == runs[1].objective
-    assert runs[0].history == runs[1].history
+    # everything but the phase seconds, which are wall-clock readings
+    assert [without_seconds(h) for h in runs[0].history] \
+        == [without_seconds(h) for h in runs[1].history]
+
+
+def without_seconds(entry):
+    return {key: value for key, value in entry.items() if not key.startswith("t_")}
 
 
 def test_threaded_run_matches_sequential():
@@ -265,6 +271,97 @@ def test_spent_time_limit_stops_before_the_subproblem_round(monkeypatch):
     assert run.status == "limit" and rounds == []
     report = run.report()
     assert report.status == "limit" and report.bound > -float("inf")
+
+
+def test_day_values_past_its_deadline_keeps_what_it_solved(monkeypatch):
+    inst, scens = toy_instance(seed=5)
+    schedule = {comp: 1 for comp in inst.hprime}
+    fresh = decomp.StatusCache()
+    full = decomp.day_values(inst, scens, inst.cfg, schedule, inst.hprime, fresh)
+    assert fresh.solved >= 3
+
+    cache = decomp.StatusCache()
+    assert decomp.day_values(inst, scens, inst.cfg, schedule, inst.hprime, cache,
+                             deadline=time.perf_counter() - 1.0) is None
+    assert cache.solved == 0 and cache.aliased == 0
+
+    deadline = time.perf_counter() + 1.0
+    calls = []
+    real = ucmodel.solve_subproblem
+
+    def second_solve_ends_late(model, gap):
+        calls.append(model)
+        if len(calls) == 2:
+            time.sleep(max(0.0, deadline - time.perf_counter()) + 0.01)
+        return real(model, gap)
+
+    monkeypatch.setattr(ucmodel, "solve_subproblem", second_solve_ends_late)
+    assert decomp.day_values(inst, scens, inst.cfg, schedule, inst.hprime, cache,
+                             deadline=deadline) is None
+    assert len(calls) == 2 and cache.solved == 2 and cache.aliased == 0
+    rest = decomp.day_values(inst, scens, inst.cfg, schedule, inst.hprime, cache)
+    assert cache.solved == fresh.solved and len(calls) == fresh.solved
+    assert np.array_equal(rest, full)
+
+
+def test_time_limit_cuts_the_subproblem_round(monkeypatch):
+    inst, scens = toy_instance(seed=5)
+    cfg = inst.cfg.__class__(**{**inst.cfg.__dict__, "time_limit": 0.6})
+    pause = 0.3
+    calls = []
+    real = ucmodel.solve_subproblem
+
+    def slow(model, gap):
+        calls.append(model)
+        time.sleep(pause)
+        return real(model, gap)
+
+    monkeypatch.setattr(ucmodel, "solve_subproblem", slow)
+    cache = decomp.StatusCache()
+    report = decomp.solve(inst, scens, cfg, cache=cache)
+    # the first round has five keys; the budget stops it after two or three
+    assert report.status == "limit"
+    assert report.elapsed <= cfg.time_limit + pause + 0.2
+    assert 0 < len(calls) < 5 and cache.solved == len(calls)
+    # the partial round gives no incumbent and no cut
+    assert report.schedule == {} and report.objective == float("inf")
+    assert report.counts["opt_cuts"] == 0 and report.history == []
+
+
+def test_iterations_record_their_phases(monkeypatch):
+    from gridmaint import solver
+
+    inst, scens = toy_instance(seed=7, chance_mode="safe")  # has chance-cut-only rounds
+    master_rows = []
+    real = solver.solve
+
+    def spy(spec, *args, **kwargs):
+        if spec.name == "master":
+            master_rows.append(spec.num_rows)
+        return real(spec, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "solve", spy)
+    report = decomp.solve(inst, scens, inst.cfg)
+    assert report.ok and len(report.history) == report.iterations
+    assert any("event" in h for h in report.history)
+    phases = ("master", "chance", "subproblems", "cuts")
+    for entry, rows in zip(report.history, master_rows, strict=True):
+        assert entry["master_rows"] == rows
+        assert entry["t_master"] > 0.0 and entry["t_chance"] > 0.0
+        if "event" in entry:
+            assert entry["n_solved"] == 0
+            assert entry["t_subproblems"] == entry["t_cuts"] == 0.0
+        else:
+            assert entry["t_subproblems"] > 0.0
+            assert (entry["t_cuts"] > 0.0) == (entry is not report.history[-1])
+    assert sum(h["n_solved"] for h in report.history) == report.counts["solved"]
+    assert set(report.timings) == {"lower_bounds", *phases}
+    for phase in phases:
+        assert report.timings[phase] == pytest.approx(
+            sum(h[f"t_{phase}"] for h in report.history), rel=1e-9, abs=1e-12)
+    assert 0.0 < report.timings["lower_bounds"] <= report.elapsed
+    # seconds stay out of the counts, which must repeat exactly across runs
+    assert all(type(value) is int for value in report.counts.values())
 
 
 def test_subproblem_economy():

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -169,6 +170,30 @@ def test_ig_cdf_against_quadrature():
     expected, err = integrate.quad(pdf, 0, 7)
     assert err < 1e-10
     assert ig_cdf(7.0, mu, lam) == pytest.approx(expected, abs=1e-10)
+
+
+def scipy_stats_ig_cdf(x, mu, lam):
+    """``ig_cdf`` as written over ``scipy.stats.norm``, kept as the reference."""
+    from scipy.stats import norm
+
+    if x <= 0:
+        return 0.0
+    root = math.sqrt(lam / x)
+    a = root * (x / mu - 1.0)
+    b = -root * (x / mu + 1.0)
+    term1 = norm.cdf(a)
+    log_term2 = 2.0 * lam / mu + norm.logcdf(b)
+    value = term1 + (math.exp(log_term2) if log_term2 > -745 else 0.0)
+    return min(1.0, max(0.0, float(value)))
+
+
+def test_ig_cdf_is_bit_equal_to_the_scipy_stats_form():
+    xs = [-1.0, 0.0] + np.geomspace(1e-4, 1e5, 60).tolist()
+    for x in xs:
+        for mu in (0.05, 1.0, 7.5, 120.0, 4e3):
+            for lam in (0.01, 2.0, 2500.0 / 9.0, 1e4, 1e7):
+                got, want = ig_cdf(x, mu, lam), scipy_stats_ig_cdf(x, mu, lam)
+                assert got.hex() == want.hex(), (x, mu, lam)
 
 
 def test_failure_prob_limits():

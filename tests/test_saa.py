@@ -216,6 +216,22 @@ def test_lower_stats_formula_against_frozen_t_quantile():
     assert ci[1] == pytest.approx(mu + t_975_df4 * sigma, abs=1e-9)
 
 
+def test_stats_are_bit_equal_to_the_scipy_stats_quantiles():
+    from scipy.stats import norm, t as student_t
+
+    rng = np.random.default_rng(3)
+    for significance in (0.01, 0.05, 0.1):
+        q = 1.0 - significance / 2.0
+        # centred samples, so a one-ulp change of the quantile shows in the CI
+        costs = rng.normal(0.0, 1.0, size=200)
+        assert repr(saa.upper_bound_stats(costs, significance)) \
+            == repr(saa._mean_and_ci(costs, float(norm.ppf(q))))
+        for df in range(1, 61):
+            values = rng.normal(0.0, 1.0, size=df + 1)
+            assert repr(saa.lower_bound_stats(values, significance)) \
+                == repr(saa._mean_and_ci(values, float(student_t.ppf(q, df=df))))
+
+
 def test_degenerate_stats_zero_width():
     mu, sigma, ci = saa.lower_bound_stats([7.0] * 5, 0.05)
     assert sigma == 0.0 and ci == (7.0, 7.0)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -252,3 +253,81 @@ def test_missing_bindings_name_the_scipy_version():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
     assert out.stdout.strip() == "ok", out.stderr
+
+
+REUSE_SEQUENCE = [
+    (max_knapsack, {}),
+    (equality_lp, {}),
+    (infeasible_lp, {}),
+    (unbounded_lp, {}),
+    (max_knapsack, {"time_limit": 0.0}),
+    (max_knapsack, {}),
+]
+
+
+def full_outcome(res):
+    return outcome_fields(res) + (res.nodes,)
+
+
+def fresh_outcome(build, kwargs):
+    """``build()`` solved on a HiGHS instance that has run nothing before."""
+    solver._local.highs = None
+    return full_outcome(solver.solve(build(), **kwargs))
+
+
+def test_reused_instance_gives_fresh_instance_outcomes():
+    fresh = [fresh_outcome(build, kwargs) for build, kwargs in REUSE_SEQUENCE]
+    assert [out[0] for out in fresh] == ["optimal", "optimal", "infeasible", "error",
+                                         "limit", "optimal"]
+    solver._local.highs = None
+    reused = []
+    for build, kwargs in REUSE_SEQUENCE:
+        started = time.perf_counter()
+        res = solver.solve(build(), **kwargs)
+        # seconds is this run's alone, though the instance's clock adds up
+        assert 0.0 <= res.seconds <= time.perf_counter() - started
+        reused.append(full_outcome(res))
+    kept = solver._local.highs
+    assert reused == fresh
+    solver.solve(no_row_lp())
+    assert solver._local.highs is kept  # one instance served every solve
+
+
+def test_instance_that_failed_is_replaced(monkeypatch):
+    built = []
+
+    class FailsOnce(solver._highs._Highs):
+        def __init__(self):
+            super().__init__()
+            built.append(self)
+
+        def run(self):
+            if len(built) == 1:
+                return solver._highs.HighsStatus.kError
+            return super().run()
+
+    want = fresh_outcome(max_knapsack, {})
+    monkeypatch.setattr(solver._highs, "_Highs", FailsOnce)
+    with pytest.raises(solver.SolverError, match="knapsack: HiGHS run"):
+        solver.solve(max_knapsack())
+    assert full_outcome(solver.solve(max_knapsack())) == want
+    assert len(built) == 2  # the failed instance was dropped, not reused
+
+
+def test_threads_each_get_single_thread_outcomes():
+    from concurrent.futures import ThreadPoolExecutor
+    from threading import Barrier
+
+    want = [fresh_outcome(build, kwargs) for build, kwargs in REUSE_SEQUENCE]
+    start = Barrier(3)
+
+    def one_thread(_):
+        start.wait(timeout=60)
+        outcomes = [full_outcome(solver.solve(build(), **kwargs))
+                    for build, kwargs in REUSE_SEQUENCE * 3]
+        return outcomes, id(solver._local.highs)
+
+    with ThreadPoolExecutor(max_workers=3) as pool:
+        results = list(pool.map(one_thread, range(3)))
+    assert all(outcomes == want * 3 for outcomes, _ in results)
+    assert len({highs for _, highs in results}) == 3
