@@ -4,8 +4,8 @@ One iteration solves the master for a candidate schedule, checks it against
 the joint chance constraint (exact oracle separation, or tangent cuts on the
 safe product region), derives the per-day status vectors of all scenarios,
 solves only the subproblems whose status has never been seen, aliases the
-rest from the cache, and strengthens the master with the configured
-optimality-cut family.  The loop stops at the configured relative gap.
+rest from the cache, and adds the optimality cuts the master derives from
+the round's values.  The loop stops at the configured relative gap.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .instance import Instance
 log = logging.getLogger(__name__)
 
 __all__ = ["StatusCache", "SolveReport", "DecompositionRun",
-           "compute_lower_bounds", "day_values", "solve"]
+           "compute_lower_bounds", "day_values", "pooled_map", "solve"]
 
 
 class StatusCache:
@@ -79,6 +79,23 @@ def _relative_gap(ub: float, lb: float) -> float:
     return (ub - lb) / abs(ub)
 
 
+def pooled_map(fn, items: list, threads: int,
+               deadline: float | None = None) -> list:
+    """``fn`` of every item, in order, on a pool of ``threads`` threads when
+    there are several and more than one item.  An item reached past
+    ``deadline`` (a ``time.perf_counter()`` value) is not passed to ``fn``
+    and gives None."""
+    def call(item):
+        if deadline is not None and time.perf_counter() > deadline:
+            return None
+        return fn(item)
+
+    if threads > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(call, items))
+    return [call(item) for item in items]
+
+
 def _distinct_rows(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Group equal rows of a 0/1 array: the first row of each group, in the
     groups' sorted order, and every row's group number."""
@@ -112,17 +129,11 @@ def compute_lower_bounds(inst: Instance, scenarios: ScenarioSet, cfg: RunConfig,
 
     def bound_group(group):
         t, pattern, rows = group
-        if deadline is not None and time.perf_counter() > deadline:
-            return None
         spec = ucmodel.lp_lower_bound(inst.net, inst.demand, pattern, t, cfg,
                                       inst.hprime)
         return [ucmodel.solve_lower_bound(spec) for _ in rows]
 
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(bound_group, groups))
-    else:
-        results = [bound_group(group) for group in groups]
+    results = pooled_map(bound_group, groups, cfg.threads, deadline)
     values = np.zeros((n, horizon))
     solved = models = 0
     for (t, _, rows), result in zip(groups, results):
@@ -160,8 +171,6 @@ def day_values(inst: Instance, scenarios: ScenarioSet, cfg: RunConfig,
     in_scan_order = [keys[i] for i in np.argsort(np.concatenate(first_seen)).tolist()]
 
     def solve_one(key):
-        if deadline is not None and time.perf_counter() > deadline:
-            return None
         t, status = key
         down = ucmodel.unavailable_components(components, status)
         model = ucmodel.build_subproblem(
@@ -172,11 +181,7 @@ def day_values(inst: Instance, scenarios: ScenarioSet, cfg: RunConfig,
         return float(outcome.objective), float(outcome.bound)
 
     missing = [key for key in in_scan_order if cache.lookup(*key) is None]
-    if cfg.threads > 1 and len(missing) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(solve_one, missing))
-    else:
-        results = [solve_one(key) for key in missing]
+    results = pooled_map(solve_one, missing, cfg.threads, deadline)
     for key, result in zip(missing, results):
         if result is not None:
             cache.store(*key, *result)
@@ -187,49 +192,11 @@ def day_values(inst: Instance, scenarios: ScenarioSet, cfg: RunConfig,
     return values[key_ids]
 
 
-def _optimality_cuts(inst: Instance, scenarios: ScenarioSet, cfg: RunConfig,
-                     schedule: dict[str, int], day_vals: np.ndarray,
-                     day_bounds: np.ndarray) -> list[chance.LinearCut]:
-    cuts = []
-    bounds = day_bounds.tolist()
-    xi = scenarios.failure_days(tuple(schedule), cfg.tbar)
-    if cfg.cut_family == "optKT++":
-        ttilde = [mastercuts.same_status_periods(schedule, xi, t, cfg, inst.kinds)
-                  for t in range(1, cfg.horizon_days + 1)]
-        for k in range(scenarios.size):
-            for t in range(1, cfg.horizon_days + 1):
-                cuts.append(mastercuts.cut_over_periods(
-                    schedule, (k, t), float(day_vals[k, t - 1, 1]),
-                    bounds[k][t - 1], ttilde[t - 1][k], cfg.cut_family))
-        return cuts
-
-    if cfg.cut_family == "optK+":
-        same_cost = mastercuts.same_cost_periods(schedule, xi, cfg.tbar)
-    per_k = []
-    for k in range(scenarios.size):
-        q_bound = sum(day_vals[k, :, 1].tolist())
-        lower = sum(bounds[k])
-        if cfg.cut_family == "intLS":
-            per_k.append(mastercuts.cut_int_lshaped(schedule, k, q_bound, lower,
-                                                    cfg.tbar))
-            continue
-        if cfg.cut_family == "optK":
-            periods = {comp: {period} for comp, period in schedule.items()}
-        else:  # optK+
-            periods = same_cost[k]
-        per_k.append(mastercuts.cut_over_periods(schedule, k, q_bound, lower,
-                                                 periods, cfg.cut_family))
-    if cfg.aggregation == "single" and per_k:
-        return [mastercuts.aggregate_cuts(per_k, name=f"{cfg.cut_family}-single")]
-    return per_k
-
-
 class DecompositionRun:
     """Mutable loop state: master, cache, bounds, incumbent, tallies."""
 
     def __init__(self, inst: Instance, scenarios: ScenarioSet, cfg: RunConfig,
-                 enforce_chance: bool = True, cache: StatusCache | None = None,
-                 day_bounds: np.ndarray | None = None):
+                 enforce_chance: bool = True, cache: StatusCache | None = None):
         self.inst = inst
         self.scenarios = scenarios
         self.cfg = cfg
@@ -238,23 +205,15 @@ class DecompositionRun:
         self.lb_counts = {"lb_solved": 0, "lb_aliased": 0, "lb_models": 0}
         self.deadline = None if cfg.time_limit is None \
             else self.started + cfg.time_limit
-        if day_bounds is None:
-            day_bounds = compute_lower_bounds(inst, scenarios, cfg, self.deadline,
-                                              self.lb_counts)
+        day_bounds = compute_lower_bounds(inst, scenarios, cfg, self.deadline,
+                                          self.lb_counts)
         # seconds of the lower-bound phase, then of each phase over iterations
         self.timings = {"lower_bounds": time.perf_counter() - self.started,
                         "master": 0.0, "chance": 0.0, "subproblems": 0.0,
                         "cuts": 0.0}
-        self.day_bounds = day_bounds
-        bounds = self.day_bounds.tolist()
-        if cfg.cut_family == "optKT++":
-            theta_lower = {(k, t): b for k, row in enumerate(bounds)
-                           for t, b in enumerate(row, start=1)}
-        else:
-            theta_lower = {k: sum(row) for k, row in enumerate(bounds)}
         cost_of = {comp: inst.maint_cost(comp) for comp in inst.hprime}
         self.master = mastercuts.MasterState(inst.hprime, scenarios, cfg, cost_of,
-                                             theta_lower)
+                                             inst.kinds, day_bounds)
 
         self.chance_mode = cfg.chance_mode if enforce_chance else "off"
         self.block = None
@@ -360,8 +319,7 @@ class DecompositionRun:
         gap = _relative_gap(self.ub, self.lb)
         converged = gap <= cfg.epsilon
         if not converged:
-            for cut in _optimality_cuts(self.inst, self.scenarios, cfg, ms.schedule,
-                                        day_vals, self.day_bounds):
+            for cut in self.master.optimality_cuts(ms.schedule, day_vals):
                 if self.master.add_cut(cut, pool="opt"):
                     self.counters["opt_cuts"] += 1
             self._charge("cuts", clock)
@@ -405,11 +363,10 @@ class DecompositionRun:
 
 
 def solve(inst: Instance, scenarios: ScenarioSet, cfg: RunConfig | None = None,
-          enforce_chance: bool = True, cache: StatusCache | None = None,
-          day_bounds: np.ndarray | None = None) -> SolveReport:
+          enforce_chance: bool = True, cache: StatusCache | None = None) -> SolveReport:
     """Run the decomposition to the configured relative optimality gap."""
     cfg = cfg or inst.cfg
-    run = DecompositionRun(inst, scenarios, cfg, enforce_chance, cache, day_bounds)
+    run = DecompositionRun(inst, scenarios, cfg, enforce_chance, cache)
     while True:
         if run.iterations >= cfg.iteration_limit:
             run.status = "limit"

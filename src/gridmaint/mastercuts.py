@@ -2,7 +2,9 @@
 
 The master carries the binary schedule, one recourse variable per scenario
 (or per scenario and day when the per-period family is active), the pooled
-optimality and chance cuts, and the chance-mode rows.  Cut families, from
+optimality and chance cuts, and the chance-mode rows.  It derives those
+variables and their lower bounds from the ``(n, T)`` day bounds, and builds
+each round's optimality cuts of the configured family.  Cut families, from
 weakest to strongest: the classical integer L-shaped cut, then one cut over
 per-component period sets: the scheduled period alone (complement terms
 dropped), the same-cost sets of periods with identical operational cost, and
@@ -135,15 +137,19 @@ class MasterState:
 
     def __init__(self, hprime: tuple[str, ...], scenarios: ScenarioSet,
                  cfg: RunConfig, cost_of: dict[str, tuple[float, float]],
-                 lower_bounds: dict):
+                 kinds: dict[str, str], day_bounds: np.ndarray):
         if scenarios.size < 1:
             raise ValueError("master needs at least one scenario")
+        shape = (scenarios.size, cfg.horizon_days)
+        if np.shape(day_bounds) != shape:
+            raise ValueError(f"day bounds have shape {np.shape(day_bounds)}, "
+                             f"expected {shape}")
         self.hprime = tuple(hprime)
         self.scenarios = scenarios
         self.cfg = cfg
+        self.kinds = kinds
         self.per_day = cfg.cut_family == "optKT++"
         self.tbar = cfg.tbar
-        self.lower_bounds = dict(lower_bounds)
         self.opt_cuts: list[LinearCut] = []
         self.chance_cuts: list[LinearCut] = []
         self.static_rows: list[LinearCut] = []
@@ -160,16 +166,53 @@ class MasterState:
             for t, value in enumerate(expected.tolist(), start=1):
                 self.obj_v[(comp, t)] = value
 
-        self.theta_keys: list = []
+        # one recourse variable per scenario-day (optKT++) or per scenario,
+        # bounded below by its day bounds
+        bounds = np.asarray(day_bounds, dtype=float).tolist()
         if self.per_day:
-            for k in range(scenarios.size):
-                for t in range(1, cfg.horizon_days + 1):
-                    self.theta_keys.append((k, t))
+            self.lower_bounds = {(k, t): b for k, row in enumerate(bounds)
+                                 for t, b in enumerate(row, start=1)}
         else:
-            self.theta_keys = list(range(scenarios.size))
-        missing = [key for key in self.theta_keys if key not in self.lower_bounds]
-        if missing:
-            raise ValueError(f"missing lower bounds for theta keys {missing[:4]}")
+            self.lower_bounds = {k: sum(row) for k, row in enumerate(bounds)}
+        self.theta_keys = list(self.lower_bounds)
+
+    # -- optimality cuts ------------------------------------------------------
+
+    def optimality_cuts(self, schedule: dict[str, int],
+                        day_vals: np.ndarray) -> list[LinearCut]:
+        """The configured family's cuts at ``schedule``, one per recourse
+        variable, or their sum under single aggregation.
+
+        ``day_vals`` is the ``(n, T, 2)`` array of :func:`decomp.day_values`;
+        its bounds (index 1) are the recourse values the cuts impose.
+        """
+        family = self.cfg.cut_family
+        schedule = {comp: schedule[comp] for comp in self.hprime}  # xi's column order
+        if self.per_day:
+            days = range(1, self.cfg.horizon_days + 1)
+            ttilde = [same_status_periods(schedule, self.xi, t, self.cfg, self.kinds)
+                      for t in days]
+            return [cut_over_periods(schedule, (k, t), float(day_vals[k, t - 1, 1]),
+                                     self.lower_bounds[(k, t)], ttilde[t - 1][k],
+                                     family)
+                    for k in range(self.scenarios.size) for t in days]
+
+        if family == "optK+":
+            same_cost = same_cost_periods(schedule, self.xi, self.tbar)
+        cuts = []
+        for k in range(self.scenarios.size):
+            q_bound = sum(day_vals[k, :, 1].tolist())
+            if family == "intLS":
+                cuts.append(cut_int_lshaped(schedule, k, q_bound,
+                                            self.lower_bounds[k], self.tbar))
+                continue
+            periods = same_cost[k] if family == "optK+" \
+                else {comp: {period} for comp, period in schedule.items()}
+            cuts.append(cut_over_periods(schedule, k, q_bound, self.lower_bounds[k],
+                                         periods, family))
+        if self.cfg.aggregation == "single":
+            return [aggregate_cuts(cuts, name=f"{family}-single")]
+        return cuts
 
     # -- pools ----------------------------------------------------------------
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -186,11 +185,8 @@ def run_saa(inst: Instance, cfg: RunConfig | None = None,
         return {"index": i, "status": report.status, "z": report.objective,
                 "schedule": report.schedule, "iterations": report.iterations}
 
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            replicates = list(pool.map(one_replicate, range(cfg.saa_m)))
-    else:
-        replicates = [one_replicate(i) for i in range(cfg.saa_m)]
+    replicates = decomp.pooled_map(one_replicate, list(range(cfg.saa_m)),
+                                   cfg.threads)
 
     usable = [r for r in replicates if r["status"] == "optimal"]
     for r in replicates:

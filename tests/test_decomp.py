@@ -122,9 +122,10 @@ def test_safe_mode_schedule_is_conservative():
 
 
 def test_iterate_once_branches():
-    inst, scens = toy_instance(seed=47, alpha=0.3)
+    # this draw meets one chance-infeasible master point before converging
+    inst, scens = toy_instance(seed=47, alpha=0.3, extra_candidate=True)
     run = decomp.DecompositionRun(inst, scens, inst.cfg)
-    seen_eval = False
+    seen_cover = seen_eval = False
     while True:
         opt_before = len(run.master.opt_cuts)
         chance_before = len(run.master.chance_cuts)
@@ -137,6 +138,7 @@ def test_iterate_once_branches():
             assert len(run.master.chance_cuts) == chance_before + 1
             assert len(run.master.opt_cuts) == opt_before
             assert run.cache.solved + run.cache.aliased == solved_before
+            seen_cover = True
         else:
             seen_eval = True
             cells = scens.size * inst.cfg.horizon_days
@@ -145,7 +147,7 @@ def test_iterate_once_branches():
         assert run.iterations < 500
         if not more:
             break
-    assert run.status == "optimal" and seen_eval
+    assert run.status == "optimal" and seen_cover and seen_eval
     report = run.report()
     assert report.objective == pytest.approx(run.ub)
 

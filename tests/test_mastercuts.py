@@ -224,8 +224,8 @@ def test_master_requires_scenarios():
 def test_master_cost_coefficients_no_failure():
     cfg = RunConfig(horizon_days=5, subperiods=2, cut_family="optK")
     scens = scen([[6]], 5)
-    master = MasterState(("h1",), scens, cfg, {"h1": (100.0, 300.0)},
-                         {0: 0.0})
+    master = MasterState(("h1",), scens, cfg, {"h1": (100.0, 300.0)}, KINDS,
+                         np.zeros((1, 5)))
     coeffs = [master.obj_v[("h1", t)] for t in range(1, 7)]
     assert coeffs == [100.0] * 5 + [0.0]
 
@@ -233,7 +233,8 @@ def test_master_cost_coefficients_no_failure():
 def test_master_cost_coefficients_split():
     cfg = RunConfig(horizon_days=4, subperiods=2, cut_family="optK")
     scens = scen([[3]], 4)
-    master = MasterState(("h1",), scens, cfg, {"h1": (100.0, 300.0)}, {0: 0.0})
+    master = MasterState(("h1",), scens, cfg, {"h1": (100.0, 300.0)}, KINDS,
+                         np.zeros((1, 4)))
     coeffs = [master.obj_v[("h1", t)] for t in range(1, 6)]
     assert coeffs == [100.0, 100.0, 300.0, 300.0, 300.0]
 
@@ -242,7 +243,9 @@ def test_master_solve_honours_theta_floor_and_cuts():
     cfg = RunConfig(horizon_days=2, subperiods=1, cut_family="optK",
                     chance_mode="safe")
     scens = scen([[3]], 2)
-    master = MasterState(("h1",), scens, cfg, {"h1": (10.0, 30.0)}, {0: 5.0})
+    # a per-scenario theta is bounded by the sum of its day bounds
+    master = MasterState(("h1",), scens, cfg, {"h1": (10.0, 30.0)}, KINDS,
+                         np.array([[3.0, 2.0]]))
     sol = master.solve()
     assert sol.status == "optimal"
     assert sol.schedule["h1"] == 3        # the free no-maintenance slot
@@ -257,20 +260,67 @@ def test_master_solve_honours_theta_floor_and_cuts():
     assert sol2.theta[0] >= 5.0 - 1e-9
 
 
-def test_master_missing_lower_bounds_rejected():
+def test_master_wrong_day_bound_shape_rejected():
     cfg = RunConfig(horizon_days=2, subperiods=1, cut_family="optKT++")
     scens = scen([[1]], 2)
-    with pytest.raises(ValueError, match="lower bounds"):
-        MasterState(("h1",), scens, cfg, {"h1": (10.0, 30.0)}, {(0, 1): 0.0})
+    for bounds in (np.zeros((1, 1)), np.zeros((2, 1)), np.zeros(2)):
+        with pytest.raises(ValueError, match="shape"):
+            MasterState(("h1",), scens, cfg, {"h1": (10.0, 30.0)}, KINDS, bounds)
 
 
 def test_master_exports_lp_and_cut_log():
     cfg = RunConfig(horizon_days=2, subperiods=1, cut_family="optK",
                     chance_mode="safe")
     scens = scen([[3]], 2)
-    master = MasterState(("h1",), scens, cfg, {"h1": (10.0, 30.0)}, {0: 0.0})
+    master = MasterState(("h1",), scens, cfg, {"h1": (10.0, 30.0)}, KINDS,
+                         np.zeros((1, 2)))
     master.add_cut(cut_over_periods({"h1": 3}, 0, 42.0, 0.0, {"h1": {3}}, "optK"))
     text = master.export_lp()
     assert "Minimize" in text and "vh1_3" in text
     log = master.cut_log()
     assert log.count("\n") == 1 and "theta[0]" in log
+
+
+@pytest.mark.parametrize("family,aggregation", [
+    ("intLS", "multi"), ("optK", "multi"), ("optK+", "multi"),
+    ("optKT++", "multi"), ("optK", "single"),
+])
+def test_optimality_cuts_cover_every_theta_once(family, aggregation):
+    # one round gives each recourse variable exactly one row, tight at the
+    # schedule it was generated for (or one row over all of them, tight at
+    # the summed values, under single aggregation)
+    rng = np.random.default_rng(23)
+    cfg = RunConfig(horizon_days=4, subperiods=2, cut_family=family,
+                    aggregation=aggregation)
+    n = 5
+    scens = ScenarioSet(("h1", "h2"), rng.integers(1, cfg.tbar + 1, size=(n, 2)),
+                        np.full(n, 1.0 / n), cfg.horizon_days)
+    day_bounds = rng.uniform(0.0, 10.0, size=(n, cfg.horizon_days))
+    master = MasterState(("h1", "h2"), scens, cfg,
+                         {"h1": (100.0, 300.0), "h2": (50.0, 200.0)}, KINDS,
+                         day_bounds)
+    assert len(master.theta_keys) == n * (cfg.horizon_days if family == "optKT++"
+                                          else 1)
+    day_vals = day_bounds[:, :, None] + rng.uniform(0.0, 50.0,
+                                                    size=(n, cfg.horizon_days, 2))
+    sched = {"h1": 2, "h2": 4}
+    cuts = master.optimality_cuts(sched, day_vals)
+
+    def q_value(key):
+        if family == "optKT++":
+            k, t = key
+            return day_vals[k, t - 1, 1]
+        return day_vals[key, :, 1].sum()
+
+    if aggregation == "single":
+        (cut,) = cuts
+        assert dict(cut.theta_coeffs) == {key: 1.0 for key in master.theta_keys}
+        assert theta_floor(cut, sched) == pytest.approx(
+            sum(q_value(key) for key in master.theta_keys))
+        return
+    keys = [key for cut in cuts for key, _ in cut.theta_coeffs]
+    assert sorted(keys) == sorted(master.theta_keys)
+    for cut in cuts:
+        ((key, coeff),) = cut.theta_coeffs
+        assert coeff == 1.0
+        assert theta_floor(cut, sched) == pytest.approx(q_value(key))
