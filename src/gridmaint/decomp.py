@@ -3,7 +3,8 @@
 One iteration solves the master for a candidate schedule, checks it against
 the joint chance constraint (exact oracle separation, or tangent cuts on the
 safe product region), derives the per-day status vectors of all scenarios,
-solves only the subproblems whose status has never been seen, aliases the
+keys each scenario-day by what its day model is built from (demand class,
+down-set, preflow deletions), solves only the keys never seen, aliases the
 rest from the cache, and adds the optimality cuts the master derives from
 the round's values.  The loop stops at the configured relative gap.
 """
@@ -20,7 +21,7 @@ import numpy as np
 from . import chance, mastercuts, solver, ucmodel
 from .caseio import RunConfig
 from .degrade import ScenarioSet
-from .instance import Instance
+from .instance import DayKey, Instance
 
 log = logging.getLogger(__name__)
 
@@ -29,27 +30,30 @@ __all__ = ["StatusCache", "SolveReport", "DecompositionRun",
 
 
 class StatusCache:
-    """Per-day map of seen status vectors to their subproblem values.
+    """Map of day-model keys (:meth:`Instance.day_key`) to subproblem values.
 
-    ``solved`` counts stored solves; ``aliased`` counts the scenario-days
-    :func:`day_values` served without one.
+    A key holds the day's demand class, not its number, so days with equal
+    demand share entries, as do plan keys (down-sets within the candidates)
+    and evaluation keys (over every component).  ``solved`` counts stored
+    solves; ``aliased`` counts the scenario-days :func:`day_values` served
+    without one.
     """
 
     def __init__(self):
-        self.psi: dict[int, dict[tuple, tuple[float, float]]] = {}
+        self.psi: dict[DayKey, tuple[float, float]] = {}
         self.solved = 0
         self.aliased = 0
 
-    def lookup(self, day: int, status: tuple):
-        return self.psi.get(day, {}).get(status)
+    def lookup(self, key: DayKey):
+        return self.psi.get(key)
 
-    def store(self, day: int, status: tuple, objective: float, bound: float):
-        self.psi.setdefault(day, {})[status] = (objective, bound)
+    def store(self, key: DayKey, objective: float, bound: float):
+        self.psi[key] = (objective, bound)
         self.solved += 1
 
     @property
     def psi_total(self) -> int:
-        return sum(len(v) for v in self.psi.values())
+        return len(self.psi)
 
 
 @dataclass
@@ -151,45 +155,55 @@ def day_values(inst: Instance, scenarios: ScenarioSet, cfg: RunConfig,
                cache: StatusCache, deadline: float | None = None) -> np.ndarray | None:
     """Recourse objective and bound of every scenario-day, shape ``(n, T, 2)``.
 
-    A scenario-day is keyed by its day and its status over ``components``;
-    each key the cache lacks is solved exactly once and stored, every other
-    scenario-day is counted as aliased.  Missing keys are solved in the
-    scenario-major order of their first appearance.  Past ``deadline`` (a
-    ``time.perf_counter()`` value) no further key is solved: the keys solved
-    so far stay stored and None is returned.
+    A scenario-day's down-set is read from its status over ``components``,
+    and the scenario-day is keyed by :meth:`Instance.day_key`; each key the
+    cache lacks is solved exactly once, on the first scenario-day that uses
+    it, and stored, and every other scenario-day is counted as aliased.
+    Missing keys are solved in the scenario-major order of their first
+    appearance, each within the budget left before ``deadline`` (a
+    ``time.perf_counter()`` value).  Once the budget is spent no further key
+    is solved and a key whose solve hit it is not stored: the keys solved so
+    far stay stored and None is returned.
     """
     n, horizon = scenarios.size, cfg.horizon_days
-    key_ids = np.empty((n, horizon), dtype=np.intp)
-    first_seen, keys = [], []
+    cells = []  # (scan position, day, key) of each distinct (day, status row)
+    cell_ids = np.empty((n, horizon), dtype=np.intp)
     for t in range(1, horizon + 1):
         status = ucmodel.status_vector(schedule, scenarios, t, cfg, components,
                                        inst.kinds)
         first, inverse = _distinct_rows(status)
-        key_ids[:, t - 1] = len(keys) + inverse
-        first_seen.append(first * horizon + t - 1)
-        keys += [(t, tuple(row)) for row in status[first].tolist()]
-    in_scan_order = [keys[i] for i in np.argsort(np.concatenate(first_seen)).tolist()]
+        cell_ids[:, t - 1] = len(cells) + inverse
+        for scan, row in zip((first * horizon + t - 1).tolist(),
+                             status[first].tolist()):
+            down = frozenset(c for c, bit in zip(components, row) if not bit)
+            cells.append((scan, t, inst.day_key(t, down)))
+    first_day: dict[DayKey, int] = {}  # in scan order of first appearance
+    for _, t, key in sorted(cells, key=lambda cell: cell[0]):
+        first_day.setdefault(key, t)
 
     def solve_one(key):
-        t, status = key
-        down = ucmodel.unavailable_components(components, status)
+        t = first_day[key]
         model = ucmodel.build_subproblem(
-            inst.net, inst.demand.day(t), down, cfg,
-            omit_bounds=inst.omit_bounds_for(t, down),
-            label=f"day{t}:{''.join(map(str, status))}")
-        outcome = ucmodel.solve_subproblem(model, cfg.subproblem_gap)
+            inst.net, inst.demand.day(t), key.down, cfg,
+            omit_bounds=key.omit_bounds,
+            label=f"day{t}:{','.join(sorted(key.down)) or '-'}")
+        remaining = None if deadline is None \
+            else max(0.0, deadline - time.perf_counter())
+        outcome = ucmodel.solve_subproblem(model, cfg.subproblem_gap, remaining)
+        if outcome.status != "optimal":
+            return None
         return float(outcome.objective), float(outcome.bound)
 
-    missing = [key for key in in_scan_order if cache.lookup(*key) is None]
+    missing = [key for key in first_day if cache.lookup(key) is None]
     results = pooled_map(solve_one, missing, cfg.threads, deadline)
     for key, result in zip(missing, results):
         if result is not None:
-            cache.store(*key, *result)
+            cache.store(key, *result)
     if None in results:
         return None
-    cache.aliased += key_ids.size - len(missing)
-    values = np.array([cache.lookup(*key) for key in keys], dtype=float)
-    return values[key_ids]
+    cache.aliased += cell_ids.size - len(missing)
+    values = np.array([cache.lookup(key) for _, _, key in cells], dtype=float)
+    return values[cell_ids]
 
 
 class DecompositionRun:
@@ -260,6 +274,11 @@ class DecompositionRun:
         if ms.status != "optimal":
             self.status = "infeasible" if ms.status == "infeasible" else "limit"
             return False
+        if self._past_deadline(clock):
+            # the master is a relaxation, so its bound holds unseparated
+            self.lb = max(self.lb, ms.bound)
+            self.status = "limit"
+            return False
 
         if self.chance_mode == "exact":
             feasible, cut, pv = chance.separate(ms.schedule, self.inst.table,
@@ -301,7 +320,7 @@ class DecompositionRun:
         self.lb = max(self.lb, ms.bound)
         solved_before = self.cache.solved
         day_vals = None
-        if self.deadline is None or clock <= self.deadline:
+        if not self._past_deadline(clock):
             day_vals = day_values(self.inst, self.scenarios, cfg, ms.schedule,
                                   self.inst.hprime, self.cache, self.deadline)
         self._phases["n_solved"] = self.cache.solved - solved_before
@@ -318,7 +337,8 @@ class DecompositionRun:
 
         gap = _relative_gap(self.ub, self.lb)
         converged = gap <= cfg.epsilon
-        if not converged:
+        out_of_time = not converged and self._past_deadline(clock)
+        if not converged and not out_of_time:
             for cut in self.master.optimality_cuts(ms.schedule, day_vals):
                 if self.master.add_cut(cut, pool="opt"):
                     self.counters["opt_cuts"] += 1
@@ -330,7 +350,12 @@ class DecompositionRun:
                  tallies["solved"], tallies["aliased"])
         if converged:
             self.status = "optimal"
-        return not converged
+        elif out_of_time:
+            self.status = "limit"  # no time left for the cut round
+        return not (converged or out_of_time)
+
+    def _past_deadline(self, clock: float) -> bool:
+        return self.deadline is not None and clock > self.deadline
 
     def _charge(self, phase: str, since: float) -> float:
         """Add the seconds since ``since`` to ``phase`` in this iteration and
@@ -371,7 +396,7 @@ def solve(inst: Instance, scenarios: ScenarioSet, cfg: RunConfig | None = None,
         if run.iterations >= cfg.iteration_limit:
             run.status = "limit"
             break
-        if run.deadline is not None and time.perf_counter() > run.deadline:
+        if run._past_deadline(time.perf_counter()):
             run.status = "limit"
             break
         if not run.iterate_once():

@@ -11,6 +11,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,8 +22,8 @@ from .preflow import RedundancyReport
 
 log = logging.getLogger(__name__)
 
-__all__ = ["Component", "Instance", "build_instance", "training_scenarios",
-           "test_scenarios", "no_failure_scenarios"]
+__all__ = ["Component", "DayKey", "Instance", "build_instance",
+           "training_scenarios", "test_scenarios", "no_failure_scenarios"]
 
 
 @dataclass(frozen=True)
@@ -31,6 +32,14 @@ class Component:
     kind: str                       # "gen" | "line"
     rld: degrade.ComponentRLD | None  # None: non-degrading, never fails here
     p_fail: float
+
+
+class DayKey(NamedTuple):
+    """Everything a day MILP is built from: days with equal keys get the same
+    model up to its name."""
+    demand_class: int          # first day whose demand slice has the same bytes
+    down: frozenset[str]       # components out of service all day
+    omit_bounds: frozenset     # preflow deletions, as omit_bounds_for returns
 
 
 @dataclass
@@ -45,11 +54,16 @@ class Instance:
     preflow_report: RedundancyReport | None = None
     kinds: dict[str, str] = field(init=False, repr=False)
     _maint_costs: dict[str, tuple[float, float]] = field(init=False, repr=False)
+    _demand_class: list[int] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.kinds = {c.id: c.kind for c in self.components.values()}
         self._maint_costs = {unit.id: (unit.maint_cost_pred, unit.maint_cost_corr)
                              for unit in (*self.net.generators, *self.net.lines)}
+        first_day: dict[bytes, int] = {}
+        self._demand_class = [
+            first_day.setdefault(self.demand.day(t).tobytes(), t)
+            for t in range(1, self.demand.periods + 1)]
 
     @property
     def all_components(self) -> tuple[str, ...]:
@@ -72,6 +86,15 @@ class Instance:
             if self.kinds.get(comp) == "line" and comp not in self.hprime:
                 return frozenset()
         return self.preflow_report.omitted_for_day(day, self.cfg.subperiods)
+
+    def day_key(self, day: int, unavailable: frozenset[str]) -> DayKey:
+        """The key of the day MILP of ``day`` with ``unavailable`` out all day.
+
+        Two days whose demand slices are bitwise equal share a demand class,
+        so their models with the same down-set and deletions are one model.
+        """
+        return DayKey(self._demand_class[day - 1], unavailable,
+                      self.omit_bounds_for(day, unavailable))
 
 
 def _observe_component(priors, rng) -> degrade.ComponentRLD | None:

@@ -4,8 +4,10 @@ Given a first-stage maintenance schedule and a failure realization, each
 operational day is independent: hour 1 carries no ramping, min-up/down or
 start-up coupling to the previous day, so the scenario problem splits into
 one MILP per day.  Within a day the schedule and failure times only matter
-through which components are out of service, so subproblems are built from
-an availability set and cached under the day's status vector.
+through which components are out of service, so a subproblem is built from
+the day's demand slice, its down-set and its preflow deletions, and cached
+under those inputs (``Instance.day_key``): days with bitwise-equal demand
+share their models.
 
 A line is on exactly when it is not under maintenance or failed-out, so the
 switching variable is data here: available lines carry the Ohm equality and
@@ -200,16 +202,20 @@ def build_subproblem(net: Network, demand_day: np.ndarray, unavailable: frozense
                                            integer_x=True, omit_bounds=omit_bounds))
 
 
-def solve_subproblem(model: DayModel, gap: float) -> solver.SolveOutcome:
+def solve_subproblem(model: DayModel, gap: float,
+                     time_limit: float | None = None) -> solver.SolveOutcome:
     """Solve a day model to relative ``gap``: the one way a day is solved.
 
     Returns the optimal outcome, whose primal values are
-    ``outcome.x[model.idx[name]]``; any other status raises ``SolverError``.
+    ``outcome.x[model.idx[name]]``, or, when ``time_limit`` seconds run out
+    first, the outcome with status ``"limit"``; any other status raises
+    ``SolverError``.
     """
-    outcome = solver.solve(model.spec, tolerance=gap)
-    if outcome.status != "optimal":
-        raise solver.SolverError(f"{model.spec.name}: subproblem ended {outcome.status}")
-    return outcome
+    outcome = solver.solve(model.spec, tolerance=gap, time_limit=time_limit)
+    if outcome.status == "optimal" or (outcome.status == "limit"
+                                       and time_limit is not None):
+        return outcome
+    raise solver.SolverError(f"{model.spec.name}: subproblem ended {outcome.status}")
 
 
 def add_ohm_row(spec: solver.ModelSpec, f: int, d_from: int, d_to: int,

@@ -150,8 +150,12 @@ def make_instance(net, cfg, demand_values, q_rows, hprime=()):
 
 def toy_instance(seed, horizon=3, subperiods=2, n_scen=3, alpha=0.3,
                  cut_family="optKT++", chance_mode="exact", epsilon=1e-8,
-                 extra_candidate=False):
-    """Seeded 3-bus toy with a scenario set, sized for exhaustive oracles."""
+                 extra_candidate=False, shared_days=False):
+    """Seeded 3-bus toy with a scenario set, sized for exhaustive oracles.
+
+    With ``shared_days`` day 2's demand slice is a copy of day 1's, so the
+    two days share their day models.
+    """
     from gridmaint.caseio import RunConfig
 
     rng = np.random.default_rng(seed)
@@ -169,6 +173,8 @@ def toy_instance(seed, horizon=3, subperiods=2, n_scen=3, alpha=0.3,
     q_rows = {c: np.sort(rng.uniform(0.05, 0.95, size=horizon)) for c in hprime}
     demand_values = rng.uniform(10, 70, size=(3, horizon, subperiods))
     demand_values[0] = 0.0
+    if shared_days:
+        demand_values[:, 1] = demand_values[:, 0]
     inst = make_instance(net, cfg, demand_values, q_rows, hprime=hprime)
     times = rng.integers(1, horizon + 2, size=(n_scen, len(inst.hprime)))
     scens = ScenarioSet(inst.hprime, times, np.full(n_scen, 1.0 / n_scen), horizon)

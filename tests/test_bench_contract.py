@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from gridmaint import decomp, preflow, saa
+from gridmaint import decomp, preflow, saa, ucmodel
 from gridmaint.caseio import DemandGrid
 from gridmaint.degrade import ScenarioSet
 
@@ -55,6 +55,26 @@ def test_traced_evaluation_counts_match_cache_counters():
                                                      cache, inst.cfg))
     assert layers["solver.uc_n"] == cache.solved > 0
     assert cache.solved + cache.aliased == n * horizon
+
+
+def test_traced_evaluation_counts_cross_day_aliases():
+    # days 1 and 2 share a demand slice, so their day models are solved once
+    inst, _ = toy_instance(seed=7, shared_days=True)
+    comps = inst.all_components
+    n, horizon = 40, inst.cfg.horizon_days
+    times = np.random.default_rng(3).integers(1, horizon + 2, size=(n, len(comps)))
+    test_set = ScenarioSet(comps, times, np.full(n, 1.0 / n), horizon)
+    cache = decomp.StatusCache()
+    schedule = {comp: 4 for comp in inst.hprime}
+    _, layers = traced(lambda: saa.evaluate_schedule(inst, schedule, test_set,
+                                                     cache, inst.cfg))
+    day_status_keys = sum(
+        len(np.unique(ucmodel.status_vector(schedule, test_set, t, inst.cfg, comps,
+                                            inst.kinds), axis=0))
+        for t in range(1, horizon + 1))
+    assert layers["solver.uc_n"] == cache.solved > 0
+    assert cache.solved + cache.aliased == n * horizon
+    assert cache.solved < day_status_keys
 
 
 def test_traced_preflow_sees_every_backend_call():

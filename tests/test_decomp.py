@@ -1,17 +1,19 @@
+import dataclasses
 import logging
 import time
 
 import numpy as np
 import pytest
 
-from gridmaint import chance, decomp, mastercuts, ucmodel
-from gridmaint.caseio import RunConfig
+from gridmaint import chance, decomp, mastercuts, solver, ucmodel
+from gridmaint.caseio import DemandGrid, RunConfig
 from gridmaint.chance import safe_block
 from gridmaint.degrade import ScenarioSet
 from gridmaint.pboracle import joint_oracle
+from gridmaint.preflow import RedundancyEntry, RedundancyReport
 
 from cases import build_net, make_instance, one_status, toy_instance
-from oracle_extform import chance_feasible_set, extensive_solve
+from oracle_extform import chance_feasible_set, enumerate_schedules, extensive_solve
 
 
 def test_no_candidates_is_pure_unit_commitment():
@@ -291,11 +293,11 @@ def test_day_values_past_its_deadline_keeps_what_it_solved(monkeypatch):
     calls = []
     real = ucmodel.solve_subproblem
 
-    def second_solve_ends_late(model, gap):
+    def second_solve_ends_late(model, gap, time_limit=None):
         calls.append(model)
         if len(calls) == 2:
             time.sleep(max(0.0, deadline - time.perf_counter()) + 0.01)
-        return real(model, gap)
+        return real(model, gap, time_limit)
 
     monkeypatch.setattr(ucmodel, "solve_subproblem", second_solve_ends_late)
     assert decomp.day_values(inst, scens, inst.cfg, schedule, inst.hprime, cache,
@@ -313,10 +315,10 @@ def test_time_limit_cuts_the_subproblem_round(monkeypatch):
     calls = []
     real = ucmodel.solve_subproblem
 
-    def slow(model, gap):
+    def slow(model, gap, time_limit=None):
         calls.append(model)
         time.sleep(pause)
-        return real(model, gap)
+        return real(model, gap, time_limit)
 
     monkeypatch.setattr(ucmodel, "solve_subproblem", slow)
     cache = decomp.StatusCache()
@@ -328,6 +330,73 @@ def test_time_limit_cuts_the_subproblem_round(monkeypatch):
     # the partial round gives no incumbent and no cut
     assert report.schedule == {} and report.objective == float("inf")
     assert report.counts["opt_cuts"] == 0 and report.history == []
+
+
+def test_budget_spent_inside_a_day_milp_ends_limit(monkeypatch):
+    inst, scens = toy_instance(seed=5)
+    cfg = dataclasses.replace(inst.cfg, time_limit=1.0)
+    real = solver.solve
+    limits = []
+
+    def sleeping(spec, tolerance=1e-9, time_limit=None):
+        if not spec.name.startswith("day"):
+            return real(spec, tolerance, time_limit)
+        # a day MILP that needs more time than it is given
+        limits.append(time_limit)
+        time.sleep(10.0 if time_limit is None else time_limit)
+        return solver.SolveOutcome("limit", None, None, None, solver.INF,
+                                   time_limit or 0.0, 0)
+
+    monkeypatch.setattr(solver, "solve", sleeping)
+    cache = decomp.StatusCache()
+    report = decomp.solve(inst, scens, cfg, cache=cache)
+    assert report.status == "limit"
+    assert report.elapsed <= cfg.time_limit + 0.2
+    assert len(limits) == 1 and 0.0 < limits[0] <= cfg.time_limit
+    assert cache.psi == {} and cache.solved == 0
+    assert report.schedule == {} and report.history == []
+
+
+def test_spent_time_limit_stops_before_chance_separation(monkeypatch):
+    inst, scens = toy_instance(seed=23)
+    cfg = dataclasses.replace(inst.cfg, time_limit=0.2)
+    real_solve = mastercuts.MasterState.solve
+
+    def slow(self, tolerance=1e-9, time_limit=None):
+        outcome = real_solve(self, tolerance=tolerance, time_limit=time_limit)
+        time.sleep(cfg.time_limit)  # an optimal master that ends past the budget
+        return outcome
+
+    separated = []
+    real_separate = chance.separate
+    monkeypatch.setattr(mastercuts.MasterState, "solve", slow)
+    monkeypatch.setattr(chance, "separate",
+                        lambda *a: separated.append(a) or real_separate(*a))
+    run = decomp.DecompositionRun(inst, scens, cfg)
+    assert run.chance_mode == "exact"
+    assert run.iterate_once() is False
+    assert run.status == "limit" and separated == []
+    assert run.report().bound > -float("inf")
+
+
+def test_spent_time_limit_stops_before_the_cut_round(monkeypatch):
+    inst, scens = toy_instance(seed=23)
+    cfg = dataclasses.replace(inst.cfg, time_limit=1.0)
+    real_day_values = decomp.day_values
+
+    def late(*args, **kwargs):
+        values = real_day_values(*args, **kwargs)
+        time.sleep(max(0.0, cfg.time_limit - (time.perf_counter() - started)) + 0.01)
+        return values
+
+    monkeypatch.setattr(decomp, "day_values", late)
+    started = time.perf_counter()
+    report = decomp.solve(inst, scens, cfg)
+    assert report.status == "limit" and report.iterations == 1
+    assert report.counts["opt_cuts"] == 0 and report.timings["cuts"] == 0.0
+    # the round's values still give an incumbent and its gap
+    assert report.objective < float("inf") and report.schedule
+    assert len(report.history) == 1 and report.history[0]["gap"] > cfg.epsilon
 
 
 def test_iterations_record_their_phases(monkeypatch):
@@ -381,16 +450,15 @@ def test_cache_alias_values_match_fresh_solves():
     assert report.ok
     rng = np.random.default_rng(0)
     checked = 0
-    for day, statuses in cache.psi.items():
-        for status, (objective, _) in statuses.items():
-            if rng.random() < 0.6:
-                down = ucmodel.unavailable_components(inst.hprime, status)
-                model = ucmodel.build_subproblem(inst.net, inst.demand.day(day),
-                                                 down, inst.cfg)
-                fresh = ucmodel.solve_subproblem(model, 1e-9)
-                assert fresh.objective == pytest.approx(objective, abs=1e-5,
-                                                        rel=1e-6)
-                checked += 1
+    for key, (objective, _) in cache.psi.items():
+        if rng.random() < 0.6:
+            model = ucmodel.build_subproblem(inst.net,
+                                             inst.demand.day(key.demand_class),
+                                             key.down, inst.cfg)
+            fresh = ucmodel.solve_subproblem(model, 1e-9)
+            assert fresh.objective == pytest.approx(objective, abs=1e-5,
+                                                    rel=1e-6)
+            checked += 1
     assert checked >= 3
 
 
@@ -428,3 +496,94 @@ def test_separation_loop_reaches_exact_acceptance_set():
     # the optimum over the exact acceptance set can be no better than ours
     best, _ = extensive_solve(inst, scens, inst.cfg, chance="enum")
     assert report.objective == pytest.approx(best, rel=1e-6)
+
+# -------------------------------------------------------------------------
+# Day models shared across days with equal demand
+# -------------------------------------------------------------------------
+
+def day_status_keys(inst, scens, schedules):
+    """The (day, status row) pairs of every schedule: the keys of a day-blind cache."""
+    return {(t, tuple(row))
+            for schedule in schedules for t in range(1, inst.cfg.horizon_days + 1)
+            for row in ucmodel.status_vector(schedule, scens, t, inst.cfg,
+                                             inst.hprime, inst.kinds).tolist()}
+
+
+def every_schedule_values(inst, scens, cache):
+    """Day values of every schedule of the toy, through one cache."""
+    return [decomp.day_values(inst, scens, inst.cfg, schedule, inst.hprime, cache)
+            for schedule in enumerate_schedules(inst.hprime, inst.cfg.tbar)]
+
+
+def test_cross_day_aliases_equal_fresh_solves_byte_for_byte():
+    inst, scens = toy_instance(seed=5, n_scen=6, shared_days=True)
+    cfg = inst.cfg
+    cache = decomp.StatusCache()
+    fresh = {}  # (day, down-set) -> fresh solve of that day's own model
+    for schedule in enumerate_schedules(inst.hprime, cfg.tbar):
+        values = decomp.day_values(inst, scens, cfg, schedule, inst.hprime, cache)
+        for t in range(1, cfg.horizon_days + 1):
+            status = ucmodel.status_vector(schedule, scens, t, cfg, inst.hprime,
+                                           inst.kinds)
+            for k, row in enumerate(status.tolist()):
+                down = frozenset(c for c, bit in zip(inst.hprime, row) if not bit)
+                if (t, down) not in fresh:
+                    model = ucmodel.build_subproblem(inst.net, inst.demand.day(t),
+                                                     down, cfg)
+                    outcome = ucmodel.solve_subproblem(model, cfg.subproblem_gap)
+                    fresh[t, down] = np.array([outcome.objective, outcome.bound])
+                assert values[k, t - 1].tobytes() == fresh[t, down].tobytes()
+    assert inst.day_key(2, frozenset()) == inst.day_key(1, frozenset())
+    shared = [down for t, down in fresh if t == 2 and (1, down) in fresh]
+    assert shared and cache.solved == len(fresh) - len(shared)
+
+
+@pytest.mark.parametrize("seed", [7, 43])
+def test_plan_with_shared_days_matches_extensive_form(seed):
+    inst, scens = toy_instance(seed=seed, shared_days=True)
+    cache = decomp.StatusCache()
+    report = decomp.solve(inst, scens, inst.cfg, cache=cache)
+    assert report.ok
+    expected, _ = extensive_solve(inst, scens, inst.cfg, chance="enum")
+    assert report.objective == pytest.approx(expected, rel=1e-6)
+    assert any(key.demand_class == 1 for key in cache.psi)
+
+
+def test_days_one_ulp_apart_keep_their_own_models():
+    inst, scens = toy_instance(seed=5, shared_days=True)
+    values = inst.demand.values.copy()
+    values[2, 1, 0] = np.nextafter(values[2, 1, 0], np.inf)
+    nudged = dataclasses.replace(inst, demand=DemandGrid(inst.demand.bus_ids, values))
+    assert nudged.day_key(2, frozenset()) != nudged.day_key(1, frozenset())
+    assert nudged.day_key(2, frozenset()).demand_class == 2
+
+    shared, apart = decomp.StatusCache(), decomp.StatusCache()
+    every_schedule_values(inst, scens, shared)
+    every_schedule_values(nudged, scens, apart)
+    schedules = list(enumerate_schedules(inst.hprime, inst.cfg.tbar))
+    assert shared.solved < apart.solved == len(day_status_keys(inst, scens, schedules))
+
+
+def test_equal_demand_with_other_deletions_keeps_its_own_model():
+    inst, scens = toy_instance(seed=5, shared_days=True)
+    # preflow proves l2's upper limit redundant on day 1 only
+    report = RedundancyReport("II", [RedundancyEntry("l2", "ub", (1,), 0.0, True)],
+                              0.0)
+    trimmed = dataclasses.replace(inst, preflow_report=report)
+    key1, key2 = (trimmed.day_key(t, frozenset()) for t in (1, 2))
+    assert key1.demand_class == key2.demand_class == 1
+    assert key1.omit_bounds and not key2.omit_bounds and key1 != key2
+
+    cache = decomp.StatusCache()
+    schedules = list(enumerate_schedules(inst.hprime, inst.cfg.tbar))
+    for schedule, values in zip(schedules, every_schedule_values(trimmed, scens, cache)):
+        status = ucmodel.status_vector(schedule, scens, 2, inst.cfg, inst.hprime,
+                                       inst.kinds)
+        for k, row in enumerate(status.tolist()):
+            down = frozenset(c for c, bit in zip(inst.hprime, row) if not bit)
+            model = ucmodel.build_subproblem(inst.net, inst.demand.day(2), down,
+                                             inst.cfg)
+            outcome = ucmodel.solve_subproblem(model, inst.cfg.subproblem_gap)
+            assert values[k, 1].tobytes() == \
+                np.array([outcome.objective, outcome.bound]).tobytes()
+    assert cache.solved == len(day_status_keys(inst, scens, schedules))

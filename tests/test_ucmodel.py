@@ -290,6 +290,13 @@ def test_omitted_bounds_drop_rows():
     assert dropped.objective == pytest.approx(base.objective)
 
 
+def test_day_solve_out_of_time_returns_its_limit():
+    net = build_net(n_bus=2, demands=[0.0, 30.0], flow_limit=100.0)
+    model = build_subproblem(net, np.array([[0.0], [30.0]]), frozenset(), day_cfg(S=1))
+    assert solve_subproblem(model, 1e-9, time_limit=0.0).status == "limit"
+    assert solve_subproblem(model, 1e-9, time_limit=60.0).status == "optimal"
+
+
 def test_lp_export_available():
     net = build_net(n_bus=1, demands=[10.0])
     model = build_subproblem(net, np.array([[10.0]]), frozenset(), day_cfg(S=1))
