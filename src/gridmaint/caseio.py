@@ -231,6 +231,9 @@ def parse_case(text: str, subperiods: int = 24) -> Network:
         if not costs:
             return 0.0, 0.0, 0.0
         row = costs[i]
+        if len(row) < 4 or len(row) < 4 + int(row[3]):
+            raise CaseError(f"gencost row {i + 1}: {len(row)} columns, too few for "
+                            "MODEL, STARTUP, SHUTDOWN, NCOST and NCOST coefficients")
         model, startup = int(row[0]), float(row[1])
         n = int(row[3])
         coefs = row[4:4 + n]
@@ -386,16 +389,6 @@ def load_demand(csv_text: str, net: Network, cfg: "RunConfig") -> DemandGrid:
         missing = int(np.isnan(grid).sum())
         raise CaseError(f"demand CSV is missing {missing} cells")
     return DemandGrid(tuple(bus_ids), grid)
-
-
-def dump_demand(grid: DemandGrid) -> str:
-    out = io.StringIO()
-    out.write("bus,t,s,mw\n")
-    for i, bid in enumerate(grid.bus_ids):
-        for t in range(grid.periods):
-            for s in range(grid.subperiods):
-                out.write(f"{bid},{t + 1},{s + 1},{grid.values[i, t, s]:.10g}\n")
-    return out.getvalue()
 
 
 def default_weekly_shape(periods: int, subperiods: int) -> np.ndarray:

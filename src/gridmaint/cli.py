@@ -43,18 +43,10 @@ def _load_context(args):
     case_text = Path(args.case).read_text()
     cfg_text = Path(args.config).read_text() if args.config else "{}"
     cfg = load_config(cfg_text)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    for name in ("chance", "cuts", "scenarios", "M", "N", "Nprime",
-                 "test_scenarios", "threads"):
-        value = getattr(args, name, None)
-        if value is None:
-            continue
-        overrides[{"chance": "chance_mode", "cuts": "cut_family",
-                   "scenarios": "saa_n", "M": "saa_m", "N": "saa_n",
-                   "Nprime": "saa_nprime", "test_scenarios": "saa_nprime",
-                   "threads": "threads"}[name]] = value
+    # an override flag's dest is the RunConfig field it sets
+    overrides = {field.name: getattr(args, field.name)
+                 for field in dataclasses.fields(cfg)
+                 if getattr(args, field.name, None) is not None}
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)
     net = parse_case(case_text, subperiods=cfg.subperiods)
@@ -238,9 +230,11 @@ def make_parser() -> argparse.ArgumentParser:
 
     plan = commands.add_parser("plan", help="solve the stochastic program")
     _common_arguments(plan)
-    plan.add_argument("--chance", choices=["exact", "safe"])
-    plan.add_argument("--cuts", choices=["intLS", "optK", "optK+", "optKT++"])
-    plan.add_argument("--scenarios", type=int, help="training sample size")
+    plan.add_argument("--chance", dest="chance_mode", choices=["exact", "safe"])
+    plan.add_argument("--cuts", dest="cut_family",
+                      choices=["intLS", "optK", "optK+", "optKT++"])
+    plan.add_argument("--scenarios", type=int, dest="saa_n", metavar="SCENARIOS",
+                      help="training sample size")
     plan.add_argument("--threads", type=int)
     plan.add_argument("--preflow", choices=["off", "I", "II", "III"], default="off",
                       help="run flow preprocessing before planning")
@@ -251,16 +245,20 @@ def make_parser() -> argparse.ArgumentParser:
     ev = commands.add_parser("evaluate", help="evaluate a schedule out of sample")
     _common_arguments(ev)
     ev.add_argument("--schedule", required=True, help="schedule CSV to evaluate")
-    ev.add_argument("--test-scenarios", type=int, dest="test_scenarios")
+    ev.add_argument("--test-scenarios", type=int, dest="saa_nprime",
+                    metavar="TEST_SCENARIOS")
     ev.add_argument("--baseline", action="store_true",
                     help="also evaluate the failure-blind baseline")
     ev.set_defaults(func=cmd_evaluate)
 
     sa = commands.add_parser("saa", help="replicated sampling with statistical bounds")
     _common_arguments(sa)
-    sa.add_argument("--M", type=int, help="number of replicates")
-    sa.add_argument("--N", type=int, help="training sample size")
-    sa.add_argument("--Nprime", type=int, help="evaluation sample size")
+    sa.add_argument("--M", type=int, dest="saa_m", metavar="M",
+                    help="number of replicates")
+    sa.add_argument("--N", type=int, dest="saa_n", metavar="N",
+                    help="training sample size")
+    sa.add_argument("--Nprime", type=int, dest="saa_nprime", metavar="NPRIME",
+                    help="evaluation sample size")
     sa.add_argument("--threads", type=int)
     sa.set_defaults(func=cmd_saa)
     return parser

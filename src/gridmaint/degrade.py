@@ -49,10 +49,6 @@ class SignalPath:
     dt: float = 1.0
 
     @property
-    def failure_time(self) -> float:
-        return self.failure_step * self.dt
-
-    @property
     def increments(self) -> np.ndarray:
         """First entry is the amplitude reading, the rest are step increments."""
         out = np.empty_like(self.values)
@@ -243,11 +239,6 @@ class ScenarioSet:
     def size(self) -> int:
         return self.failure_times.shape[0]
 
-    def xi(self, k: int) -> dict[str, int]:
-        """Failure-time map for scenario index k (0-based)."""
-        row = self.failure_times[k]
-        return {comp: int(row[j]) for j, comp in enumerate(self.component_ids)}
-
     def failure_days(self, components: tuple[str, ...], never: int) -> np.ndarray:
         """Failure days of ``components`` in every scenario, ``(n, c)`` int16.
 
@@ -284,6 +275,9 @@ class ScenarioSet:
             except ValueError as exc:
                 raise ValueError(f"scenario row {lineno}: expected "
                                  f"component,k,xi ({exc})") from exc
+            if k < 1:
+                raise ValueError(f"scenario row {lineno}: scenario index {k} is "
+                                 "below 1")
             if not (1 <= xi_val <= horizon_days + 1):
                 raise ValueError(f"scenario row {lineno}: failure time {xi_val} "
                                  f"outside 1..{horizon_days + 1}")

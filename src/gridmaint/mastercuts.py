@@ -22,7 +22,7 @@ from . import solver
 from .caseio import RunConfig
 from .chance import LinearCut
 from .degrade import ScenarioSet
-from .ucmodel import maintenance_cost_coeffs, status_bit
+from .ucmodel import maintenance_cost_coeffs, outage_days, status_bit
 
 log = logging.getLogger(__name__)
 
@@ -92,7 +92,7 @@ def same_status_periods(schedule: dict[str, int], failure_days: np.ndarray,
     """
     comps = list(schedule)
     periods = np.arange(1, cfg.tbar + 1)
-    tau = np.array([cfg.tau(kinds[comp]) for comp in comps], dtype=int).reshape(-1, 2)
+    tau = outage_days(comps, kinds, cfg)
     bits = status_bit(periods[:, None, None], failure_days, day, tau[:, 0], tau[:, 1],
                       cfg.horizon_days)  # (tbar, n, components)
     at = np.array([schedule[comp] - 1 for comp in comps], dtype=int).reshape(1, 1, -1)
@@ -247,11 +247,6 @@ class MasterState:
         rows = [str(cut) for cut in self.chance_cuts]
         rows += [str(cut) for cut in self.opt_cuts]
         return "\n".join(rows) + ("\n" if rows else "")
-
-    def export_lp(self) -> str:
-        """LP-format text of the current master (all pooled cuts included)."""
-        spec, _, _ = self._build_spec()
-        return solver.write_lp(spec)
 
     def theta_weight(self, key) -> float:
         k = key[0] if self.per_day else key

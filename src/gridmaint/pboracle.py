@@ -10,7 +10,6 @@ error is unacceptable.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,14 +109,6 @@ class SuccessProbTable:
 
     def components(self, kind: str) -> list[str]:
         return [c for c in self.q if self.kinds[c] == kind]
-
-    def to_csv(self) -> str:
-        out = io.StringIO()
-        out.write("component,kind,period,prob\n")
-        for comp, arr in self.q.items():
-            for m, p in enumerate(arr, start=1):
-                out.write(f"{comp},{self.kinds[comp]},{m},{p:.12g}\n")
-        return out.getvalue()
 
 
 def _check_schedule(schedule: dict[str, int], table: SuccessProbTable) -> None:

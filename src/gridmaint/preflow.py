@@ -147,14 +147,6 @@ class _RelaxedFlowLP:
         return float(outcome.objective)
 
 
-def flow_extreme(net: Network, demand_cap: np.ndarray, line_id: str,
-                 direction: str, candidate_lines: frozenset[str] = frozenset()) -> float:
-    """Extreme flow of one line under one demand-cap vector."""
-    lp = _RelaxedFlowLP(net, candidate_lines)
-    lp.set_caps(demand_cap)
-    return lp.extreme(line_id, direction)
-
-
 def _cap_vectors(grid: DemandGrid, mode: str):
     if mode == "I":
         yield (), grid.values.max(axis=(1, 2))

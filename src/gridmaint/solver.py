@@ -9,7 +9,6 @@ through the same call.
 from __future__ import annotations
 
 import functools
-import io
 import logging
 import math
 import threading
@@ -70,8 +69,8 @@ class ModelSpec:
         self._integer: list[bool] = []
         self._obj: list[float] = []
         self._var_names: list[str] = []
-        # each row: (coeffs dict var->coef, lb, ub, name)
-        self._rows: list[tuple[dict[int, float], float, float, str]] = []
+        # each row: (coeffs dict var->coef, lb, ub)
+        self._rows: list[tuple[dict[int, float], float, float]] = []
         self._assembled: tuple[list, ...] | None = None
 
     # -- variables ---------------------------------------------------------
@@ -107,23 +106,23 @@ class ModelSpec:
 
     # -- rows --------------------------------------------------------------
 
-    def add_row(self, coeffs: dict[int, float], lb: float = -INF, ub: float = INF,
-                name: str | None = None) -> int:
-        if lb > ub:
-            raise ValueError(f"row {name!r}: lb {lb} > ub {ub}")
+    def add_row(self, coeffs: dict[int, float], lb: float = -INF,
+                ub: float = INF) -> int:
         idx = len(self._rows)
-        self._rows.append((dict(coeffs), lb, ub, name or f"c{idx}"))
+        if lb > ub:
+            raise ValueError(f"{self.name}: row {idx} has lb {lb} > ub {ub}")
+        self._rows.append((dict(coeffs), lb, ub))
         self._assembled = None
         return idx
 
-    def add_eq(self, coeffs: dict[int, float], rhs: float, name: str | None = None) -> int:
-        return self.add_row(coeffs, rhs, rhs, name)
+    def add_eq(self, coeffs: dict[int, float], rhs: float) -> int:
+        return self.add_row(coeffs, rhs, rhs)
 
-    def add_le(self, coeffs: dict[int, float], rhs: float, name: str | None = None) -> int:
-        return self.add_row(coeffs, -INF, rhs, name)
+    def add_le(self, coeffs: dict[int, float], rhs: float) -> int:
+        return self.add_row(coeffs, -INF, rhs)
 
-    def add_ge(self, coeffs: dict[int, float], rhs: float, name: str | None = None) -> int:
-        return self.add_row(coeffs, rhs, INF, name)
+    def add_ge(self, coeffs: dict[int, float], rhs: float) -> int:
+        return self.add_row(coeffs, rhs, INF)
 
     # -- assembly ----------------------------------------------------------
 
@@ -132,7 +131,7 @@ class ModelSpec:
         and ``ub``, all as lists (the form the HiGHS bindings copy fastest)."""
         if self._assembled is None:
             data, ri, ci = [], [], []
-            for r, (coeffs, _, _, _) in enumerate(self._rows):
+            for r, (coeffs, _, _) in enumerate(self._rows):
                 for var, coef in coeffs.items():
                     if coef != 0.0:
                         ri.append(r)
@@ -291,40 +290,3 @@ def solve(spec: ModelSpec, tolerance: float = 1e-9,
         gap = run.mip_gap
     return SolveOutcome(run.status, run.x, objective, bound, gap,
                         run.seconds, run.mip_node_count)
-
-
-def write_lp(spec: ModelSpec) -> str:
-    """Render a spec in CPLEX LP text format (debug export)."""
-    out = io.StringIO()
-    names = spec._var_names
-
-    def term(coef: float, var: int) -> str:
-        return f"{'+' if coef >= 0 else '-'} {abs(coef):.17g} {names[var]}"
-
-    out.write(f"\\ {spec.name}\n")
-    out.write("Minimize\n" if spec.sense == "min" else "Maximize\n")
-    obj_terms = " ".join(term(c, j) for j, c in enumerate(spec._obj) if c != 0.0)
-    out.write(f" obj: {obj_terms or '0 ' + (names[0] if names else 'x0')}\n")
-    out.write("Subject To\n")
-    for coeffs, lb, ub, name in spec._rows:
-        body = " ".join(term(c, j) for j, c in sorted(coeffs.items()) if c != 0.0) or "0 " + names[0]
-        if lb == ub:
-            out.write(f" {name}: {body} = {lb:.17g}\n")
-        else:
-            if ub < INF:
-                out.write(f" {name}: {body} <= {ub:.17g}\n")
-            if lb > -INF:
-                out.write(f" {name}_lo: {body} >= {lb:.17g}\n")
-    out.write("Bounds\n")
-    for j in range(spec.num_vars):
-        lo, hi = spec._lb[j], spec._ub[j]
-        lo_s = f"{lo:.17g}" if lo > -INF else "-inf"
-        hi_s = f"{hi:.17g}" if hi < INF else "+inf"
-        out.write(f" {lo_s} <= {names[j]} <= {hi_s}\n")
-    integers = [names[j] for j in range(spec.num_vars) if spec._integer[j]]
-    if integers:
-        out.write("General\n")
-        for nm in integers:
-            out.write(f" {nm}\n")
-    out.write("End\n")
-    return out.getvalue()

@@ -24,7 +24,7 @@ from . import solver
 from .caseio import DemandGrid, Line, Network, RunConfig
 from .degrade import ScenarioSet
 
-__all__ = ["status_bit", "status_vector", "unavailable_components", "DayModel",
+__all__ = ["status_bit", "outage_days", "status_vector", "DayModel",
            "build_subproblem", "solve_subproblem", "add_ohm_row",
            "add_switched_line_rows", "lower_bound_components", "lower_bound_patterns",
            "lp_lower_bound", "solve_lower_bound", "maintenance_cost_coeffs"]
@@ -46,6 +46,13 @@ def status_bit(period, xi, day, tau_pred, tau_corr, horizon):
     return int(bits) if bits.ndim == 0 else bits.astype(np.uint8)
 
 
+def outage_days(components, kinds: dict[str, str], cfg: RunConfig) -> np.ndarray:
+    """Predictive and corrective outage length of each component by its kind,
+    ``(c, 2)`` int: the ``tau_pred`` and ``tau_corr`` columns of :func:`status_bit`."""
+    return np.array([cfg.tau(kinds[comp]) for comp in components],
+                    dtype=int).reshape(-1, 2)
+
+
 def status_vector(schedule: dict[str, int], scenarios: ScenarioSet, day: int,
                   cfg: RunConfig, components: tuple[str, ...],
                   kinds: dict[str, str]) -> np.ndarray:
@@ -56,14 +63,8 @@ def status_vector(schedule: dict[str, int], scenarios: ScenarioSet, day: int,
     """
     xi = scenarios.failure_days(components, cfg.tbar)
     period = np.array([schedule.get(comp, cfg.tbar) for comp in components], dtype=int)
-    tau = np.array([cfg.tau(kinds[comp]) for comp in components],
-                   dtype=int).reshape(-1, 2)
+    tau = outage_days(components, kinds, cfg)
     return status_bit(period, xi, day, tau[:, 0], tau[:, 1], cfg.horizon_days)
-
-
-def unavailable_components(components: tuple[str, ...],
-                           status: tuple[int, ...]) -> frozenset[str]:
-    return frozenset(c for c, bit in zip(components, status) if bit == 0)
 
 
 def maintenance_cost_coeffs(comp_pred, comp_corr, xi, tbar: int,
@@ -262,10 +263,9 @@ def lower_bound_patterns(net: Network, failure_days: np.ndarray, day: int,
     with equal rows get identical LPs from :func:`lp_lower_bound`.
     """
     tbar, n_cand = cfg.tbar, len(candidates)
-    gens = {gen.id for gen in net.generators}
-    comps = lower_bound_components(net, candidates)
-    tau = np.array([cfg.tau("gen" if comp in gens else "line") for comp in comps],
-                   dtype=int).reshape(-1, 2)
+    kinds = {unit.id: kind for kind, units in (("gen", net.generators),
+                                               ("line", net.lines)) for unit in units}
+    tau = outage_days(lower_bound_components(net, candidates), kinds, cfg)
     periods = np.arange(1, tbar + 1)[:, None, None]
     xi = np.asarray(failure_days)
     scheduled = status_bit(periods, xi[:, :n_cand], day, tau[:n_cand, 0],

@@ -181,6 +181,17 @@ def toy_instance(seed, horizon=3, subperiods=2, n_scen=3, alpha=0.3,
     return inst, scens
 
 
+def scenario_xi(scenarios, k):
+    """Failure-day map of scenario ``k`` (0-based), component -> day."""
+    row = scenarios.failure_times[k]
+    return {comp: int(row[j]) for j, comp in enumerate(scenarios.component_ids)}
+
+
+def unavailable_components(components, status):
+    """The components whose status bit is 0."""
+    return frozenset(c for c, bit in zip(components, status) if bit == 0)
+
+
 def one_status(schedule, xi_map, day, cfg, components, kinds):
     """Status tuple of a single scenario given as a component -> failure-day map."""
     comps = tuple(xi_map)

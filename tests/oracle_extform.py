@@ -13,6 +13,8 @@ import itertools
 from gridmaint import solver
 from gridmaint.pboracle import joint_oracle
 
+from cases import scenario_xi
+
 
 def enumerate_schedules(hprime, tbar):
     for combo in itertools.product(range(1, tbar + 1), repeat=len(hprime)):
@@ -77,7 +79,7 @@ def extensive_solve(inst, scenarios, cfg, chance="off", fixed_schedule=None,
     v_obj = {key: 0.0 for key in v}
     for k in range(scenarios.size):
         pi = float(scenarios.probs[k])
-        xi_map = scenarios.xi(k)
+        xi_map = scenario_xi(scenarios, k)
         for comp in hprime:
             for t in range(1, tbar + 1):
                 v_obj[(comp, t)] += pi * maint_coeff(comp, t, xi_map.get(comp, tbar))

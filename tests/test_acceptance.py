@@ -23,7 +23,7 @@ from gridmaint.mastercuts import cut_int_lshaped, cut_over_periods
 from gridmaint.pboracle import joint_oracle, pb_cdf
 
 from cases import (CASE9, build_net, make_instance, one_same_cost, one_same_status,
-                   one_status, toy_instance)
+                   one_status, scenario_xi, toy_instance, unavailable_components)
 from oracle_extform import enumerate_schedules, extensive_solve
 from test_pboracle import brute_force_pmf, table_from_rows
 
@@ -195,11 +195,11 @@ def test_c05_cut_validity_and_strength():
         cache = {}
 
         def q_day(schedule, k, t):
-            xi = scens.xi(k)
+            xi = scenario_xi(scens, k)
             status = one_status(schedule, xi, t, cfg, inst.hprime, inst.kinds)
             key = (t, status)
             if key not in cache:
-                down = ucmodel.unavailable_components(inst.hprime, status)
+                down = unavailable_components(inst.hprime, status)
                 model = ucmodel.build_subproblem(inst.net, inst.demand.day(t),
                                                  down, cfg)
                 cache[key] = ucmodel.solve_subproblem(model, 1e-9).objective
@@ -212,7 +212,7 @@ def test_c05_cut_validity_and_strength():
         for gen_point in all_points[:: max(1, len(all_points) // 6)]:
             singles = {comp: {p} for comp, p in gen_point.items()}
             for k in range(scens.size):
-                xi = scens.xi(k)
+                xi = scenario_xi(scens, k)
                 q_val = q_full(gen_point, k)
                 lower = sum(day_bounds[k].tolist())
                 c16 = cut_int_lshaped(gen_point, k, q_val, lower, tbar)
@@ -280,9 +280,9 @@ def test_c06_status_cache_soundness():
         return ucmodel.solve_subproblem(model, 1e-9).objective
 
     def key_and_value(schedule, k, t):
-        status = one_status(schedule, scens.xi(k), t, cfg, inst.hprime,
+        status = one_status(schedule, scenario_xi(scens, k), t, cfg, inst.hprime,
                             inst.kinds)
-        down = ucmodel.unavailable_components(inst.hprime, status)
+        down = unavailable_components(inst.hprime, status)
         return inst.day_key(t, down), fresh_value(t, down)
 
     stored_on = {}

@@ -69,6 +69,21 @@ def test_quadratic_gencost_with_zero_leading_term_ok():
     assert net.generators[0].gen_cost == 20.0
 
 
+@pytest.mark.parametrize("rows", [
+    # NCOST = 3 announces three coefficients, but only two follow
+    ("2	1500	0	3	20	100;", "2	2000	0	3	25	120;", "2	3000	0	3	30	80;"),
+    # no NCOST column at all
+    ("2	1500	0;", "2	2000	0;", "2	3000	0;"),
+])
+def test_short_gencost_row_rejected(rows):
+    text = CASE9
+    for old, new in zip(("2	1500	0	2	20	100;", "2	2000	0	2	25	120;",
+                         "2	3000	0	2	30	80;"), rows):
+        text = text.replace(old, new)
+    with pytest.raises(CaseError, match="gencost row 1: "):
+        parse_case(text)
+
+
 def test_round_trip():
     net = parse_case(CASE9)
     again = parse_case(serialize_case(net))
@@ -130,11 +145,21 @@ def test_load_demand_missing_cells():
         load_demand(text, net, cfg)
 
 
+def dump_demand(grid):
+    """The demand CSV ``load_demand`` reads, written from a grid."""
+    rows = ["bus,t,s,mw"]
+    for i, bid in enumerate(grid.bus_ids):
+        for t in range(grid.periods):
+            for s in range(grid.subperiods):
+                rows.append(f"{bid},{t + 1},{s + 1},{grid.values[i, t, s]:.10g}")
+    return "\n".join(rows) + "\n"
+
+
 def test_demand_round_trip():
     net = parse_case(CASE_SINGLE_BUS)
     cfg = _tiny_cfg()
     grid = synth_demand(net, cfg)
-    again = load_demand(caseio.dump_demand(grid), net, cfg)
+    again = load_demand(dump_demand(grid), net, cfg)
     assert np.allclose(again.values, grid.values)
 
 

@@ -1,13 +1,17 @@
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import gridmaint
 import gridmaint.cli
-from gridmaint.cli import EXIT_ERROR, EXIT_LIMIT, EXIT_OK, _read_schedule, main
+from gridmaint.cli import (EXIT_ERROR, EXIT_LIMIT, EXIT_OK, _load_context,
+                           _read_schedule, main, make_parser)
 
 from cases import CASE_SINGLE_BUS
 
@@ -97,6 +101,35 @@ def test_plan_reproducible_from_seed(workdir):
     assert first == second
     assert first_obj["objective"] == second_obj["objective"]
     assert first_obj["schedule_hash"] == second_obj["schedule_hash"]
+
+
+@pytest.mark.parametrize("command,flag,value,field", [
+    ("plan", "--chance", "safe", "chance_mode"),
+    ("plan", "--cuts", "optK", "cut_family"),
+    ("plan", "--scenarios", 9, "saa_n"),
+    ("plan", "--threads", 2, "threads"),
+    ("plan", "--seed", 11, "seed"),
+    ("evaluate", "--test-scenarios", 9, "saa_nprime"),
+    ("saa", "--M", 3, "saa_m"),
+    ("saa", "--N", 9, "saa_n"),
+    ("saa", "--Nprime", 9, "saa_nprime"),
+    ("saa", "--threads", 2, "threads"),
+])
+def test_override_flag_sets_its_config_field(workdir, command, flag, value, field):
+    def context(*extra):
+        argv = [command, *extra, "--case", str(workdir / "case.m"), "--config",
+                str(workdir / "config.json"), "--synth-demand",
+                "--out", str(workdir / "out")]
+        if command == "evaluate":
+            argv += ["--schedule", str(workdir / "schedule.csv")]
+        _, _, cfg, _, config_hash = _load_context(make_parser().parse_args(argv))
+        return cfg, config_hash
+
+    cfg, flag_hash = context(flag, str(value))
+    assert getattr(cfg, field) == value
+    # the flag and the same value in the config file are the same run
+    (workdir / "config.json").write_text(json.dumps({**BASE_CONFIG, field: value}))
+    assert context() == (cfg, flag_hash)
 
 
 def test_plan_limit_exit_code(workdir):
@@ -245,3 +278,13 @@ def test_importing_every_module_leaves_scipy_stats_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
     assert out.stdout.strip() == "False", out.stderr
+
+
+def test_every_export_list_entry_resolves():
+    # a name deleted from a module but left in its __all__ breaks
+    # ``from module import *``
+    for info in pkgutil.iter_modules(gridmaint.__path__):
+        module = importlib.import_module(f"gridmaint.{info.name}")
+        missing = [name for name in getattr(module, "__all__", ())
+                   if not hasattr(module, name)]
+        assert not missing, f"gridmaint.{info.name}.__all__ names {missing}"

@@ -12,7 +12,8 @@ from gridmaint.degrade import ScenarioSet
 from gridmaint.pboracle import joint_oracle
 from gridmaint.preflow import RedundancyEntry, RedundancyReport
 
-from cases import build_net, make_instance, one_status, toy_instance
+from cases import (build_net, make_instance, one_status, scenario_xi, toy_instance,
+                   unavailable_components)
 from oracle_extform import chance_feasible_set, enumerate_schedules, extensive_solve
 
 
@@ -471,10 +472,10 @@ def test_time_decomposability_of_fixed_schedule():
     one = ScenarioSet(inst.hprime, scens.failure_times[:1], np.array([1.0]),
                       cfg.horizon_days)
     day_sum = 0.0
-    xi = one.xi(0)
+    xi = scenario_xi(one, 0)
     for day in range(1, cfg.horizon_days + 1):
         status = one_status(schedule, xi, day, cfg, inst.hprime, inst.kinds)
-        down = ucmodel.unavailable_components(inst.hprime, status)
+        down = unavailable_components(inst.hprime, status)
         model = ucmodel.build_subproblem(inst.net, inst.demand.day(day), down, cfg)
         day_sum += ucmodel.solve_subproblem(model, 1e-9).objective
     whole, _ = extensive_solve(inst, one, cfg, chance="off",

@@ -13,6 +13,8 @@ from gridmaint.degrade import (ComponentRLD, NonDegradingError, ScenarioSet,
                                observe, posterior_drift, rld, sample_scenarios,
                                select_subset, simulate_signal)
 
+from cases import scenario_xi
+
 GEN_PRIORS = DegradationPriors(20.0, 10.0, 5.0, 0.3, 3.0, 100.0)
 
 
@@ -36,13 +38,13 @@ def posterior_oracle(priors, obs):
 def test_simulate_deterministic_drift_from_zero():
     priors = DegradationPriors(0.0, 0.0, 5.0, 0.0, 0.0, 100.0)
     path = simulate_signal(priors, seed=0)
-    assert path.failure_time == 20
+    assert path.failure_step == 20
 
 
 def test_simulate_deterministic_drift_with_amplitude():
     priors = DegradationPriors(50.0, 0.0, 5.0, 0.0, 0.0, 100.0)
     path = simulate_signal(priors, seed=0)
-    assert path.failure_time == 10
+    assert path.failure_step == 10
 
 
 def test_simulate_noiseless_failure_is_ceiling():
@@ -59,7 +61,7 @@ def test_simulate_mean_failure_time_monte_carlo():
     # 1e4-path Monte-Carlo: continuous-time anchor (threshold - mu0)/mu1 = 16,
     # plus ~+0.5 from the integer-grid first passage and O(1/sqrt(N)) noise.
     rng = np.random.default_rng(42)
-    times = [simulate_signal(GEN_PRIORS, seed=rng).failure_time for _ in range(10_000)]
+    times = [simulate_signal(GEN_PRIORS, seed=rng).failure_step for _ in range(10_000)]
     assert abs(np.mean(times) - 16.0) < 1.0
 
 
@@ -308,7 +310,7 @@ def test_scenario_probabilities_uniform():
     dist = ComponentRLD(5.0, 60.0)
     scen = sample_scenarios({"g1": dist, "g2": dist}, 40, 7, seed=3)
     assert np.allclose(scen.probs, 1.0 / 40)
-    assert scen.xi(0).keys() == {"g1", "g2"}
+    assert scenario_xi(scen, 0).keys() == {"g1", "g2"}
 
 
 def test_scenario_csv_round_trip():
@@ -330,6 +332,13 @@ def test_scenario_csv_rejects_malformed_input():
         ScenarioSet.from_csv("g1,1,99\n", 7)
     with pytest.raises(ValueError, match="expected"):
         ScenarioSet.from_csv("g1,one,2\n", 7)
+
+
+@pytest.mark.parametrize("k", [0, -5])
+def test_scenario_csv_rejects_an_index_below_one(k):
+    # such a row used to be dropped without a word, leaving 2 scenarios
+    with pytest.raises(ValueError, match=rf"row 3: scenario index {k} is below 1"):
+        ScenarioSet.from_csv(f"g1,1,3\ng1,2,4\ng1,{k},2\n", 7)
 
 
 # -- prior estimation ------------------------------------------------------------

@@ -268,15 +268,13 @@ def test_master_wrong_day_bound_shape_rejected():
             MasterState(("h1",), scens, cfg, {"h1": (10.0, 30.0)}, KINDS, bounds)
 
 
-def test_master_exports_lp_and_cut_log():
+def test_master_cut_log():
     cfg = RunConfig(horizon_days=2, subperiods=1, cut_family="optK",
                     chance_mode="safe")
     scens = scen([[3]], 2)
     master = MasterState(("h1",), scens, cfg, {"h1": (10.0, 30.0)}, KINDS,
                          np.zeros((1, 2)))
     master.add_cut(cut_over_periods({"h1": 3}, 0, 42.0, 0.0, {"h1": {3}}, "optK"))
-    text = master.export_lp()
-    assert "Minimize" in text and "vh1_3" in text
     log = master.cut_log()
     assert log.count("\n") == 1 and "theta[0]" in log
 

@@ -172,9 +172,3 @@ def test_schedule_monotonicity_randomized():
         p_early = joint_oracle(early, table, rho_g, rho_l)
         p_late = joint_oracle(late, table, rho_g, rho_l)
         assert p_early >= p_late - 1e-12
-
-
-def test_table_csv_export():
-    text = _demo_table().to_csv()
-    assert text.startswith("component,kind,period,prob")
-    assert "g1,gen,2,0.4" in text

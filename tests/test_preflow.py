@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gridmaint.caseio import DemandGrid, RunConfig
-from gridmaint.preflow import _cap_vectors, analyze, flow_extreme
+from gridmaint.preflow import _cap_vectors, _RelaxedFlowLP, analyze
 from gridmaint.ucmodel import build_subproblem, solve_subproblem
 
 from cases import build_net
@@ -13,6 +13,14 @@ from cases import build_net
 def grid_of(values):
     values = np.asarray(values, dtype=float)
     return DemandGrid(tuple(range(1, values.shape[0] + 1)), values)
+
+
+def flow_extreme(net, demand_cap, line_id, direction, candidate_lines=frozenset()):
+    """Extreme flow of one line under one demand-cap vector, from a relaxation
+    built afresh: the oracle ``analyze``'s reused relaxation must match."""
+    lp = _RelaxedFlowLP(net, candidate_lines)
+    lp.set_caps(demand_cap)
+    return lp.extreme(line_id, direction)
 
 
 def test_two_bus_redundant_when_demand_below_limit():

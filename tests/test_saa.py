@@ -3,13 +3,14 @@ import statistics
 import numpy as np
 import pytest
 
-from gridmaint import decomp, saa, ucmodel
+from gridmaint import decomp, saa
 from gridmaint.caseio import RunConfig
 from gridmaint.degrade import ScenarioSet
 from gridmaint.pboracle import joint_oracle
 from gridmaint.ucmodel import build_subproblem, solve_subproblem
 
-from cases import build_net, make_instance, reference_status_bit, toy_instance
+from cases import (build_net, make_instance, reference_status_bit, scenario_xi,
+                   toy_instance, unavailable_components)
 from oracle_extform import extensive_solve
 
 
@@ -75,7 +76,7 @@ def brute_evaluate(inst, schedule, scens, cfg):
     fails = {"gen_prime": 0, "line_prime": 0, "second": 0}
     violations = 0
     for k in range(n):
-        xi = scens.xi(k)
+        xi = scenario_xi(scens, k)
         corrective = {"gen": 0, "line": 0}
         for comp in comps:
             x = xi.get(comp, cfg.tbar)
@@ -98,7 +99,7 @@ def brute_evaluate(inst, schedule, scens, cfg):
                 schedule.get(c, cfg.tbar), xi.get(c, cfg.tbar), day,
                 *cfg.tau(inst.kinds[c]), cfg.horizon_days) for c in comps)
             if (day, status) not in values:
-                down = ucmodel.unavailable_components(comps, status)
+                down = unavailable_components(comps, status)
                 model = build_subproblem(inst.net, inst.demand.day(day), down, cfg,
                                          omit_bounds=inst.omit_bounds_for(day, down))
                 values[(day, status)] = solve_subproblem(

@@ -57,14 +57,13 @@ def test_milp_gap_and_bound():
     assert res.bound <= res.objective + 1e-9
 
 
-def test_lp_export_round_shape():
+def test_crossed_row_bounds_name_the_spec_and_row():
     m = solver.ModelSpec("demo")
-    x = m.add_var("x", ub=5.0, obj=1.0)
-    y = m.add_binary("y", obj=2.0)
-    m.add_row({x: 1.0, y: -2.0}, lb=0.0, ub=3.0)
-    text = solver.write_lp(m)
-    assert "Minimize" in text and "General" in text
-    assert "x" in text and "y" in text
+    x = m.add_var("x")
+    m.add_le({x: 1.0}, 3.0)
+    with pytest.raises(ValueError, match=r"demo: row 1 has lb 2.0 > ub 1.0"):
+        m.add_row({x: 1.0}, lb=2.0, ub=1.0)
+    assert m.num_rows == 1
 
 
 def reference_solve(spec, tolerance=1e-9, time_limit=None):
@@ -85,7 +84,7 @@ def reference_solve(spec, tolerance=1e-9, time_limit=None):
     constraints = None
     if spec.num_rows:
         data, ri, ci = [], [], []
-        for r, (coeffs, _, _, _) in enumerate(spec._rows):
+        for r, (coeffs, _, _) in enumerate(spec._rows):
             for var, coef in coeffs.items():
                 if coef != 0.0:
                     ri.append(r)

@@ -3,14 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
-from gridmaint import solver
 from gridmaint.caseio import DemandGrid, RunConfig
 from gridmaint.degrade import ScenarioSet
 from gridmaint.ucmodel import (build_subproblem, maintenance_cost_coeffs,
-                               solve_subproblem, status_bit, status_vector,
-                               unavailable_components)
+                               solve_subproblem, status_bit, status_vector)
 
-from cases import build_net, one_lower_bound, one_status, reference_status_bit
+from cases import (build_net, one_lower_bound, one_status, reference_status_bit,
+                   unavailable_components)
 
 
 def day_cfg(S=24, T=2, **kw):
@@ -295,12 +294,6 @@ def test_day_solve_out_of_time_returns_its_limit():
     model = build_subproblem(net, np.array([[0.0], [30.0]]), frozenset(), day_cfg(S=1))
     assert solve_subproblem(model, 1e-9, time_limit=0.0).status == "limit"
     assert solve_subproblem(model, 1e-9, time_limit=60.0).status == "optimal"
-
-
-def test_lp_export_available():
-    net = build_net(n_bus=1, demands=[10.0])
-    model = build_subproblem(net, np.array([[10.0]]), frozenset(), day_cfg(S=1))
-    assert "Minimize" in solver.write_lp(model.spec)
 
 
 # -- lower bounds ---------------------------------------------------------------
