@@ -358,8 +358,8 @@ class DemandGrid:
 def load_demand(csv_text: str, net: Network, cfg: "RunConfig") -> DemandGrid:
     """Read a dense ``bus,t,s,mw`` CSV into a demand grid.
 
-    Every (bus, t, s) cell must appear exactly once; t runs 1..|T| and
-    s runs 1..|S|.
+    Every (bus, t, s) cell must appear exactly once with a finite,
+    non-negative demand; t runs 1..|T| and s runs 1..|S|.
     """
     bus_ids = [b.id for b in net.buses]
     pos = {bid: i for i, bid in enumerate(bus_ids)}
@@ -380,6 +380,8 @@ def load_demand(csv_text: str, net: Network, cfg: "RunConfig") -> DemandGrid:
             raise CaseError(f"demand row {lineno}: unknown bus {bus}")
         if not (1 <= t <= cfg.horizon_days and 1 <= s <= cfg.subperiods):
             raise CaseError(f"demand row {lineno}: (t={t}, s={s}) outside horizon")
+        if not math.isfinite(mw):
+            raise CaseError(f"demand row {lineno}: non-finite demand {mw}")
         if mw < 0:
             raise CaseError(f"demand row {lineno}: negative demand {mw}")
         if not np.isnan(grid[pos[bus], t - 1, s - 1]):

@@ -114,12 +114,13 @@ def compute_lower_bounds(inst: Instance, scenarios: ScenarioSet, cfg: RunConfig,
     """LP lower bound of every scenario-day, shape ``(n, T)``, solved up front.
 
     The scenario-days of one day with equal :func:`ucmodel.lower_bound_patterns`
-    rows share one built LP, solved once for each of them; each LP is dropped
-    once its scenario-days are solved.  Past ``deadline`` (a
+    rows share one built LP, solved once for each of them (the repeats start
+    from the basis of the first solve); each LP is dropped once its
+    scenario-days are solved.  Past ``deadline`` (a
     ``time.perf_counter()`` value) no further LP is built and the remaining
     entries stay 0.0, which still bounds the non-negative recourse.
-    ``counts``, when given, gains ``lb_solved``, ``lb_aliased`` and
-    ``lb_models``.
+    ``counts``, when given, gains ``lb_solved``, ``lb_aliased``,
+    ``lb_models`` and ``lb_iterations`` (simplex iterations over every solve).
     """
     n, horizon = scenarios.size, cfg.horizon_days
     xi = scenarios.failure_days(ucmodel.lower_bound_components(inst.net, inst.hprime),
@@ -139,14 +140,16 @@ def compute_lower_bounds(inst: Instance, scenarios: ScenarioSet, cfg: RunConfig,
 
     results = pooled_map(bound_group, groups, cfg.threads, deadline)
     values = np.zeros((n, horizon))
-    solved = models = 0
+    solved = models = iterations = 0
     for (t, _, rows), result in zip(groups, results):
         if result is not None:
-            values[rows, t - 1] = result
+            values[rows, t - 1] = [value for value, _ in result]
+            iterations += sum(its for _, its in result)
             solved += len(rows)
             models += 1
     if counts is not None:
-        counts.update(lb_solved=solved, lb_aliased=0, lb_models=models)
+        counts.update(lb_solved=solved, lb_aliased=0, lb_models=models,
+                      lb_iterations=iterations)
     return values
 
 
@@ -216,7 +219,8 @@ class DecompositionRun:
         self.cfg = cfg
         self.started = time.perf_counter()
         self.cache = cache if cache is not None else StatusCache()
-        self.lb_counts = {"lb_solved": 0, "lb_aliased": 0, "lb_models": 0}
+        self.lb_counts = {"lb_solved": 0, "lb_aliased": 0, "lb_models": 0,
+                          "lb_iterations": 0}
         self.deadline = None if cfg.time_limit is None \
             else self.started + cfg.time_limit
         day_bounds = compute_lower_bounds(inst, scenarios, cfg, self.deadline,

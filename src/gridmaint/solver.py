@@ -43,6 +43,7 @@ class SolveOutcome:
     gap: float
     seconds: float  # HiGHS run time
     nodes: int      # branch-and-bound nodes; 0 for an LP
+    iterations: int = 0  # simplex iterations; 0 for a MILP
 
     @property
     def ok(self) -> bool:
@@ -55,7 +56,9 @@ class ModelSpec:
     Variables are referenced by the integer index returned from
     :meth:`add_var`.  Rows are two-sided: ``lb <= a.x <= ub``.  The assembled
     matrix and row bounds are kept until a row or variable is added; costs and
-    variable bounds are read afresh by every solve.
+    variable bounds are read by every solve, and a solve that re-solves the
+    LP its thread last solved to optimality sends HiGHS only the ones that
+    changed (see :func:`milp`).
     """
 
     def __init__(self, name: str = "model", sense: str = "min"):
@@ -157,6 +160,19 @@ class HighsRun:
     mip_gap: float | None
     mip_node_count: int
     seconds: float
+    simplex_iteration_count: int  # 0 for a MIP
+
+
+@dataclass
+class _Kept:
+    """The LP a thread's HiGHS instance holds with an optimal basis: its spec,
+    the ``assembled()`` rows it was passed, and the costs and column bounds
+    last sent."""
+    spec: ModelSpec
+    rows: tuple[list, ...]
+    cost: list[float]
+    lb: list[float]
+    ub: list[float]
 
 
 _MODEL_STATUS = {
@@ -168,16 +184,19 @@ _MODEL_STATUS = {
 }
 
 
-# one HiGHS instance per thread, reused by every solve on that thread
+# one HiGHS instance per thread, reused by every solve on that thread, and
+# the _Kept record of the LP it holds (None when it holds none to re-solve)
 _local = threading.local()
 
 
 def _thread_highs() -> _highs._Highs:
-    """This thread's HiGHS instance; a new one when none is kept or when
-    ``_highs._Highs`` is no longer the class that built the kept one."""
+    """This thread's HiGHS instance; a new one, with no record, when none is
+    kept or when ``_highs._Highs`` is no longer the class that built the kept
+    one."""
     highs = getattr(_local, "highs", None)
     if type(highs) is not _highs._Highs:
         highs = _local.highs = _highs._Highs()
+        _local.kept = None
     return highs
 
 
@@ -205,18 +224,9 @@ _untimed_options = functools.lru_cache(maxsize=16)(
     lambda tolerance: _options(tolerance, None))
 
 
-def milp(spec: ModelSpec, cost: list[float], rows: tuple[list, ...],
-         tolerance: float, time_limit: float | None) -> HighsRun:
-    """Minimise ``cost . x`` over ``rows`` (``spec.assembled()``) and the
-    variable bounds of ``spec``.
-
-    Each call passes the options ``scipy.optimize.milp`` sets (see
-    :func:`_options`) and the model to this thread's HiGHS instance, which
-    replaces whatever an earlier solve left there, so a model gets the same
-    answer through either entry point and whatever ran before it.  An
-    instance that returned ``kError`` is dropped, not reused.  HiGHS runs
-    its MIP search serially, which keeps results deterministic.
-    """
+def _pass_lp(highs: _highs._Highs, spec: ModelSpec, cost: list[float],
+             rows: tuple[list, ...], is_mip: bool) -> None:
+    """Pass the whole model, replacing whatever ``highs`` held."""
     indptr, indices, data, row_lb, row_ub = rows
     n = spec.num_vars
     lp = _highs.HighsLp()
@@ -233,35 +243,79 @@ def milp(spec: ModelSpec, cost: list[float], rows: tuple[list, ...],
     lp.col_upper_ = spec._ub
     lp.row_lower_ = row_lb
     lp.row_upper_ = row_ub
-    is_mip = any(spec._integer)
     if is_mip:
         lp.integrality_ = [_highs.HighsVarType.kInteger if integer
                            else _highs.HighsVarType.kContinuous
                            for integer in spec._integer]
+    _check(spec, "passModel", highs.passModel(lp))
 
+
+def _push_changes(highs: _highs._Highs, spec: ModelSpec, cost: list[float],
+                  kept: _Kept) -> None:
+    """Send ``highs``, which holds ``kept``, only the columns whose cost or
+    bounds differ from what ``kept`` last sent."""
+    if cost != kept.cost:
+        new = np.array(cost)
+        cols = np.flatnonzero(new != kept.cost).astype(np.int32)
+        _check(spec, "changeColsCost",
+               highs.changeColsCost(len(cols), cols, new[cols]))
+    if spec._lb != kept.lb or spec._ub != kept.ub:
+        lb, ub = np.array(spec._lb), np.array(spec._ub)
+        cols = np.flatnonzero((lb != kept.lb) | (ub != kept.ub)).astype(np.int32)
+        _check(spec, "changeColsBounds",
+               highs.changeColsBounds(len(cols), cols, lb[cols], ub[cols]))
+
+
+def milp(spec: ModelSpec, cost: list[float], rows: tuple[list, ...],
+         tolerance: float, time_limit: float | None) -> HighsRun:
+    """Minimise ``cost . x`` over ``rows`` (``spec.assembled()``) and the
+    variable bounds of ``spec``.
+
+    Each call passes the options ``scipy.optimize.milp`` sets (see
+    :func:`_options`) to this thread's HiGHS instance.  An LP solved again
+    on the same spec, with the same ``rows`` object, right after its last
+    solve on this thread ended optimal starts from the basis HiGHS kept:
+    only the costs and column bounds that changed are sent, and HiGHS skips
+    presolve and runs dual simplex from that basis.  Everything else (a
+    MILP, a first solve, another spec in between, an added row or column)
+    is passed whole, replacing whatever an earlier solve left, and gets the
+    answer ``scipy.optimize.milp`` gives.  An instance that returned
+    ``kError`` is dropped, not reused.  HiGHS runs its MIP search serially,
+    which keeps results deterministic.
+    """
+    is_mip = any(spec._integer)
     options = _untimed_options(tolerance) if time_limit is None \
         else _options(tolerance, time_limit)
     highs = _thread_highs()
+    # taken now, so that a failure leaves no record; kept again if this run
+    # ends optimal
+    kept, _local.kept = _local.kept, None
     clock = highs.getRunTime()  # the instance's run clock adds up over its runs
     _check(spec, "passOptions", highs.passOptions(options))
-    _check(spec, "passModel", highs.passModel(lp))
+    if kept is not None and kept.spec is spec and kept.rows is rows:
+        _push_changes(highs, spec, cost, kept)
+    else:
+        _pass_lp(highs, spec, cost, rows, is_mip)
     _check(spec, "run", highs.run())
 
     status = _MODEL_STATUS.get(highs.getModelStatus(), "error")
     info = highs.getInfo()
     nodes = info.mip_node_count if is_mip else 0
+    iterations = 0 if is_mip else info.simplex_iteration_count
     seconds = highs.getRunTime() - clock
+    if status == "optimal" and not is_mip:
+        _local.kept = _Kept(spec, rows, list(cost), list(spec._lb), list(spec._ub))
     # an LP solution is read only at optimality; a MIP stopped at a limit
     # keeps its incumbent when it found one
     readable = status == "optimal" or (
         is_mip and status == "limit"
         and info.objective_function_value != _highs.kHighsInf)
     if not readable:
-        return HighsRun(status, None, None, None, None, nodes, seconds)
+        return HighsRun(status, None, None, None, None, nodes, seconds, iterations)
     return HighsRun(status, np.array(highs.getSolution().col_value),
                     info.objective_function_value,
                     info.mip_dual_bound if is_mip else None,
-                    info.mip_gap if is_mip else None, nodes, seconds)
+                    info.mip_gap if is_mip else None, nodes, seconds, iterations)
 
 
 def solve(spec: ModelSpec, tolerance: float = 1e-9,
@@ -280,13 +334,13 @@ def solve(spec: ModelSpec, tolerance: float = 1e-9,
                None if time_limit is None else float(time_limit))
 
     if run.x is None:
-        return SolveOutcome(run.status, None, None, None, INF,
-                            run.seconds, run.mip_node_count)
+        return SolveOutcome(run.status, None, None, None, INF, run.seconds,
+                            run.mip_node_count, run.simplex_iteration_count)
     objective = sign * run.fun + spec.obj_offset
     if run.mip_dual_bound is None:
         bound, gap = objective, 0.0
     else:
         bound = sign * run.mip_dual_bound + spec.obj_offset
         gap = run.mip_gap
-    return SolveOutcome(run.status, run.x, objective, bound, gap,
-                        run.seconds, run.mip_node_count)
+    return SolveOutcome(run.status, run.x, objective, bound, gap, run.seconds,
+                        run.mip_node_count, run.simplex_iteration_count)

@@ -306,10 +306,10 @@ def lp_lower_bound(net: Network, demand: DemandGrid, pattern: np.ndarray, day: i
     return spec
 
 
-def solve_lower_bound(spec: solver.ModelSpec) -> float:
+def solve_lower_bound(spec: solver.ModelSpec) -> tuple[float, int]:
     """Optimum of a :func:`lp_lower_bound` LP, clamped at zero (recourse never is
-    negative)."""
+    negative), and the simplex iterations it took."""
     outcome = solver.solve(spec, tolerance=1e-9)
     if outcome.status != "optimal":
         raise solver.SolverError(f"{spec.name}: lower-bound LP ended {outcome.status}")
-    return max(0.0, float(outcome.objective))
+    return max(0.0, float(outcome.objective)), outcome.iterations

@@ -217,7 +217,9 @@ def one_lower_bound(net, demand, xi_map, day, cfg, candidates):
     comps = lower_bound_components(net, candidates)
     xi = np.array([[xi_map.get(c, cfg.tbar) for c in comps]], dtype=int)
     pattern = lower_bound_patterns(net, xi, day, cfg, candidates)[0]
-    return solve_lower_bound(lp_lower_bound(net, demand, pattern, day, cfg, candidates))
+    value, _ = solve_lower_bound(lp_lower_bound(net, demand, pattern, day, cfg,
+                                                candidates))
+    return value
 
 
 def reference_status_bit(period, xi, day, tau_pred, tau_corr, horizon):

@@ -137,6 +137,24 @@ def test_load_demand_negative():
         load_demand(text, net, cfg)
 
 
+@pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
+def test_load_demand_non_finite(bad):
+    net = parse_case(CASE_SINGLE_BUS)
+    cfg = _tiny_cfg()
+    text = _demand_csv([1], 2, 24).replace("1,2,24,50.0", f"1,2,24,{bad}")
+    with pytest.raises(CaseError, match=f"row 49: non-finite demand {float(bad)}"):
+        load_demand(text, net, cfg)
+
+
+def test_load_demand_nan_then_duplicate_row():
+    # the nan cell must not read as unfilled, letting a later row fill it
+    net = parse_case(CASE_SINGLE_BUS)
+    cfg = _tiny_cfg()
+    text = _demand_csv([1], 2, 24).replace("1,1,1,50.0", "1,1,1,nan") + "\n1,1,1,50"
+    with pytest.raises(CaseError, match="row 2: non-finite demand nan"):
+        load_demand(text, net, cfg)
+
+
 def test_load_demand_missing_cells():
     net = parse_case(CASE_SINGLE_BUS)
     cfg = _tiny_cfg()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gridmaint.caseio import DemandGrid, RunConfig
-from gridmaint.preflow import _cap_vectors, _RelaxedFlowLP, analyze
+from gridmaint.preflow import _STRICT_TOL, _cap_vectors, _RelaxedFlowLP, analyze
 from gridmaint.ucmodel import build_subproblem, solve_subproblem
 
 from cases import build_net
@@ -127,8 +127,10 @@ def test_report_csv_and_ratio():
 
 
 def test_shared_relaxation_matches_a_fresh_model_per_probe():
-    # analyze re-solves one model with new caps and objectives; every probe
-    # must return the bits of a model built for that probe alone
+    # analyze re-solves one model with new caps and objectives, each probe
+    # hot-started from the previous probe's basis; every probe must flag what
+    # a model built for that probe alone flags, and its extreme may differ
+    # from that model's by round-off only
     for seed in range(4):
         rng = np.random.default_rng(seed)
         n_bus = int(rng.integers(3, 6))
@@ -142,10 +144,15 @@ def test_shared_relaxation_matches_a_fresh_model_per_probe():
             report = analyze(net, grid, mode, candidate_lines=candidates)
             caps = dict(_cap_vectors(grid, mode))
             assert len(report.entries) == 2 * len(caps) * (len(lines) - len(candidates))
+            limit = {line.id: line.flow_limit for line in net.lines}
             for e in report.entries:
                 fresh = flow_extreme(net, caps[e.scope], e.line_id, e.direction,
                                      candidates)
-                assert np.float64(e.f_star).tobytes() == np.float64(fresh).tobytes()
+                assert abs(e.f_star - fresh) <= 1e-9 * max(1.0, abs(fresh))
+                fresh_redundant = (fresh < limit[e.line_id] - _STRICT_TOL
+                                   if e.direction == "ub"
+                                   else fresh > -limit[e.line_id] + _STRICT_TOL)
+                assert e.redundant == fresh_redundant
 
 
 def test_negative_caps_rejected():

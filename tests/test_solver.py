@@ -220,7 +220,7 @@ def test_non_finite_model_data_raise(bad):
         solver.solve(m)
 
 
-def test_assembly_cache_honours_every_change():
+def test_assembly_cache_honours_every_change(passes):
     m = solver.ModelSpec("cache")
     x = m.add_var("x", ub=10.0, obj=-1.0)
     y = m.add_var("y", ub=10.0, obj=-1.0)
@@ -235,9 +235,13 @@ def test_assembly_cache_honours_every_change():
     second = solver.solve(m)
     assert outcome_fields(second) == reference_solve(m)
     assert second.objective == pytest.approx(-3.0 * 2.0 - 5.0)
+    assert len(passes) == 2              # the new row passed the model whole
     z = m.add_var("z", ub=1.0, obj=-1.0)  # a new column joins the cached rows
+    assert solver.solve(m).objective == pytest.approx(-6.0 - 5.0 - 1.0)
+    assert len(passes) == 3              # so did the new column
     m.add_le({z: 1.0, y: 1.0}, 5.5)
     assert solver.solve(m).objective == pytest.approx(-6.0 - 5.0 - 0.5)
+    assert len(passes) == 4
 
 
 def test_missing_bindings_name_the_scipy_version():
@@ -330,3 +334,147 @@ def test_threads_each_get_single_thread_outcomes():
         results = list(pool.map(one_thread, range(3)))
     assert all(outcomes == want * 3 for outcomes, _ in results)
     assert len({highs for _, highs in results}) == 3
+
+
+def covering_lp(seed=0, n=12, m=8):
+    """A dense covering LP that presolve does not finish, so its simplex
+    iterations show."""
+    rng = np.random.default_rng(seed)
+    spec = solver.ModelSpec("covering")
+    xs = [spec.add_var(f"x{j}", ub=float(rng.uniform(2.0, 5.0)),
+                       obj=float(rng.uniform(1.0, 3.0))) for j in range(n)]
+    for _ in range(m):
+        spec.add_ge({x: float(rng.uniform(0.5, 2.0)) for x in xs},
+                    float(rng.uniform(5.0, 10.0)))
+    return spec
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """The models passed whole to this thread's HiGHS instance, which starts
+    fresh and with no record (``reference_solve``'s instances are not counted)."""
+    passed = []
+
+    class Counting(solver._highs._Highs):
+        def passModel(self, lp):
+            if self is solver._local.highs:
+                passed.append(lp)
+            return super().passModel(lp)
+
+    monkeypatch.setattr(solver._highs, "_Highs", Counting)
+    solver._local.highs = None
+    return passed
+
+
+def assert_close(hot, fresh):
+    assert hot.status == fresh.status == "optimal"
+    assert abs(hot.objective - fresh.objective) <= 1e-9 * max(1.0, abs(fresh.objective))
+
+
+def test_unchanged_lp_resolves_to_the_same_bits_in_no_iterations(passes):
+    m = covering_lp()
+    first = solver.solve(m)
+    again = solver.solve(m)
+    assert first.ok and first.iterations > 0
+    assert full_outcome(again) == full_outcome(first)
+    assert again.iterations == 0
+    assert len(passes) == 1
+
+
+def apply_cost(m):
+    m.set_obj(3, 0.25)
+
+
+def apply_bounds(m):
+    m.set_bounds(5, 0.5, 1.0)
+    m.set_bounds(0, 0.0, 0.0)
+
+
+def apply_sense(m):
+    m.sense = "max"
+
+
+def test_each_hot_start_matches_a_cold_solve_of_a_fresh_copy(passes):
+    m = covering_lp()
+    assert solver.solve(m).ok
+    changes = []
+    for change in (apply_cost, apply_bounds, apply_sense):
+        change(m)
+        changes.append(change)
+        hot = solver.solve(m)
+        fresh = covering_lp()
+        for done in changes:
+            done(fresh)
+        assert_close(hot, solver.solve(fresh))
+        solver.solve(m)  # passed whole, as the fresh copy came in between
+    assert len(passes) == 1 + 3 * 2  # no hot start passed the model
+
+
+def test_infeasible_resolve_then_feasible_resolve(passes):
+    m = covering_lp()
+    want = solver.solve(m)
+    saved = [(m._lb[j], m._ub[j]) for j in range(m.num_vars)]
+    for j in range(m.num_vars):
+        m.set_bounds(j, 0.0, 0.0)
+    assert solver.solve(m).status == "infeasible"
+    for j, (lb, ub) in enumerate(saved):
+        m.set_bounds(j, lb, ub)
+    assert_close(solver.solve(m), want)
+    assert len(passes) == 2  # an LP that did not end optimal leaves no record
+
+
+def test_another_spec_in_between_is_passed_whole(passes):
+    m, other = covering_lp(0), covering_lp(1)
+    first = solver.solve(m)
+    solver.solve(other)
+    again = solver.solve(m)
+    assert len(passes) == 3
+    assert full_outcome(again) == full_outcome(first)
+
+
+def test_backend_error_drops_the_record(monkeypatch):
+    failing = []
+
+    class FailsOnDemand(solver._highs._Highs):
+        def run(self):
+            return solver._highs.HighsStatus.kError if failing else super().run()
+
+    monkeypatch.setattr(solver._highs, "_Highs", FailsOnDemand)
+    solver._local.highs = None
+    m = covering_lp()
+    first = solver.solve(m)
+    failing.append(True)
+    with pytest.raises(solver.SolverError, match="covering: HiGHS run"):
+        solver.solve(m)
+    assert solver._local.highs is None and solver._local.kept is None
+    failing.clear()
+    again = solver.solve(m)  # on a new instance, which is passed the model whole
+    assert full_outcome(again) == full_outcome(first) and again.iterations > 0
+
+
+def test_milp_solved_twice_matches_scipy_bit_for_bit(passes):
+    m = max_knapsack()
+    want = reference_solve(m)
+    assert outcome_fields(solver.solve(m)) == want
+    assert outcome_fields(solver.solve(m)) == want
+    assert len(passes) == 2 and solver._local.kept is None
+
+
+def test_threads_keep_separate_records():
+    from concurrent.futures import ThreadPoolExecutor
+    from threading import Barrier
+
+    both_solved = Barrier(2)
+
+    def one_thread(seed):
+        m = covering_lp(seed)
+        first = solver.solve(m)
+        both_solved.wait(timeout=60)  # the other thread's LP is solved by now
+        again = solver.solve(m)
+        return first, again, solver._local.kept.spec is m
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        results = list(pool.map(one_thread, (0, 1)))
+    for first, again, own in results:
+        assert first.iterations > 0 and again.iterations == 0
+        assert full_outcome(again) == full_outcome(first) and own
