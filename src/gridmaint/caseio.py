@@ -39,6 +39,9 @@ class Bus:
     def __post_init__(self):
         if self.delta_min > self.delta_max:
             raise CaseError(f"bus {self.id}: delta_min > delta_max")
+        if not self.curtail_cost >= 0:
+            raise CaseError(f"bus {self.id}: curtail_cost must be >= 0, "
+                            f"got {self.curtail_cost!r}")
 
 
 @dataclass(frozen=True)
@@ -64,6 +67,12 @@ class Generator:
             raise CaseError(f"generator {self.id}: negative ramp rate")
         if self.min_up < 1 or self.min_down < 1:
             raise CaseError(f"generator {self.id}: min up/down must be >= 1")
+        # operating costs must not be negative: the recourse lower bounds
+        # clamp at 0
+        for name in ("gen_cost", "noload_cost", "startup_cost"):
+            if not getattr(self, name) >= 0:
+                raise CaseError(f"generator {self.id}: {name} must be >= 0, "
+                                f"got {getattr(self, name)!r}")
         if not (self.maint_cost_corr >= self.maint_cost_pred >= 0):
             raise CaseError(f"generator {self.id}: need corr >= pred >= 0 maintenance cost")
 
@@ -433,6 +442,7 @@ def synth_demand(net: Network, cfg: "RunConfig", shape: np.ndarray | None = None
 # ---------------------------------------------------------------------------
 
 CUT_FAMILIES = ("intLS", "optK", "optK+", "optKT++")
+CHANCE_MODES = ("exact", "safe")
 
 
 @dataclass(frozen=True)
@@ -492,8 +502,15 @@ class RunConfig:
             raise CaseError("alpha must lie in (0, 1)")
         if self.rho_gen < 1 or self.rho_line < 1:
             raise CaseError("rho thresholds must be integers >= 1")
-        if self.epsilon <= 0:
-            raise CaseError("epsilon must be positive")
+        if not self.epsilon > 0:
+            raise CaseError(f"epsilon must be positive, got {self.epsilon!r}")
+        if not self.subproblem_gap >= 0:
+            raise CaseError(f"subproblem_gap must be >= 0, got {self.subproblem_gap!r}")
+        if self.time_limit is not None and not self.time_limit >= 0:
+            raise CaseError(f"time_limit must be >= 0, got {self.time_limit!r}")
+        if self.curtail_cost is not None and not 0 <= self.curtail_cost < math.inf:
+            raise CaseError("curtail_cost must be finite and >= 0, "
+                            f"got {self.curtail_cost!r}")
         for p, c, what in ((self.tau_pred_gen, self.tau_corr_gen, "generator"),
                            (self.tau_pred_line, self.tau_corr_line, "line")):
             if p < 1 or c < p:
@@ -505,7 +522,7 @@ class RunConfig:
         if self.cut_family == "optKT++" and self.aggregation == "single":
             raise CaseError("optKT++ cuts are per-period and cannot be aggregated "
                             "into a single cut")
-        if self.chance_mode not in ("exact", "safe"):
+        if self.chance_mode not in CHANCE_MODES:
             raise CaseError(f"unknown chance mode {self.chance_mode!r}")
         if not (0.0 <= self.pfail_gen <= 1.0 and 0.0 <= self.pfail_line <= 1.0):
             raise CaseError("failure-probability thresholds must lie in [0, 1]")

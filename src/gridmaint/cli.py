@@ -18,8 +18,8 @@ import sys
 from pathlib import Path
 
 from . import decomp, preflow, saa
-from .caseio import dump_config, load_config, load_demand, parse_case, \
-    synth_demand
+from .caseio import CHANCE_MODES, CUT_FAMILIES, dump_config, load_config, \
+    load_demand, parse_case, synth_demand
 from .degrade import ScenarioSet
 from .instance import build_instance, test_scenarios, training_scenarios
 
@@ -225,18 +225,17 @@ def make_parser() -> argparse.ArgumentParser:
 
     pre = commands.add_parser("preprocess", help="flow-limit redundancy analysis")
     _common_arguments(pre)
-    pre.add_argument("--flow-mode", choices=list(preflow.MODES), default="III")
+    pre.add_argument("--flow-mode", choices=preflow.MODES, default="III")
     pre.set_defaults(func=cmd_preprocess)
 
     plan = commands.add_parser("plan", help="solve the stochastic program")
     _common_arguments(plan)
-    plan.add_argument("--chance", dest="chance_mode", choices=["exact", "safe"])
-    plan.add_argument("--cuts", dest="cut_family",
-                      choices=["intLS", "optK", "optK+", "optKT++"])
+    plan.add_argument("--chance", dest="chance_mode", choices=CHANCE_MODES)
+    plan.add_argument("--cuts", dest="cut_family", choices=CUT_FAMILIES)
     plan.add_argument("--scenarios", type=int, dest="saa_n", metavar="SCENARIOS",
                       help="training sample size")
     plan.add_argument("--threads", type=int)
-    plan.add_argument("--preflow", choices=["off", "I", "II", "III"], default="off",
+    plan.add_argument("--preflow", choices=("off", *preflow.MODES), default="off",
                       help="run flow preprocessing before planning")
     plan.add_argument("--scenario-file", dest="scenario_file",
                       help="reuse a previously written scenarios.csv")

@@ -1,14 +1,17 @@
 """Relaxed master problem and the optimality-cut families.
 
-The master carries the binary schedule, one recourse variable per scenario
-(or per scenario and day when the per-period family is active), the pooled
-optimality and chance cuts, and the chance-mode rows.  It derives those
-variables and their lower bounds from the ``(n, T)`` day bounds, and builds
-each round's optimality cuts of the configured family.  Cut families, from
-weakest to strongest: the classical integer L-shaped cut, then one cut over
-per-component period sets: the scheduled period alone (complement terms
-dropped), the same-cost sets of periods with identical operational cost, and
-the per-day same-status sets built from status-vector equality.
+The master is one model that grows a row at a time: the binary schedule, one
+recourse variable per scenario (or per scenario and day when the per-period
+family is active), the chance-mode rows and the pooled optimality and chance
+cuts.  Its recourse variables and their lower bounds come from the ``(n, T)``
+day bounds.  Every family's cuts come from :func:`cut_over_periods`; from
+weakest to strongest: the classical integer L-shaped cut, the scheduled period
+alone (complement terms dropped), the same-cost sets of periods with identical
+operational cost, and the per-day same-status sets built from status-vector
+equality.  The classical cut is the scheduled-period cut with lower bound
+``2L - q``: on the assignment rows ``sum_t v[c,t] = 1`` its complement terms
+``sum_{t != t*} v[c,t]`` equal ``1 - v[c,t*]``, so it reads
+``theta >= q - 2(q-L)(n - sum_c v[c,t*])``.
 """
 
 from __future__ import annotations
@@ -26,35 +29,22 @@ from .ucmodel import maintenance_cost_coeffs, outage_days, status_bit
 
 log = logging.getLogger(__name__)
 
-__all__ = ["MasterState", "MasterSolution", "cut_int_lshaped",
-           "cut_over_periods", "same_cost_periods", "same_status_periods",
-           "aggregate_cuts"]
+__all__ = ["MasterState", "MasterSolution", "cut_over_periods",
+           "same_cost_periods", "same_status_periods", "aggregate_cuts"]
 
 
 # ---------------------------------------------------------------------------
 # Cut families
 # ---------------------------------------------------------------------------
 
-def cut_int_lshaped(schedule: dict[str, int], theta_key, q_value: float,
-                    lower: float, tbar: int) -> LinearCut:
-    """Classical integer L-shaped optimality cut, complement terms included."""
-    diff = q_value - lower
-    n = len(schedule)
-    coeffs: dict[tuple[str, int], float] = {}
-    for comp, t_star in schedule.items():
-        for t in range(1, tbar + 1):
-            coeffs[(comp, t)] = diff if t != t_star else -diff
-    return LinearCut.make(coeffs, rhs=q_value - diff * n, sense=">=",
-                          theta_coeffs={theta_key: 1.0}, name="intLS")
-
-
 def cut_over_periods(schedule: dict[str, int], theta_key, q_value: float,
                      lower: float, period_sets: dict[str, set[int]],
                      name: str) -> LinearCut:
     """Optimality cut with coefficients over each component's period set.
 
-    Singleton sets ``{t*}`` give the cut that drops the complement terms;
-    the same-cost (T-hat) and same-status (T-tilde) sets strengthen it.
+    Singleton sets ``{t*}`` give the cut that drops the complement terms
+    (and, with lower bound ``2L - q``, the classical cut); the same-cost
+    (T-hat) and same-status (T-tilde) sets strengthen it.
     """
     diff = q_value - lower
     coeffs: dict[tuple[str, int], float] = {}
@@ -133,7 +123,7 @@ class MasterSolution:
 
 
 class MasterState:
-    """Growing relaxed master: schedule binaries, recourse variables, cut pools."""
+    """Growing relaxed master: one model, and the cut pools that fed it."""
 
     def __init__(self, hprime: tuple[str, ...], scenarios: ScenarioSet,
                  cfg: RunConfig, cost_of: dict[str, tuple[float, float]],
@@ -152,7 +142,6 @@ class MasterState:
         self.tbar = cfg.tbar
         self.opt_cuts: list[LinearCut] = []
         self.chance_cuts: list[LinearCut] = []
-        self.static_rows: list[LinearCut] = []
         self._seen: set = set()
 
         # expected first-stage cost coefficient per (component, period),
@@ -176,6 +165,21 @@ class MasterState:
             self.lower_bounds = {k: sum(row) for k, row in enumerate(bounds)}
         self.theta_keys = list(self.lower_bounds)
 
+        # the model: each component's binaries and its assignment row, then
+        # the recourse variables weighted by their scenario's probability
+        self.spec = solver.ModelSpec("master")
+        self.vidx: dict[tuple[str, int], int] = {}
+        for comp in self.hprime:
+            for t in range(1, self.tbar + 1):
+                self.vidx[(comp, t)] = self.spec.add_binary(f"v{comp}_{t}",
+                                                            obj=self.obj_v[(comp, t)])
+            self.spec.add_eq({self.vidx[(comp, t)]: 1.0
+                              for t in range(1, self.tbar + 1)}, 1.0)
+        self.tidx = {key: self.spec.add_var(
+            f"theta{key}", lb=float(self.lower_bounds[key]),
+            obj=float(scenarios.probs[key[0] if self.per_day else key]))
+            for key in self.theta_keys}
+
     # -- optimality cuts ------------------------------------------------------
 
     def optimality_cuts(self, schedule: dict[str, int],
@@ -188,51 +192,53 @@ class MasterState:
         """
         family = self.cfg.cut_family
         schedule = {comp: schedule[comp] for comp in self.hprime}  # xi's column order
+        n = self.scenarios.size
+        # (theta key, q, period sets) per recourse variable
         if self.per_day:
             days = range(1, self.cfg.horizon_days + 1)
             ttilde = [same_status_periods(schedule, self.xi, t, self.cfg, self.kinds)
                       for t in days]
-            return [cut_over_periods(schedule, (k, t), float(day_vals[k, t - 1, 1]),
-                                     self.lower_bounds[(k, t)], ttilde[t - 1][k],
-                                     family)
-                    for k in range(self.scenarios.size) for t in days]
-
-        if family == "optK+":
-            same_cost = same_cost_periods(schedule, self.xi, self.tbar)
+            terms = [((k, t), float(day_vals[k, t - 1, 1]), ttilde[t - 1][k])
+                     for k in range(n) for t in days]
+        else:
+            sets = same_cost_periods(schedule, self.xi, self.tbar) \
+                if family == "optK+" \
+                else [{comp: {period} for comp, period in schedule.items()}] * n
+            terms = [(k, sum(day_vals[k, :, 1].tolist()), sets[k]) for k in range(n)]
         cuts = []
-        for k in range(self.scenarios.size):
-            q_bound = sum(day_vals[k, :, 1].tolist())
+        for key, q_value, periods in terms:
+            lower = self.lower_bounds[key]
             if family == "intLS":
-                cuts.append(cut_int_lshaped(schedule, k, q_bound,
-                                            self.lower_bounds[k], self.tbar))
-                continue
-            periods = same_cost[k] if family == "optK+" \
-                else {comp: {period} for comp, period in schedule.items()}
-            cuts.append(cut_over_periods(schedule, k, q_bound, self.lower_bounds[k],
-                                         periods, family))
+                lower = 2 * lower - q_value  # the classical cut (module docstring)
+            cuts.append(cut_over_periods(schedule, key, q_value, lower, periods,
+                                         family))
         if self.cfg.aggregation == "single":
             return [aggregate_cuts(cuts, name=f"{family}-single")]
         return cuts
 
-    # -- pools ----------------------------------------------------------------
+    # -- rows and pools -------------------------------------------------------
 
     def add_cut(self, cut: LinearCut, pool: str = "opt") -> bool:
-        """Pool a cut unless an identical one is already present."""
+        """Pool a cut and add its row, unless an identical one is pooled."""
         key = cut.key()
         if key in self._seen:
             return False
         self._seen.add(key)
         (self.opt_cuts if pool == "opt" else self.chance_cuts).append(cut)
+        self.add_static_row(cut)
         return True
 
     def add_static_row(self, cut: LinearCut) -> None:
-        self.static_rows.append(cut)
+        """Append ``cut`` to the model as a row."""
+        coeffs = {self.vidx[pair]: c for pair, c in cut.v_coeffs if pair in self.vidx}
+        coeffs.update((self.tidx[key], c) for key, c in cut.theta_coeffs)
+        add = self.spec.add_le if cut.sense == "<=" else self.spec.add_ge
+        add(coeffs, cut.rhs)
 
     @property
     def num_rows(self) -> int:
-        """Rows of the master the next :meth:`solve` builds."""
-        return (len(self.hprime) + len(self.static_rows) + len(self.chance_cuts)
-                + len(self.opt_cuts))
+        """Rows of the master model."""
+        return self.spec.num_rows
 
     def first_stage_costs(self, schedule: dict[str, int]) -> np.ndarray:
         """First-stage cost of ``schedule`` in every scenario, summed in H' order."""
@@ -248,49 +254,20 @@ class MasterState:
         rows += [str(cut) for cut in self.opt_cuts]
         return "\n".join(rows) + ("\n" if rows else "")
 
-    def theta_weight(self, key) -> float:
-        k = key[0] if self.per_day else key
-        return float(self.scenarios.probs[k])
-
     # -- solving ---------------------------------------------------------------
-
-    def _build_spec(self):
-        spec = solver.ModelSpec("master")
-        vidx: dict[tuple[str, int], int] = {}
-        for comp in self.hprime:
-            for t in range(1, self.tbar + 1):
-                vidx[(comp, t)] = spec.add_binary(
-                    f"v{comp}_{t}", obj=self.obj_v.get((comp, t), 0.0))
-            spec.add_eq({vidx[(comp, t)]: 1.0 for t in range(1, self.tbar + 1)}, 1.0)
-
-        tidx: dict[object, int] = {}
-        for key in self.theta_keys:
-            tidx[key] = spec.add_var(f"theta{key}", lb=float(self.lower_bounds[key]),
-                                     obj=self.theta_weight(key))
-
-        for cut in self.static_rows + self.chance_cuts + self.opt_cuts:
-            coeffs = {vidx[pair]: c for pair, c in cut.v_coeffs if pair in vidx}
-            for key, c in cut.theta_coeffs:
-                coeffs[tidx[key]] = coeffs.get(tidx[key], 0.0) + c
-            if cut.sense == "<=":
-                spec.add_le(coeffs, cut.rhs)
-            else:
-                spec.add_ge(coeffs, cut.rhs)
-        return spec, vidx, tidx
 
     def solve(self, tolerance: float = 1e-9,
               time_limit: float | None = None) -> MasterSolution:
-        spec, vidx, tidx = self._build_spec()
-        outcome = solver.solve(spec, tolerance=tolerance, time_limit=time_limit)
+        outcome = solver.solve(self.spec, tolerance=tolerance, time_limit=time_limit)
         if outcome.status != "optimal":
             return MasterSolution(outcome.status, {}, {}, float("inf"), -float("inf"))
         schedule = {}
         for comp in self.hprime:
             choices = [t for t in range(1, self.tbar + 1)
-                       if outcome.x[vidx[(comp, t)]] > 0.5]
+                       if outcome.x[self.vidx[(comp, t)]] > 0.5]
             if len(choices) != 1:
                 raise solver.SolverError(f"master returned a fractional row for {comp}")
             schedule[comp] = choices[0]
-        theta = {key: float(outcome.x[tidx[key]]) for key in self.theta_keys}
+        theta = {key: float(outcome.x[self.tidx[key]]) for key in self.theta_keys}
         return MasterSolution("optimal", schedule, theta,
                               float(outcome.objective), float(outcome.bound))

@@ -3,6 +3,7 @@
 import numpy as np
 
 from gridmaint.caseio import Bus, DemandGrid, Generator, Line, Network
+from gridmaint.chance import LinearCut
 from gridmaint.degrade import ScenarioSet
 from gridmaint.instance import Component, Instance
 from gridmaint.mastercuts import same_cost_periods, same_status_periods
@@ -210,6 +211,19 @@ def one_same_cost(schedule, xi_map, tbar):
     """Same-cost period sets of a single scenario given as a failure-day map."""
     xi = np.array([[xi_map.get(c, tbar) for c in schedule]], dtype=int)
     return same_cost_periods(schedule, xi, tbar)[0]
+
+
+def cut_int_lshaped(schedule, theta_key, q_value, lower, tbar):
+    """Classical integer L-shaped optimality cut, complement terms included:
+    the reference the master's intLS family is checked against."""
+    diff = q_value - lower
+    n = len(schedule)
+    coeffs = {}
+    for comp, t_star in schedule.items():
+        for t in range(1, tbar + 1):
+            coeffs[(comp, t)] = diff if t != t_star else -diff
+    return LinearCut.make(coeffs, rhs=q_value - diff * n, sense=">=",
+                          theta_coeffs={theta_key: 1.0}, name="intLS")
 
 
 def one_lower_bound(net, demand, xi_map, day, cfg, candidates):

@@ -19,11 +19,12 @@ from gridmaint.degrade import (ComponentRLD, SignalObservations, bucket_probs,
                                posterior_drift, sample_scenarios)
 from gridmaint.instance import build_instance, training_scenarios
 from gridmaint.instance import test_scenarios as evaluation_scenarios
-from gridmaint.mastercuts import cut_int_lshaped, cut_over_periods
+from gridmaint.mastercuts import cut_over_periods
 from gridmaint.pboracle import joint_oracle, pb_cdf
 
-from cases import (CASE9, build_net, make_instance, one_same_cost, one_same_status,
-                   one_status, scenario_xi, toy_instance, unavailable_components)
+from cases import (CASE9, build_net, cut_int_lshaped, make_instance, one_same_cost,
+                   one_same_status, one_status, scenario_xi, toy_instance,
+                   unavailable_components)
 from oracle_extform import enumerate_schedules, extensive_solve
 from test_pboracle import brute_force_pmf, table_from_rows
 

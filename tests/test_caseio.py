@@ -84,6 +84,33 @@ def test_short_gencost_row_rejected(rows):
         parse_case(text)
 
 
+@pytest.mark.parametrize("row,field", [
+    ("2	1500	0	2	20	-100;", "noload_cost"),
+    ("2	-1500	0	2	20	100;", "startup_cost"),
+    ("2	1500	0	2	-20	100;", "gen_cost"),
+], ids=["c0", "startup", "c1"])
+def test_negative_gencost_rejected_by_field(row, field):
+    # the recourse lower bounds clamp at 0, which a negative cost would break
+    with pytest.raises(CaseError, match=f"generator g1: {field} must be >= 0"):
+        parse_case(CASE9.replace("2	1500	0	2	20	100;", row))
+
+
+@pytest.mark.parametrize("field", ["gen_cost", "noload_cost", "startup_cost"])
+def test_generator_rejects_negative_cost(field):
+    from cases import build_net
+    net = build_net()
+    gen = net.generators[0]
+    fields = {f: getattr(gen, f) for f in gen.__dataclass_fields__}
+    with pytest.raises(CaseError, match=f"{field} must be >= 0"):
+        caseio.Generator(**{**fields, field: -1.0})
+
+
+@pytest.mark.parametrize("cost", [-50.0, float("nan")])
+def test_bus_rejects_negative_curtail_cost(cost):
+    with pytest.raises(CaseError, match="bus 1: curtail_cost must be >= 0"):
+        caseio.Bus(id=1, curtail_cost=cost)
+
+
 def test_round_trip():
     net = parse_case(CASE9)
     again = parse_case(serialize_case(net))
@@ -230,11 +257,32 @@ def test_config_json_round_trip():
     dict(tau_pred_gen=2, tau_corr_gen=1), dict(cut_family="bogus"),
     dict(cut_family="optKT++", aggregation="single"), dict(chance_mode="x"),
     dict(significance=0.0), dict(significance=1.0), dict(threads=0),
-    dict(pfail_gen=1.5),
+    dict(pfail_gen=1.5), dict(epsilon=float("nan")), dict(subproblem_gap=-1.0),
+    dict(subproblem_gap=float("nan")), dict(time_limit=-5.0),
+    dict(time_limit=float("nan")), dict(curtail_cost=-50.0),
+    dict(curtail_cost=float("inf")), dict(curtail_cost=float("nan")),
 ])
 def test_config_invariants(bad):
     with pytest.raises(CaseError):
         RunConfig(**bad)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("epsilon", float("nan")), ("subproblem_gap", -1.0), ("time_limit", -5.0),
+    ("curtail_cost", -50.0), ("curtail_cost", float("inf")),
+])
+def test_config_error_names_the_key(key, value):
+    # rejected when the config is built, not deep in a solve after the
+    # lower-bound phase
+    with pytest.raises(CaseError, match=key):
+        RunConfig(**{key: value})
+
+
+def test_config_limits_at_zero_stay_legal():
+    # iteration_limit=0 is how a run asks to stop at once (exit code 2)
+    cfg = RunConfig(iteration_limit=0, time_limit=0.0, subproblem_gap=0.0,
+                    curtail_cost=0.0)
+    assert cfg.iteration_limit == 0
 
 
 def test_config_unknown_key():

@@ -219,6 +219,19 @@ def test_unknown_config_key_is_an_error(workdir):
     assert run_cli(workdir, "plan") == EXIT_ERROR
 
 
+def test_choice_flags_offer_what_the_program_accepts():
+    from gridmaint import preflow
+    from gridmaint.caseio import CHANCE_MODES, CUT_FAMILIES
+    commands = next(a for a in make_parser()._actions if a.dest == "command")
+    choices = {(name, a.dest): tuple(a.choices)
+               for name, sub in commands.choices.items()
+               for a in sub._actions if a.choices}
+    assert choices == {("plan", "cut_family"): CUT_FAMILIES,
+                       ("plan", "chance_mode"): CHANCE_MODES,
+                       ("plan", "preflow"): ("off", *preflow.MODES),
+                       ("preprocess", "flow_mode"): preflow.MODES}
+
+
 def test_plan_families_agree_on_objective(workdir):
     objectives = {}
     for family in ("intLS", "optK", "optK+", "optKT++"):

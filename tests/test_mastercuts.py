@@ -2,14 +2,16 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from gridmaint.caseio import RunConfig
+from gridmaint.chance import LinearCut, cover_cut
 from gridmaint.degrade import ScenarioSet
-from gridmaint.mastercuts import (MasterState, aggregate_cuts, cut_int_lshaped,
-                                  cut_over_periods, same_status_periods)
+from gridmaint.mastercuts import (MasterState, aggregate_cuts, cut_over_periods,
+                                  same_status_periods)
 from gridmaint.ucmodel import status_bit
 
-from cases import one_same_cost, one_same_status
+from cases import cut_int_lshaped, one_same_cost, one_same_status
 
 CFG = RunConfig(horizon_days=4, subperiods=2)
 KINDS = {"h1": "gen", "h2": "line"}
@@ -322,3 +324,105 @@ def test_optimality_cuts_cover_every_theta_once(family, aggregation):
         ((key, coeff),) = cut.theta_coeffs
         assert coeff == 1.0
         assert theta_floor(cut, sched) == pytest.approx(q_value(key))
+
+
+@pytest.mark.parametrize("aggregation", ["multi", "single"])
+def test_int_lshaped_family_matches_the_classical_cut(aggregation):
+    # the intLS cut is the singleton cut with lower bound 2L - q; on the
+    # assignment rows it imposes the classical cut's floor at every binary point
+    rng = np.random.default_rng(29)
+    cfg = RunConfig(horizon_days=4, subperiods=2, cut_family="intLS",
+                    aggregation=aggregation)
+    n, comps = 4, ("h1", "h2")
+    for _ in range(10):
+        scens = ScenarioSet(comps, rng.integers(1, cfg.tbar + 1, size=(n, 2)),
+                            np.full(n, 1.0 / n), cfg.horizon_days)
+        day_bounds = rng.uniform(0.0, 10.0, size=(n, cfg.horizon_days))
+        master = MasterState(comps, scens, cfg,
+                             {"h1": (100.0, 300.0), "h2": (50.0, 200.0)}, KINDS,
+                             day_bounds)
+        day_vals = day_bounds[:, :, None] + rng.uniform(
+            0.0, 50.0, size=(n, cfg.horizon_days, 2))
+        sched = {comp: int(rng.integers(1, cfg.tbar + 1)) for comp in comps}
+        reference = [cut_int_lshaped(sched, k, sum(day_vals[k, :, 1].tolist()),
+                                     master.lower_bounds[k], cfg.tbar)
+                     for k in range(n)]
+        cuts = master.optimality_cuts(sched, day_vals)
+        assert [cut.name for cut in cuts] == \
+            (["intLS"] * n if aggregation == "multi" else ["intLS-single"])
+        if aggregation == "single":
+            reference = [aggregate_cuts(reference)]
+        for cut, ref in zip(cuts, reference, strict=True):
+            assert cut.theta_coeffs == ref.theta_coeffs
+            for point in all_schedules(comps, cfg.tbar):
+                assert theta_floor(cut, point) == pytest.approx(
+                    theta_floor(ref, point), rel=1e-9, abs=1e-9)
+
+
+def dense_rows(master):
+    """The master model's rows as (coefficient vector, lb, ub) triples."""
+    indptr, indices, data, row_lb, row_ub = master.spec.assembled()
+    a = sp.csc_matrix((data, indices, indptr),
+                      shape=(master.spec.num_rows, master.spec.num_vars)).toarray()
+    return list(zip(a.tolist(), row_lb, row_ub))
+
+
+def expected_row(master, cut):
+    coeffs = [0.0] * master.spec.num_vars
+    for pair, c in cut.v_coeffs:
+        coeffs[master.vidx[pair]] = c
+    for key, c in cut.theta_coeffs:
+        coeffs[master.tidx[key]] = c
+    inf = float("inf")
+    return (coeffs, -inf, cut.rhs) if cut.sense == "<=" else (coeffs, cut.rhs, inf)
+
+
+def test_master_model_grows_one_row_per_added_row_in_order():
+    rng = np.random.default_rng(31)
+    cfg = RunConfig(horizon_days=3, subperiods=1, cut_family="optK+")
+    comps, n = ("h1", "h2"), 3
+    scens = ScenarioSet(comps, rng.integers(1, cfg.tbar + 1, size=(n, 2)),
+                        np.full(n, 1.0 / n), cfg.horizon_days)
+    day_bounds = rng.uniform(0.0, 5.0, size=(n, cfg.horizon_days))
+    costs = {"h1": (10.0, 30.0), "h2": (5.0, 20.0)}
+    master = MasterState(comps, scens, cfg, costs, KINDS, day_bounds)
+    assert master.num_rows == master.spec.num_rows == len(comps)
+    day_vals = [day_bounds[:, :, None] + rng.uniform(0.0, 80.0,
+                                                     size=(n, cfg.horizon_days, 2))
+                for _ in range(2)]
+    static = [LinearCut.make({("h1", 1): 1.0}, 0.0, "<=", name="static"),
+              LinearCut.make({("h2", 4): 1.0, ("h1", 4): 1.0}, 1.0, "<=",
+                             name="static")]
+    chance_cuts = [cover_cut([("h1", 2), ("h2", 2)], 2),
+                   cover_cut([("h1", 3), ("h2", 3)], 2)]
+    opt = master.optimality_cuts({"h1": 4, "h2": 4}, day_vals[0]) \
+        + master.optimality_cuts({"h1": 2, "h2": 3}, day_vals[1])
+    # interleaved: a static row, chance cuts and optimality cuts in any order,
+    # with duplicates that add nothing
+    steps = [("static", static[0]), ("opt", opt[0]), ("chance", chance_cuts[0]),
+             ("opt", opt[0]), ("static", static[1])] \
+        + [("opt", cut) for cut in opt[1:]] \
+        + [("chance", chance_cuts[1]), ("chance", chance_cuts[0])]
+    added = []
+    for pool, cut in steps:
+        if pool == "static":
+            master.add_static_row(cut)
+            added.append(cut)
+        elif master.add_cut(cut, pool=pool):
+            added.append(cut)
+        assert master.num_rows == master.spec.num_rows == len(comps) + len(added)
+    assert len(added) == len(steps) - 2
+    rows = dense_rows(master)
+    assert rows[len(comps):] == [expected_row(master, cut) for cut in added]
+
+    fresh = MasterState(comps, scens, cfg, costs, KINDS, day_bounds)
+    for cut in static:
+        fresh.add_static_row(cut)
+    for cut in master.chance_cuts:
+        fresh.add_cut(cut, pool="chance")
+    for cut in master.opt_cuts:
+        fresh.add_cut(cut)
+    grown, built = master.solve(), fresh.solve()
+    assert grown.status == built.status == "optimal"
+    assert grown.schedule == built.schedule
+    assert grown.objective == pytest.approx(built.objective, rel=1e-9, abs=1e-9)
