@@ -364,6 +364,15 @@ class DemandGrid:
         return self.values[:, t - 1, :]
 
 
+def require_grid_buses(net: Network, grid: DemandGrid) -> None:
+    """Demand rows are read by position as ``net.buses``; a grid over other
+    buses, or the same buses in another order, would be read wrongly."""
+    expected = tuple(b.id for b in net.buses)
+    if tuple(grid.bus_ids) != expected:
+        raise CaseError(f"demand grid buses {tuple(grid.bus_ids)} do not match "
+                        f"the network's buses {expected} in order")
+
+
 def load_demand(csv_text: str, net: Network, cfg: "RunConfig") -> DemandGrid:
     """Read a dense ``bus,t,s,mw`` CSV into a demand grid.
 
@@ -530,6 +539,11 @@ class RunConfig:
             raise CaseError("significance level must lie in (0, 1)")
         if self.threads < 1:
             raise CaseError("thread budget must be at least 1")
+        if self.iteration_limit < 0:
+            raise CaseError(f"iteration_limit must be >= 0, got {self.iteration_limit!r}")
+        for key in ("saa_m", "saa_n", "saa_nprime"):
+            if getattr(self, key) < 1:
+                raise CaseError(f"{key} must be at least 1, got {getattr(self, key)!r}")
 
     @property
     def tbar(self) -> int:

@@ -109,6 +109,7 @@ def cmd_preprocess(args) -> int:
     report = preflow.analyze(net, grid, args.flow_mode, candidates)
     _write(out_dir / "flow_redundancy.csv", report.to_csv())
     summary = {"mode": report.mode, "elapsed_s": report.elapsed,
+               "probes": len(report.entries), "iterations": report.iterations,
                "ub_ratio": report.redundancy_ratio("ub"),
                "lb_ratio": report.redundancy_ratio("lb")}
     _write(out_dir / "preprocess_report.json", _report_json(summary, config_hash))

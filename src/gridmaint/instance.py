@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import degrade
-from .caseio import DemandGrid, Network, RunConfig
+from .caseio import DemandGrid, Network, RunConfig, require_grid_buses
 from .pboracle import SuccessProbTable
 from .preflow import RedundancyReport
 
@@ -132,6 +132,7 @@ def build_instance(net: Network, demand: DemandGrid, cfg: RunConfig,
     drift then fixes its remaining-lifetime distribution and failure
     probability within the horizon.
     """
+    require_grid_buses(net, demand)
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
     components: dict[str, Component] = {}
     kind_of = [("gen", cfg.priors_gen, [g.id for g in net.generators]),

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import solver
-from .caseio import DemandGrid, Network
+from .caseio import DemandGrid, Network, require_grid_buses
 from .ucmodel import add_ohm_row, add_switched_line_rows
 
 log = logging.getLogger(__name__)
@@ -43,6 +43,7 @@ class RedundancyReport:
     mode: str
     entries: list[RedundancyEntry]
     elapsed: float
+    iterations: int = 0   # simplex iterations over all probes
 
     def omitted_for_day(self, day: int, subperiods: int) -> frozenset:
         """Bound rows deletable on 1-based ``day`` as (line, dir, 0-based hour)."""
@@ -126,6 +127,7 @@ class _RelaxedFlowLP:
         self.spec = spec
         self.dem = d
         self._target: int | None = None
+        self.iterations = 0  # simplex iterations over every extreme() so far
 
     def set_caps(self, demand_cap: np.ndarray) -> None:
         if np.any(demand_cap < 0):
@@ -141,6 +143,7 @@ class _RelaxedFlowLP:
         self.spec.sense = "max" if direction == "ub" else "min"
         self.spec.set_obj(self._target, 1.0)
         outcome = solver.solve(self.spec, tolerance=1e-9)
+        self.iterations += outcome.iterations
         if outcome.status != "optimal":
             raise solver.SolverError(f"flow relaxation for {line_id} ended "
                                      f"{outcome.status}")
@@ -168,23 +171,37 @@ def analyze(net: Network, grid: DemandGrid, mode: str,
     A bound is flagged only when the relaxed extreme is strictly inside it;
     ties stay in the model.  Candidate (switchable) lines keep their linked
     bounds and are never probed.
+
+    Probes run target-major: for each (line, direction) the relaxation is
+    re-solved over every cap vector, sorted so that equal vectors are
+    adjacent.  A re-solve then changes only the demand caps, which leaves
+    the kept basis dual feasible, so dual simplex restarts from it (and a
+    repeated vector takes no iteration).  Entries come out scope-major.
     """
+    require_grid_buses(net, grid)
     started = time.perf_counter()
-    entries: list[RedundancyEntry] = []
     targets = [line for line in net.lines if line.id not in candidate_lines]
+    scoped = list(_cap_vectors(grid, mode))
+    by_caps = sorted(range(len(scoped)), key=lambda k: scoped[k][1].tolist())
     lp = _RelaxedFlowLP(net, candidate_lines)
-    for scope, caps in _cap_vectors(grid, mode):
-        lp.set_caps(caps)
+    f_star: dict[tuple[int, str, str], float] = {}
+    for line in targets:
+        for direction in ("ub", "lb"):
+            for k in by_caps:
+                lp.set_caps(scoped[k][1])
+                f_star[k, line.id, direction] = lp.extreme(line.id, direction)
+    entries: list[RedundancyEntry] = []
+    for k, (scope, _) in enumerate(scoped):
         for line in targets:
-            hi = lp.extreme(line.id, "ub")
+            hi, lo = f_star[k, line.id, "ub"], f_star[k, line.id, "lb"]
             entries.append(RedundancyEntry(line.id, "ub", scope, hi,
                                            hi < line.flow_limit - _STRICT_TOL))
-            lo = lp.extreme(line.id, "lb")
             entries.append(RedundancyEntry(line.id, "lb", scope, lo,
                                            lo > -line.flow_limit + _STRICT_TOL))
     elapsed = time.perf_counter() - started
-    report = RedundancyReport(mode, entries, elapsed)
-    log.info("flow analysis mode %s: ub ratio %.3f, lb ratio %.3f (%.2fs)",
+    report = RedundancyReport(mode, entries, elapsed, lp.iterations)
+    log.info("flow analysis mode %s: ub ratio %.3f, lb ratio %.3f "
+             "(%d probes, %d simplex iterations, %.2fs)",
              mode, report.redundancy_ratio("ub"), report.redundancy_ratio("lb"),
-             elapsed)
+             len(entries), lp.iterations, elapsed)
     return report

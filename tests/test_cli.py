@@ -65,6 +65,18 @@ def test_preprocess_writes_report(workdir):
     assert "config_hash" in report
     csv_text = (workdir / "out" / "flow_redundancy.csv").read_text()
     assert csv_text.startswith("line,dir,scope,f_star,redundant")
+    assert report["probes"] == csv_text.count("\n") - 1
+
+
+def test_preprocess_reports_its_work_in_counts(workdir):
+    # with pfail_line 1 the one line is no candidate, so it is probed: two
+    # directions on each of the two days in mode II
+    (workdir / "config.json").write_text(json.dumps(dict(BASE_CONFIG, pfail_line=1.0)))
+    assert run_cli(workdir, "preprocess", "--flow-mode", "II") == EXIT_OK
+    report = json.loads((workdir / "out" / "preprocess_report.json").read_text())
+    csv_text = (workdir / "out" / "flow_redundancy.csv").read_text()
+    assert report["probes"] == csv_text.count("\n") - 1 == 4
+    assert isinstance(report["iterations"], int) and report["iterations"] > 0
 
 
 def test_config_hash_covers_overrides_and_repeats(workdir):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gridmaint.caseio import RunConfig, parse_case, synth_demand
+from gridmaint.caseio import CaseError, DemandGrid, RunConfig, parse_case, synth_demand
 from gridmaint.instance import build_instance, no_failure_scenarios, \
     training_scenarios
 from gridmaint.instance import test_scenarios as evaluation_scenarios
@@ -28,6 +28,16 @@ def test_build_instance_covers_every_component(nine_bus):
         if comp.rld is not None:
             assert comp.rld.shape_mu > 0 and comp.rld.scale_lambda > 0
         assert 0.0 <= comp.p_fail <= 1.0
+
+
+@pytest.mark.parametrize("rows", [slice(None, None, -1), slice(0, 5)])
+def test_build_instance_rejects_a_grid_over_other_buses(nine_bus, rows):
+    # day models read demand rows by position as net.buses: the same buses
+    # reversed, or only five of the nine, must not be read as that order
+    net, grid, cfg = nine_bus
+    other = DemandGrid(grid.bus_ids[rows], grid.values[rows])
+    with pytest.raises(CaseError, match="do not match"):
+        build_instance(net, other, cfg, seed=34)
 
 
 def test_subset_selection_respects_thresholds(nine_bus):

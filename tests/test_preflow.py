@@ -3,11 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
-from gridmaint.caseio import DemandGrid, RunConfig
+from gridmaint import solver
+from gridmaint.caseio import CaseError, DemandGrid, RunConfig, parse_case, synth_demand
 from gridmaint.preflow import _STRICT_TOL, _cap_vectors, _RelaxedFlowLP, analyze
 from gridmaint.ucmodel import build_subproblem, solve_subproblem
 
-from cases import build_net
+from cases import CASE9, build_net
 
 
 def grid_of(values):
@@ -130,7 +131,8 @@ def test_shared_relaxation_matches_a_fresh_model_per_probe():
     # analyze re-solves one model with new caps and objectives, each probe
     # hot-started from the previous probe's basis; every probe must flag what
     # a model built for that probe alone flags, and its extreme may differ
-    # from that model's by round-off only
+    # from that model's by round-off only.  The second grid repeats its days,
+    # so equal cap vectors follow each other and re-solve from their own basis
     for seed in range(4):
         rng = np.random.default_rng(seed)
         n_bus = int(rng.integers(3, 6))
@@ -139,20 +141,93 @@ def test_shared_relaxation_matches_a_fresh_model_per_probe():
                         flow_limits=list(rng.uniform(20, 90, size=len(lines))),
                         p_max=150.0)
         candidates = frozenset({"l1"}) if seed % 2 else frozenset()
-        grid = grid_of(rng.uniform(0, 60, size=(n_bus, 2, 2)))
-        for mode in ("I", "II", "III"):
-            report = analyze(net, grid, mode, candidate_lines=candidates)
-            caps = dict(_cap_vectors(grid, mode))
-            assert len(report.entries) == 2 * len(caps) * (len(lines) - len(candidates))
-            limit = {line.id: line.flow_limit for line in net.lines}
-            for e in report.entries:
-                fresh = flow_extreme(net, caps[e.scope], e.line_id, e.direction,
-                                     candidates)
-                assert abs(e.f_star - fresh) <= 1e-9 * max(1.0, abs(fresh))
-                fresh_redundant = (fresh < limit[e.line_id] - _STRICT_TOL
-                                   if e.direction == "ub"
-                                   else fresh > -limit[e.line_id] + _STRICT_TOL)
-                assert e.redundant == fresh_redundant
+        values = rng.uniform(0, 60, size=(n_bus, 2, 2))
+        for grid in (grid_of(values), grid_of(np.concatenate([values, values], axis=1))):
+            for mode in ("I", "II", "III"):
+                report = analyze(net, grid, mode, candidate_lines=candidates)
+                caps = dict(_cap_vectors(grid, mode))
+                assert len(report.entries) == 2 * len(caps) * (len(lines) - len(candidates))
+                limit = {line.id: line.flow_limit for line in net.lines}
+                for e in report.entries:
+                    fresh = flow_extreme(net, caps[e.scope], e.line_id, e.direction,
+                                         candidates)
+                    assert abs(e.f_star - fresh) <= 1e-9 * max(1.0, abs(fresh))
+                    fresh_redundant = (fresh < limit[e.line_id] - _STRICT_TOL
+                                       if e.direction == "ub"
+                                       else fresh > -limit[e.line_id] + _STRICT_TOL)
+                    assert e.redundant == fresh_redundant
+
+
+def test_probes_of_one_target_change_only_the_demand_caps(monkeypatch):
+    # target-major order: one (line, direction) is probed over every cap
+    # vector before the objective moves on, so consecutive re-solves differ
+    # only in the demand columns' upper bounds; day 3 repeats day 1, and a
+    # repeated vector re-solves from its own optimal basis in no iteration
+    net = build_net(n_bus=3, n_gen=2, lines=[(1, 2), (1, 3), (2, 3)],
+                    flow_limits=[40.0, 60.0, 50.0], p_max=150.0)
+    rng = np.random.default_rng(11)
+    values = rng.uniform(0, 60, size=(3, 3, 2))
+    values[:, 2, :] = values[:, 0, :]
+    grid = grid_of(values)
+    calls = []
+    real_solve = solver.solve
+
+    def spy(spec, *args, **kwargs):
+        outcome = real_solve(spec, *args, **kwargs)
+        calls.append((spec, spec.sense, list(spec._obj), list(spec._lb),
+                      list(spec._ub), outcome.iterations))
+        return outcome
+
+    monkeypatch.setattr(solver, "solve", spy)
+    candidates = frozenset({"l3"})
+    report = analyze(net, grid, "III", candidate_lines=candidates)
+    n_caps = len(list(_cap_vectors(grid, "III")))
+    assert len(calls) == len(report.entries) == 2 * 2 * n_caps
+    assert report.iterations == sum(call[-1] for call in calls)
+    spec = calls[0][0]
+    dem = {i for i, name in enumerate(spec._var_names) if name.startswith("dem")}
+    repeats = 0
+    for start in range(0, len(calls), n_caps):
+        run = calls[start:start + n_caps]
+        for before, after in zip(run, run[1:]):
+            assert after[0] is spec and after[1:3] == before[1:3]
+            assert after[3] == before[3]
+            moved = {i for i, (u, v) in enumerate(zip(before[4], after[4])) if u != v}
+            assert moved <= dem
+            if not moved:
+                repeats += 1
+                assert after[-1] == 0
+    assert repeats == 2 * 2 * grid.subperiods
+
+
+def test_entries_come_out_scope_major():
+    # the probe order is target-major, the report order is not: per scope,
+    # every target line's ub then lb, as to_csv and omitted_for_day expect
+    net = build_net(n_bus=4, n_gen=2, lines=[(1, 2), (2, 3), (3, 4), (1, 4)],
+                    flow_limits=[30.0, 50.0, 70.0, 40.0], p_max=150.0)
+    grid = grid_of(np.random.default_rng(5).uniform(0, 50, size=(4, 3, 2)))
+    candidates = frozenset({"l2"})
+    targets = ["l1", "l3", "l4"]
+    for mode in ("I", "II", "III"):
+        report = analyze(net, grid, mode, candidate_lines=candidates)
+        assert [(e.line_id, e.direction, e.scope) for e in report.entries] == [
+            (line, direction, scope) for scope, _ in _cap_vectors(grid, mode)
+            for line in targets for direction in ("ub", "lb")]
+
+
+@pytest.fixture(scope="module")
+def nine_bus_week():
+    net = parse_case(CASE9, subperiods=24)
+    return net, synth_demand(net, RunConfig(horizon_days=7, subperiods=24), seed=1)
+
+
+@pytest.mark.parametrize("rows", [slice(None, None, -1), slice(0, 5)])
+def test_grid_over_other_buses_rejected(nine_bus_week, rows):
+    # rows are read by position as net.buses: the same buses reversed would
+    # move mode II extremes, five of the nine would fail on an index
+    net, grid = nine_bus_week
+    with pytest.raises(CaseError, match="do not match"):
+        analyze(net, DemandGrid(grid.bus_ids[rows], grid.values[rows]), "II")
 
 
 def test_negative_caps_rejected():
