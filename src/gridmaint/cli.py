@@ -102,17 +102,23 @@ def _read_schedule(path: str) -> dict[str, int]:
     return schedule
 
 
+def _preflow_summary(report: preflow.RedundancyReport) -> dict:
+    """What ``preprocess_report.json`` and the ``preflow`` block of
+    ``plan_report.json`` say about one flow analysis."""
+    return {"mode": report.mode, "elapsed_s": report.elapsed,
+            "probes": len(report.entries), "iterations": report.iterations,
+            "ub_ratio": report.redundancy_ratio("ub"),
+            "lb_ratio": report.redundancy_ratio("lb")}
+
+
 def cmd_preprocess(args) -> int:
     net, grid, cfg, out_dir, config_hash = _load_context(args)
     inst = build_instance(net, grid, cfg)
     candidates = frozenset(c for c in inst.hprime if inst.kinds[c] == "line")
     report = preflow.analyze(net, grid, args.flow_mode, candidates)
     _write(out_dir / "flow_redundancy.csv", report.to_csv())
-    summary = {"mode": report.mode, "elapsed_s": report.elapsed,
-               "probes": len(report.entries), "iterations": report.iterations,
-               "ub_ratio": report.redundancy_ratio("ub"),
-               "lb_ratio": report.redundancy_ratio("lb")}
-    _write(out_dir / "preprocess_report.json", _report_json(summary, config_hash))
+    _write(out_dir / "preprocess_report.json",
+           _report_json(_preflow_summary(report), config_hash))
     return EXIT_OK
 
 
@@ -146,6 +152,8 @@ def cmd_plan(args) -> int:
         "schedule_hash": hashlib.sha256(
             repr(sorted(report.schedule.items())).encode()).hexdigest()[:16],
     }
+    if inst.preflow_report is not None:
+        payload["preflow"] = _preflow_summary(inst.preflow_report)
     _write(out_dir / "plan_report.json", _report_json(payload, config_hash))
     _write(out_dir / "cuts.log", report.cut_log)
     if report.schedule:

@@ -176,19 +176,24 @@ def analyze(net: Network, grid: DemandGrid, mode: str,
     re-solved over every cap vector, sorted so that equal vectors are
     adjacent.  A re-solve then changes only the demand caps, which leaves
     the kept basis dual feasible, so dual simplex restarts from it (and a
-    repeated vector takes no iteration).  Entries come out scope-major.
+    repeated vector, whose caps are not set again, takes no iteration).
+    Entries come out scope-major.
     """
     require_grid_buses(net, grid)
     started = time.perf_counter()
     targets = [line for line in net.lines if line.id not in candidate_lines]
     scoped = list(_cap_vectors(grid, mode))
     by_caps = sorted(range(len(scoped)), key=lambda k: scoped[k][1].tolist())
+    # a sweep sets the caps at its start and then only where they change
+    new_caps = [i == 0 or not np.array_equal(scoped[k][1], scoped[by_caps[i - 1]][1])
+                for i, k in enumerate(by_caps)]
     lp = _RelaxedFlowLP(net, candidate_lines)
     f_star: dict[tuple[int, str, str], float] = {}
     for line in targets:
         for direction in ("ub", "lb"):
-            for k in by_caps:
-                lp.set_caps(scoped[k][1])
+            for k, new in zip(by_caps, new_caps):
+                if new:
+                    lp.set_caps(scoped[k][1])
                 f_star[k, line.id, direction] = lp.extreme(line.id, direction)
     entries: list[RedundancyEntry] = []
     for k, (scope, _) in enumerate(scoped):

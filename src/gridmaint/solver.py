@@ -4,6 +4,13 @@ All optimization modules describe models through :class:`ModelSpec` and call
 :func:`solve`.  The single in-process backend is HiGHS, driven through the
 bindings SciPy bundles (``scipy.optimize._highspy._core``); pure LPs go
 through the same call.
+
+Every solve gets the options ``scipy.optimize.milp`` sets plus two that
+differ from HiGHS's defaults: the root reduced-cost sub-MIP and feasibility
+jump, two primal heuristics, are off.  The day and master MILPs close at the
+root node, where those two took most of the time without finding the
+optimum; off, a MILP takes about half the HiGHS time for the same optimum
+(measured in :func:`_options`).  Both options are checked at import.
 """
 
 from __future__ import annotations
@@ -28,6 +35,25 @@ except ImportError as exc:  # the bindings are private to SciPy and moved once
 log = logging.getLogger(__name__)
 
 INF = float("inf")
+
+# HiGHS MIP heuristics every solve turns off (see _options)
+_HEURISTICS_OFF = ("mip_heuristic_run_root_reduced_cost",
+                   "mip_heuristic_run_feasibility_jump")
+
+
+def _require_options(options_class) -> None:
+    """Raise ``ImportError`` unless ``options_class()`` has every option in
+    ``_HEURISTICS_OFF``, so that a SciPy whose HiGHS lacks one fails at
+    import rather than with an ``AttributeError`` inside every solve."""
+    options = options_class()
+    for name in _HEURISTICS_OFF:
+        if not hasattr(options, name):
+            raise ImportError(
+                f"gridmaint sets the HiGHS option {name}, which the HiGHS "
+                f"bundled with SciPy {scipy.__version__} lacks")
+
+
+_require_options(_highs.HighsOptions)
 
 
 class SolverError(RuntimeError):
@@ -207,12 +233,26 @@ def _check(spec: ModelSpec, step: str, status) -> None:
 
 
 def _options(tolerance: float, time_limit: float | None) -> _highs.HighsOptions:
-    """The options ``scipy.optimize.milp`` sets: no console log, presolve on,
-    relative MIP gap ``tolerance``, the time limit when given."""
+    """The options ``scipy.optimize.milp`` sets (no console log, presolve on,
+    relative MIP gap ``tolerance``, the time limit when given), with the two
+    MIP heuristics of ``_HEURISTICS_OFF`` off.
+
+    Those two, the root reduced-cost sub-MIP and feasibility jump, are the
+    only options that differ from ``scipy.optimize.milp``'s defaults.  The
+    day and master MILPs close at the root, where root cuts and the other
+    heuristics find the optimum and these two took most of the time.  Off,
+    the 21 day MILPs of the case9 evaluate benchmark took 0.52-0.66 s of
+    HiGHS time instead of 1.32-1.59 s (5 interleaved runs on a 2-vCPU VM),
+    in one node each, and 10 of their 21 objectives were bit-equal, the
+    rest within 1.2e-15 relative.  The search stays exact (gap within
+    ``tolerance``).  LPs ignore MIP options.
+    """
     options = _highs.HighsOptions()
     options.log_to_console = False
     options.presolve = "on"
     options.mip_rel_gap = tolerance
+    for name in _HEURISTICS_OFF:
+        setattr(options, name, False)
     if time_limit is not None:
         options.time_limit = time_limit
     return options
@@ -271,15 +311,18 @@ def milp(spec: ModelSpec, cost: list[float], rows: tuple[list, ...],
     """Minimise ``cost . x`` over ``rows`` (``spec.assembled()``) and the
     variable bounds of ``spec``.
 
-    Each call passes the options ``scipy.optimize.milp`` sets (see
-    :func:`_options`) to this thread's HiGHS instance.  An LP solved again
+    Each call passes the options ``scipy.optimize.milp`` sets, with the
+    root reduced-cost sub-MIP and feasibility jump heuristics off (see
+    :func:`_options`), to this thread's HiGHS instance.  An LP solved again
     on the same spec, with the same ``rows`` object, right after its last
     solve on this thread ended optimal starts from the basis HiGHS kept:
     only the costs and column bounds that changed are sent, and HiGHS skips
     presolve and runs dual simplex from that basis.  Everything else (a
     MILP, a first solve, another spec in between, an added row or column)
-    is passed whole, replacing whatever an earlier solve left, and gets the
-    answer ``scipy.optimize.milp`` gives.  An instance that returned
+    is passed whole, replacing whatever an earlier solve left: an LP gets
+    the answer ``scipy.optimize.milp`` gives, a MILP the same optimum within
+    the gap, whose objective may differ from ``scipy.optimize.milp``'s by
+    round-off.  An instance that returned
     ``kError`` is dropped, not reused.  HiGHS runs its MIP search serially,
     which keeps results deterministic.
     """

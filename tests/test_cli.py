@@ -79,6 +79,22 @@ def test_preprocess_reports_its_work_in_counts(workdir):
     assert isinstance(report["iterations"], int) and report["iterations"] > 0
 
 
+def test_plan_preflow_reports_what_preprocess_reports(workdir):
+    # with pfail_line 1 the one line is no candidate, so mode III probes it
+    # in both directions in each of the 2 x 2 hours
+    (workdir / "config.json").write_text(json.dumps(dict(BASE_CONFIG, pfail_line=1.0)))
+    assert run_cli(workdir, "preprocess", "--flow-mode", "III") == EXIT_OK
+    summary = json.loads((workdir / "out" / "preprocess_report.json").read_text())
+    assert summary["mode"] == "III" and summary["probes"] == 8
+    assert run_cli(workdir, "plan", "--preflow", "III") == EXIT_OK
+    report = json.loads((workdir / "out" / "plan_report.json").read_text())
+    assert report["status"] == "optimal"
+    block = report["preflow"]
+    assert block["probes"] > 0 and block["elapsed_s"] >= 0.0
+    del block["elapsed_s"], summary["elapsed_s"], summary["config_hash"]
+    assert block == summary
+
+
 def test_config_hash_covers_overrides_and_repeats(workdir):
     def preprocess_hash(seed):
         assert run_cli(workdir, "preprocess", "--seed", seed) == EXIT_OK
@@ -97,6 +113,7 @@ def test_plan_writes_schedule_and_report(workdir):
     assert report["gap"] <= BASE_CONFIG["epsilon"]
     assert set(report["timings"]) == {"lower_bounds", "master", "chance",
                                       "subproblems", "cuts"}
+    assert "preflow" not in report  # no --preflow, no block
     schedule = (workdir / "out" / "schedule.csv").read_text()
     assert schedule.startswith("component,period")
     scen_text = (workdir / "out" / "scenarios.csv").read_text()

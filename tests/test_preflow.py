@@ -179,10 +179,16 @@ def test_probes_of_one_target_change_only_the_demand_caps(monkeypatch):
         return outcome
 
     monkeypatch.setattr(solver, "solve", spy)
+    set_caps = []
+    real_set_caps = _RelaxedFlowLP.set_caps
+    monkeypatch.setattr(_RelaxedFlowLP, "set_caps",
+                        lambda lp, caps: set_caps.append(1) or real_set_caps(lp, caps))
     candidates = frozenset({"l3"})
     report = analyze(net, grid, "III", candidate_lines=candidates)
     n_caps = len(list(_cap_vectors(grid, "III")))
     assert len(calls) == len(report.entries) == 2 * 2 * n_caps
+    # caps are set only when they change: 4 distinct vectors per sweep
+    assert len(set_caps) == 2 * 2 * (n_caps - grid.subperiods)
     assert report.iterations == sum(call[-1] for call in calls)
     spec = calls[0][0]
     dem = {i for i, name in enumerate(spec._var_names) if name.startswith("dem")}

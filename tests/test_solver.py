@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import time
@@ -6,8 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
-from gridmaint import solver
+from gridmaint import decomp, solver, ucmodel
+from gridmaint.caseio import RunConfig, parse_case, synth_demand
+
+from cases import CASE9, toy_instance
 
 
 def test_min_bounded_variable():
@@ -68,7 +73,9 @@ def test_crossed_row_bounds_name_the_spec_and_row():
 
 def reference_solve(spec, tolerance=1e-9, time_limit=None):
     """``spec`` solved through ``scipy.optimize.milp``, which drives the same
-    HiGHS with the same options, so ``solver.solve`` must match it bit for bit.
+    HiGHS.  For an LP its options are the same, so ``solver.solve`` must match
+    it bit for bit; for a MILP ``solver.solve`` also turns two heuristics off
+    (``solver._HEURISTICS_OFF``), and the models compared here still match.
 
     Returns ``(status, x bytes, objective, bound, gap)`` under the status
     mapping and sign handling of ``solver.solve``.
@@ -256,6 +263,16 @@ def test_missing_bindings_name_the_scipy_version():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
     assert out.stdout.strip() == "ok", out.stderr
+
+
+@pytest.mark.parametrize("missing", solver._HEURISTICS_OFF)
+def test_import_check_names_a_missing_heuristic_option(missing):
+    # the options class of a HiGHS that lacks one of the two heuristics
+    stub = type("Options", (), {name: True for name in solver._HEURISTICS_OFF
+                                if name != missing})
+    with pytest.raises(ImportError, match=rf"{missing}.*SciPy {re.escape(scipy.__version__)}"):
+        solver._require_options(stub)
+    solver._require_options(solver._highs.HighsOptions)  # this SciPy has both
 
 
 REUSE_SEQUENCE = [
@@ -478,3 +495,54 @@ def test_threads_keep_separate_records():
     for first, again, own in results:
         assert first.iterations > 0 and again.iterations == 0
         assert full_outcome(again) == full_outcome(first) and own
+
+
+def highs_default_options(tolerance):
+    """HiGHS's defaults, but for the options ``scipy.optimize.milp`` sets."""
+    options = solver._highs.HighsOptions()
+    options.log_to_console = False
+    options.presolve = "on"
+    options.mip_rel_gap = tolerance
+    return options
+
+
+def referee_milps():
+    """Day MILPs of case9 over several down-sets, then toy masters as
+    ``decomp.solve`` left them."""
+    net = parse_case(CASE9, subperiods=24)
+    cfg = RunConfig(horizon_days=2, subperiods=24)
+    grid = synth_demand(net, cfg, seed=1)
+    for day, down in [(1, ()), (1, ("g2",)), (2, ("l3",)), (2, ("g1", "l5")),
+                      (1, ("g3", "l1", "l8"))]:
+        yield ucmodel.build_subproblem(net, grid.day(day), frozenset(down), cfg).spec
+    for seed in (7, 43):
+        inst, scens = toy_instance(seed=seed, extra_candidate=True)
+        masters = []
+        real = solver.solve
+
+        def spy(spec, *args, **kwargs):
+            if spec.name == "master":
+                masters.append(spec)
+            return real(spec, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "solve", spy)
+            decomp.solve(inst, scens, inst.cfg)
+        yield masters[-1]  # one spec, grown by every cut of the run
+
+
+def test_heuristics_off_reach_the_optima_of_highs_defaults(monkeypatch):
+    tolerance = 1e-9
+    for name in solver._HEURISTICS_OFF:  # on by default, off in solver.solve
+        assert getattr(highs_default_options(tolerance), name) is True
+        assert getattr(solver._untimed_options(tolerance), name) is False
+    specs = list(referee_milps())
+    assert all(any(spec._integer) for spec in specs)
+    ours = [solver.solve(spec, tolerance=tolerance) for spec in specs]
+    monkeypatch.setattr(solver, "_untimed_options", highs_default_options)
+    for spec, got in zip(specs, ours):
+        want = solver.solve(spec, tolerance=tolerance)
+        assert got.status == want.status == "optimal", spec.name
+        assert got.gap <= tolerance and want.gap <= tolerance, spec.name
+        assert abs(got.objective - want.objective) \
+            <= 1e-9 * max(1.0, abs(want.objective)), spec.name
