@@ -1,12 +1,17 @@
 """Decomposition loop: relaxed master, chance separation, cached subproblems.
 
-One iteration solves the master for a candidate schedule, checks it against
-the joint chance constraint (exact oracle separation, or tangent cuts on the
-safe product region), derives the per-day status vectors of all scenarios,
-keys each scenario-day by what its day model is built from (demand class,
-down-set, preflow deletions), solves only the keys never seen, aliases the
-rest from the cache, and adds the optimality cuts the master derives from
-the round's values.  The loop stops at the configured relative gap.
+The scenario set may fail maintenance candidates (H') only: the lower-bound
+LPs, the recourse and the master all read failures of H', and a set that
+covers any other component raises.  Before the loop every scenario-day gets
+an LP lower bound.  One iteration solves the master for a candidate
+schedule, checks it against the joint chance constraint (exact oracle
+separation, or tangent cuts on the safe product region), derives the
+per-day status vectors of all scenarios, keys each scenario-day by what its
+day model is built from (demand class, down-set, preflow deletions), solves
+only the keys never seen, aliases the rest from the cache, and adds the
+optimality cuts the master derives from the round's values.  The loop stops
+at the configured relative gap, and raises when its bound exceeds its
+objective by more than that gap.
 """
 
 from __future__ import annotations
@@ -123,11 +128,10 @@ def compute_lower_bounds(inst: Instance, scenarios: ScenarioSet, cfg: RunConfig,
     ``lb_models`` and ``lb_iterations`` (simplex iterations over every solve).
     """
     n, horizon = scenarios.size, cfg.horizon_days
-    xi = scenarios.failure_days(ucmodel.lower_bound_components(inst.net, inst.hprime),
-                                cfg.tbar)
+    xi = scenarios.failure_days(inst.hprime, cfg.tbar)
     groups = []  # (day, pattern, scenario rows), in order of first appearance
     for t in range(1, horizon + 1):
-        patterns = ucmodel.lower_bound_patterns(inst.net, xi, t, cfg, inst.hprime)
+        patterns = ucmodel.lower_bound_patterns(xi, t, cfg, inst.hprime, inst.kinds)
         first, inverse = _distinct_rows(patterns)
         groups += [(t, patterns[first[key]], np.flatnonzero(inverse == key))
                    for key in np.argsort(first).tolist()]
@@ -214,6 +218,11 @@ class DecompositionRun:
 
     def __init__(self, inst: Instance, scenarios: ScenarioSet, cfg: RunConfig,
                  enforce_chance: bool = True, cache: StatusCache | None = None):
+        # the bounds, the recourse and the master read failures of H' only
+        others = sorted(set(scenarios.component_ids) - set(inst.hprime))
+        if others:
+            raise ValueError(f"scenarios cover components outside the maintenance "
+                             f"candidates {list(inst.hprime)}: {others}")
         self.inst = inst
         self.scenarios = scenarios
         self.cfg = cfg
@@ -338,6 +347,9 @@ class DecompositionRun:
                     for k in range(self.scenarios.size))
         if upper < self.ub:
             self.ub, self.incumbent = upper, dict(ms.schedule)
+        if self.lb - self.ub > cfg.epsilon * max(abs(self.ub), 1.0):
+            raise solver.SolverError(f"lower bound {self.lb!r} exceeds the "
+                                     f"objective {self.ub!r}")
 
         gap = _relative_gap(self.ub, self.lb)
         converged = gap <= cfg.epsilon

@@ -25,7 +25,7 @@ from . import solver
 from .caseio import RunConfig
 from .chance import LinearCut
 from .degrade import ScenarioSet
-from .ucmodel import maintenance_cost_coeffs, outage_days, status_bit
+from .ucmodel import maintenance_cost_coeffs, period_status
 
 log = logging.getLogger(__name__)
 
@@ -81,10 +81,7 @@ def same_status_periods(schedule: dict[str, int], failure_days: np.ndarray,
     result holds one period-set map per scenario row.
     """
     comps = list(schedule)
-    periods = np.arange(1, cfg.tbar + 1)
-    tau = outage_days(comps, kinds, cfg)
-    bits = status_bit(periods[:, None, None], failure_days, day, tau[:, 0], tau[:, 1],
-                      cfg.horizon_days)  # (tbar, n, components)
+    bits = period_status(failure_days, day, cfg, comps, kinds)
     at = np.array([schedule[comp] - 1 for comp in comps], dtype=int).reshape(1, 1, -1)
     same = (bits == np.take_along_axis(bits, at, axis=0)).transpose(1, 2, 0).tolist()
     return [{comp: {m for m, hit in enumerate(row[j], start=1) if hit}
@@ -171,12 +168,11 @@ class MasterState:
         self.vidx: dict[tuple[str, int], int] = {}
         for comp in self.hprime:
             for t in range(1, self.tbar + 1):
-                self.vidx[(comp, t)] = self.spec.add_binary(f"v{comp}_{t}",
-                                                            obj=self.obj_v[(comp, t)])
+                self.vidx[(comp, t)] = self.spec.add_binary(obj=self.obj_v[(comp, t)])
             self.spec.add_eq({self.vidx[(comp, t)]: 1.0
                               for t in range(1, self.tbar + 1)}, 1.0)
         self.tidx = {key: self.spec.add_var(
-            f"theta{key}", lb=float(self.lower_bounds[key]),
+            lb=float(self.lower_bounds[key]),
             obj=float(scenarios.probs[key[0] if self.per_day else key]))
             for key in self.theta_keys}
 

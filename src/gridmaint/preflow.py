@@ -83,17 +83,16 @@ class _RelaxedFlowLP:
         n_bus = len(net.buses)
 
         # upper bounds are the demand caps, written by set_caps
-        d = [spec.add_var(f"dem{b.id}", lb=0.0, ub=0.0) for b in net.buses]
-        q = [spec.add_var(f"q{b.id}", lb=0.0) for b in net.buses]
-        delta = [spec.add_var(f"delta{b.id}", lb=b.delta_min, ub=b.delta_max)
-                 for b in net.buses]
+        d = [spec.add_var(lb=0.0, ub=0.0) for _ in net.buses]
+        q = [spec.add_var(lb=0.0) for _ in net.buses]
+        delta = [spec.add_var(lb=b.delta_min, ub=b.delta_max) for b in net.buses]
         for i in range(n_bus):
             spec.add_le({q[i]: 1.0, d[i]: -1.0}, 0.0)  # curtail at most demand
 
         p = []
         for gen in net.generators:
-            xv = spec.add_var(f"x{gen.id}", lb=0.0, ub=1.0)
-            pv = spec.add_var(f"p{gen.id}", lb=0.0)
+            xv = spec.add_var(lb=0.0, ub=1.0)
+            pv = spec.add_var(lb=0.0)
             spec.add_le({pv: 1.0, xv: -gen.p_max}, 0.0)
             spec.add_ge({pv: 1.0, xv: -gen.p_min}, 0.0)
             p.append(pv)
@@ -102,11 +101,11 @@ class _RelaxedFlowLP:
         for line in net.lines:
             b_mw = net.line_susceptance_mw(line)
             fi, ti = bus_pos[line.from_bus], bus_pos[line.to_bus]
-            fv = spec.add_var(f"f{line.id}", lb=-solver.INF, ub=solver.INF)
+            fv = spec.add_var(lb=-solver.INF, ub=solver.INF)
             self.fvar[line.id] = fv
             if line.id in candidate_lines:
                 # switchable: relaxed on/off with big-M Ohm and linked bounds
-                yv = spec.add_var(f"y{line.id}", lb=0.0, ub=1.0)
+                yv = spec.add_var(lb=0.0, ub=1.0)
                 add_switched_line_rows(spec, fv, delta[fi], delta[ti], yv, line, b_mw)
             else:
                 # static line: Ohm only; its own limit rows are what we probe

@@ -92,31 +92,28 @@ class ModelSpec:
             raise ValueError(f"unknown sense {sense!r}")
         self.name = name
         self.sense = sense
-        self.obj_offset = 0.0
         self._lb: list[float] = []
         self._ub: list[float] = []
         self._integer: list[bool] = []
         self._obj: list[float] = []
-        self._var_names: list[str] = []
         # each row: (coeffs dict var->coef, lb, ub)
         self._rows: list[tuple[dict[int, float], float, float]] = []
         self._assembled: tuple[list, ...] | None = None
 
     # -- variables ---------------------------------------------------------
 
-    def add_var(self, name: str | None = None, lb: float = 0.0, ub: float = INF,
-                obj: float = 0.0, integer: bool = False) -> int:
+    def add_var(self, lb: float = 0.0, ub: float = INF, obj: float = 0.0,
+                integer: bool = False) -> int:
         idx = len(self._lb)
         self._lb.append(lb)
         self._ub.append(ub)
         self._integer.append(integer)
         self._obj.append(obj)
-        self._var_names.append(name if name is not None else f"x{idx}")
         self._assembled = None
         return idx
 
-    def add_binary(self, name: str | None = None, obj: float = 0.0) -> int:
-        return self.add_var(name, lb=0.0, ub=1.0, obj=obj, integer=True)
+    def add_binary(self, obj: float = 0.0) -> int:
+        return self.add_var(lb=0.0, ub=1.0, obj=obj, integer=True)
 
     def set_obj(self, var: int, coef: float) -> None:
         self._obj[var] = coef
@@ -379,11 +376,12 @@ def solve(spec: ModelSpec, tolerance: float = 1e-9,
     if run.x is None:
         return SolveOutcome(run.status, None, None, None, INF, run.seconds,
                             run.mip_node_count, run.simplex_iteration_count)
-    objective = sign * run.fun + spec.obj_offset
+    # adding 0.0 turns the -0.0 of a maximum at zero into 0.0
+    objective = sign * run.fun + 0.0
     if run.mip_dual_bound is None:
         bound, gap = objective, 0.0
     else:
-        bound = sign * run.mip_dual_bound + spec.obj_offset
+        bound = sign * run.mip_dual_bound + 0.0
         gap = run.mip_gap
     return SolveOutcome(run.status, run.x, objective, bound, gap, run.seconds,
                         run.mip_node_count, run.simplex_iteration_count)

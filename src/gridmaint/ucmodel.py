@@ -12,6 +12,11 @@ share their models.
 A line is on exactly when it is not under maintenance or failed-out, so the
 switching variable is data here: available lines carry the Ohm equality and
 static flow bounds, unavailable ones are removed with zero flow.
+
+The lower-bound LP relaxes the candidates' schedule.  A scenario enters it
+only through the candidates' availability under maintenance in each period
+(:func:`period_status`), the array the same-status cut sets also compare;
+every other component is in service.
 """
 
 from __future__ import annotations
@@ -24,10 +29,10 @@ from . import solver
 from .caseio import DemandGrid, Line, Network, RunConfig
 from .degrade import ScenarioSet
 
-__all__ = ["status_bit", "outage_days", "status_vector", "DayModel",
+__all__ = ["status_bit", "outage_days", "status_vector", "period_status", "DayModel",
            "build_subproblem", "solve_subproblem", "add_ohm_row",
-           "add_switched_line_rows", "lower_bound_components", "lower_bound_patterns",
-           "lp_lower_bound", "solve_lower_bound", "maintenance_cost_coeffs"]
+           "add_switched_line_rows", "lower_bound_patterns", "lp_lower_bound",
+           "solve_lower_bound", "maintenance_cost_coeffs"]
 
 
 def status_bit(period, xi, day, tau_pred, tau_corr, horizon):
@@ -65,6 +70,19 @@ def status_vector(schedule: dict[str, int], scenarios: ScenarioSet, day: int,
     period = np.array([schedule.get(comp, cfg.tbar) for comp in components], dtype=int)
     tau = outage_days(components, kinds, cfg)
     return status_bit(period, xi, day, tau[:, 0], tau[:, 1], cfg.horizon_days)
+
+
+def period_status(failure_days: np.ndarray, day: int, cfg: RunConfig,
+                  components: tuple[str, ...], kinds: dict[str, str]) -> np.ndarray:
+    """Availability of ``components`` on ``day`` under maintenance in each
+    period 1..tbar, ``(tbar, n, c)`` uint8.
+
+    ``failure_days`` is ``(n, c)`` with columns in ``components`` order.
+    """
+    tau = outage_days(components, kinds, cfg)
+    periods = np.arange(1, cfg.tbar + 1)[:, None, None]
+    return status_bit(periods, failure_days, day, tau[:, 0], tau[:, 1],
+                      cfg.horizon_days)
 
 
 def maintenance_cost_coeffs(comp_pred, comp_corr, xi, tbar: int,
@@ -141,22 +159,18 @@ def _add_day_network(spec, net, demand_day, cfg, off, integer_x,
     for i, bus in enumerate(net.buses):
         cost = cfg.curtail_cost if cfg.curtail_cost is not None else bus.curtail_cost
         for s in range(s_count):
-            delta[i, s] = spec.add_var(f"d{bus.id}_{s}", lb=bus.delta_min,
-                                       ub=bus.delta_max)
+            delta[i, s] = spec.add_var(lb=bus.delta_min, ub=bus.delta_max)
             # curtailment pays to shed load, never to fabricate injection
-            q[i, s] = spec.add_var(f"q{bus.id}_{s}", lb=0.0,
-                                   ub=float(demand_day[i, s]), obj=cost)
+            q[i, s] = spec.add_var(lb=0.0, ub=float(demand_day[i, s]), obj=cost)
 
     p, x, u, nu = np.empty((4, len(net.generators), s_count), dtype=int)
     for g, gen in enumerate(net.generators):
         for s in range(s_count):
-            x[g, s] = spec.add_var(f"x{gen.id}_{s}", lb=0.0,
-                                   ub=0.0 if gen.id in off else 1.0,
+            x[g, s] = spec.add_var(lb=0.0, ub=0.0 if gen.id in off else 1.0,
                                    obj=gen.noload_cost, integer=integer_x)
-            p[g, s] = spec.add_var(f"p{gen.id}_{s}", lb=0.0, obj=gen.gen_cost)
-            u[g, s] = spec.add_var(f"u{gen.id}_{s}", lb=0.0, ub=1.0,
-                                   obj=gen.startup_cost)
-            nu[g, s] = spec.add_var(f"nu{gen.id}_{s}", lb=0.0, ub=1.0)
+            p[g, s] = spec.add_var(lb=0.0, obj=gen.gen_cost)
+            u[g, s] = spec.add_var(lb=0.0, ub=1.0, obj=gen.startup_cost)
+            nu[g, s] = spec.add_var(lb=0.0, ub=1.0)
         for s in range(s_count) if outage_terms.get(gen.id) else ():
             spec.add_le({**outage_terms[gen.id], x[g, s]: 1.0}, 1.0)
 
@@ -167,15 +181,15 @@ def _add_day_network(spec, net, demand_day, cfg, off, integer_x,
         fi, ti = bus_pos[line.from_bus], bus_pos[line.to_bus]
         for s in range(s_count):
             if line.id in off:
-                f[j, s] = spec.add_var(f"f{line.id}_{s}", lb=0.0, ub=0.0)
+                f[j, s] = spec.add_var(lb=0.0, ub=0.0)
                 continue
             lo = -solver.INF if (line.id, "lb", s) in omit_bounds else -line.flow_limit
             hi = solver.INF if (line.id, "ub", s) in omit_bounds else line.flow_limit
-            f[j, s] = spec.add_var(f"f{line.id}_{s}", lb=lo, ub=hi)
+            f[j, s] = spec.add_var(lb=lo, ub=hi)
             if line.id not in outage_terms:
                 add_ohm_row(spec, f[j, s], delta[fi, s], delta[ti, s], b_mw)
                 continue
-            y = spec.add_var(f"y{line.id}_{s}", lb=0.0, ub=1.0)
+            y = spec.add_var(lb=0.0, ub=1.0)
             spec.add_eq({**outage_terms[line.id], y: 1.0}, 1.0)
             add_switched_line_rows(spec, f[j, s], delta[fi, s], delta[ti, s], y,
                                    line, b_mw)
@@ -243,37 +257,19 @@ def add_switched_line_rows(spec: solver.ModelSpec, f: int, d_from: int, d_to: in
 # Scenario lower bound (relaxed schedule folded into one day's LP)
 # ---------------------------------------------------------------------------
 
-def lower_bound_components(net: Network,
-                           candidates: tuple[str, ...]) -> tuple[str, ...]:
-    """Columns of the failure-day array :func:`lower_bound_patterns` reads:
-    the candidates, then every other generator and line in network order."""
-    chosen = set(candidates)
-    return tuple(candidates) + tuple(c.id for c in (*net.generators, *net.lines)
-                                     if c.id not in chosen)
+def lower_bound_patterns(failure_days: np.ndarray, day: int, cfg: RunConfig,
+                         candidates: tuple[str, ...],
+                         kinds: dict[str, str]) -> np.ndarray:
+    """The availability bits the day-``day`` lower-bound LP reads, ``(n, c * tbar)``
+    uint8: each candidate's availability under maintenance in periods 1..tbar,
+    candidate-major (:func:`period_status` flattened).
 
-
-def lower_bound_patterns(net: Network, failure_days: np.ndarray, day: int,
-                         cfg: RunConfig, candidates: tuple[str, ...]) -> np.ndarray:
-    """The availability bits the day-``day`` lower-bound LP reads, ``(n, b)`` uint8.
-
-    ``failure_days`` is ``(n, c)`` with columns in
-    :func:`lower_bound_components` order.  A row holds each candidate's
-    availability under maintenance in periods 1..tbar (candidate-major), then
-    each other component's availability when left unmaintained.  Scenarios
-    with equal rows get identical LPs from :func:`lp_lower_bound`.
+    ``failure_days`` is ``(n, c)`` with columns in ``candidates`` order.
+    Scenarios with equal rows get identical LPs from :func:`lp_lower_bound`.
     """
-    tbar, n_cand = cfg.tbar, len(candidates)
-    kinds = {unit.id: kind for kind, units in (("gen", net.generators),
-                                               ("line", net.lines)) for unit in units}
-    tau = outage_days(lower_bound_components(net, candidates), kinds, cfg)
-    periods = np.arange(1, tbar + 1)[:, None, None]
-    xi = np.asarray(failure_days)
-    scheduled = status_bit(periods, xi[:, :n_cand], day, tau[:n_cand, 0],
-                           tau[:n_cand, 1], cfg.horizon_days)  # (tbar, n, n_cand)
-    unmaintained = status_bit(tbar, xi[:, n_cand:], day, tau[n_cand:, 0],
-                              tau[n_cand:, 1], cfg.horizon_days)
-    return np.concatenate([scheduled.transpose(1, 2, 0).reshape(len(xi), n_cand * tbar),
-                           unmaintained], axis=1)
+    bits = period_status(failure_days, day, cfg, candidates, kinds)
+    return bits.transpose(1, 2, 0).reshape(len(failure_days),
+                                           len(candidates) * cfg.tbar)
 
 
 def lp_lower_bound(net: Network, demand: DemandGrid, pattern: np.ndarray, day: int,
@@ -283,25 +279,23 @@ def lp_lower_bound(net: Network, demand: DemandGrid, pattern: np.ndarray, day: i
     ``pattern`` is one row of :func:`lower_bound_patterns`.  The maintenance
     decision enters continuously in [0,1] with its assignment rows,
     availability becomes the induced linear expression, and commitment and
-    switching are relaxed.  Every binary schedule is feasible here, so the
+    switching are relaxed.  Every other component is in service: only
+    candidates fail.  Every binary schedule is feasible here, so the
     optimum bounds every Q_t from below; :func:`solve_lower_bound` solves it.
     """
-    tbar, n_cand = cfg.tbar, len(candidates)
-    comps = lower_bound_components(net, candidates)
+    tbar = cfg.tbar
     bits = np.asarray(pattern).tolist()
-    if len(bits) != n_cand * tbar + len(comps) - n_cand:
+    if len(bits) != len(candidates) * tbar:
         raise ValueError(f"pattern has {len(bits)} bits, expected "
-                         f"{n_cand * tbar + len(comps) - n_cand}")
-    off = frozenset(comp for comp, bit in zip(comps[n_cand:], bits[n_cand * tbar:])
-                    if bit == 0)
+                         f"{len(candidates) * tbar}")
     spec = solver.ModelSpec(f"lb_day{day}")
     outage_terms = {}
     for i, comp in enumerate(candidates):
-        v = [spec.add_var(f"v{comp}_{m}", lb=0.0, ub=1.0) for m in range(1, tbar + 1)]
+        v = [spec.add_var(lb=0.0, ub=1.0) for _ in range(tbar)]
         spec.add_eq(dict.fromkeys(v, 1.0), 1.0)
         outage_terms[comp] = {v[m]: 1.0 for m, bit
                               in enumerate(bits[i * tbar:(i + 1) * tbar]) if bit == 0}
-    _add_day_network(spec, net, demand.day(day), cfg, off, integer_x=False,
+    _add_day_network(spec, net, demand.day(day), cfg, frozenset(), integer_x=False,
                      outage_terms=outage_terms)
     return spec
 

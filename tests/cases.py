@@ -8,8 +8,8 @@ from gridmaint.degrade import ScenarioSet
 from gridmaint.instance import Component, Instance
 from gridmaint.mastercuts import same_cost_periods, same_status_periods
 from gridmaint.pboracle import SuccessProbTable
-from gridmaint.ucmodel import (lower_bound_components, lower_bound_patterns,
-                               lp_lower_bound, solve_lower_bound, status_vector)
+from gridmaint.ucmodel import (lower_bound_patterns, lp_lower_bound, solve_lower_bound,
+                               status_vector)
 
 # 9-bus test system with linear generation costs.
 CASE9 = """
@@ -227,10 +227,12 @@ def cut_int_lshaped(schedule, theta_key, q_value, lower, tbar):
 
 
 def one_lower_bound(net, demand, xi_map, day, cfg, candidates):
-    """Lower-bound LP value of a single scenario given as a failure-day map."""
-    comps = lower_bound_components(net, candidates)
-    xi = np.array([[xi_map.get(c, cfg.tbar) for c in comps]], dtype=int)
-    pattern = lower_bound_patterns(net, xi, day, cfg, candidates)[0]
+    """Lower-bound LP value of a single scenario given as a failure-day map
+    over the candidates."""
+    kinds = {**dict.fromkeys((g.id for g in net.generators), "gen"),
+             **dict.fromkeys((line.id for line in net.lines), "line")}
+    xi = np.array([[xi_map.get(c, cfg.tbar) for c in candidates]], dtype=int)
+    pattern = lower_bound_patterns(xi, day, cfg, candidates, kinds)[0]
     value, _ = solve_lower_bound(lp_lower_bound(net, demand, pattern, day, cfg,
                                                 candidates))
     return value

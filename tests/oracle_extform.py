@@ -45,9 +45,9 @@ def extensive_solve(inst, scenarios, cfg, chance="off", fixed_schedule=None,
         for t in range(1, tbar + 1):
             if fixed_schedule is not None:
                 val = 1.0 if fixed_schedule[comp] == t else 0.0
-                v[(comp, t)] = spec.add_var(f"v{comp}_{t}", lb=val, ub=val, integer=True)
+                v[(comp, t)] = spec.add_var(lb=val, ub=val, integer=True)
             else:
-                v[(comp, t)] = spec.add_binary(f"v{comp}_{t}")
+                v[(comp, t)] = spec.add_binary()
         spec.add_eq({v[(comp, t)]: 1.0 for t in range(1, tbar + 1)}, 1.0)
 
     if chance == "enum" and fixed_schedule is None:
@@ -93,10 +93,9 @@ def extensive_solve(inst, scenarios, cfg, chance="off", fixed_schedule=None,
                 cost = cfg.curtail_cost if cfg.curtail_cost is not None \
                     else bus.curtail_cost
                 for s in range(s_count):
-                    delta[(i, s)] = spec.add_var(f"D{k}_{day}_{bus.id}_{s}",
-                                                 lb=bus.delta_min, ub=bus.delta_max)
-                    qv[(i, s)] = spec.add_var(f"Q{k}_{day}_{bus.id}_{s}", lb=0.0,
-                                              ub=float(dd[i, s]), obj=pi * cost)
+                    delta[(i, s)] = spec.add_var(lb=bus.delta_min, ub=bus.delta_max)
+                    qv[(i, s)] = spec.add_var(lb=0.0, ub=float(dd[i, s]),
+                                              obj=pi * cost)
 
             xvar, pvar = {}, {}
             for g, gen in enumerate(net.generators):
@@ -106,13 +105,10 @@ def extensive_solve(inst, scenarios, cfg, chance="off", fixed_schedule=None,
                     _fixed_out(xi_map[gen.id], day, cfg.tau("gen")[1], horizon)
                 for s in range(s_count):
                     xvar[(g, s)] = spec.add_var(
-                        f"x{k}_{day}_{gen.id}_{s}", lb=0.0,
-                        ub=0.0 if always_off else 1.0, obj=pi * gen.noload_cost,
-                        integer=True)
-                    pvar[(g, s)] = spec.add_var(f"p{k}_{day}_{gen.id}_{s}", lb=0.0,
-                                                obj=pi * gen.gen_cost)
-                    uvar = spec.add_var(f"u{k}_{day}_{gen.id}_{s}", lb=0.0, ub=1.0,
-                                        obj=pi * gen.startup_cost)
+                        lb=0.0, ub=0.0 if always_off else 1.0,
+                        obj=pi * gen.noload_cost, integer=True)
+                    pvar[(g, s)] = spec.add_var(lb=0.0, obj=pi * gen.gen_cost)
+                    uvar = spec.add_var(lb=0.0, ub=1.0, obj=pi * gen.startup_cost)
                     spec.add_le({pvar[(g, s)]: 1.0, xvar[(g, s)]: -gen.p_max}, 0.0)
                     spec.add_ge({pvar[(g, s)]: 1.0, xvar[(g, s)]: -gen.p_min}, 0.0)
                     if terms:
@@ -140,13 +136,12 @@ def extensive_solve(inst, scenarios, cfg, chance="off", fixed_schedule=None,
                 fi, ti = bus_pos[line.from_bus], bus_pos[line.to_bus]
                 if line.id in hprime:
                     line_terms = outage_terms(line.id, xi, day)
-                    yv = spec.add_var(f"y{k}_{day}_{line.id}", lb=0.0, ub=1.0)
+                    yv = spec.add_var(lb=0.0, ub=1.0)
                     row = dict(line_terms)
                     row[yv] = 1.0
                     spec.add_eq(row, 1.0)
                     for s in range(s_count):
-                        fvar[(j, s)] = spec.add_var(f"f{k}_{day}_{line.id}_{s}",
-                                                    lb=-line.flow_limit,
+                        fvar[(j, s)] = spec.add_var(lb=-line.flow_limit,
                                                     ub=line.flow_limit)
                         spec.add_le({fvar[(j, s)]: 1.0, delta[(fi, s)]: -b_mw,
                                      delta[(ti, s)]: b_mw, yv: line.big_m},
@@ -161,11 +156,9 @@ def extensive_solve(inst, scenarios, cfg, chance="off", fixed_schedule=None,
                         _fixed_out(xi_map[line.id], day, cfg.tau("line")[1], horizon)
                     for s in range(s_count):
                         if out:
-                            fvar[(j, s)] = spec.add_var(f"f{k}_{day}_{line.id}_{s}",
-                                                        lb=0.0, ub=0.0)
+                            fvar[(j, s)] = spec.add_var(lb=0.0, ub=0.0)
                         else:
-                            fvar[(j, s)] = spec.add_var(f"f{k}_{day}_{line.id}_{s}",
-                                                        lb=-line.flow_limit,
+                            fvar[(j, s)] = spec.add_var(lb=-line.flow_limit,
                                                         ub=line.flow_limit)
                             spec.add_eq({fvar[(j, s)]: 1.0, delta[(fi, s)]: -b_mw,
                                          delta[(ti, s)]: b_mw}, 0.0)

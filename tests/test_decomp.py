@@ -188,6 +188,35 @@ def test_bounds_are_monotone_across_iterations():
     assert report.bound <= report.objective + 1e-6
 
 
+def test_scenarios_beyond_the_candidates_raise():
+    # the bounds, the recourse and the master read failures of H' only; a set
+    # that fails g2, l2 and l3 on day 1 once planned "optimal" with its bound
+    # far above its objective
+    inst, _ = toy_instance(seed=7)
+    horizon = inst.cfg.horizon_days
+    times = np.array([[2, 1, 4, 1, 1], [4, 1, 3, 1, 1], [1, 1, 4, 1, 1],
+                      [3, 1, 2, 1, 1]])
+    probs = np.full(4, 0.25)
+    every = ScenarioSet(("g1", "g2", "l1", "l2", "l3"), times, probs, horizon)
+    with pytest.raises(ValueError, match=r"\['g2', 'l2', 'l3'\]"):
+        decomp.solve(inst, every, inst.cfg)
+    # a set over part of H' stays legal: the uncovered candidate never fails
+    report = decomp.solve(inst, ScenarioSet(("g1",), times[:, :1], probs, horizon),
+                          inst.cfg)
+    assert report.ok
+    assert report.objective == pytest.approx(11898.014546427898, rel=1e-9)
+    assert report.bound <= report.objective + 1e-6
+
+
+def test_a_bound_above_the_objective_raises(monkeypatch):
+    inst, scens = toy_instance(seed=7)
+    real = decomp.compute_lower_bounds
+    monkeypatch.setattr(decomp, "compute_lower_bounds",
+                        lambda *args, **kwargs: real(*args, **kwargs) * 20 + 1000)
+    with pytest.raises(solver.SolverError, match="lower bound .* exceeds the objective"):
+        decomp.solve(inst, scens, inst.cfg)
+
+
 def test_single_thread_runs_are_identical():
     runs = []
     for _ in range(2):

@@ -9,7 +9,6 @@ import pytest
 
 from gridmaint import decomp, ucmodel
 from gridmaint.caseio import RunConfig, parse_case, synth_demand
-from gridmaint.degrade import ScenarioSet
 from gridmaint.instance import build_instance, training_scenarios
 
 from cases import CASE9, reference_status_bit, toy_instance
@@ -17,34 +16,22 @@ from cases import CASE9, reference_status_bit, toy_instance
 
 def reference_bounds(inst, scens, cfg):
     """Every scenario-day's bound from an LP built for that scenario-day alone."""
-    comps = ucmodel.lower_bound_components(inst.net, inst.hprime)
-    xi = scens.failure_days(comps, cfg.tbar)
+    xi = scens.failure_days(inst.hprime, cfg.tbar)
     out = np.empty((scens.size, cfg.horizon_days))
     for k in range(scens.size):
         for t in range(1, cfg.horizon_days + 1):
-            pattern = ucmodel.lower_bound_patterns(inst.net, xi[k:k + 1], t, cfg,
-                                                   inst.hprime)[0]
+            pattern = ucmodel.lower_bound_patterns(xi[k:k + 1], t, cfg, inst.hprime,
+                                                   inst.kinds)[0]
             spec = ucmodel.lp_lower_bound(inst.net, inst.demand, pattern, t, cfg,
                                           inst.hprime)
             out[k, t - 1], _ = ucmodel.solve_lower_bound(spec)
     return out
 
 
-def covering_non_candidates(seed):
-    """Toy instance whose scenarios also fail the non-candidates g2 and l2."""
-    inst, _ = toy_instance(seed=seed)
-    horizon = inst.cfg.horizon_days
-    comps = inst.hprime + ("g2", "l2")
-    times = np.random.default_rng(seed).integers(1, horizon + 2, size=(12, len(comps)))
-    times[0, 2:] = 1  # both non-candidates out on day 1 in at least one scenario
-    return inst, ScenarioSet(comps, times, np.full(12, 1.0 / 12), horizon)
-
-
 def instances():
     yield toy_instance(seed=7)
     yield toy_instance(seed=11, extra_candidate=True)
     yield toy_instance(seed=47, n_scen=8)
-    yield covering_non_candidates(seed=5)
 
 
 @pytest.mark.parametrize("threads", [1, 3])
@@ -63,7 +50,7 @@ def test_grouped_bounds_equal_per_scenario_day_reference(threads):
 
 
 def test_one_build_per_distinct_key_one_solve_per_scenario_day(monkeypatch):
-    inst, scens = covering_non_candidates(seed=5)
+    inst, scens = toy_instance(seed=47, n_scen=8)
     cfg = inst.cfg
     calls = {"build": 0, "solve": 0}
 
@@ -80,11 +67,10 @@ def test_one_build_per_distinct_key_one_solve_per_scenario_day(monkeypatch):
     counts = {}
     decomp.compute_lower_bounds(inst, scens, cfg, counts=counts)
 
-    xi = scens.failure_days(ucmodel.lower_bound_components(inst.net, inst.hprime),
-                            cfg.tbar)
+    xi = scens.failure_days(inst.hprime, cfg.tbar)
     keys = {(t, tuple(row)) for t in range(1, cfg.horizon_days + 1)
-            for row in ucmodel.lower_bound_patterns(inst.net, xi, t, cfg,
-                                                    inst.hprime).tolist()}
+            for row in ucmodel.lower_bound_patterns(xi, t, cfg, inst.hprime,
+                                                    inst.kinds).tolist()}
     n_days = scens.size * cfg.horizon_days
     assert calls == {"build": len(keys), "solve": n_days}
     assert len(keys) < n_days  # the set has repeats, so sharing is exercised
@@ -103,22 +89,18 @@ def spec_data(spec):
 def test_pattern_key_is_sound_and_separating():
     inst, _ = toy_instance(seed=7)
     cfg = inst.cfg
-    comps = ucmodel.lower_bound_components(inst.net, inst.hprime)
-    assert comps == ("g1", "l1", "g2", "l2", "l3")
-    # every failure row over the candidates and two non-candidates; l3 never fails
-    rows = np.array([row + (cfg.tbar,) for row in
-                     itertools.product(range(1, cfg.tbar + 1), repeat=4)])
-    neighbours = 0
-    kinds = ["gen", "line", "gen", "line", "line"]
+    assert inst.hprime == ("g1", "l1")
+    # every failure row over the candidates
+    rows = np.array(list(itertools.product(range(1, cfg.tbar + 1), repeat=2)))
+    neighbours = repeats = 0
+    kinds = ["gen", "line"]
     for t in range(1, cfg.horizon_days + 1):
-        patterns = ucmodel.lower_bound_patterns(inst.net, rows, t, cfg, inst.hprime)
-        # the key holds each candidate's bit per period, then each other's at tbar
+        patterns = ucmodel.lower_bound_patterns(rows, t, cfg, inst.hprime, inst.kinds)
+        # the key holds each candidate's bit per period, candidate-major
         for row, pattern in zip(rows.tolist(), patterns.tolist()):
             want = [reference_status_bit(m, row[j], t, *cfg.tau(kinds[j]),
                                          cfg.horizon_days)
                     for j in range(2) for m in range(1, cfg.tbar + 1)]
-            want += [reference_status_bit(cfg.tbar, row[j], t, *cfg.tau(kinds[j]),
-                                          cfg.horizon_days) for j in range(2, 5)]
             assert pattern == want
         specs = [spec_data(ucmodel.lp_lower_bound(inst.net, inst.demand, p, t, cfg,
                                                   inst.hprime))
@@ -127,30 +109,29 @@ def test_pattern_key_is_sound_and_separating():
         for pattern, data in zip(patterns.tolist(), specs):
             # scenario-days with equal keys get identical LPs
             assert by_key.setdefault(tuple(pattern), data) == data
-        assert len(by_key) < len(rows)
+        repeats += len(rows) - len(by_key)
         keys = list(by_key)
         for a, b in itertools.combinations(keys, 2):
             if sum(x != y for x, y in zip(a, b)) == 1:
                 neighbours += 1
                 assert by_key[a] != by_key[b]  # one differing bit, a different LP
-    assert neighbours > 0
+    assert repeats > 0 and neighbours > 0
 
 
 def test_without_candidates_the_bound_is_the_day_model_relaxed():
     # both builders state one day network: with no candidates the LB LP is the
-    # day MILP for the same outages, commitment relaxed
+    # day MILP with every component in service, commitment relaxed
     inst, _ = toy_instance(seed=7)
-    cfg, down = inst.cfg, frozenset({"g2", "l2"})
-    comps = ucmodel.lower_bound_components(inst.net, ())
-    pattern = np.array([int(comp not in down) for comp in comps], dtype=np.uint8)
+    cfg = inst.cfg
+    pattern = np.zeros(0, dtype=np.uint8)
     for t in range(1, cfg.horizon_days + 1):
         lb = ucmodel.lp_lower_bound(inst.net, inst.demand, pattern, t, cfg, ())
-        day = ucmodel.build_subproblem(inst.net, inst.demand.day(t), down, cfg).spec
-        assert (lb.sense, lb._obj, lb._lb, lb._ub, lb._var_names, lb.assembled()) \
-            == (day.sense, day._obj, day._lb, day._ub, day._var_names, day.assembled())
-        assert not any(lb._integer) and any(day._integer)
-        assert day._ub[day._var_names.index("xg2_0")] == 0.0
-        assert day._ub[day._var_names.index("fl2_0")] == 0.0
+        day = ucmodel.build_subproblem(inst.net, inst.demand.day(t), frozenset(), cfg)
+        spec = day.spec
+        assert (lb.sense, lb._obj, lb._lb, lb._ub, lb.assembled()) \
+            == (spec.sense, spec._obj, spec._lb, spec._ub, spec.assembled())
+        assert not any(lb._integer)
+        assert np.flatnonzero(spec._integer).tolist() == sorted(day.idx["x"].ravel())
 
 
 def test_pattern_rejects_wrong_length():

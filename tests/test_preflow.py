@@ -182,7 +182,7 @@ def test_probes_of_one_target_change_only_the_demand_caps(monkeypatch):
     set_caps = []
     real_set_caps = _RelaxedFlowLP.set_caps
     monkeypatch.setattr(_RelaxedFlowLP, "set_caps",
-                        lambda lp, caps: set_caps.append(1) or real_set_caps(lp, caps))
+                        lambda lp, caps: set_caps.append(lp) or real_set_caps(lp, caps))
     candidates = frozenset({"l3"})
     report = analyze(net, grid, "III", candidate_lines=candidates)
     n_caps = len(list(_cap_vectors(grid, "III")))
@@ -191,7 +191,8 @@ def test_probes_of_one_target_change_only_the_demand_caps(monkeypatch):
     assert len(set_caps) == 2 * 2 * (n_caps - grid.subperiods)
     assert report.iterations == sum(call[-1] for call in calls)
     spec = calls[0][0]
-    dem = {i for i, name in enumerate(spec._var_names) if name.startswith("dem")}
+    assert set_caps[0].spec is spec
+    dem = set(set_caps[0].dem)
     repeats = 0
     for start in range(0, len(calls), n_caps):
         run = calls[start:start + n_caps]

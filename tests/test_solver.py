@@ -17,7 +17,7 @@ from cases import CASE9, toy_instance
 
 def test_min_bounded_variable():
     m = solver.ModelSpec()
-    m.add_var("x", lb=3.0, obj=1.0)
+    m.add_var(lb=3.0, obj=1.0)
     res = solver.solve(m)
     assert res.status == "optimal"
     assert res.objective == pytest.approx(3.0)
@@ -25,8 +25,8 @@ def test_min_bounded_variable():
 
 def test_binary_knapsack():
     m = solver.ModelSpec(sense="max")
-    a = m.add_binary("a", obj=2.0)
-    b = m.add_binary("b", obj=3.0)
+    a = m.add_binary(obj=2.0)
+    b = m.add_binary(obj=3.0)
     m.add_le({a: 1.0, b: 1.0}, 1.0)
     res = solver.solve(m)
     assert res.status == "optimal"
@@ -36,24 +36,23 @@ def test_binary_knapsack():
 
 def test_infeasible_status():
     m = solver.ModelSpec()
-    x = m.add_var("x")
+    x = m.add_var()
     m.add_le({x: 1.0}, 0.0)
     m.add_ge({x: 1.0}, 1.0)
     assert solver.solve(m).status == "infeasible"
 
 
-def test_equality_row_and_offset():
+def test_equality_row():
     m = solver.ModelSpec()
-    x = m.add_var("x", lb=-10.0, obj=2.0)
+    x = m.add_var(lb=-10.0, obj=2.0)
     m.add_eq({x: 1.0}, 4.0)
-    m.obj_offset = 1.0
     res = solver.solve(m)
-    assert res.objective == pytest.approx(9.0)
+    assert res.objective == pytest.approx(8.0)
 
 
 def test_milp_gap_and_bound():
     m = solver.ModelSpec()
-    xs = [m.add_binary(f"x{i}", obj=-float(i)) for i in range(6)]
+    xs = [m.add_binary(obj=-float(i)) for i in range(6)]
     m.add_le({x: 1.0 for x in xs}, 3.0)
     res = solver.solve(m, tolerance=1e-9)
     assert res.status == "optimal"
@@ -64,7 +63,7 @@ def test_milp_gap_and_bound():
 
 def test_crossed_row_bounds_name_the_spec_and_row():
     m = solver.ModelSpec("demo")
-    x = m.add_var("x")
+    x = m.add_var()
     m.add_le({x: 1.0}, 3.0)
     with pytest.raises(ValueError, match=r"demo: row 1 has lb 2.0 > ub 1.0"):
         m.add_row({x: 1.0}, lb=2.0, ub=1.0)
@@ -108,10 +107,10 @@ def reference_solve(spec, tolerance=1e-9, time_limit=None):
     status = {0: "optimal", 1: "limit", 2: "infeasible"}.get(res.status, "error")
     if status in ("infeasible", "error") or res.x is None:
         return status, None, None, None, solver.INF
-    objective = sign * float(res.fun) + spec.obj_offset
+    objective = sign * float(res.fun)
     if integrality.any():
         return (status, res.x.tobytes(), objective,
-                sign * float(res.mip_dual_bound) + spec.obj_offset, float(res.mip_gap))
+                sign * float(res.mip_dual_bound), float(res.mip_gap))
     return status, res.x.tobytes(), objective, objective, 0.0
 
 
@@ -122,36 +121,34 @@ def outcome_fields(res):
 
 def no_row_lp():
     m = solver.ModelSpec("no_rows")
-    m.add_var("x", lb=-2.5, ub=4.0, obj=1.5)
-    m.add_var("y", lb=1.0, ub=3.0, obj=-2.0)
+    m.add_var(lb=-2.5, ub=4.0, obj=1.5)
+    m.add_var(lb=1.0, ub=3.0, obj=-2.0)
     return m
 
 
 def equality_lp():
     m = solver.ModelSpec("equalities")
-    x = m.add_var("x", lb=-10.0, obj=2.0)
-    y = m.add_var("y", obj=3.0)
-    z = m.add_var("z", ub=7.0, obj=-1.0)
+    x = m.add_var(lb=-10.0, obj=2.0)
+    y = m.add_var(obj=3.0)
+    z = m.add_var(ub=7.0, obj=-1.0)
     m.add_eq({x: 1.0, y: 2.0}, 4.0)
     m.add_eq({y: 1.0, z: -1.0}, -1.5)
     m.add_row({x: 1.0, z: 1.0}, lb=-3.0, ub=9.0)
-    m.obj_offset = 12.25
     return m
 
 
 def max_knapsack(n=24):
     m = solver.ModelSpec("knapsack", sense="max")
-    xs = [m.add_binary(f"x{i}", obj=float(i % 7 + 1) + 0.1 * i) for i in range(n)]
-    w = m.add_var("w", ub=3.5, obj=0.75)
+    xs = [m.add_binary(obj=float(i % 7 + 1) + 0.1 * i) for i in range(n)]
+    w = m.add_var(ub=3.5, obj=0.75)
     m.add_le({**{x: float(i % 5 + 2) for i, x in enumerate(xs)}, w: 1.0}, 23.0)
     m.add_le({xs[0]: 1.0, xs[1]: 1.0}, 1.0)
-    m.obj_offset = -4.0
     return m
 
 
 def infeasible_lp():
     m = solver.ModelSpec("infeasible")
-    x = m.add_var("x")
+    x = m.add_var()
     m.add_le({x: 1.0}, 0.0)
     m.add_ge({x: 1.0}, 1.0)
     return m
@@ -159,8 +156,8 @@ def infeasible_lp():
 
 def unbounded_lp():
     m = solver.ModelSpec("unbounded", sense="max")
-    x = m.add_var("x", obj=1.0)
-    y = m.add_var("y")
+    x = m.add_var(obj=1.0)
+    y = m.add_var()
     m.add_ge({x: 1.0, y: -1.0}, 0.0)
     return m
 
@@ -229,8 +226,8 @@ def test_non_finite_model_data_raise(bad):
 
 def test_assembly_cache_honours_every_change(passes):
     m = solver.ModelSpec("cache")
-    x = m.add_var("x", ub=10.0, obj=-1.0)
-    y = m.add_var("y", ub=10.0, obj=-1.0)
+    x = m.add_var(ub=10.0, obj=-1.0)
+    y = m.add_var(ub=10.0, obj=-1.0)
     m.add_le({x: 1.0, y: 1.0}, 8.0)
     first = solver.solve(m)
     assert first.objective == pytest.approx(-8.0)
@@ -243,7 +240,7 @@ def test_assembly_cache_honours_every_change(passes):
     assert outcome_fields(second) == reference_solve(m)
     assert second.objective == pytest.approx(-3.0 * 2.0 - 5.0)
     assert len(passes) == 2              # the new row passed the model whole
-    z = m.add_var("z", ub=1.0, obj=-1.0)  # a new column joins the cached rows
+    z = m.add_var(ub=1.0, obj=-1.0)  # a new column joins the cached rows
     assert solver.solve(m).objective == pytest.approx(-6.0 - 5.0 - 1.0)
     assert len(passes) == 3              # so did the new column
     m.add_le({z: 1.0, y: 1.0}, 5.5)
@@ -358,8 +355,8 @@ def covering_lp(seed=0, n=12, m=8):
     iterations show."""
     rng = np.random.default_rng(seed)
     spec = solver.ModelSpec("covering")
-    xs = [spec.add_var(f"x{j}", ub=float(rng.uniform(2.0, 5.0)),
-                       obj=float(rng.uniform(1.0, 3.0))) for j in range(n)]
+    xs = [spec.add_var(ub=float(rng.uniform(2.0, 5.0)),
+                       obj=float(rng.uniform(1.0, 3.0))) for _ in range(n)]
     for _ in range(m):
         spec.add_ge({x: float(rng.uniform(0.5, 2.0)) for x in xs},
                     float(rng.uniform(5.0, 10.0)))

@@ -328,13 +328,3 @@ def test_lower_bound_nonnegative_and_below_recourse():
                     _, res = solve_day(net, grid.day(day),
                                        unavailable_components(comps, status), cfg)
                     assert lb <= res.objective + 1e-6
-
-
-def test_lower_bound_fixed_outage_of_nonsubset_component():
-    # a failed non-candidate line is simply absent from the LP
-    net = build_net(n_bus=2, demands=[0.0, 50.0], gen_cost=10.0, curtail=500.0)
-    cfg = day_cfg(S=1, T=2)
-    grid = DemandGrid((1, 2), np.full((2, 2, 1), 50.0))
-    lb = one_lower_bound(net, grid, {"l1": 1}, 1, cfg, ())
-    # bus 2 demand is stranded on day 1; bus 1 is served by its own unit
-    assert lb == pytest.approx(50.0 * 500.0 + 50.0 * 10.0, rel=1e-6)
