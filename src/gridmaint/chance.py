@@ -1,11 +1,11 @@
-"""Feasible-set machinery for the joint chance constraint.
+"""The joint chance constraint, in the two modes the master loop can enforce.
 
 Exact mode separates lazily: an incumbent schedule whose oracle probability
 falls below the target spawns an extended-cover inequality, which by the
 monotonicity of the oracle also bans every later-shifted variant of that
 schedule.  Safe mode builds the conservative two-block approximation whose
-only nonlinearity is the bivariate product of the class reliability levels;
-that product region is handled by tangent outer-approximation cuts inside
+only nonlinearity is the bivariate product of the class reliability levels,
+outer-approximated by tangent cuts.  :class:`ChanceRule` hides the mode from
 the master loop.
 """
 
@@ -18,7 +18,7 @@ from .pboracle import SuccessProbTable, joint_oracle
 
 __all__ = ["LinearCut", "separate", "extend_cover", "cover_cut",
            "SafeApproxBlock", "safe_block", "soc_outer_cuts", "XYCut",
-           "xy_cut_to_master"]
+           "xy_cut_to_master", "FEASIBILITY_TOL", "ChanceRule"]
 
 
 @dataclass(frozen=True)
@@ -43,9 +43,8 @@ class LinearCut:
     @staticmethod
     def make(v_coeffs: dict, rhs: float, sense: str = "<=",
              theta_coeffs: dict | None = None, name: str = "") -> "LinearCut":
-        vv = tuple(sorted(v_coeffs.items()))
-        tt = tuple(sorted((theta_coeffs or {}).items(), key=repr))
-        return LinearCut(vv, rhs, sense, tt, name)
+        return LinearCut(tuple(sorted(v_coeffs.items())), rhs, sense,
+                         tuple(sorted((theta_coeffs or {}).items(), key=repr)), name)
 
     def key(self) -> tuple:
         """Canonical identity for cut-pool deduplication."""
@@ -75,30 +74,24 @@ def extend_cover(cover: dict[str, int], tbar: int) -> list[tuple[str, int]]:
 
 def cover_cut(index_set: list[tuple[str, int]], n_candidates: int,
               name: str = "cover") -> LinearCut:
-    """sum of v over the index set <= |candidates| - 1."""
-    if not index_set:
-        raise ValueError("empty cover index set")
+    """sum of v over the index set <= |candidates| - 1.  The empty cover (no
+    candidates, so the fixed components alone break the constraint) is the
+    row 0 <= -1, which no schedule meets."""
     return LinearCut.make({pair: 1.0 for pair in index_set},
-                          rhs=float(n_candidates - 1), sense="<=", name=name)
+                          rhs=float(n_candidates - 1) if index_set else -1.0,
+                          sense="<=", name=name)
 
 
 def separate(schedule: dict[str, int], table: SuccessProbTable, rho_gen: int,
              rho_line: int, alpha: float) -> tuple[bool, LinearCut | None, float]:
-    """Oracle check of a candidate schedule; emits an extended-cover cut on failure.
-
-    Returns (feasible, cut, oracle value).  Feasibility is inclusive at the
-    target 1 - alpha.
-    """
+    """(feasible, extended-cover cut or None, oracle value) of a candidate
+    schedule; feasibility is inclusive at the target 1 - alpha."""
     pv = joint_oracle(schedule, table, rho_gen, rho_line)
     if pv >= 1.0 - alpha:
         return True, None, pv
     pairs = extend_cover(schedule, table.horizon_days + 1)
     return False, cover_cut(pairs, len(schedule)), pv
 
-
-# ---------------------------------------------------------------------------
-# Safe approximation
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class SafeApproxBlock:
@@ -167,9 +160,8 @@ def soc_outer_cuts(point: tuple[float, float], alpha: float) -> list[XYCut]:
     """
     if alpha >= 1.0:
         raise ValueError("alpha >= 1 makes the chance constraint void")
-    x, y = point
     target = 1.0 - alpha
-    a, b = 1.0 - x, 1.0 - y
+    a, b = 1.0 - point[0], 1.0 - point[1]
     cuts: list[XYCut] = []
     if a <= 0.0:
         cuts.append(XYCut(1.0, 0.0, alpha))  # x <= alpha, from b <= 1
@@ -196,3 +188,45 @@ def xy_cut_to_master(cut: XYCut, block: SafeApproxBlock, name: str = "soc") -> L
     rhs = cut.rhs - cut.cx * block.gen_const / block.rho_gen \
         - cut.cy * block.line_const / block.rho_line
     return LinearCut.make(v_coeffs, rhs, "<=", name=name)
+
+
+# HiGHS's mip_feasibility_tolerance, which solver leaves at its default
+FEASIBILITY_TOL = 1e-6
+
+
+class ChanceRule:
+    """The joint chance constraint as the master loop sees it.
+
+    ``static_rows`` are the rows the master starts with.  Exact mode has
+    none and separates with :func:`separate`.  Safe mode has the load caps
+    x <= 1 and y <= 1, and accepts a point whose product shortfall
+    (1-alpha) - (1-x)(1-y) is at most FEASIBILITY_TOL.  With t = 1-alpha,
+    a = 1-x, b = 1-y, the point breaks its tangent row by
+    2 sqrt(t) (sqrt(t) - sqrt(ab)) >= t - ab, so a point short by more breaks
+    its own pooled row by more than the master's tolerance and never returns.
+    """
+
+    def __init__(self, mode: str, table: SuccessProbTable, rho_gen: int,
+                 rho_line: int, alpha: float):
+        if mode not in ("exact", "safe"):
+            raise ValueError(f"unknown chance mode {mode!r}")
+        self.args = (table, rho_gen, rho_line, alpha)
+        self.block = safe_block(*self.args) if mode == "safe" else None
+        # reliability levels live in [0, 1]: class loads can never exceed one
+        self.static_rows: list[LinearCut] = [] if self.block is None else [
+            xy_cut_to_master(XYCut(1.0, 0.0, 1.0), self.block, "gen_load_cap"),
+            xy_cut_to_master(XYCut(0.0, 1.0, 1.0), self.block, "line_load_cap")]
+
+    def check(self, schedule: dict[str, int]) -> tuple[list[LinearCut], str]:
+        """The rows ``schedule`` violates, and the event text.  An accepted
+        schedule has no rows, and an event text only when it was accepted
+        with a product shortfall in (0, FEASIBILITY_TOL]."""
+        if self.block is None:
+            feasible, cut, pv = separate(schedule, *self.args)
+            return ([], "") if feasible else ([cut], f"cover cut (P={pv:.4f})")
+        x, y = self.block.loads(schedule)
+        shortfall = (1.0 - self.block.alpha) - (1.0 - x) * (1.0 - y)
+        if shortfall <= FEASIBILITY_TOL:
+            return [], f"accepted {shortfall:.3g} short of 1-alpha" if shortfall > 0 else ""
+        cuts = soc_outer_cuts((x, y), self.block.alpha)
+        return [xy_cut_to_master(xy, self.block) for xy in cuts], "product-region cut"

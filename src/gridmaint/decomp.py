@@ -4,8 +4,8 @@ The scenario set may fail maintenance candidates (H') only: the lower-bound
 LPs, the recourse and the master all read failures of H', and a set that
 covers any other component raises.  Before the loop every scenario-day gets
 an LP lower bound.  One iteration solves the master for a candidate
-schedule, checks it against the joint chance constraint (exact oracle
-separation, or tangent cuts on the safe product region), derives the
+schedule, adds the cuts :class:`chance.ChanceRule` finds it violates (in
+either chance mode; no new cut is a solver fault), otherwise derives the
 per-day status vectors of all scenarios, keys each scenario-day by what its
 day model is built from (demand class, down-set, preflow deletions), solves
 only the keys never seen, aliases the rest from the cache, and adds the
@@ -55,10 +55,6 @@ class StatusCache:
     def store(self, key: DayKey, objective: float, bound: float):
         self.psi[key] = (objective, bound)
         self.solved += 1
-
-    @property
-    def psi_total(self) -> int:
-        return len(self.psi)
 
 
 @dataclass
@@ -223,13 +219,10 @@ class DecompositionRun:
         if others:
             raise ValueError(f"scenarios cover components outside the maintenance "
                              f"candidates {list(inst.hprime)}: {others}")
-        self.inst = inst
-        self.scenarios = scenarios
-        self.cfg = cfg
+        self.inst, self.scenarios, self.cfg = inst, scenarios, cfg
         self.started = time.perf_counter()
         self.cache = cache if cache is not None else StatusCache()
-        self.lb_counts = {"lb_solved": 0, "lb_aliased": 0, "lb_models": 0,
-                          "lb_iterations": 0}
+        self.lb_counts: dict[str, int] = {}  # filled by compute_lower_bounds
         self.deadline = None if cfg.time_limit is None \
             else self.started + cfg.time_limit
         day_bounds = compute_lower_bounds(inst, scenarios, cfg, self.deadline,
@@ -243,15 +236,10 @@ class DecompositionRun:
                                              inst.kinds, day_bounds)
 
         self.chance_mode = cfg.chance_mode if enforce_chance else "off"
-        self.block = None
-        if self.chance_mode == "safe":
-            self.block = chance.safe_block(inst.table, cfg.rho_gen, cfg.rho_line,
-                                           cfg.alpha)
-            # reliability levels live in [0, 1]: class loads can never exceed one
-            self.master.add_static_row(chance.xy_cut_to_master(
-                chance.XYCut(1.0, 0.0, 1.0), self.block, name="gen_load_cap"))
-            self.master.add_static_row(chance.xy_cut_to_master(
-                chance.XYCut(0.0, 1.0, 1.0), self.block, name="line_load_cap"))
+        self.rule = chance.ChanceRule(cfg.chance_mode, inst.table, cfg.rho_gen,
+                                      cfg.rho_line, cfg.alpha) if enforce_chance else None
+        for row in self.rule.static_rows if self.rule else ():
+            self.master.add_static_row(row)
 
         self._cache_start = (self.cache.solved, self.cache.aliased)
         self.counters = {"chance_cuts": 0, "opt_cuts": 0, "boundary_accepts": 0}
@@ -284,8 +272,10 @@ class DecompositionRun:
         ms = self.master.solve(tolerance=max(cfg.epsilon * 0.1, 1e-9),
                                time_limit=remaining)
         clock = self._charge("master", clock)
+        if ms.status not in ("optimal", "infeasible", "limit"):
+            raise solver.SolverError(f"master solve ended with status {ms.status!r}")
         if ms.status != "optimal":
-            self.status = "infeasible" if ms.status == "infeasible" else "limit"
+            self.status = ms.status
             return False
         if self._past_deadline(clock):
             # the master is a relaxation, so its bound holds unseparated
@@ -293,49 +283,27 @@ class DecompositionRun:
             self.status = "limit"
             return False
 
-        if self.chance_mode == "exact":
-            feasible, cut, pv = chance.separate(ms.schedule, self.inst.table,
-                                                cfg.rho_gen, cfg.rho_line,
-                                                cfg.alpha)
-            if not feasible:
-                self._charge("chance", clock)
-                if not ms.schedule:
-                    self.status = "infeasible"  # no schedule can lift a fixed P(v)
-                    return False
-                if not self.master.add_cut(cut, pool="chance"):
-                    raise solver.SolverError("master returned a schedule its own "
-                                             "cover cut should exclude")
-                self.counters["chance_cuts"] += 1
-                self._record(event=f"cover cut (P={pv:.4f})")
-                log.info("iter %d: chance-infeasible schedule (P=%.4f), cover cut",
-                         self.iterations, pv)
-                return True
-        elif self.chance_mode == "safe":
-            loads = self.block.loads(ms.schedule)
-            xy_cuts = chance.soc_outer_cuts(loads, cfg.alpha)
-            added = sum(self.master.add_cut(
-                chance.xy_cut_to_master(xy, self.block), pool="chance")
-                for xy in xy_cuts)
-            if added:
-                self.counters["chance_cuts"] += added
-                self._charge("chance", clock)
-                self._record(event="product-region cut")
-                return True
-            if xy_cuts:
-                # every tangent cut is already pooled: the point sits on the
-                # region boundary up to numeric noise, so it is accepted
-                self.counters["boundary_accepts"] += 1
-                log.warning("iter %d: safe-mode point at loads (%.6g, %.6g) "
-                            "yields only pooled cuts; accepted at the boundary",
-                            self.iterations, *loads)
+        cuts, event = self.rule.check(ms.schedule) if self.rule else ([], "")
+        if cuts:
+            added = sum(self.master.add_cut(cut, pool="chance") for cut in cuts)
+            self._charge("chance", clock)
+            if not added:
+                raise solver.SolverError(f"master returned a schedule its own "
+                                         f"chance cuts exclude ({event})")
+            self.counters["chance_cuts"] += added
+            self._record(event=event)
+            log.info("iter %d: chance-infeasible schedule, %s", self.iterations, event)
+            return True
+        if event:  # accepted within the master's feasibility tolerance
+            self.counters["boundary_accepts"] += 1
+            log.info("iter %d: chance rule %s", self.iterations, event)
         clock = self._charge("chance", clock)
 
         self.lb = max(self.lb, ms.bound)
         solved_before = self.cache.solved
-        day_vals = None
-        if not self._past_deadline(clock):
-            day_vals = day_values(self.inst, self.scenarios, cfg, ms.schedule,
-                                  self.inst.hprime, self.cache, self.deadline)
+        day_vals = None if self._past_deadline(clock) else day_values(
+            self.inst, self.scenarios, cfg, ms.schedule, self.inst.hprime,
+            self.cache, self.deadline)
         self._phases["n_solved"] = self.cache.solved - solved_before
         clock = self._charge("subproblems", clock)
         if day_vals is None:
@@ -393,7 +361,7 @@ class DecompositionRun:
 
     def report(self) -> SolveReport:
         counters = {**self._cache_counts(), **self.counters,
-                    "psi_total": self.cache.psi_total, **self.lb_counts}
+                    "psi_total": len(self.cache.psi), **self.lb_counts}
         return SolveReport(status=self.status or "limit", schedule=self.incumbent,
                            objective=self.ub, bound=self.lb,
                            gap=_relative_gap(self.ub, self.lb),
@@ -408,13 +376,10 @@ def solve(inst: Instance, scenarios: ScenarioSet, cfg: RunConfig | None = None,
     """Run the decomposition to the configured relative optimality gap."""
     cfg = cfg or inst.cfg
     run = DecompositionRun(inst, scenarios, cfg, enforce_chance, cache)
-    while True:
-        if run.iterations >= cfg.iteration_limit:
+    while run.status is None:
+        if run.iterations >= cfg.iteration_limit \
+                or run._past_deadline(time.perf_counter()):
             run.status = "limit"
-            break
-        if run._past_deadline(time.perf_counter()):
-            run.status = "limit"
-            break
-        if not run.iterate_once():
-            break
+        else:
+            run.iterate_once()
     return run.report()

@@ -232,6 +232,11 @@ class ScenarioSet:
         n, m = self.failure_times.shape
         if m != len(self.component_ids) or len(self.probs) != n:
             raise ValueError("scenario set dimensions are inconsistent")
+        bad = np.flatnonzero(~(np.isfinite(self.probs) & (self.probs >= 0)))
+        if bad.size:
+            k = int(bad[0])
+            raise ValueError(f"scenario row {k} (0-based) has probability "
+                             f"{float(self.probs[k])!r}; each must be finite and >= 0")
         if abs(float(self.probs.sum()) - 1.0) > 1e-9:
             raise ValueError("scenario probabilities must sum to 1")
 

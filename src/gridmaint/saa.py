@@ -58,9 +58,11 @@ def evaluate_schedule(inst: Instance, schedule: dict[str, int],
     missing = set(inst.hprime) - set(schedule)
     if missing:
         raise ValueError(f"schedule lacks periods for {sorted(missing)}")
-    unknown = set(schedule) - set(inst.components)
-    if unknown:
-        raise ValueError(f"schedule names unknown components {sorted(unknown)}")
+    # costs are summed over H' only, so maintaining another component is free
+    others = set(schedule) - set(inst.hprime)
+    if others:
+        raise ValueError(f"schedule names components outside the maintenance "
+                         f"candidates {list(inst.hprime)}: {sorted(others)}")
     for comp, period in schedule.items():
         if not (1 <= period <= cfg.tbar):
             raise ValueError(f"{comp}: period {period} outside 1..{cfg.tbar}")

@@ -3,8 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
-from gridmaint.chance import (LinearCut, cover_cut, extend_cover, safe_block,
-                              separate, soc_outer_cuts, xy_cut_to_master)
+from gridmaint import solver
+from gridmaint.chance import (FEASIBILITY_TOL, ChanceRule, LinearCut, cover_cut,
+                              extend_cover, safe_block, separate, soc_outer_cuts,
+                              xy_cut_to_master)
 from gridmaint.pboracle import joint_oracle
 
 from test_pboracle import table_from_rows
@@ -46,6 +48,11 @@ def test_extend_cover_counting_identity():
 def test_cover_cut_rhs():
     cut = cover_cut([("h1", 1), ("h2", 2)], 2)
     assert cut.rhs == 1.0 and cut.sense == "<="
+
+
+def test_empty_cover_is_an_infeasible_row():
+    cut = cover_cut([], 0)
+    assert cut.v_coeffs == () and cut.rhs == -1.0 and cut.violated_by({})
 
 
 def test_cover_cut_single_component_forbids():
@@ -272,3 +279,24 @@ def test_linear_cut_dedup_key():
     c2 = LinearCut.make({("h2", 2): 1.0, ("h1", 1): 1.0}, 1.0)
     assert c1.key() == c2.key()
     assert "v[h1,1]" in str(c1)
+
+
+# -- the rule the master loop runs ------------------------------------------
+
+def test_safe_rule_accepts_a_shortfall_within_the_feasibility_tolerance():
+    # loads (0.1, 0.2) with alpha set so that (1-alpha) - 0.9 * 0.8 is the shortfall
+    table = table_from_rows({"g1": [0.1], "l1": [0.2]}, {"g1": "gen", "l1": "line"},
+                            {"g1", "l1"}, 1)
+    schedule = {"g1": 1, "l1": 1}
+    within = ChanceRule("safe", table, 1, 1, 0.28 - 5e-7)
+    assert within.block.loads(schedule) == (0.1, 0.2)
+    assert within.check(schedule) == ([], "accepted 5e-07 short of 1-alpha")
+    outside = ChanceRule("safe", table, 1, 1, 0.28 - 2e-6)
+    [cut], _ = outside.check(schedule)
+    lhs = sum(c for pair, c in cut.v_coeffs if pair in schedule.items())
+    assert lhs - cut.rhs > FEASIBILITY_TOL
+
+
+def test_feasibility_tolerance_is_the_one_highs_applies():
+    assert FEASIBILITY_TOL == solver._highs.HighsOptions().mip_feasibility_tolerance
+    assert solver._options(1e-6, None).mip_feasibility_tolerance == FEASIBILITY_TOL

@@ -1,5 +1,4 @@
 import dataclasses
-import logging
 import time
 
 import numpy as np
@@ -95,18 +94,25 @@ def test_exact_and_safe_agree_when_constraint_void():
     assert safe.objective == pytest.approx(off.objective, rel=1e-8)
 
 
-def test_safe_mode_counts_points_whose_cuts_are_all_pooled(monkeypatch, caplog):
-    # x + y <= 2 is implied by the load caps; once pooled, every later master
-    # point yields only that duplicate and is accepted at the boundary
+def test_safe_mode_counts_points_accepted_within_the_tolerance(monkeypatch):
     inst, scens = toy_instance(seed=11, chance_mode="safe")
-    pooled = chance.XYCut(1.0, 1.0, 2.0)
-    monkeypatch.setattr(chance, "soc_outer_cuts", lambda loads, alpha: [pooled])
-    with caplog.at_level(logging.WARNING, logger="gridmaint.decomp"):
-        report = decomp.solve(inst, scens, inst.cfg)
-    assert report.ok
-    assert report.counts["chance_cuts"] == 1
-    assert report.counts["boundary_accepts"] == report.iterations - 1 >= 1
-    assert "accepted at the boundary" in caplog.text
+    target = 1.0 - inst.cfg.alpha
+    y = 1.0 - (target - 5e-7) / 0.9  # every point is 5e-7 short of the product target
+    monkeypatch.setattr(chance.SafeApproxBlock, "loads", lambda self, s: (0.1, y))
+    report = decomp.solve(inst, scens, inst.cfg)
+    assert report.ok and report.counts["chance_cuts"] == 0
+    assert report.counts["boundary_accepts"] == report.iterations >= 1
+
+
+@pytest.mark.parametrize("mode", ["exact", "safe"])
+def test_a_rule_returning_only_pooled_cuts_raises(monkeypatch, mode):
+    inst, scens = toy_instance(seed=11, chance_mode=mode)
+    pooled = chance.LinearCut.make({}, 0.0, name="always")
+    monkeypatch.setattr(chance.ChanceRule, "check", lambda self, s: ([pooled], "x"))
+    run = decomp.DecompositionRun(inst, scens, inst.cfg)
+    assert run.iterate_once() and run.counters["chance_cuts"] == 1
+    with pytest.raises(solver.SolverError, match="chance cuts exclude"):
+        run.iterate_once()
 
 
 def test_safe_mode_schedule_is_conservative():
@@ -255,6 +261,31 @@ def test_infeasible_when_fixed_components_break_the_constraint():
     scens = ScenarioSet(("g1",), np.array([[1], [3]]), np.array([0.5, 0.5]), 2)
     report = decomp.solve(inst, scens, cfg)
     assert report.status == "infeasible"
+
+
+@pytest.mark.parametrize("mode", ["exact", "safe"])
+def test_infeasible_without_candidates_when_fixed_components_break_it(mode):
+    # no candidate can lift P(v): the empty cover is the row 0 <= -1
+    net = build_net(n_bus=2, n_gen=3, demands=[0.0, 30.0], gen_buses=[1, 1, 2])
+    cfg = RunConfig(horizon_days=2, subperiods=1, alpha=0.1, epsilon=1e-6,
+                    cut_family="optK", chance_mode=mode, subproblem_gap=1e-9)
+    q_rows = {"g2": np.array([0.7, 0.9]), "g3": np.array([0.7, 0.9]),
+              "g1": np.array([0.3, 0.5])}
+    values = np.tile(np.array([0.0, 30.0])[:, None, None], (1, 2, 1))
+    inst = make_instance(net, cfg, values, q_rows, hprime=())
+    scens = ScenarioSet((), np.empty((1, 0), dtype=int), np.array([1.0]), 2)
+    report = decomp.solve(inst, scens, cfg)
+    assert report.status == "infeasible" and report.schedule == {}
+    # exact mode reaches the cover round; safe mode's load cap is infeasible at once
+    assert report.counts["chance_cuts"] == (mode == "exact")
+
+
+def test_a_master_error_raises(monkeypatch):
+    inst, scens = toy_instance(seed=23)
+    failed = mastercuts.MasterSolution("error", {}, {}, float("inf"), -float("inf"))
+    monkeypatch.setattr(mastercuts.MasterState, "solve", lambda self, **kw: failed)
+    with pytest.raises(solver.SolverError, match="'error'"):
+        decomp.solve(inst, scens, inst.cfg)
 
 
 def test_iteration_limit_reported():

@@ -13,7 +13,7 @@ from gridmaint.degrade import (ComponentRLD, NonDegradingError, ScenarioSet,
                                observe, posterior_drift, rld, sample_scenarios,
                                select_subset, simulate_signal)
 
-from cases import scenario_xi
+from cases import scenario_xi, toy_instance
 
 GEN_PRIORS = DegradationPriors(20.0, 10.0, 5.0, 0.3, 3.0, 100.0)
 
@@ -332,6 +332,19 @@ def test_scenario_csv_rejects_malformed_input():
         ScenarioSet.from_csv("g1,1,99\n", 7)
     with pytest.raises(ValueError, match="expected"):
         ScenarioSet.from_csv("g1,one,2\n", 7)
+
+
+@pytest.mark.parametrize("shift,row", [(1.0, 2), (float("nan"), 1)])
+def test_scenario_probabilities_must_be_finite_and_non_negative(shift, row):
+    # the seed-7 toy's probabilities moved by +-1 between two scenarios still
+    # sum to 1, and used to end the plan "limit" with objective inf
+    inst, scens = toy_instance(seed=7)
+    probs = scens.probs.copy()
+    probs[1] += shift
+    probs[2] -= shift
+    with pytest.raises(ValueError, match=rf"scenario row {row} \(0-based\) has "
+                                         r"probability (-|nan)"):
+        ScenarioSet(scens.component_ids, scens.failure_times, probs, scens.horizon_days)
 
 
 @pytest.mark.parametrize("k", [0, -5])

@@ -109,17 +109,17 @@ def brute_evaluate(inst, schedule, scens, cfg):
 
 
 def test_evaluate_matches_a_per_scenario_loop():
-    # columns in reverse case order, and a schedule that also maintains the
-    # non-candidate generator g2
+    # columns in reverse case order; the non-candidate generator g2 fails on
+    # day 2 in a third of the scenarios
     inst, _ = toy_instance(seed=11)
     cfg = inst.cfg
     drawn = sample_from_table(inst, inst.all_components, 60, seed=5)
     comps = inst.all_components[::-1]
     times = drawn.failure_times[:, ::-1].copy()
-    times[:20, comps.index("g2")] = 2  # g2 fails unless maintained on day 1
+    times[:20, comps.index("g2")] = 2
     scens = ScenarioSet(comps, times, drawn.probs, drawn.horizon_days)
     assert "g2" not in inst.hprime
-    for schedule in ({"g1": 2, "l1": 1, "g2": 1}, {"g1": 3, "l1": 4}):
+    for schedule in ({"g1": 2, "l1": 1}, {"g1": 3, "l1": 4}):
         report = saa.evaluate_schedule(inst, schedule, scens)
         totals, violation_freq, avg_failures = brute_evaluate(inst, schedule,
                                                               scens, cfg)
@@ -135,6 +135,20 @@ def test_evaluate_rejects_incomplete_schedule():
                         inst.cfg.horizon_days)
     with pytest.raises(ValueError, match="lacks periods"):
         saa.evaluate_schedule(inst, {}, scens)
+
+
+def test_evaluate_rejects_components_outside_the_candidates():
+    # costs are summed over H' only: maintaining g2 would prevent its
+    # failures for free
+    inst, _ = toy_instance(seed=6)
+    times = np.full((2, len(inst.all_components)), inst.cfg.tbar, dtype=int)
+    times[0, inst.all_components.index("g2")] = 2
+    scens = ScenarioSet(inst.all_components, times, np.array([0.5, 0.5]),
+                        inst.cfg.horizon_days)
+    schedule = {comp: 1 for comp in inst.hprime}
+    for extra in ("g2", "zz"):
+        with pytest.raises(ValueError, match=f"maintenance candidates.*'{extra}'"):
+            saa.evaluate_schedule(inst, {**schedule, extra: 1}, scens)
 
 
 def test_violation_frequency_respects_binomial_bound():
