@@ -114,39 +114,47 @@ def compute_lower_bounds(inst: Instance, scenarios: ScenarioSet, cfg: RunConfig,
                          counts: dict[str, int] | None = None) -> np.ndarray:
     """LP lower bound of every scenario-day, shape ``(n, T)``, solved up front.
 
-    The scenario-days of one day with equal :func:`ucmodel.lower_bound_patterns`
-    rows share one built LP, solved once for each of them (the repeats start
-    from the basis of the first solve); each LP is dropped once its
-    scenario-days are solved.  Past ``deadline`` (a
-    ``time.perf_counter()`` value) no further LP is built and the remaining
-    entries stay 0.0, which still bounds the non-negative recourse.
-    ``counts``, when given, gains ``lb_solved``, ``lb_aliased``,
-    ``lb_models`` and ``lb_iterations`` (simplex iterations over every solve).
+    Each day builds one LP (:func:`ucmodel.lp_lower_bound`) and walks the
+    distinct rows of its :func:`ucmodel.lower_bound_patterns` in sorted
+    order: it sets the row's column bounds and solves once for each
+    scenario-day with that row, every solve after the day's first starting
+    from the basis the one before left.  Days are mapped on the pool, each
+    day's rows in sequence on one thread, so the bounds depend neither on
+    the order of the scenarios nor on ``cfg.threads``.  Past ``deadline`` (a
+    ``time.perf_counter()`` value, checked before each row's solves) no
+    further row is solved and the remaining entries stay 0.0, which still
+    bounds the non-negative recourse.  ``counts``, when given, gains
+    ``lb_solved``, ``lb_aliased``, ``lb_models`` (distinct (day, row) LPs
+    solved) and ``lb_iterations`` (simplex iterations over every solve).
     """
     n, horizon = scenarios.size, cfg.horizon_days
     xi = scenarios.failure_days(inst.hprime, cfg.tbar)
-    groups = []  # (day, pattern, scenario rows), in order of first appearance
-    for t in range(1, horizon + 1):
+
+    def bound_day(t):
         patterns = ucmodel.lower_bound_patterns(xi, t, cfg, inst.hprime, inst.kinds)
         first, inverse = _distinct_rows(patterns)
-        groups += [(t, patterns[first[key]], np.flatnonzero(inverse == key))
-                   for key in np.argsort(first).tolist()]
+        spec, solved = None, []  # solved: (scenario rows, their solves) per key
+        for key, pattern in enumerate(patterns[first]):
+            if deadline is not None and time.perf_counter() > deadline:
+                break
+            if spec is None:
+                spec = ucmodel.lp_lower_bound(inst.net, inst.demand, pattern, t, cfg,
+                                              inst.hprime)
+            else:
+                ucmodel.set_lower_bound_pattern(spec, pattern)
+            rows = np.flatnonzero(inverse == key)
+            solved.append((rows, [ucmodel.solve_lower_bound(spec) for _ in rows]))
+        return solved
 
-    def bound_group(group):
-        t, pattern, rows = group
-        spec = ucmodel.lp_lower_bound(inst.net, inst.demand, pattern, t, cfg,
-                                      inst.hprime)
-        return [ucmodel.solve_lower_bound(spec) for _ in rows]
-
-    results = pooled_map(bound_group, groups, cfg.threads, deadline)
+    days = list(range(1, horizon + 1))
     values = np.zeros((n, horizon))
     solved = models = iterations = 0
-    for (t, _, rows), result in zip(groups, results):
-        if result is not None:
+    for t, keys in zip(days, pooled_map(bound_day, days, cfg.threads)):
+        for rows, result in keys:
             values[rows, t - 1] = [value for value, _ in result]
             iterations += sum(its for _, its in result)
             solved += len(rows)
-            models += 1
+        models += len(keys)
     if counts is not None:
         counts.update(lb_solved=solved, lb_aliased=0, lb_models=models,
                       lb_iterations=iterations)

@@ -14,9 +14,12 @@ switching variable is data here: available lines carry the Ohm equality and
 static flow bounds, unavailable ones are removed with zero flow.
 
 The lower-bound LP relaxes the candidates' schedule.  A scenario enters it
-only through the candidates' availability under maintenance in each period
-(:func:`period_status`), the array the same-status cut sets also compare;
-every other component is in service.
+only through each candidate's outage class on the day, read from its
+availability under maintenance in each period (:func:`period_status`, the
+array the same-status cut sets also compare): never out, out in some
+periods, or out in every period; every other component is in service.  The
+class is the bounds of one column, so the LPs of one day share one model
+and differ only in those bounds (:func:`set_lower_bound_pattern`).
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .degrade import ScenarioSet
 __all__ = ["status_bit", "outage_days", "status_vector", "period_status", "DayModel",
            "build_subproblem", "solve_subproblem", "add_ohm_row",
            "add_switched_line_rows", "lower_bound_patterns", "lp_lower_bound",
-           "solve_lower_bound", "maintenance_cost_coeffs"]
+           "set_lower_bound_pattern", "solve_lower_bound", "maintenance_cost_coeffs"]
 
 
 def status_bit(period, xi, day, tau_pred, tau_corr, horizon):
@@ -148,9 +151,9 @@ def _add_day_network(spec, net, demand_day, cfg, off, integer_x,
     """Columns and rows of one day's network; returns the column index map.
 
     Components in ``off`` are out all day (zero output, zero flow).
-    ``outage_terms`` maps each candidate to the schedule columns whose period
-    takes it out; one minus their sum caps a candidate generator's commitment
-    and is a candidate line's on/off value ``y``.  Every other line obeys Ohm's
+    ``outage_terms`` maps each candidate to the columns whose sum is its
+    outage; one minus that sum caps a candidate generator's commitment and is
+    a candidate line's on/off value ``y``.  Every other line obeys Ohm's
     law within its static limits, less ``omit_bounds``.
     """
     outage_terms = outage_terms or {}
@@ -260,44 +263,51 @@ def add_switched_line_rows(spec: solver.ModelSpec, f: int, d_from: int, d_to: in
 def lower_bound_patterns(failure_days: np.ndarray, day: int, cfg: RunConfig,
                          candidates: tuple[str, ...],
                          kinds: dict[str, str]) -> np.ndarray:
-    """The availability bits the day-``day`` lower-bound LP reads, ``(n, c * tbar)``
-    uint8: each candidate's availability under maintenance in periods 1..tbar,
-    candidate-major (:func:`period_status` flattened).
+    """The outage classes the day-``day`` lower-bound LP reads, ``(n, 2c)``
+    uint8: for each candidate in turn, 1 when maintenance in every period
+    1..tbar takes it out on ``day`` ("all out"), then 1 when maintenance in
+    some period does ("any out").
 
     ``failure_days`` is ``(n, c)`` with columns in ``candidates`` order.
     Scenarios with equal rows get identical LPs from :func:`lp_lower_bound`.
     """
-    bits = period_status(failure_days, day, cfg, candidates, kinds)
-    return bits.transpose(1, 2, 0).reshape(len(failure_days),
-                                           len(candidates) * cfg.tbar)
+    out = period_status(failure_days, day, cfg, candidates, kinds) == 0
+    classes = np.stack([out.all(axis=0), out.any(axis=0)], axis=-1)
+    return classes.reshape(len(failure_days), 2 * len(candidates)).astype(np.uint8)
 
 
 def lp_lower_bound(net: Network, demand: DemandGrid, pattern: np.ndarray, day: int,
                    cfg: RunConfig, candidates: tuple[str, ...]) -> solver.ModelSpec:
     """LP bounding the day's recourse cost below, over relaxed schedules.
 
-    ``pattern`` is one row of :func:`lower_bound_patterns`.  The maintenance
-    decision enters continuously in [0,1] with its assignment rows,
-    availability becomes the induced linear expression, and commitment and
-    switching are relaxed.  Every other component is in service: only
-    candidates fail.  Every binary schedule is feasible here, so the
-    optimum bounds every Q_t from below; :func:`solve_lower_bound` solves it.
+    ``pattern`` is one row of :func:`lower_bound_patterns`.  Each candidate's
+    relaxed maintenance decision enters as one column w, its outage share on
+    ``day``, bounded by its "all out" and "any out" bits; availability is
+    one minus w, and commitment and switching are relaxed.  This is the LP
+    over per-period columns v_1..v_tbar summing to one with outage share the
+    sum of the v_m whose period takes the candidate out: that share ranges
+    over exactly [all out, any out], and the v enter nowhere else.  Every
+    other component is in service: only candidates fail.  Every binary
+    schedule is feasible here, so the optimum bounds every Q_t from below;
+    :func:`solve_lower_bound` solves it.
     """
-    tbar = cfg.tbar
-    bits = np.asarray(pattern).tolist()
-    if len(bits) != len(candidates) * tbar:
-        raise ValueError(f"pattern has {len(bits)} bits, expected "
-                         f"{len(candidates) * tbar}")
+    if len(pattern) != 2 * len(candidates):
+        raise ValueError(f"pattern has {len(pattern)} bits, expected "
+                         f"{2 * len(candidates)}")
     spec = solver.ModelSpec(f"lb_day{day}")
-    outage_terms = {}
-    for i, comp in enumerate(candidates):
-        v = [spec.add_var(lb=0.0, ub=1.0) for _ in range(tbar)]
-        spec.add_eq(dict.fromkeys(v, 1.0), 1.0)
-        outage_terms[comp] = {v[m]: 1.0 for m, bit
-                              in enumerate(bits[i * tbar:(i + 1) * tbar]) if bit == 0}
+    outage_terms = {comp: {spec.add_var(): 1.0} for comp in candidates}
+    set_lower_bound_pattern(spec, pattern)
     _add_day_network(spec, net, demand.day(day), cfg, frozenset(), integer_x=False,
                      outage_terms=outage_terms)
     return spec
+
+
+def set_lower_bound_pattern(spec: solver.ModelSpec, pattern: np.ndarray) -> None:
+    """Bound the outage columns of a :func:`lp_lower_bound` LP by ``pattern``,
+    a row of :func:`lower_bound_patterns` for the day the LP was built for."""
+    bits = np.asarray(pattern, dtype=float).reshape(-1, 2).tolist()
+    for w, (all_out, any_out) in enumerate(bits):
+        spec.set_bounds(w, all_out, any_out)
 
 
 def solve_lower_bound(spec: solver.ModelSpec) -> tuple[float, int]:

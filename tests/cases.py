@@ -2,14 +2,15 @@
 
 import numpy as np
 
+from gridmaint import solver
 from gridmaint.caseio import Bus, DemandGrid, Generator, Line, Network
 from gridmaint.chance import LinearCut
 from gridmaint.degrade import ScenarioSet
 from gridmaint.instance import Component, Instance
 from gridmaint.mastercuts import same_cost_periods, same_status_periods
 from gridmaint.pboracle import SuccessProbTable
-from gridmaint.ucmodel import (lower_bound_patterns, lp_lower_bound, solve_lower_bound,
-                               status_vector)
+from gridmaint.ucmodel import (_add_day_network, lower_bound_patterns, lp_lower_bound,
+                               period_status, solve_lower_bound, status_vector)
 
 # 9-bus test system with linear generation costs.
 CASE9 = """
@@ -235,6 +236,27 @@ def one_lower_bound(net, demand, xi_map, day, cfg, candidates):
     pattern = lower_bound_patterns(xi, day, cfg, candidates, kinds)[0]
     value, _ = solve_lower_bound(lp_lower_bound(net, demand, pattern, day, cfg,
                                                 candidates))
+    return value
+
+
+def reference_lower_bound(inst, failure_row, day, cfg):
+    """Lower-bound LP value of one failure row over ``inst.hprime`` in its
+    per-period form: each candidate's maintenance decision relaxed to
+    columns v_1..v_tbar in [0, 1] with one assignment row, its outage the sum
+    of the v_m whose period takes it out on ``day``.  The reference the
+    one-column form of :func:`gridmaint.ucmodel.lp_lower_bound` is checked
+    against."""
+    bits = period_status(np.array([failure_row]), day, cfg, inst.hprime,
+                         inst.kinds)[:, 0, :]
+    spec = solver.ModelSpec(f"reference_lb_day{day}")
+    outage_terms = {}
+    for i, comp in enumerate(inst.hprime):
+        v = [spec.add_var(lb=0.0, ub=1.0) for _ in range(cfg.tbar)]
+        spec.add_eq(dict.fromkeys(v, 1.0), 1.0)
+        outage_terms[comp] = {v[m]: 1.0 for m in range(cfg.tbar) if bits[m, i] == 0}
+    _add_day_network(spec, inst.net, inst.demand.day(day), cfg, frozenset(),
+                     integer_x=False, outage_terms=outage_terms)
+    value, _ = solve_lower_bound(spec)
     return value
 
 

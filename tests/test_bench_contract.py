@@ -41,6 +41,8 @@ def test_traced_solve_counts_match_program_counters():
     assert layers["solver.uc_n"] == report.counts["solved"] > 0
     assert layers["solver.lb_n"] == scens.size * inst.cfg.horizon_days
     assert layers["solver.lb_n"] == report.counts["lb_solved"]
+    # one lower-bound LP built per day, re-solved for each class it meets
+    assert 0 < layers["ucmodel.lp_bound_n"] <= inst.cfg.horizon_days
 
 
 def test_traced_evaluation_counts_match_cache_counters():
