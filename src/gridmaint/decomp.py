@@ -243,7 +243,6 @@ class DecompositionRun:
         self.master = mastercuts.MasterState(inst.hprime, scenarios, cfg, cost_of,
                                              inst.kinds, day_bounds)
 
-        self.chance_mode = cfg.chance_mode if enforce_chance else "off"
         self.rule = chance.ChanceRule(cfg.chance_mode, inst.table, cfg.rho_gen,
                                       cfg.rho_line, cfg.alpha) if enforce_chance else None
         for row in self.rule.static_rows if self.rule else ():

@@ -38,15 +38,14 @@ class NonDegradingError(ValueError):
 
 @dataclass(frozen=True)
 class SignalPath:
-    """A simulated degradation signal on the grid t = 0, dt, 2dt, ...
+    """A simulated degradation signal on the unit grid t = 0, 1, 2, ...
 
-    ``values[i]`` is the signal level at time ``i*dt``; ``values[0]`` is the
+    ``values[i]`` is the signal level at time ``i``; ``values[0]`` is the
     initial amplitude.  ``failure_step`` is the first grid index at which the
     level reaches the threshold.
     """
     values: np.ndarray
     failure_step: int
-    dt: float = 1.0
 
     @property
     def increments(self) -> np.ndarray:
@@ -103,17 +102,15 @@ class ComponentRLD:
                            "scale_lambda": self.scale_lambda, "t_obs": self.t_obs})
 
 
-def simulate_signal(priors: DegradationPriors, dt: float = 1.0,
+def simulate_signal(priors: DegradationPriors,
                     seed: int | np.random.Generator | None = None,
                     max_steps: int = 1_000_000) -> SignalPath:
     """Draw one degradation path and stop at first passage of the threshold.
 
     Amplitude and drift are drawn from the priors; the Brownian term uses
-    Euler steps of width ``dt``.  Raises if the path has not crossed within
+    unit Euler steps.  Raises if the path has not crossed within
     ``max_steps`` (possible only for nonpositive sampled drift).
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     amplitude = rng.normal(priors.mu0, priors.kappa0)
     drift = rng.normal(priors.mu1, priors.kappa1)
@@ -125,15 +122,13 @@ def simulate_signal(priors: DegradationPriors, dt: float = 1.0,
         if step > max_steps:
             raise RuntimeError("degradation path did not cross the threshold "
                                f"within {max_steps} steps (drift {drift:.3g})")
-        level += drift * dt + priors.sigma * math.sqrt(dt) * rng.standard_normal()
+        level += drift + priors.sigma * rng.standard_normal()
         values.append(level)
-    return SignalPath(np.array(values), failure_step=step, dt=dt)
+    return SignalPath(np.array(values), failure_step=step)
 
 
 def observe(path: SignalPath, t_first: int, t_obs: int) -> SignalObservations:
-    """Extract the observation window [t_first, t_obs] from a unit-step path."""
-    if path.dt != 1.0:
-        raise ValueError("observations are defined on unit-step paths")
+    """Extract the observation window [t_first, t_obs] from a path."""
     if t_obs >= path.failure_step:
         raise ValueError("observation window reaches past the failure time")
     incr = [float(path.values[t_first])]

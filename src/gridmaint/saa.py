@@ -51,8 +51,10 @@ def evaluate_schedule(inst: Instance, schedule: dict[str, int],
 
     Corrective-maintenance counts are taken per class over every component
     (unscheduled ones count as failing uncovered); the joint constraint is
-    violated when either class count exceeds its threshold.  Recourse costs
-    reuse the status cache across scenarios.
+    violated when either class count exceeds its threshold.  Every expectation
+    and frequency weights the scenarios by ``scens.probs``;
+    ``per_scenario_total`` is each scenario's own total, unweighted.  Recourse
+    costs reuse the status cache across scenarios.
     """
     cfg = cfg or inst.cfg
     missing = set(inst.hprime) - set(schedule)
@@ -76,12 +78,11 @@ def evaluate_schedule(inst: Instance, schedule: dict[str, int],
 
     # a failure inside the horizon that no earlier maintenance prevented
     failed = (xi <= cfg.horizon_days) & (periods >= xi)
-    violations = int(np.count_nonzero(
-        (failed[:, is_gen].sum(axis=1) > cfg.rho_gen)
-        | (failed[:, ~is_gen].sum(axis=1) > cfg.rho_line)))
-    fail_gp = int(failed[:, prime & is_gen].sum())
-    fail_lp = int(failed[:, prime & ~is_gen].sum())
-    fail_second = int(failed[:, ~prime].sum())
+    violated = ((failed[:, is_gen].sum(axis=1) > cfg.rho_gen)
+                | (failed[:, ~is_gen].sum(axis=1) > cfg.rho_line))
+
+    def expected(per_scenario):
+        return float(scens.probs @ per_scenario)
 
     gm = np.zeros(n)
     tlm = np.zeros(n)
@@ -99,10 +100,11 @@ def evaluate_schedule(inst: Instance, schedule: dict[str, int],
     total = gm + tlm + ops
     return EvalReport(
         n_scenarios=n,
-        avg_failures={"gen_prime": fail_gp / n, "line_prime": fail_lp / n,
-                      "second": fail_second / n},
-        violation_freq=violations / n,
-        gm=float(gm.mean()), tlm=float(tlm.mean()), ops=float(ops.mean()),
+        avg_failures={"gen_prime": expected(failed[:, prime & is_gen].sum(axis=1)),
+                      "line_prime": expected(failed[:, prime & ~is_gen].sum(axis=1)),
+                      "second": expected(failed[:, ~prime].sum(axis=1))},
+        violation_freq=expected(violated),
+        gm=expected(gm), tlm=expected(tlm), ops=expected(ops),
         per_scenario_total=total)
 
 
@@ -168,7 +170,12 @@ class SAAReport:
 
 def run_saa(inst: Instance, cfg: RunConfig | None = None,
             seed: int | None = None) -> SAAReport:
-    """Replicated training plus common out-of-sample evaluation with CIs."""
+    """Replicated training plus common out-of-sample evaluation with CIs.
+
+    The test set is sampled with equal weights, and the upper-bound CI and
+    each replicate's ``eval_total`` take plain means over
+    ``per_scenario_total``, which holds only for an equally weighted set.
+    """
     cfg = cfg or inst.cfg
     if cfg.saa_m < 2:
         raise ValueError("need at least two SAA replicates")

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy
-import scipy.sparse as sp
 
 try:
     from scipy.optimize._highspy import _core as _highs
@@ -80,8 +79,9 @@ class ModelSpec:
     """Incrementally built sparse LP/MILP description.
 
     Variables are referenced by the integer index returned from
-    :meth:`add_var`.  Rows are two-sided: ``lb <= a.x <= ub``.  The assembled
-    matrix and row bounds are kept until a row or variable is added; costs and
+    :meth:`add_var`.  Rows are two-sided: ``lb <= a.x <= ub`` and
+    append-only; each row's non-zero coefficients go straight onto the
+    row-wise ``_start``/``_index``/``_value`` lists HiGHS reads.  Costs and
     variable bounds are read by every solve, and a solve that re-solves the
     LP its thread last solved to optimality sends HiGHS only the ones that
     changed (see :func:`milp`).
@@ -96,9 +96,12 @@ class ModelSpec:
         self._ub: list[float] = []
         self._integer: list[bool] = []
         self._obj: list[float] = []
-        # each row: (coeffs dict var->coef, lb, ub)
-        self._rows: list[tuple[dict[int, float], float, float]] = []
-        self._assembled: tuple[list, ...] | None = None
+        # row r's columns and coefficients are _index/_value[_start[r]:_start[r + 1]]
+        self._start: list[int] = [0]
+        self._index: list[int] = []
+        self._value: list[float] = []
+        self._row_lb: list[float] = []
+        self._row_ub: list[float] = []
 
     # -- variables ---------------------------------------------------------
 
@@ -109,7 +112,6 @@ class ModelSpec:
         self._ub.append(ub)
         self._integer.append(integer)
         self._obj.append(obj)
-        self._assembled = None
         return idx
 
     def add_binary(self, obj: float = 0.0) -> int:
@@ -128,17 +130,22 @@ class ModelSpec:
 
     @property
     def num_rows(self) -> int:
-        return len(self._rows)
+        return len(self._row_lb)
 
     # -- rows --------------------------------------------------------------
 
     def add_row(self, coeffs: dict[int, float], lb: float = -INF,
                 ub: float = INF) -> int:
-        idx = len(self._rows)
+        idx = len(self._row_lb)
         if lb > ub:
             raise ValueError(f"{self.name}: row {idx} has lb {lb} > ub {ub}")
-        self._rows.append((dict(coeffs), lb, ub))
-        self._assembled = None
+        for var, coef in coeffs.items():
+            if coef != 0.0:
+                self._index.append(var)
+                self._value.append(float(coef))
+        self._start.append(len(self._index))
+        self._row_lb.append(float(lb))
+        self._row_ub.append(float(ub))
         return idx
 
     def add_eq(self, coeffs: dict[int, float], rhs: float) -> int:
@@ -149,28 +156,6 @@ class ModelSpec:
 
     def add_ge(self, coeffs: dict[int, float], rhs: float) -> int:
         return self.add_row(coeffs, rhs, INF)
-
-    # -- assembly ----------------------------------------------------------
-
-    def assembled(self) -> tuple[list, ...]:
-        """The rows as CSC ``indptr``, ``indices`` and ``data``, then row ``lb``
-        and ``ub``, all as lists (the form the HiGHS bindings copy fastest)."""
-        if self._assembled is None:
-            data, ri, ci = [], [], []
-            for r, (coeffs, _, _) in enumerate(self._rows):
-                for var, coef in coeffs.items():
-                    if coef != 0.0:
-                        ri.append(r)
-                        ci.append(var)
-                        data.append(coef)
-            a = sp.csc_matrix((np.array(data, dtype=float), (ri, ci)),
-                              shape=(len(self._rows), self.num_vars))
-            if not np.isfinite(a.data).all():
-                raise SolverError(f"{self.name}: constraint coefficients must be finite")
-            self._assembled = (a.indptr.tolist(), a.indices.tolist(), a.data.tolist(),
-                               [float(row[1]) for row in self._rows],
-                               [float(row[2]) for row in self._rows])
-        return self._assembled
 
 
 @dataclass
@@ -189,10 +174,11 @@ class HighsRun:
 @dataclass
 class _Kept:
     """The LP a thread's HiGHS instance holds with an optimal basis: its spec,
-    the ``assembled()`` rows it was passed, and the costs and column bounds
-    last sent."""
+    its ``(rows, columns)`` shape when passed (rows and columns are only ever
+    appended, so the shape shows whether one was added since), and the costs
+    and column bounds last sent."""
     spec: ModelSpec
-    rows: tuple[list, ...]
+    shape: tuple[int, int]
     cost: list[float]
     lb: list[float]
     ub: list[float]
@@ -262,24 +248,25 @@ _untimed_options = functools.lru_cache(maxsize=16)(
 
 
 def _pass_lp(highs: _highs._Highs, spec: ModelSpec, cost: list[float],
-             rows: tuple[list, ...], is_mip: bool) -> None:
+             is_mip: bool) -> None:
     """Pass the whole model, replacing whatever ``highs`` held."""
-    indptr, indices, data, row_lb, row_ub = rows
+    if not all(map(math.isfinite, spec._value)):
+        raise SolverError(f"{spec.name}: constraint coefficients must be finite")
     n = spec.num_vars
     lp = _highs.HighsLp()
     lp.num_col_ = n
     lp.num_row_ = spec.num_rows
     lp.a_matrix_.num_col_ = n
     lp.a_matrix_.num_row_ = spec.num_rows
-    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = indptr
-    lp.a_matrix_.index_ = indices
-    lp.a_matrix_.value_ = data
+    lp.a_matrix_.format_ = _highs.MatrixFormat.kRowwise
+    lp.a_matrix_.start_ = spec._start
+    lp.a_matrix_.index_ = spec._index
+    lp.a_matrix_.value_ = spec._value
     lp.col_cost_ = cost
     lp.col_lower_ = spec._lb
     lp.col_upper_ = spec._ub
-    lp.row_lower_ = row_lb
-    lp.row_upper_ = row_ub
+    lp.row_lower_ = spec._row_lb
+    lp.row_upper_ = spec._row_ub
     if is_mip:
         lp.integrality_ = [_highs.HighsVarType.kInteger if integer
                            else _highs.HighsVarType.kContinuous
@@ -303,15 +290,14 @@ def _push_changes(highs: _highs._Highs, spec: ModelSpec, cost: list[float],
                highs.changeColsBounds(len(cols), cols, lb[cols], ub[cols]))
 
 
-def milp(spec: ModelSpec, cost: list[float], rows: tuple[list, ...],
-         tolerance: float, time_limit: float | None) -> HighsRun:
-    """Minimise ``cost . x`` over ``rows`` (``spec.assembled()``) and the
-    variable bounds of ``spec``.
+def milp(spec: ModelSpec, cost: list[float], tolerance: float,
+         time_limit: float | None) -> HighsRun:
+    """Minimise ``cost . x`` over the rows and variable bounds of ``spec``.
 
     Each call passes the options ``scipy.optimize.milp`` sets, with the
     root reduced-cost sub-MIP and feasibility jump heuristics off (see
     :func:`_options`), to this thread's HiGHS instance.  An LP solved again
-    on the same spec, with the same ``rows`` object, right after its last
+    on the same spec, with no row or column added, right after its last
     solve on this thread ended optimal starts from the basis HiGHS kept:
     only the costs and column bounds that changed are sent, and HiGHS skips
     presolve and runs dual simplex from that basis.  Everything else (a
@@ -332,10 +318,11 @@ def milp(spec: ModelSpec, cost: list[float], rows: tuple[list, ...],
     kept, _local.kept = _local.kept, None
     clock = highs.getRunTime()  # the instance's run clock adds up over its runs
     _check(spec, "passOptions", highs.passOptions(options))
-    if kept is not None and kept.spec is spec and kept.rows is rows:
+    shape = (spec.num_rows, spec.num_vars)
+    if kept is not None and kept.spec is spec and kept.shape == shape:
         _push_changes(highs, spec, cost, kept)
     else:
-        _pass_lp(highs, spec, cost, rows, is_mip)
+        _pass_lp(highs, spec, cost, is_mip)
     _check(spec, "run", highs.run())
 
     status = _MODEL_STATUS.get(highs.getModelStatus(), "error")
@@ -344,7 +331,7 @@ def milp(spec: ModelSpec, cost: list[float], rows: tuple[list, ...],
     iterations = 0 if is_mip else info.simplex_iteration_count
     seconds = highs.getRunTime() - clock
     if status == "optimal" and not is_mip:
-        _local.kept = _Kept(spec, rows, list(cost), list(spec._lb), list(spec._ub))
+        _local.kept = _Kept(spec, shape, list(cost), list(spec._lb), list(spec._ub))
     # an LP solution is read only at optimality; a MIP stopped at a limit
     # keeps its incumbent when it found one
     readable = status == "optimal" or (
@@ -369,8 +356,7 @@ def solve(spec: ModelSpec, tolerance: float = 1e-9,
     cost = spec._obj if sign > 0 else [-c for c in spec._obj]
     if not all(map(math.isfinite, cost)):
         raise SolverError(f"{spec.name}: objective coefficients must be finite")
-    # assembled here, outside milp, so that time spent in milp is HiGHS's
-    run = milp(spec, cost, spec.assembled(), float(tolerance),
+    run = milp(spec, cost, float(tolerance),
                None if time_limit is None else float(time_limit))
 
     if run.x is None:

@@ -183,6 +183,12 @@ def toy_instance(seed, horizon=3, subperiods=2, n_scen=3, alpha=0.3,
     return inst, scens
 
 
+def spec_rows(spec):
+    """A spec's rows as it hands them to HiGHS: the row-wise ``start``,
+    ``index`` and ``value`` lists, then row ``lb`` and ``ub``."""
+    return spec._start, spec._index, spec._value, spec._row_lb, spec._row_ub
+
+
 def scenario_xi(scenarios, k):
     """Failure-day map of scenario ``k`` (0-based), component -> day."""
     row = scenarios.failure_times[k]

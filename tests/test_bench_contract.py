@@ -39,6 +39,8 @@ def test_traced_solve_counts_match_program_counters():
     report, layers = traced(lambda: decomp.solve(inst, scens, inst.cfg))
     assert report.ok
     assert layers["solver.uc_n"] == report.counts["solved"] > 0
+    # the highs.milp spans inside the day solves carry HiGHS time and nodes
+    assert layers["solver.uc_nodes"] > 0 and layers["solver.uc_highs_s"] > 0
     assert layers["solver.lb_n"] == scens.size * inst.cfg.horizon_days
     assert layers["solver.lb_n"] == report.counts["lb_solved"]
     # one lower-bound LP built per day, re-solved for each class it meets

@@ -434,7 +434,6 @@ def test_spent_time_limit_stops_before_chance_separation(monkeypatch):
     monkeypatch.setattr(chance, "separate",
                         lambda *a: separated.append(a) or real_separate(*a))
     run = decomp.DecompositionRun(inst, scens, cfg)
-    assert run.chance_mode == "exact"
     assert run.iterate_once() is False
     assert run.status == "limit" and separated == []
     assert run.report().bound > -float("inf")

@@ -14,7 +14,8 @@ from gridmaint.caseio import RunConfig, parse_case, synth_demand
 from gridmaint.degrade import ScenarioSet
 from gridmaint.instance import build_instance, training_scenarios
 
-from cases import CASE9, reference_lower_bound, reference_status_bit, toy_instance
+from cases import (CASE9, reference_lower_bound, reference_status_bit, spec_rows,
+                   toy_instance)
 
 
 def instances():
@@ -121,7 +122,7 @@ def test_one_build_per_day_one_solve_per_scenario_day(monkeypatch):
 
 
 def spec_data(spec):
-    return (spec.name, spec.assembled(), spec._obj, spec._lb, spec._ub,
+    return (spec.name, spec_rows(spec), spec._obj, spec._lb, spec._ub,
             spec._integer)
 
 
@@ -165,8 +166,8 @@ def test_without_candidates_the_bound_is_the_day_model_relaxed():
         lb = ucmodel.lp_lower_bound(inst.net, inst.demand, pattern, t, cfg, ())
         day = ucmodel.build_subproblem(inst.net, inst.demand.day(t), frozenset(), cfg)
         spec = day.spec
-        assert (lb.sense, lb._obj, lb._lb, lb._ub, lb.assembled()) \
-            == (spec.sense, spec._obj, spec._lb, spec._ub, spec.assembled())
+        assert (lb.sense, lb._obj, lb._lb, lb._ub, spec_rows(lb)) \
+            == (spec.sense, spec._obj, spec._lb, spec._ub, spec_rows(spec))
         assert not any(lb._integer)
         assert np.flatnonzero(spec._integer).tolist() == sorted(day.idx["x"].ravel())
 

@@ -11,7 +11,7 @@ from gridmaint.mastercuts import (MasterState, aggregate_cuts, cut_over_periods,
                                   same_status_periods)
 from gridmaint.ucmodel import status_bit
 
-from cases import cut_int_lshaped, one_same_cost, one_same_status
+from cases import cut_int_lshaped, one_same_cost, one_same_status, spec_rows
 
 CFG = RunConfig(horizon_days=4, subperiods=2)
 KINDS = {"h1": "gen", "h2": "line"}
@@ -361,8 +361,8 @@ def test_int_lshaped_family_matches_the_classical_cut(aggregation):
 
 def dense_rows(master):
     """The master model's rows as (coefficient vector, lb, ub) triples."""
-    indptr, indices, data, row_lb, row_ub = master.spec.assembled()
-    a = sp.csc_matrix((data, indices, indptr),
+    start, index, value, row_lb, row_ub = spec_rows(master.spec)
+    a = sp.csr_matrix((value, index, start),
                       shape=(master.spec.num_rows, master.spec.num_vars)).toarray()
     return list(zip(a.tolist(), row_lb, row_ub))
 

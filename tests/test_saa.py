@@ -68,6 +68,30 @@ def test_evaluate_counts_second_set_failures():
     assert report.avg_failures["second"] == pytest.approx(0.5)
 
 
+def test_evaluate_weights_scenarios_by_their_probabilities():
+    # g1 fails on day 1 in the first scenario only, every candidate at tbar
+    inst, _ = toy_instance(seed=6)
+    cfg, comps = inst.cfg, inst.all_components
+    schedule = {comp: cfg.tbar for comp in inst.hprime}
+    times = np.full((2, len(comps)), cfg.tbar, dtype=int)
+    times[0, comps.index("g1")] = 1
+    reports = {}
+    for probs in ((0.5, 0.5), (0.99, 0.01)):
+        scens = ScenarioSet(comps, times, np.array(probs), cfg.horizon_days)
+        reports[probs] = report = saa.evaluate_schedule(inst, schedule, scens)
+        first, second = report.per_scenario_total
+        assert first > second
+        assert report.total == pytest.approx(probs[0] * first + probs[1] * second,
+                                             rel=1e-12)
+        assert report.avg_failures == {"gen_prime": probs[0], "line_prime": 0.0,
+                                       "second": 0.0}
+    # the per-scenario totals do not depend on the weights
+    assert reports[(0.5, 0.5)].per_scenario_total.tobytes() \
+        == reports[(0.99, 0.01)].per_scenario_total.tobytes()
+    assert reports[(0.5, 0.5)].total == pytest.approx(9593.29, abs=0.01)
+    assert reports[(0.99, 0.01)].total == pytest.approx(13083.23, abs=0.01)
+
+
 def brute_evaluate(inst, schedule, scens, cfg):
     """Scenario-by-scenario evaluation from the scalar statements of the rules."""
     comps, n = inst.all_components, scens.size
@@ -124,8 +148,11 @@ def test_evaluate_matches_a_per_scenario_loop():
         totals, violation_freq, avg_failures = brute_evaluate(inst, schedule,
                                                               scens, cfg)
         assert report.per_scenario_total == pytest.approx(totals, rel=1e-9, abs=1e-6)
-        assert report.violation_freq == violation_freq
-        assert report.avg_failures == avg_failures
+        # equal weights: the plain means, up to the round-off of weighting
+        assert report.total == pytest.approx(report.per_scenario_total.mean(),
+                                             rel=1e-12)
+        assert report.violation_freq == pytest.approx(violation_freq, rel=1e-12)
+        assert report.avg_failures == pytest.approx(avg_failures, rel=1e-12)
 
 
 def test_evaluate_rejects_incomplete_schedule():

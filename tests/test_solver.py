@@ -89,16 +89,9 @@ def reference_solve(spec, tolerance=1e-9, time_limit=None):
         options["time_limit"] = float(time_limit)
     constraints = None
     if spec.num_rows:
-        data, ri, ci = [], [], []
-        for r, (coeffs, _, _) in enumerate(spec._rows):
-            for var, coef in coeffs.items():
-                if coef != 0.0:
-                    ri.append(r)
-                    ci.append(var)
-                    data.append(coef)
-        a = sp.csr_matrix((data, (ri, ci)), shape=(spec.num_rows, spec.num_vars))
-        constraints = LinearConstraint(a, np.array([row[1] for row in spec._rows]),
-                                       np.array([row[2] for row in spec._rows]))
+        a = sp.csr_matrix((spec._value, spec._index, spec._start),
+                          shape=(spec.num_rows, spec.num_vars))
+        constraints = LinearConstraint(a, np.array(spec._row_lb), np.array(spec._row_ub))
     res = milp(sign * np.array(spec._obj, dtype=float), constraints=constraints,
                integrality=integrality,
                bounds=Bounds(np.array(spec._lb, dtype=float),
@@ -146,6 +139,16 @@ def max_knapsack(n=24):
     return m
 
 
+def descending_lp():
+    # rows list their columns in descending order, one with an explicit zero
+    m = solver.ModelSpec("descending")
+    x, y, z = (m.add_var(ub=6.0, obj=c) for c in (-2.0, -1.0, -1.5))
+    m.add_le({z: 1.0, y: 0.0, x: 2.0}, 9.0)
+    m.add_le({z: 2.0, y: 1.0, x: 1.0}, 10.0)
+    m.add_row({z: 1.0, x: -1.0}, lb=-4.0, ub=1.0)
+    return m
+
+
 def infeasible_lp():
     m = solver.ModelSpec("infeasible")
     x = m.add_var()
@@ -170,6 +173,7 @@ def unbounded_lp():
     (infeasible_lp, {}, "infeasible"),
     (unbounded_lp, {}, "error"),
     (max_knapsack, {"time_limit": 0.0}, "limit"),
+    (descending_lp, {}, "optimal"),
 ])
 def test_outcome_matches_scipy_milp_bit_for_bit(build, kwargs, status):
     got = outcome_fields(solver.solve(build(), **kwargs))
@@ -224,14 +228,13 @@ def test_non_finite_model_data_raise(bad):
         solver.solve(m)
 
 
-def test_assembly_cache_honours_every_change(passes):
-    m = solver.ModelSpec("cache")
+def test_added_rows_and_columns_pass_the_model_whole(passes):
+    m = solver.ModelSpec("grown")
     x = m.add_var(ub=10.0, obj=-1.0)
     y = m.add_var(ub=10.0, obj=-1.0)
     m.add_le({x: 1.0, y: 1.0}, 8.0)
     first = solver.solve(m)
     assert first.objective == pytest.approx(-8.0)
-    assert m.assembled() is m.assembled()
 
     m.add_le({x: 1.0}, 2.0)              # a new row
     m.set_bounds(y, 0.0, 5.0)            # a tighter bound
@@ -240,7 +243,7 @@ def test_assembly_cache_honours_every_change(passes):
     assert outcome_fields(second) == reference_solve(m)
     assert second.objective == pytest.approx(-3.0 * 2.0 - 5.0)
     assert len(passes) == 2              # the new row passed the model whole
-    z = m.add_var(ub=1.0, obj=-1.0)  # a new column joins the cached rows
+    z = m.add_var(ub=1.0, obj=-1.0)      # a new column
     assert solver.solve(m).objective == pytest.approx(-6.0 - 5.0 - 1.0)
     assert len(passes) == 3              # so did the new column
     m.add_le({z: 1.0, y: 1.0}, 5.5)
