@@ -105,6 +105,19 @@ class Network:
     def bus_index(self) -> dict[int, int]:
         return {b.id: i for i, b in enumerate(self.buses)}
 
+    def bus_incidence(self) -> list[tuple[list[int], list[tuple[int, float]]]]:
+        """Per bus, in ``buses`` order: the positions of the generators at it,
+        and ``(position, sign)`` of each line ending at it, sign -1.0 where the
+        line leaves and +1.0 where it arrives; both lists in case order."""
+        pos = self.bus_index()
+        incidence = [([], []) for _ in self.buses]
+        for g, gen in enumerate(self.generators):
+            incidence[pos[gen.bus]][0].append(g)
+        for j, line in enumerate(self.lines):
+            incidence[pos[line.from_bus]][1].append((j, -1.0))
+            incidence[pos[line.to_bus]][1].append((j, 1.0))
+        return incidence
+
     def line_susceptance_mw(self, line: Line) -> float:
         """Susceptance scaled to MW per radian."""
         return self.base_mva * line.susceptance

@@ -50,12 +50,6 @@ class LinearCut:
         """Canonical identity for cut-pool deduplication."""
         return (self.sense, round(self.rhs, 12), self.v_coeffs, self.theta_coeffs)
 
-    def violated_by(self, v_values: dict, theta_values: dict | None = None,
-                    tol: float = 1e-9) -> bool:
-        lhs = sum(c * v_values.get(idx, 0.0) for idx, c in self.v_coeffs)
-        lhs += sum(c * (theta_values or {}).get(key, 0.0) for key, c in self.theta_coeffs)
-        return lhs > self.rhs + tol if self.sense == "<=" else lhs < self.rhs - tol
-
     def __str__(self):
         terms = [f"{c:+g} v[{h},{t}]" for (h, t), c in self.v_coeffs]
         terms += [f"{c:+g} theta[{key}]" for key, c in self.theta_coeffs]

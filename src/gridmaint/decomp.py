@@ -227,6 +227,7 @@ class DecompositionRun:
         if others:
             raise ValueError(f"scenarios cover components outside the maintenance "
                              f"candidates {list(inst.hprime)}: {others}")
+        inst.check_horizon(scenarios, cfg)
         self.inst, self.scenarios, self.cfg = inst, scenarios, cfg
         self.started = time.perf_counter()
         self.cache = cache if cache is not None else StatusCache()

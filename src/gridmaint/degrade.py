@@ -22,8 +22,7 @@ from .caseio import DegradationPriors
 __all__ = [
     "DegradationPriors", "SignalPath", "SignalObservations", "ComponentRLD",
     "ScenarioSet", "simulate_signal", "observe", "posterior_drift", "rld",
-    "ig_cdf", "failure_prob_within", "bucket_probs", "select_subset",
-    "sample_scenarios", "estimate_priors",
+    "ig_cdf", "bucket_probs", "select_subset", "sample_scenarios",
     "SingularPosteriorError", "NonDegradingError",
 ]
 
@@ -46,14 +45,6 @@ class SignalPath:
     """
     values: np.ndarray
     failure_step: int
-
-    @property
-    def increments(self) -> np.ndarray:
-        """First entry is the amplitude reading, the rest are step increments."""
-        out = np.empty_like(self.values)
-        out[0] = self.values[0]
-        out[1:] = np.diff(self.values)
-        return out
 
 
 @dataclass(frozen=True)
@@ -182,13 +173,6 @@ def ig_cdf(x: float, mu: float, lam: float) -> float:
     return min(1.0, max(0.0, float(value)))
 
 
-def failure_prob_within(dist: ComponentRLD, horizon_days: float) -> float:
-    """Probability the component fails within the next ``horizon_days``."""
-    if horizon_days <= 0:
-        return 0.0
-    return dist.cdf(horizon_days)
-
-
 def bucket_probs(dist: ComponentRLD, horizon_days: int) -> np.ndarray:
     """Daily failure-time buckets: P(day 1), ..., P(day T), P(no failure).
 
@@ -234,6 +218,14 @@ class ScenarioSet:
                              f"{float(self.probs[k])!r}; each must be finite and >= 0")
         if abs(float(self.probs.sum()) - 1.0) > 1e-9:
             raise ValueError("scenario probabilities must sum to 1")
+        bad = np.argwhere((self.failure_times < 1)
+                          | (self.failure_times > self.horizon_days + 1))
+        if bad.size:
+            k, j = bad[0]
+            raise ValueError(f"scenario row {k} (0-based), component "
+                             f"{self.component_ids[j]}: failure day "
+                             f"{int(self.failure_times[k, j])} outside "
+                             f"1..{self.horizon_days + 1}")
 
     @property
     def size(self) -> int:
@@ -317,22 +309,3 @@ def sample_scenarios(rlds: dict[str, ComponentRLD | None], n: int, horizon_days:
             times[:, j] = rng.choice(days, size=n, p=probs)
     return ScenarioSet(comps, times, np.full(n, 1.0 / n), horizon_days)
 
-
-def estimate_priors(corpus: list[SignalPath]) -> tuple[float, float]:
-    """Point estimates of the amplitude and drift prior means from failed signals.
-
-    The amplitude estimate is the mean first reading; the drift estimate
-    averages (total rise after the first reading) / (steps to failure).
-    """
-    if not corpus:
-        raise ValueError("empty signal corpus")
-    firsts, drifts = [], []
-    for path in corpus:
-        if path.failure_step < 1:
-            raise ValueError("corpus signal failed before its first increment")
-        incr = path.increments
-        first = float(incr[0])
-        total = float(path.values[path.failure_step])
-        firsts.append(first)
-        drifts.append((total - first) / path.failure_step)
-    return float(np.mean(firsts)), float(np.mean(drifts))

@@ -69,6 +69,17 @@ class Instance:
     def all_components(self) -> tuple[str, ...]:
         return tuple(self.components)
 
+    def check_horizon(self, scenarios: degrade.ScenarioSet, cfg: RunConfig) -> None:
+        """Raise ``ValueError`` unless ``cfg``, ``scenarios`` and the demand
+        span the same days, and ``cfg`` and the demand the same hours."""
+        for field_name, other, value in (
+                ("horizon_days", "scenarios.horizon_days", scenarios.horizon_days),
+                ("horizon_days", "the demand's day count", self.demand.periods),
+                ("subperiods", "the demand's hour count", self.demand.subperiods)):
+            if getattr(cfg, field_name) != value:
+                raise ValueError(f"cfg.{field_name} is {getattr(cfg, field_name)} "
+                                 f"but {other} is {value}")
+
     def maint_cost(self, comp: str) -> tuple[float, float]:
         """Predictive and corrective maintenance cost of one component."""
         return self._maint_costs[comp]
@@ -143,23 +154,20 @@ def build_instance(net: Network, demand: DemandGrid, cfg: RunConfig,
             if dist is None:
                 log.warning("component %s has non-positive posterior drift; "
                             "treated as non-degrading", comp)
-            p = degrade.failure_prob_within(dist, cfg.horizon_days) if dist else 0.0
+            p = dist.cdf(cfg.horizon_days) if dist else 0.0
             components[comp] = Component(comp, kind, dist, p)
 
     pfail = {c.id: c.p_fail for c in components.values()}
     kinds = {c.id: c.kind for c in components.values()}
     hprime, hsecond = degrade.select_subset(pfail, kinds, cfg.pfail_gen,
                                             cfg.pfail_line)
-    order = list(components)  # case order: generators then lines
-    hprime = tuple(c for c in order if c in set(hprime))
-    hsecond = tuple(c for c in order if c in set(hsecond))
     table = SuccessProbTable.from_rlds({c.id: c.rld for c in components.values()},
                                        kinds, hprime, cfg.horizon_days)
     log.info("instance: |G'|=%d |L'|=%d of %d components",
              sum(1 for c in hprime if kinds[c] == "gen"),
              sum(1 for c in hprime if kinds[c] == "line"), len(components))
-    return Instance(net, demand, cfg, components, hprime, hsecond, table,
-                    preflow_report)
+    return Instance(net, demand, cfg, components, tuple(hprime), tuple(hsecond),
+                    table, preflow_report)
 
 
 def training_scenarios(inst: Instance, n: int, seed) -> degrade.ScenarioSet:

@@ -16,25 +16,12 @@ import numpy as np
 
 from .degrade import ComponentRLD
 
-__all__ = ["pb_pmf", "pb_cdf", "BernoulliProfile", "SuccessProbTable",
+__all__ = ["pb_pmf", "pb_cdf", "SuccessProbTable",
            "success_probs", "joint_oracle", "ScheduleError"]
 
 
 class ScheduleError(ValueError):
     """Malformed maintenance schedule (not exactly one period per component)."""
-
-
-@dataclass(frozen=True)
-class BernoulliProfile:
-    """Success probabilities of one component class, with provenance."""
-    probs: tuple[float, ...]
-    components: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if any(not (0.0 <= p <= 1.0) for p in self.probs):
-            raise ValueError("success probabilities must lie in [0, 1]")
-        if self.components and len(self.components) != len(self.probs):
-            raise ValueError("provenance length mismatch")
 
 
 def pb_pmf(probs) -> np.ndarray:
@@ -44,8 +31,6 @@ def pb_pmf(probs) -> np.ndarray:
     the PMF of the partial sum, so the result has length n+1 and sums to 1 up
     to rounding.
     """
-    if isinstance(probs, BernoulliProfile):
-        probs = probs.probs
     pmf = np.array([1.0])
     for p in probs:
         nxt = np.zeros(len(pmf) + 1)
@@ -57,8 +42,6 @@ def pb_pmf(probs) -> np.ndarray:
 
 def pb_cdf(probs, k: int) -> float:
     """P(sum <= k) for the Poisson-Binomial sum; exact prefix of the PMF."""
-    if isinstance(probs, BernoulliProfile):
-        probs = probs.probs
     n = len(probs)
     if k < 0:
         return 0.0
@@ -123,23 +106,19 @@ def _check_schedule(schedule: dict[str, int], table: SuccessProbTable) -> None:
             raise ScheduleError(f"{comp}: period {period} outside 1..{tbar}")
 
 
-def success_probs(schedule: dict[str, int],
-                  table: SuccessProbTable) -> tuple[BernoulliProfile, BernoulliProfile]:
-    """Bernoulli profiles (generators, lines) induced by a maintenance schedule.
+def success_probs(schedule: dict[str, int], table: SuccessProbTable):
+    """Success probabilities of the generators, then of the lines, induced by
+    a maintenance schedule: two tuples, each in ``table.components(kind)``
+    order.
 
     Scheduled components succeed (fail before their maintenance) with
     P(xi <= scheduled period); everything else with P(xi <= T).
     """
     _check_schedule(schedule, table)
-    out = {}
-    for kind in ("gen", "line"):
-        comps = table.components(kind)
-        probs = []
-        for comp in comps:
-            period = schedule.get(comp, table.horizon_days)
-            probs.append(table.lookup(comp, period))
-        out[kind] = BernoulliProfile(tuple(probs), tuple(comps))
-    return out["gen"], out["line"]
+    gens, lines = (tuple(table.lookup(comp, schedule.get(comp, table.horizon_days))
+                         for comp in table.components(kind))
+                   for kind in ("gen", "line"))
+    return gens, lines
 
 
 def joint_oracle(schedule: dict[str, int], table: SuccessProbTable,

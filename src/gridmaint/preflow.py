@@ -98,11 +98,13 @@ class _RelaxedFlowLP:
             p.append(pv)
 
         self.fvar: dict[str, int] = {}
+        f = []
         for line in net.lines:
             b_mw = net.line_susceptance_mw(line)
             fi, ti = bus_pos[line.from_bus], bus_pos[line.to_bus]
             fv = spec.add_var(lb=-solver.INF, ub=solver.INF)
             self.fvar[line.id] = fv
+            f.append(fv)
             if line.id in candidate_lines:
                 # switchable: relaxed on/off with big-M Ohm and linked bounds
                 yv = spec.add_var(lb=0.0, ub=1.0)
@@ -111,17 +113,12 @@ class _RelaxedFlowLP:
                 # static line: Ohm only; its own limit rows are what we probe
                 add_ohm_row(spec, fv, delta[fi], delta[ti], b_mw)
 
-        for i, bus in enumerate(net.buses):
+        for i, (gens, lines) in enumerate(net.bus_incidence()):
             coeffs: dict[int, float] = {q[i]: 1.0, d[i]: -1.0}
-            for g, gen in enumerate(net.generators):
-                if gen.bus == bus.id:
-                    coeffs[p[g]] = 1.0
-            for line in net.lines:
-                fv = self.fvar[line.id]
-                if line.from_bus == bus.id:
-                    coeffs[fv] = coeffs.get(fv, 0.0) - 1.0
-                if line.to_bus == bus.id:
-                    coeffs[fv] = coeffs.get(fv, 0.0) + 1.0
+            for g in gens:
+                coeffs[p[g]] = 1.0
+            for j, sign in lines:
+                coeffs[f[j]] = coeffs.get(f[j], 0.0) + sign
             spec.add_eq(coeffs, 0.0)
         self.spec = spec
         self.dem = d

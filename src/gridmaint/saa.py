@@ -57,6 +57,7 @@ def evaluate_schedule(inst: Instance, schedule: dict[str, int],
     costs reuse the status cache across scenarios.
     """
     cfg = cfg or inst.cfg
+    inst.check_horizon(scens, cfg)
     missing = set(inst.hprime) - set(schedule)
     if missing:
         raise ValueError(f"schedule lacks periods for {sorted(missing)}")

@@ -67,7 +67,7 @@ class SolveOutcome:
     bound: float | None  # proven bound on the optimum (== objective for LPs)
     gap: float
     seconds: float  # HiGHS run time
-    nodes: int      # branch-and-bound nodes; 0 for an LP
+    mip_node_count: int  # branch-and-bound nodes; 0 for an LP
     iterations: int = 0  # simplex iterations; 0 for a MILP
 
     @property
@@ -156,19 +156,6 @@ class ModelSpec:
 
     def add_ge(self, coeffs: dict[int, float], rhs: float) -> int:
         return self.add_row(coeffs, rhs, INF)
-
-
-@dataclass
-class HighsRun:
-    """One HiGHS run, in the minimisation sense it was handed."""
-    status: str
-    x: np.ndarray | None          # None unless a solution may be read
-    fun: float | None
-    mip_dual_bound: float | None  # None for an LP
-    mip_gap: float | None
-    mip_node_count: int
-    seconds: float
-    simplex_iteration_count: int  # 0 for a MIP
 
 
 @dataclass
@@ -290,9 +277,11 @@ def _push_changes(highs: _highs._Highs, spec: ModelSpec, cost: list[float],
                highs.changeColsBounds(len(cols), cols, lb[cols], ub[cols]))
 
 
-def milp(spec: ModelSpec, cost: list[float], tolerance: float,
-         time_limit: float | None) -> HighsRun:
-    """Minimise ``cost . x`` over the rows and variable bounds of ``spec``.
+def milp(spec: ModelSpec, tolerance: float,
+         time_limit: float | None) -> SolveOutcome:
+    """Optimise ``spec`` over its rows and variable bounds; HiGHS minimises
+    the objective, negated for a maximum, and the outcome is in ``spec``'s
+    sense.
 
     Each call passes the options ``scipy.optimize.milp`` sets, with the
     root reduced-cost sub-MIP and feasibility jump heuristics off (see
@@ -309,6 +298,10 @@ def milp(spec: ModelSpec, cost: list[float], tolerance: float,
     ``kError`` is dropped, not reused.  HiGHS runs its MIP search serially,
     which keeps results deterministic.
     """
+    sign = 1.0 if spec.sense == "min" else -1.0
+    cost = spec._obj if sign > 0 else [-c for c in spec._obj]
+    if not all(map(math.isfinite, cost)):
+        raise SolverError(f"{spec.name}: objective coefficients must be finite")
     is_mip = any(spec._integer)
     options = _untimed_options(tolerance) if time_limit is None \
         else _options(tolerance, time_limit)
@@ -338,11 +331,15 @@ def milp(spec: ModelSpec, cost: list[float], tolerance: float,
         is_mip and status == "limit"
         and info.objective_function_value != _highs.kHighsInf)
     if not readable:
-        return HighsRun(status, None, None, None, None, nodes, seconds, iterations)
-    return HighsRun(status, np.array(highs.getSolution().col_value),
-                    info.objective_function_value,
-                    info.mip_dual_bound if is_mip else None,
-                    info.mip_gap if is_mip else None, nodes, seconds, iterations)
+        return SolveOutcome(status, None, None, None, INF, seconds, nodes, iterations)
+    # adding 0.0 turns the -0.0 of a maximum at zero into 0.0
+    objective = sign * info.objective_function_value + 0.0
+    if is_mip:
+        bound, gap = sign * info.mip_dual_bound + 0.0, info.mip_gap
+    else:
+        bound, gap = objective, 0.0
+    return SolveOutcome(status, np.array(highs.getSolution().col_value), objective,
+                        bound, gap, seconds, nodes, iterations)
 
 
 def solve(spec: ModelSpec, tolerance: float = 1e-9,
@@ -352,22 +349,5 @@ def solve(spec: ModelSpec, tolerance: float = 1e-9,
         raise ValueError(f"{spec.name}: tolerance must be >= 0, got {tolerance!r}")
     if time_limit is not None and not time_limit >= 0.0:
         raise ValueError(f"{spec.name}: time_limit must be >= 0, got {time_limit!r}")
-    sign = 1.0 if spec.sense == "min" else -1.0
-    cost = spec._obj if sign > 0 else [-c for c in spec._obj]
-    if not all(map(math.isfinite, cost)):
-        raise SolverError(f"{spec.name}: objective coefficients must be finite")
-    run = milp(spec, cost, float(tolerance),
-               None if time_limit is None else float(time_limit))
-
-    if run.x is None:
-        return SolveOutcome(run.status, None, None, None, INF, run.seconds,
-                            run.mip_node_count, run.simplex_iteration_count)
-    # adding 0.0 turns the -0.0 of a maximum at zero into 0.0
-    objective = sign * run.fun + 0.0
-    if run.mip_dual_bound is None:
-        bound, gap = objective, 0.0
-    else:
-        bound = sign * run.mip_dual_bound + 0.0
-        gap = run.mip_gap
-    return SolveOutcome(run.status, run.x, objective, bound, gap, run.seconds,
-                        run.mip_node_count, run.simplex_iteration_count)
+    return milp(spec, float(tolerance),
+                None if time_limit is None else float(time_limit))

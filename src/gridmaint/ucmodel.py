@@ -130,19 +130,13 @@ def _add_gen_rows(spec, net, p, x, u, nu, s_count):
 
 
 def _add_balance_rows(spec, net, demand_day, p, f, q):
-    n_bus, s_count = demand_day.shape
-    at_bus = {bus.id: [g for g, gen in enumerate(net.generators) if gen.bus == bus.id]
-              for bus in net.buses}
-    for i, bus in enumerate(net.buses):
-        for s in range(s_count):
+    for i, (gens, lines) in enumerate(net.bus_incidence()):
+        for s in range(demand_day.shape[1]):
             coeffs: dict[int, float] = {q[i, s]: 1.0}
-            for g in at_bus[bus.id]:
+            for g in gens:
                 coeffs[p[g, s]] = 1.0
-            for j, line in enumerate(net.lines):
-                if line.from_bus == bus.id:
-                    coeffs[f[j, s]] = coeffs.get(f[j, s], 0.0) - 1.0
-                if line.to_bus == bus.id:
-                    coeffs[f[j, s]] = coeffs.get(f[j, s], 0.0) + 1.0
+            for j, sign in lines:
+                coeffs[f[j, s]] = coeffs.get(f[j, s], 0.0) + sign
             spec.add_eq(coeffs, float(demand_day[i, s]))
 
 

@@ -183,6 +183,17 @@ def toy_instance(seed, horizon=3, subperiods=2, n_scen=3, alpha=0.3,
     return inst, scens
 
 
+# (cfg.horizon_days, scenarios.horizon_days, cfg.subperiods, error) against
+# toy_instance's 3 days of 2 hours
+HORIZON_MISMATCHES = [
+    (2, 3, 2, "cfg.horizon_days is 2 but scenarios.horizon_days is 3"),
+    (4, 3, 2, "cfg.horizon_days is 4 but scenarios.horizon_days is 3"),
+    (3, 4, 2, "cfg.horizon_days is 3 but scenarios.horizon_days is 4"),
+    (4, 4, 2, "cfg.horizon_days is 4 but the demand's day count is 3"),
+    (3, 3, 3, "cfg.subperiods is 3 but the demand's hour count is 2"),
+]
+
+
 def spec_rows(spec):
     """A spec's rows as it hands them to HiGHS: the row-wise ``start``,
     ``index`` and ``value`` lists, then row ``lb`` and ``ub``."""
@@ -218,6 +229,15 @@ def one_same_cost(schedule, xi_map, tbar):
     """Same-cost period sets of a single scenario given as a failure-day map."""
     xi = np.array([[xi_map.get(c, tbar) for c in schedule]], dtype=int)
     return same_cost_periods(schedule, xi, tbar)[0]
+
+
+def violated_by(cut, v_values, theta_values=None, tol=1e-9):
+    """Whether the point (``v_values``, ``theta_values``), each a map from a
+    cut's keys to values (absent keys read 0), breaks ``cut`` by more than
+    ``tol``."""
+    lhs = sum(c * v_values.get(idx, 0.0) for idx, c in cut.v_coeffs)
+    lhs += sum(c * (theta_values or {}).get(key, 0.0) for key, c in cut.theta_coeffs)
+    return lhs > cut.rhs + tol if cut.sense == "<=" else lhs < cut.rhs - tol
 
 
 def cut_int_lshaped(schedule, theta_key, q_value, lower, tbar):

@@ -133,7 +133,7 @@ def test_c03_separation_fixed_point_exact():
             if not ok:
                 cuts.append(cut)
         # every schedule against every cover cut in one 0/1 matrix product,
-        # with LinearCut.violated_by's test lhs > rhs + 1e-9
+        # with cases.violated_by's test lhs > rhs + 1e-9
         column = {pair: i for i, pair in
                   enumerate(itertools.product(comps, range(1, tbar + 1)))}
         points = np.zeros((len(schedules), len(column)))

@@ -9,6 +9,7 @@ from gridmaint.chance import (FEASIBILITY_TOL, ChanceRule, LinearCut, cover_cut,
                               xy_cut_to_master)
 from gridmaint.pboracle import joint_oracle
 
+from cases import violated_by
 from test_pboracle import table_from_rows
 
 
@@ -52,13 +53,13 @@ def test_cover_cut_rhs():
 
 def test_empty_cover_is_an_infeasible_row():
     cut = cover_cut([], 0)
-    assert cut.v_coeffs == () and cut.rhs == -1.0 and cut.violated_by({})
+    assert cut.v_coeffs == () and cut.rhs == -1.0 and violated_by(cut, {})
 
 
 def test_cover_cut_single_component_forbids():
     cut = cover_cut([("h1", 2)], 1)
     assert cut.rhs == 0.0
-    assert cut.violated_by({("h1", 2): 1.0})
+    assert violated_by(cut, {("h1", 2): 1.0})
 
 
 def test_cover_cut_excludes_generator_and_respects_reschedules():
@@ -69,13 +70,13 @@ def test_cover_cut_excludes_generator_and_respects_reschedules():
     pairs = extend_cover(cover, tbar)
     cut = cover_cut(pairs, 2)
     gen_point = {(h, t): 1.0 for h, t in cover.items()}
-    assert cut.violated_by(gen_point)
+    assert violated_by(cut, gen_point)
     for h in cover:
         for t in range(1, cover[h]):
             moved = dict(cover)
             moved[h] = t
             point = {(c, p): 1.0 for c, p in moved.items()}
-            assert not cut.violated_by(point)
+            assert not violated_by(cut, point)
 
 
 # -- separation --------------------------------------------------------------
@@ -127,11 +128,11 @@ def test_separation_cuts_keep_all_feasible_schedules():
         for sched in feas:
             point = {(h, t): 1.0 for h, t in sched.items()}
             for _, cut in cuts:
-                assert not cut.violated_by(point)
+                assert not violated_by(cut, point)
         # and each cut removes its own generating schedule
         for sched, cut in cuts:
             point = {(h, t): 1.0 for h, t in sched.items()}
-            assert cut.violated_by(point)
+            assert violated_by(cut, point)
 
 
 def test_separation_fixed_point_is_exact():
@@ -147,7 +148,7 @@ def test_separation_fixed_point_is_exact():
             cuts[tuple(sorted(sched.items()))] = cut
     for sched in all_schedules(comps, table.horizon_days + 1):
         point = {(h, t): 1.0 for h, t in sched.items()}
-        excluded = any(c.violated_by(point) for c in cuts.values())
+        excluded = any(violated_by(c, point) for c in cuts.values())
         feasible = joint_oracle(sched, table, 1, 1) >= 1.0 - alpha
         assert excluded == (not feasible)
 

@@ -11,9 +11,22 @@ from gridmaint.degrade import ScenarioSet
 from gridmaint.pboracle import joint_oracle
 from gridmaint.preflow import RedundancyEntry, RedundancyReport
 
-from cases import (build_net, make_instance, one_status, scenario_xi, toy_instance,
-                   unavailable_components)
+from cases import (HORIZON_MISMATCHES, build_net, make_instance, one_status,
+                   scenario_xi, toy_instance, unavailable_components)
 from oracle_extform import chance_feasible_set, enumerate_schedules, extensive_solve
+
+
+@pytest.mark.parametrize("days, scenario_days, hours, error", HORIZON_MISMATCHES)
+def test_plan_rejects_a_horizon_its_inputs_do_not_share(days, scenario_days, hours,
+                                                        error):
+    # a shorter horizon used to plan over the first days only, a longer one
+    # to raise an IndexError
+    inst, scens = toy_instance(seed=7)
+    cfg = dataclasses.replace(inst.cfg, horizon_days=days, subperiods=hours)
+    scens = ScenarioSet(scens.component_ids, scens.failure_times, scens.probs,
+                        scenario_days)
+    with pytest.raises(ValueError, match=error):
+        decomp.solve(inst, scens, cfg)
 
 
 def test_no_candidates_is_pure_unit_commitment():

@@ -8,14 +8,21 @@ from scipy import integrate
 from gridmaint.caseio import DegradationPriors
 from gridmaint.degrade import (ComponentRLD, NonDegradingError, ScenarioSet,
                                SignalObservations, SignalPath,
-                               SingularPosteriorError, bucket_probs,
-                               estimate_priors, failure_prob_within, ig_cdf,
+                               SingularPosteriorError, bucket_probs, ig_cdf,
                                observe, posterior_drift, rld, sample_scenarios,
                                select_subset, simulate_signal)
 
 from cases import scenario_xi, toy_instance
 
 GEN_PRIORS = DegradationPriors(20.0, 10.0, 5.0, 0.3, 3.0, 100.0)
+
+
+def signal_increments(path: SignalPath) -> np.ndarray:
+    """A path's amplitude reading, then its step increments."""
+    out = np.empty_like(path.values)
+    out[0] = path.values[0]
+    out[1:] = np.diff(path.values)
+    return out
 
 
 def posterior_oracle(priors, obs):
@@ -67,7 +74,7 @@ def test_simulate_mean_failure_time_monte_carlo():
 
 def test_simulate_increments_reconstruct_path():
     path = simulate_signal(GEN_PRIORS, seed=3)
-    assert np.allclose(np.cumsum(path.increments), path.values)
+    assert np.allclose(np.cumsum(signal_increments(path)), path.values)
 
 
 def test_simulate_guard_on_nondegrading_path():
@@ -200,14 +207,14 @@ def test_ig_cdf_is_bit_equal_to_the_scipy_stats_form():
 
 def test_failure_prob_limits():
     dist = ComponentRLD(10.0, 2500.0 / 9.0)
-    assert failure_prob_within(dist, 0) == 0.0
-    assert failure_prob_within(dist, 1e9) == pytest.approx(1.0)
-    assert failure_prob_within(dist, 7) == pytest.approx(0.0355842421864757, abs=1e-12)
+    assert dist.cdf(0) == 0.0
+    assert dist.cdf(1e9) == pytest.approx(1.0)
+    assert dist.cdf(7) == pytest.approx(0.0355842421864757, abs=1e-12)
 
 
 def test_failure_prob_nondecreasing_in_horizon():
     dist = ComponentRLD(6.0, 40.0)
-    vals = [failure_prob_within(dist, h) for h in range(0, 40)]
+    vals = [dist.cdf(h) for h in range(0, 40)]
     assert all(0.0 <= v <= 1.0 for v in vals)
     assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
 
@@ -347,6 +354,15 @@ def test_scenario_probabilities_must_be_finite_and_non_negative(shift, row):
         ScenarioSet(scens.component_ids, scens.failure_times, probs, scens.horizon_days)
 
 
+@pytest.mark.parametrize("day", [0, 9])
+def test_scenario_set_rejects_a_failure_day_outside_the_horizon(day):
+    # such a set used to plan as if the day were in range
+    times = np.array([[1, 8], [3, day], [day, 2]])
+    with pytest.raises(ValueError, match=rf"row 1 \(0-based\), component l1: "
+                                         rf"failure day {day} outside 1\.\.8"):
+        ScenarioSet(("g1", "l1"), times, np.full(3, 1.0 / 3), 7)
+
+
 @pytest.mark.parametrize("k", [0, -5])
 def test_scenario_csv_rejects_an_index_below_one(k):
     # such a row used to be dropped without a word, leaving 2 scenarios
@@ -355,6 +371,25 @@ def test_scenario_csv_rejects_an_index_below_one(k):
 
 
 # -- prior estimation ------------------------------------------------------------
+
+def estimate_priors(corpus: list[SignalPath]) -> tuple[float, float]:
+    """Point estimates of the amplitude and drift prior means from failed signals.
+
+    The amplitude estimate is the mean first reading; the drift estimate
+    averages (total rise after the first reading) / (steps to failure).
+    """
+    if not corpus:
+        raise ValueError("empty signal corpus")
+    firsts, drifts = [], []
+    for path in corpus:
+        if path.failure_step < 1:
+            raise ValueError("corpus signal failed before its first increment")
+        first = float(signal_increments(path)[0])
+        total = float(path.values[path.failure_step])
+        firsts.append(first)
+        drifts.append((total - first) / path.failure_step)
+    return float(np.mean(firsts)), float(np.mean(drifts))
+
 
 def test_estimate_priors_single_signal():
     # amplitude 20 at the first reading, then 16 unit steps of 5 up to failure

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from gridmaint.pboracle import (BernoulliProfile, ScheduleError,
-                                SuccessProbTable, joint_oracle, pb_cdf,
-                                pb_pmf, success_probs)
+from gridmaint.pboracle import (ScheduleError, SuccessProbTable, joint_oracle,
+                                pb_cdf, pb_pmf, success_probs)
 
 
 def brute_force_pmf(probs):
@@ -72,11 +71,6 @@ def test_cdf_nonincreasing_in_each_probability():
         assert pb_cdf(bumped, k) <= pb_cdf(probs, k) + 1e-12
 
 
-def test_profile_validation():
-    with pytest.raises(ValueError):
-        BernoulliProfile((1.2,))
-
-
 # -- success-probability table ------------------------------------------------
 
 def _demo_table():
@@ -96,6 +90,12 @@ def test_table_lookup_clamps_to_horizon():
     assert table.lookup("g2", 5) == 0.05
 
 
+@pytest.mark.parametrize("bad", [1.2, -0.1])
+def test_table_rejects_probability_outside_unit_interval(bad):
+    with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+        table_from_rows({"g1": [0.1, bad]}, {"g1": "gen"}, {"g1"}, 2)
+
+
 def test_table_monotonicity_enforced():
     with pytest.raises(ValueError, match="nondecreasing"):
         table_from_rows({"g1": [0.5, 0.2]}, {"g1": "gen"}, {"g1"}, 2)
@@ -104,15 +104,15 @@ def test_table_monotonicity_enforced():
 def test_success_probs_lookup():
     table = _demo_table()
     gens, lines = success_probs({"g1": 2, "l1": 1}, table)
-    assert gens.components == ("g1", "g2")
-    assert gens.probs == (0.4, 0.05)      # g2 unscheduled: P(xi <= T)
-    assert lines.probs == (0.2,)
+    assert table.components("gen") == ["g1", "g2"]
+    assert gens == (0.4, 0.05)      # g2 unscheduled: P(xi <= T)
+    assert lines == (0.2,)
 
 
 def test_success_probs_unscheduled_candidate_uses_horizon():
     table = _demo_table()
     gens, _ = success_probs({"g1": 5, "l1": 5}, table)
-    assert gens.probs == (1.0, 0.05)
+    assert gens == (1.0, 0.05)
 
 
 def test_success_probs_rejects_partial_schedule():

@@ -1,3 +1,4 @@
+import dataclasses
 import statistics
 
 import numpy as np
@@ -9,8 +10,8 @@ from gridmaint.degrade import ScenarioSet
 from gridmaint.pboracle import joint_oracle
 from gridmaint.ucmodel import build_subproblem, solve_subproblem
 
-from cases import (build_net, make_instance, reference_status_bit, scenario_xi,
-                   toy_instance, unavailable_components)
+from cases import (HORIZON_MISMATCHES, build_net, make_instance, reference_status_bit,
+                   scenario_xi, toy_instance, unavailable_components)
 from oracle_extform import extensive_solve
 
 
@@ -162,6 +163,18 @@ def test_evaluate_rejects_incomplete_schedule():
                         inst.cfg.horizon_days)
     with pytest.raises(ValueError, match="lacks periods"):
         saa.evaluate_schedule(inst, {}, scens)
+
+
+@pytest.mark.parametrize("days, scenario_days, hours, error", HORIZON_MISMATCHES)
+def test_evaluate_rejects_a_horizon_its_inputs_do_not_share(days, scenario_days,
+                                                            hours, error):
+    inst, _ = toy_instance(seed=7)
+    cfg = dataclasses.replace(inst.cfg, horizon_days=days, subperiods=hours)
+    times = np.ones((2, len(inst.all_components)), dtype=int)
+    scens = ScenarioSet(inst.all_components, times, np.array([0.5, 0.5]),
+                        scenario_days)
+    with pytest.raises(ValueError, match=error):
+        saa.evaluate_schedule(inst, {comp: 1 for comp in inst.hprime}, scens, cfg=cfg)
 
 
 def test_evaluate_rejects_components_outside_the_candidates():

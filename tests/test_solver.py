@@ -185,7 +185,7 @@ def test_outcome_reports_seconds_and_nodes():
     mip = solver.solve(max_knapsack())
     lp = solver.solve(equality_lp())
     assert mip.ok and lp.ok
-    assert mip.nodes >= 1 and lp.nodes == 0
+    assert mip.mip_node_count >= 1 and lp.mip_node_count == 0
     assert mip.seconds >= 0.0 and lp.seconds >= 0.0
 
 
@@ -286,7 +286,7 @@ REUSE_SEQUENCE = [
 
 
 def full_outcome(res):
-    return outcome_fields(res) + (res.nodes,)
+    return outcome_fields(res) + (res.mip_node_count,)
 
 
 def fresh_outcome(build, kwargs):
