@@ -15,7 +15,7 @@ import json
 import logging
 import math
 import re
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 

@@ -15,9 +15,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr
 
+from ._extension import load_extension
 from .caseio import DegradationPriors
+
+# the ufuncs scipy.special re-exports, without the scipy.special package init
+_special_ufuncs = load_extension("scipy.special._special_ufuncs")
+ndtr, log_ndtr = _special_ufuncs.ndtr, _special_ufuncs.log_ndtr
 
 __all__ = [
     "DegradationPriors", "SignalPath", "SignalObservations", "ComponentRLD",

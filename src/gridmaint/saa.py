@@ -14,7 +14,6 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import ndtri, stdtrit
 
 from . import decomp, solver, ucmodel
 from .caseio import RunConfig
@@ -140,12 +139,14 @@ def _mean_and_ci(values, quantile: float) -> tuple[float, float, tuple[float, fl
 def upper_bound_stats(costs: np.ndarray,
                       significance: float) -> tuple[float, float, tuple[float, float]]:
     """Mean, standard error, and normal-quantile CI of the evaluation costs."""
+    from scipy.special import ndtri  # only SAA pays the scipy.special init
     return _mean_and_ci(costs, float(ndtri(1.0 - significance / 2.0)))
 
 
 def lower_bound_stats(replicate_values: np.ndarray,
                       significance: float) -> tuple[float, float, tuple[float, float]]:
     """Mean, standard error, and t-quantile CI of the replicate optima."""
+    from scipy.special import stdtrit  # only SAA pays the scipy.special init
     df = len(replicate_values) - 1
     return _mean_and_ci(replicate_values,
                         float(stdtrit(df, 1.0 - significance / 2.0)))

@@ -24,8 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy
 
-try:
-    from scipy.optimize._highspy import _core as _highs
+from ._extension import load_extension
+
+try:  # from its file: the scipy.optimize package init loads what no solve uses
+    _highs = load_extension("scipy.optimize._highspy._core")
 except ImportError as exc:  # the bindings are private to SciPy and moved once
     raise ImportError(
         "gridmaint drives HiGHS through scipy.optimize._highspy._core, which "

@@ -4,6 +4,8 @@ A name counts as used when some module's code, its own included, loads it
 (a ``Name`` or an attribute access) or imports it by name; its ``def`` or
 ``class`` line, the ``__all__`` entry and mentions in docstrings do not
 count.  A name used only by the tests belongs in ``tests/``.
+
+Every name a module imports is loaded by that module's own code.
 """
 
 import ast
@@ -62,3 +64,24 @@ def test_allowed_unused_names_are_still_exported_and_unused():
     used = _used_names(trees)
     for module, name in ALLOWED_UNUSED:
         assert name in _exports(trees[module]) and name not in used
+
+
+def _unused_imports(tree):
+    """The names the module's import statements bind and its code never
+    loads; ``from __future__`` imports bind nothing."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name.partition(".")[0]
+                         for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    loaded = {node.id for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return bound - loaded
+
+
+def test_every_imported_name_is_used():
+    unused = sorted((module, name) for module, tree in _trees().items()
+                    for name in _unused_imports(tree))
+    assert unused == []
