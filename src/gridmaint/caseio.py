@@ -172,7 +172,7 @@ def _connected(nodes: set[int], edges: list[tuple[int, int]]) -> bool:
 # ---------------------------------------------------------------------------
 
 _MATRIX_RE = re.compile(r"mpc\.(\w+)\s*=\s*\[(.*?)\];", re.S)
-_SCALAR_RE = re.compile(r"mpc\.(\w+)\s*=\s*([0-9eE+.\-]+)\s*;")
+_SCALAR_RE = re.compile(r"mpc\.(\w+)\s*=\s*([-+\w.]+)\s*;")
 
 _SUPPORTED = {"bus", "gen", "branch", "gencost", "baseMVA", "version"}
 
@@ -197,13 +197,22 @@ def _parse_matrix(name: str, body: str, start_line: int) -> list[list[float]]:
     return rows
 
 
+def _require_finite(table: str, index: int, row: list[float], columns) -> None:
+    """Raise unless each of ``columns`` (0-based) that ``row`` has is finite."""
+    for c in columns:
+        if c < len(row) and not math.isfinite(row[c]):
+            raise CaseError(f"mpc.{table} row {index + 1}, column {c + 1}: "
+                            f"non-finite value {row[c]}")
+
+
 def parse_case(text: str, subperiods: int = 24) -> Network:
     """Parse a MATPOWER-style case into a validated :class:`Network`.
 
     ``subperiods`` is the number of hourly subperiods per maintenance period;
     it enters the synthesized predictive-maintenance cost for generators
     (capacity x marginal cost x hours) when the case carries no maintenance
-    costs of its own, which the supported subset never does.
+    costs of its own, which the supported subset never does.  Every number
+    read must be finite; columns that are not read (such as Qmax) may be Inf.
     """
     clean = _strip_comments(text)
     matrices: dict[str, list[list[float]]] = {}
@@ -217,7 +226,12 @@ def parse_case(text: str, subperiods: int = 24) -> Network:
     base_mva = 100.0
     for m in _SCALAR_RE.finditer(clean):
         if m.group(1) == "baseMVA":
-            base_mva = float(m.group(2))
+            try:
+                base_mva = float(m.group(2))
+            except ValueError:
+                base_mva = math.nan
+            if not math.isfinite(base_mva):
+                raise CaseError(f"mpc.baseMVA = {m.group(2)} is not a finite number")
         elif m.group(1) not in _SUPPORTED:
             log.warning("ignoring unsupported case field mpc.%s", m.group(1))
 
@@ -227,9 +241,10 @@ def parse_case(text: str, subperiods: int = 24) -> Network:
 
     buses = []
     seen_ids = set()
-    for row in matrices["bus"]:
+    for i, row in enumerate(matrices["bus"]):
         if len(row) < 3:
             raise CaseError("bus row too short (need at least id, type, Pd)")
+        _require_finite("bus", i, row, (0, 2))
         bus_id = int(row[0])
         if bus_id in seen_ids:
             raise CaseError(f"duplicate bus id {bus_id}")
@@ -237,9 +252,10 @@ def parse_case(text: str, subperiods: int = 24) -> Network:
         buses.append({"id": bus_id, "base_demand": float(row[2])})
 
     gens_raw = []
-    for row in matrices["gen"]:
+    for i, row in enumerate(matrices["gen"]):
         if len(row) < 10:
             raise CaseError("gen row too short (need at least 10 columns)")
+        _require_finite("gen", i, row, (0, 7, 8, 9, 16))
         gens_raw.append(row)
 
     costs = matrices.get("gencost", [])
@@ -253,11 +269,13 @@ def parse_case(text: str, subperiods: int = 24) -> Network:
         if not costs:
             return 0.0, 0.0, 0.0
         row = costs[i]
+        _require_finite("gencost", i, row, (0, 1, 3))
         if len(row) < 4 or len(row) < 4 + int(row[3]):
             raise CaseError(f"gencost row {i + 1}: {len(row)} columns, too few for "
                             "MODEL, STARTUP, SHUTDOWN, NCOST and NCOST coefficients")
         model, startup = int(row[0]), float(row[1])
         n = int(row[3])
+        _require_finite("gencost", i, row, range(4, 4 + n))
         coefs = row[4:4 + n]
         if model != 2:
             raise CaseError(f"gencost row {i + 1}: only polynomial model 2 is supported")
@@ -299,6 +317,7 @@ def parse_case(text: str, subperiods: int = 24) -> Network:
     for j, row in enumerate(matrices["branch"]):
         if len(row) < 6:
             raise CaseError("branch row too short (need at least 6 columns)")
+        _require_finite("branch", j, row, (0, 1, 3, 5))
         fbus, tbus = int(row[0]), int(row[1])
         x, rate_a = float(row[3]), float(row[5])
         if x <= 0:
@@ -361,6 +380,8 @@ class DemandGrid:
     def __post_init__(self):
         if self.values.ndim != 3 or self.values.shape[0] != len(self.bus_ids):
             raise CaseError("demand grid has inconsistent dimensions")
+        if not np.all(np.isfinite(self.values)):
+            raise CaseError("non-finite demand entry")
         if np.any(self.values < 0):
             raise CaseError("negative demand entry")
 

@@ -14,11 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .pboracle import SuccessProbTable, joint_oracle
+from .pboracle import SuccessProbTable, joint_oracle, success_probs
 
 __all__ = ["LinearCut", "separate", "extend_cover", "cover_cut",
-           "SafeApproxBlock", "safe_block", "soc_outer_cuts", "XYCut",
-           "xy_cut_to_master", "FEASIBILITY_TOL", "ChanceRule"]
+           "SafeApproxBlock", "soc_outer_cuts", "FEASIBILITY_TOL", "ChanceRule"]
 
 
 @dataclass(frozen=True)
@@ -89,64 +88,48 @@ def separate(schedule: dict[str, int], table: SuccessProbTable, rho_gen: int,
 
 @dataclass(frozen=True)
 class SafeApproxBlock:
-    """Linear load rows plus the reliability-product requirement.
+    """Class loads plus the reliability-product requirement.
 
-    The class load x (resp. y) is an affine function of the schedule:
-    x = (sum of expected corrective indicators over generators) / rho_gen.
-    Schedules are safe-feasible when x, y <= 1 and (1-x)(1-y) >= 1 - alpha.
+    The class load x (resp. y) is the sum of the generators' (resp. lines')
+    success probabilities under the schedule, over rho_gen (resp. rho_line):
+    an affine function of the schedule variables.  Schedules are
+    safe-feasible when x, y <= 1 and (1-x)(1-y) >= 1 - alpha.
     """
-    gen_coeffs: tuple[tuple[tuple[str, int], float], ...]
-    line_coeffs: tuple[tuple[tuple[str, int], float], ...]
-    gen_const: float   # contribution of unscheduled (non-candidate) generators
-    line_const: float
+    table: SuccessProbTable
     rho_gen: int
     rho_line: int
     alpha: float
 
     def loads(self, schedule: dict[str, int]) -> tuple[float, float]:
-        gen = dict(self.gen_coeffs)
-        line = dict(self.line_coeffs)
-        x = self.gen_const
-        y = self.line_const
-        for comp, t in schedule.items():
-            x += gen.get((comp, t), 0.0)
-            y += line.get((comp, t), 0.0)
-        return x / self.rho_gen, y / self.rho_line
+        gens, lines = success_probs(schedule, self.table)
+        return sum(gens) / self.rho_gen, sum(lines) / self.rho_line
 
     def accepts(self, schedule: dict[str, int]) -> bool:
         """Exact bivariate product handling of the approximation."""
         x, y = self.loads(schedule)
         return x <= 1.0 and y <= 1.0 and (1.0 - x) * (1.0 - y) >= 1.0 - self.alpha
 
-
-def safe_block(table: SuccessProbTable, rho_gen: int, rho_line: int,
-               alpha: float) -> SafeApproxBlock:
-    """Assemble the conservative block from the success-probability table."""
-    coeffs = {"gen": {}, "line": {}}
-    consts = {"gen": 0.0, "line": 0.0}
-    tbar = table.horizon_days + 1
-    for comp in table.q:
-        kind = table.kinds[comp]
-        if comp in table.schedulable:
-            for t in range(1, tbar + 1):
-                coeffs[kind][(comp, t)] = table.lookup(comp, t)
-        else:
-            consts[kind] += table.lookup(comp, table.horizon_days)
-    return SafeApproxBlock(tuple(sorted(coeffs["gen"].items())),
-                           tuple(sorted(coeffs["line"].items())),
-                           consts["gen"], consts["line"], rho_gen, rho_line, alpha)
+    def row(self, cx: float, cy: float, rhs: float, name: str = "soc") -> LinearCut:
+        """cx * x + cy * y <= rhs over the schedule variables: each candidate's
+        success probability at a period is the coefficient of its variable
+        there, and every other component's moves to the right-hand side."""
+        table, v_coeffs = self.table, {}
+        for kind, c, rho in (("gen", cx, self.rho_gen), ("line", cy, self.rho_line)):
+            fixed = 0.0
+            for comp in table.components(kind):
+                if comp not in table.schedulable:
+                    fixed += table.lookup(comp, table.horizon_days)
+                elif c:
+                    for t in range(1, table.horizon_days + 2):
+                        v_coeffs[(comp, t)] = c * table.lookup(comp, t) / rho
+            rhs -= c * fixed / rho
+        return LinearCut.make(v_coeffs, rhs, "<=", name=name)
 
 
-@dataclass(frozen=True)
-class XYCut:
-    """cx * x + cy * y <= rhs in the class-load plane."""
-    cx: float
-    cy: float
-    rhs: float
-
-
-def soc_outer_cuts(point: tuple[float, float], alpha: float) -> list[XYCut]:
-    """Tangent cuts separating a point from {(1-x)(1-y) >= 1-alpha, x,y <= 1}.
+def soc_outer_cuts(point: tuple[float, float],
+                   alpha: float) -> list[tuple[float, float, float]]:
+    """Tangent cuts (cx, cy, rhs), each cx * x + cy * y <= rhs, separating a
+    point from {(1-x)(1-y) >= 1-alpha, x,y <= 1}.
 
     The tangent is taken at the radial projection of the point onto the
     boundary hyperbola; by AM-GM it is valid for the whole region.  Points
@@ -156,32 +139,18 @@ def soc_outer_cuts(point: tuple[float, float], alpha: float) -> list[XYCut]:
         raise ValueError("alpha >= 1 makes the chance constraint void")
     target = 1.0 - alpha
     a, b = 1.0 - point[0], 1.0 - point[1]
-    cuts: list[XYCut] = []
+    cuts = []
     if a <= 0.0:
-        cuts.append(XYCut(1.0, 0.0, alpha))  # x <= alpha, from b <= 1
+        cuts.append((1.0, 0.0, alpha))  # x <= alpha, from b <= 1
     if b <= 0.0:
-        cuts.append(XYCut(0.0, 1.0, alpha))
+        cuts.append((0.0, 1.0, alpha))
     if cuts:
         return cuts
     if a * b >= target:
         return []
     scale = math.sqrt(target / (a * b))
     a0, b0 = scale * a, scale * b
-    return [XYCut(b0, a0, a0 + b0 - 2.0 * target)]
-
-
-def xy_cut_to_master(cut: XYCut, block: SafeApproxBlock, name: str = "soc") -> LinearCut:
-    """Substitute the affine load definitions into a class-load-plane cut."""
-    v_coeffs: dict[tuple[str, int], float] = {}
-    for pair, q in block.gen_coeffs:
-        if cut.cx:
-            v_coeffs[pair] = v_coeffs.get(pair, 0.0) + cut.cx * q / block.rho_gen
-    for pair, q in block.line_coeffs:
-        if cut.cy:
-            v_coeffs[pair] = v_coeffs.get(pair, 0.0) + cut.cy * q / block.rho_line
-    rhs = cut.rhs - cut.cx * block.gen_const / block.rho_gen \
-        - cut.cy * block.line_const / block.rho_line
-    return LinearCut.make(v_coeffs, rhs, "<=", name=name)
+    return [(b0, a0, a0 + b0 - 2.0 * target)]
 
 
 # HiGHS's mip_feasibility_tolerance, which solver leaves at its default
@@ -205,11 +174,11 @@ class ChanceRule:
         if mode not in ("exact", "safe"):
             raise ValueError(f"unknown chance mode {mode!r}")
         self.args = (table, rho_gen, rho_line, alpha)
-        self.block = safe_block(*self.args) if mode == "safe" else None
+        self.block = SafeApproxBlock(*self.args) if mode == "safe" else None
         # reliability levels live in [0, 1]: class loads can never exceed one
         self.static_rows: list[LinearCut] = [] if self.block is None else [
-            xy_cut_to_master(XYCut(1.0, 0.0, 1.0), self.block, "gen_load_cap"),
-            xy_cut_to_master(XYCut(0.0, 1.0, 1.0), self.block, "line_load_cap")]
+            self.block.row(1.0, 0.0, 1.0, "gen_load_cap"),
+            self.block.row(0.0, 1.0, 1.0, "line_load_cap")]
 
     def check(self, schedule: dict[str, int]) -> tuple[list[LinearCut], str]:
         """The rows ``schedule`` violates, and the event text.  An accepted
@@ -223,4 +192,4 @@ class ChanceRule:
         if shortfall <= FEASIBILITY_TOL:
             return [], f"accepted {shortfall:.3g} short of 1-alpha" if shortfall > 0 else ""
         cuts = soc_outer_cuts((x, y), self.block.alpha)
-        return [xy_cut_to_master(xy, self.block) for xy in cuts], "product-region cut"
+        return [self.block.row(*cut) for cut in cuts], "product-region cut"

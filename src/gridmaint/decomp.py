@@ -26,7 +26,7 @@ import numpy as np
 from . import chance, mastercuts, solver, ucmodel
 from .caseio import RunConfig
 from .degrade import ScenarioSet
-from .instance import DayKey, Instance
+from .instance import DayKey, Instance, check_horizon
 
 log = logging.getLogger(__name__)
 
@@ -84,21 +84,13 @@ def _relative_gap(ub: float, lb: float) -> float:
     return (ub - lb) / abs(ub)
 
 
-def pooled_map(fn, items: list, threads: int,
-               deadline: float | None = None) -> list:
+def pooled_map(fn, items: list, threads: int) -> list:
     """``fn`` of every item, in order, on a pool of ``threads`` threads when
-    there are several and more than one item.  An item reached past
-    ``deadline`` (a ``time.perf_counter()`` value) is not passed to ``fn``
-    and gives None."""
-    def call(item):
-        if deadline is not None and time.perf_counter() > deadline:
-            return None
-        return fn(item)
-
+    there are several and more than one item."""
     if threads > 1 and len(items) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(call, items))
-    return [call(item) for item in items]
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
 
 
 def _distinct_rows(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -193,6 +185,8 @@ def day_values(inst: Instance, scenarios: ScenarioSet, cfg: RunConfig,
         first_day.setdefault(key, t)
 
     def solve_one(key):
+        if deadline is not None and time.perf_counter() > deadline:
+            return None  # the budget is spent: no model is built
         t = first_day[key]
         model = ucmodel.build_subproblem(
             inst.net, inst.demand.day(t), key.down, cfg,
@@ -206,7 +200,7 @@ def day_values(inst: Instance, scenarios: ScenarioSet, cfg: RunConfig,
         return float(outcome.objective), float(outcome.bound)
 
     missing = [key for key in first_day if cache.lookup(key) is None]
-    results = pooled_map(solve_one, missing, cfg.threads, deadline)
+    results = pooled_map(solve_one, missing, cfg.threads)
     for key, result in zip(missing, results):
         if result is not None:
             cache.store(key, *result)
@@ -227,7 +221,7 @@ class DecompositionRun:
         if others:
             raise ValueError(f"scenarios cover components outside the maintenance "
                              f"candidates {list(inst.hprime)}: {others}")
-        inst.check_horizon(scenarios, cfg)
+        check_horizon(cfg, inst.demand, scenarios)
         self.inst, self.scenarios, self.cfg = inst, scenarios, cfg
         self.started = time.perf_counter()
         self.cache = cache if cache is not None else StatusCache()
@@ -236,10 +230,7 @@ class DecompositionRun:
             else self.started + cfg.time_limit
         day_bounds = compute_lower_bounds(inst, scenarios, cfg, self.deadline,
                                           self.lb_counts)
-        # seconds of the lower-bound phase, then of each phase over iterations
-        self.timings = {"lower_bounds": time.perf_counter() - self.started,
-                        "master": 0.0, "chance": 0.0, "subproblems": 0.0,
-                        "cuts": 0.0}
+        self.lb_seconds = time.perf_counter() - self.started
         cost_of = {comp: inst.maint_cost(comp) for comp in inst.hprime}
         self.master = mastercuts.MasterState(inst.hprime, scenarios, cfg, cost_of,
                                              inst.kinds, day_bounds)
@@ -249,8 +240,6 @@ class DecompositionRun:
         for row in self.rule.static_rows if self.rule else ():
             self.master.add_static_row(row)
 
-        self._cache_start = (self.cache.solved, self.cache.aliased)
-        self.counters = {"chance_cuts": 0, "opt_cuts": 0, "boundary_accepts": 0}
         self.ub, self.lb = float("inf"), -float("inf")
         self.incumbent: dict[str, int] = {}
         self.history: list[dict] = []
@@ -261,16 +250,21 @@ class DecompositionRun:
         """One master solve plus its chance/second-stage follow-up.
 
         Returns True while the loop should continue; on termination
-        ``self.status`` holds the outcome.  Every history entry carries the
-        iteration's phase seconds (``t_master``, ``t_chance``,
-        ``t_subproblems``, ``t_cuts``; 0.0 for a phase it did not reach),
-        ``n_solved`` and ``master_rows``.
+        ``self.status`` holds the outcome.  Each iteration appends its history
+        entry when it starts: the iteration's phase seconds (``t_master``,
+        ``t_chance``, ``t_subproblems``, ``t_cuts``; 0.0 for a phase it did
+        not reach), the day models it solved and the scenario-days it aliased
+        (``n_solved``, ``n_aliased``) and ``master_rows``.  The iteration adds
+        ``lb``, ``ub`` and ``event`` (chance cuts added) or ``gap`` (a round
+        evaluated, with ``accepted`` when the chance rule accepted it within
+        its tolerance) when it gets that far.
         """
         cfg = self.cfg
         self.iterations += 1
-        self._phases = {"t_master": 0.0, "t_chance": 0.0, "t_subproblems": 0.0,
-                        "t_cuts": 0.0, "n_solved": 0,
-                        "master_rows": self.master.num_rows}
+        self.history.append({"iter": self.iterations, "t_master": 0.0,
+                             "t_chance": 0.0, "t_subproblems": 0.0, "t_cuts": 0.0,
+                             "n_solved": 0, "n_aliased": 0,
+                             "master_rows": self.master.num_rows})
         clock = time.perf_counter()
         # time_limit is one wall budget: the master gets only what is left
         remaining = None if self.deadline is None else max(0.0, self.deadline - clock)
@@ -298,21 +292,21 @@ class DecompositionRun:
             if not added:
                 raise solver.SolverError(f"master returned a schedule its own "
                                          f"chance cuts exclude ({event})")
-            self.counters["chance_cuts"] += added
             self._record(event=event)
             log.info("iter %d: chance-infeasible schedule, %s", self.iterations, event)
             return True
         if event:  # accepted within the master's feasibility tolerance
-            self.counters["boundary_accepts"] += 1
+            self._record(accepted=event)
             log.info("iter %d: chance rule %s", self.iterations, event)
         clock = self._charge("chance", clock)
 
         self.lb = max(self.lb, ms.bound)
-        solved_before = self.cache.solved
+        solved, aliased = self.cache.solved, self.cache.aliased
         day_vals = None if self._past_deadline(clock) else day_values(
             self.inst, self.scenarios, cfg, ms.schedule, self.inst.hprime,
             self.cache, self.deadline)
-        self._phases["n_solved"] = self.cache.solved - solved_before
+        self._record(n_solved=self.cache.solved - solved,
+                     n_aliased=self.cache.aliased - aliased)
         clock = self._charge("subproblems", clock)
         if day_vals is None:
             self.status = "limit"  # the budget ran out before or in the round
@@ -332,14 +326,12 @@ class DecompositionRun:
         out_of_time = not converged and self._past_deadline(clock)
         if not converged and not out_of_time:
             for cut in self.master.optimality_cuts(ms.schedule, day_vals):
-                if self.master.add_cut(cut, pool="opt"):
-                    self.counters["opt_cuts"] += 1
+                self.master.add_cut(cut, pool="opt")
             self._charge("cuts", clock)
-        tallies = self._cache_counts()
-        self._record(gap=gap, **tallies)
+        entry = self._record(gap=gap)
         log.info("iter %d: LB %.6g UB %.6g gap %.3g (solved %d aliased %d)",
                  self.iterations, self.lb, self.ub, gap,
-                 tallies["solved"], tallies["aliased"])
+                 entry["n_solved"], entry["n_aliased"])
         if converged:
             self.status = "optimal"
         elif out_of_time:
@@ -350,31 +342,41 @@ class DecompositionRun:
         return self.deadline is not None and clock > self.deadline
 
     def _charge(self, phase: str, since: float) -> float:
-        """Add the seconds since ``since`` to ``phase`` in this iteration and
-        in the run totals; return the clock."""
+        """Add the seconds since ``since`` to ``phase`` in this iteration's
+        entry; return the clock."""
         now = time.perf_counter()
-        self._phases[f"t_{phase}"] += now - since
-        self.timings[phase] += now - since
+        self.history[-1][f"t_{phase}"] += now - since
         return now
 
-    def _record(self, **entry) -> None:
-        self.history.append({"iter": self.iterations, "lb": self.lb,
-                             "ub": self.ub, **entry, **self._phases})
-
-    def _cache_counts(self) -> dict[str, int]:
-        """Subproblems solved and scenario-days aliased since this run began."""
-        solved0, aliased0 = self._cache_start
-        return {"solved": self.cache.solved - solved0,
-                "aliased": self.cache.aliased - aliased0}
+    def _record(self, **fields) -> dict:
+        """This iteration's entry, updated with the bounds and ``fields``."""
+        entry = self.history[-1]
+        entry.update(lb=self.lb, ub=self.ub, **fields)
+        return entry
 
     def report(self) -> SolveReport:
-        counters = {**self._cache_counts(), **self.counters,
-                    "psi_total": len(self.cache.psi), **self.lb_counts}
-        return SolveReport(status=self.status or "limit", schedule=self.incumbent,
+        """The run's outcome; its last history entry gains ``stop``, the
+        status the run ended on, and ``timings`` and the loop's ``counts``
+        are totals over the entries and the master's cut pools."""
+        status = self.status or "limit"
+        if self.history:
+            self.history[-1]["stop"] = status
+        def total(key):
+            return sum(entry[key] for entry in self.history)
+
+        counts = {"solved": total("n_solved"), "aliased": total("n_aliased"),
+                  "chance_cuts": len(self.master.chance_cuts),
+                  "opt_cuts": len(self.master.opt_cuts),
+                  "boundary_accepts": sum("accepted" in entry for entry in self.history),
+                  "psi_total": len(self.cache.psi), **self.lb_counts}
+        timings = {"lower_bounds": self.lb_seconds,
+                   **{phase: total(f"t_{phase}")
+                      for phase in ("master", "chance", "subproblems", "cuts")}}
+        return SolveReport(status=status, schedule=self.incumbent,
                            objective=self.ub, bound=self.lb,
                            gap=_relative_gap(self.ub, self.lb),
-                           iterations=self.iterations, counts=counters,
-                           history=self.history, timings=dict(self.timings),
+                           iterations=self.iterations, counts=counts,
+                           history=self.history, timings=timings,
                            elapsed=time.perf_counter() - self.started,
                            cut_log=self.master.cut_log())
 

@@ -22,8 +22,22 @@ from .preflow import RedundancyReport
 
 log = logging.getLogger(__name__)
 
-__all__ = ["Component", "DayKey", "Instance", "build_instance",
+__all__ = ["Component", "DayKey", "Instance", "build_instance", "check_horizon",
            "training_scenarios", "test_scenarios", "no_failure_scenarios"]
+
+
+def check_horizon(cfg: RunConfig, demand: DemandGrid,
+                  scenarios: degrade.ScenarioSet | None = None) -> None:
+    """Raise ``ValueError`` unless ``cfg``, ``scenarios`` (when given) and the
+    demand span the same days, and ``cfg`` and the demand the same hours."""
+    spans = [] if scenarios is None else [
+        ("horizon_days", "scenarios.horizon_days", scenarios.horizon_days)]
+    spans += [("horizon_days", "the demand's day count", demand.periods),
+              ("subperiods", "the demand's hour count", demand.subperiods)]
+    for field_name, other, value in spans:
+        if getattr(cfg, field_name) != value:
+            raise ValueError(f"cfg.{field_name} is {getattr(cfg, field_name)} "
+                             f"but {other} is {value}")
 
 
 @dataclass(frozen=True)
@@ -68,17 +82,6 @@ class Instance:
     @property
     def all_components(self) -> tuple[str, ...]:
         return tuple(self.components)
-
-    def check_horizon(self, scenarios: degrade.ScenarioSet, cfg: RunConfig) -> None:
-        """Raise ``ValueError`` unless ``cfg``, ``scenarios`` and the demand
-        span the same days, and ``cfg`` and the demand the same hours."""
-        for field_name, other, value in (
-                ("horizon_days", "scenarios.horizon_days", scenarios.horizon_days),
-                ("horizon_days", "the demand's day count", self.demand.periods),
-                ("subperiods", "the demand's hour count", self.demand.subperiods)):
-            if getattr(cfg, field_name) != value:
-                raise ValueError(f"cfg.{field_name} is {getattr(cfg, field_name)} "
-                                 f"but {other} is {value}")
 
     def maint_cost(self, comp: str) -> tuple[float, float]:
         """Predictive and corrective maintenance cost of one component."""
@@ -134,16 +137,17 @@ def _observe_component(priors, rng) -> degrade.ComponentRLD | None:
 
 
 def build_instance(net: Network, demand: DemandGrid, cfg: RunConfig,
-                   seed: int | None = None,
-                   preflow_report: RedundancyReport | None = None) -> Instance:
+                   seed: int | None = None) -> Instance:
     """Assemble an instance with per-component condition data.
 
     Each component gets an independent simulated signal from its class priors,
     observed at a uniformly random time while still degrading; the posterior
     drift then fixes its remaining-lifetime distribution and failure
-    probability within the horizon.
+    probability within the horizon.  ``cfg`` and the demand must span the
+    same days and hours (:func:`check_horizon`).
     """
     require_grid_buses(net, demand)
+    check_horizon(cfg, demand)
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
     components: dict[str, Component] = {}
     kind_of = [("gen", cfg.priors_gen, [g.id for g in net.generators]),
@@ -167,7 +171,7 @@ def build_instance(net: Network, demand: DemandGrid, cfg: RunConfig,
              sum(1 for c in hprime if kinds[c] == "gen"),
              sum(1 for c in hprime if kinds[c] == "line"), len(components))
     return Instance(net, demand, cfg, components, tuple(hprime), tuple(hsecond),
-                    table, preflow_report)
+                    table)
 
 
 def training_scenarios(inst: Instance, n: int, seed) -> degrade.ScenarioSet:

@@ -17,7 +17,7 @@ import numpy as np
 from .degrade import ComponentRLD
 
 __all__ = ["pb_pmf", "pb_cdf", "SuccessProbTable",
-           "success_probs", "joint_oracle", "ScheduleError"]
+           "check_schedule", "success_probs", "joint_oracle", "ScheduleError"]
 
 
 class ScheduleError(ValueError):
@@ -94,14 +94,18 @@ class SuccessProbTable:
         return [c for c in self.q if self.kinds[c] == kind]
 
 
-def _check_schedule(schedule: dict[str, int], table: SuccessProbTable) -> None:
+def check_schedule(schedule: dict[str, int], table: SuccessProbTable) -> None:
+    """Raise :class:`ScheduleError` unless ``schedule`` gives every maintenance
+    candidate, and nothing else, one period in 1..T+1."""
     missing = table.schedulable - set(schedule)
     if missing:
-        raise ScheduleError(f"schedule lacks a period for {sorted(missing)}")
+        raise ScheduleError(f"schedule lacks periods for {sorted(missing)}")
+    others = set(schedule) - table.schedulable
+    if others:
+        raise ScheduleError(f"schedule names components outside the maintenance "
+                            f"candidates {sorted(table.schedulable)}: {sorted(others)}")
     tbar = table.horizon_days + 1
     for comp, period in schedule.items():
-        if comp not in table.schedulable:
-            raise ScheduleError(f"{comp} is not a maintenance candidate")
         if not (1 <= period <= tbar):
             raise ScheduleError(f"{comp}: period {period} outside 1..{tbar}")
 
@@ -114,7 +118,7 @@ def success_probs(schedule: dict[str, int], table: SuccessProbTable):
     Scheduled components succeed (fail before their maintenance) with
     P(xi <= scheduled period); everything else with P(xi <= T).
     """
-    _check_schedule(schedule, table)
+    check_schedule(schedule, table)
     gens, lines = (tuple(table.lookup(comp, schedule.get(comp, table.horizon_days))
                          for comp in table.components(kind))
                    for kind in ("gen", "line"))

@@ -18,8 +18,9 @@ import numpy as np
 from . import decomp, solver, ucmodel
 from .caseio import RunConfig
 from .degrade import ScenarioSet
-from .instance import Instance, no_failure_scenarios, test_scenarios, \
-    training_scenarios
+from .instance import Instance, check_horizon, no_failure_scenarios, \
+    test_scenarios, training_scenarios
+from .pboracle import check_schedule
 
 log = logging.getLogger(__name__)
 
@@ -56,18 +57,9 @@ def evaluate_schedule(inst: Instance, schedule: dict[str, int],
     costs reuse the status cache across scenarios.
     """
     cfg = cfg or inst.cfg
-    inst.check_horizon(scens, cfg)
-    missing = set(inst.hprime) - set(schedule)
-    if missing:
-        raise ValueError(f"schedule lacks periods for {sorted(missing)}")
+    check_horizon(cfg, inst.demand, scens)
     # costs are summed over H' only, so maintaining another component is free
-    others = set(schedule) - set(inst.hprime)
-    if others:
-        raise ValueError(f"schedule names components outside the maintenance "
-                         f"candidates {list(inst.hprime)}: {sorted(others)}")
-    for comp, period in schedule.items():
-        if not (1 <= period <= cfg.tbar):
-            raise ValueError(f"{comp}: period {period} outside 1..{cfg.tbar}")
+    check_schedule(schedule, inst.table)
     cache = cache if cache is not None else decomp.StatusCache()
     comps = inst.all_components
     n = scens.size

@@ -189,10 +189,9 @@ _local = threading.local()
 
 def _thread_highs() -> _highs._Highs:
     """This thread's HiGHS instance; a new one, with no record, when none is
-    kept or when ``_highs._Highs`` is no longer the class that built the kept
-    one."""
+    kept."""
     highs = getattr(_local, "highs", None)
-    if type(highs) is not _highs._Highs:
+    if highs is None:
         highs = _local.highs = _highs._Highs()
         _local.kept = None
     return highs

@@ -13,13 +13,13 @@ import itertools
 import numpy as np
 
 from gridmaint import decomp
-from gridmaint.chance import safe_block
+from gridmaint.chance import SafeApproxBlock
 from gridmaint.pboracle import joint_oracle
 
 
 def admitted(inst, cfg, mode):
     """Every schedule in {1..tbar}^H' the chance constraint of ``mode`` admits."""
-    block = safe_block(inst.table, cfg.rho_gen, cfg.rho_line, cfg.alpha)
+    block = SafeApproxBlock(inst.table, cfg.rho_gen, cfg.rho_line, cfg.alpha)
     for combo in itertools.product(range(1, cfg.tbar + 1), repeat=len(inst.hprime)):
         schedule = dict(zip(inst.hprime, combo))
         if mode == "safe":

@@ -14,7 +14,7 @@ import pytest
 
 from gridmaint import decomp, saa, ucmodel
 from gridmaint.caseio import DegradationPriors, RunConfig, parse_case, synth_demand
-from gridmaint.chance import safe_block, separate
+from gridmaint.chance import SafeApproxBlock, separate
 from gridmaint.degrade import (ComponentRLD, SignalObservations, bucket_probs,
                                posterior_drift, sample_scenarios)
 from gridmaint.instance import build_instance, training_scenarios
@@ -166,7 +166,7 @@ def test_c04_safe_approximation_conservative():
                 (2, 3, 6, 0.2, 0.08), (4, 4, 5, 0.25, 0.06)]
     for seed, n_comp, horizon, alpha, scale in settings:
         table, comps = _chance_instance(seed, n_comp, horizon, scale)
-        block = safe_block(table, 1, 1, alpha)
+        block = SafeApproxBlock(table, 1, 1, alpha)
         tbar = horizon + 1
         for sched in enumerate_schedules(tuple(comps), tbar):
             checked += 1

@@ -111,6 +111,39 @@ def test_bus_rejects_negative_curtail_cost(cost):
         caseio.Bus(id=1, curtail_cost=cost)
 
 
+@pytest.mark.parametrize("old, new, where", [
+    ("1\t4\t0\t0.0576\t0\t250", "1\t4\t0\t0.0576\t0\tnan",
+     r"mpc\.branch row 1, column 6"),
+    ("4\t5\t0.017\t0.092", "4\t5\t0.017\tnan", r"mpc\.branch row 2, column 4"),
+    ("100\t1\t250\t10", "100\t1\tInf\t10", r"mpc\.gen row 1, column 9"),
+    ("5\t1\t90\t30", "5\t1\tnan\t30", r"mpc\.bus row 5, column 3"),
+    ("2\t2000\t0\t2\t25\t120;", "2\t2000\t0\t2\t-inf\t120;",
+     r"mpc\.gencost row 2, column 5"),
+    ("2\t3000\t0\t2\t30\t80;", "2\t3000\t0\tnan\t30\t80;",
+     r"mpc\.gencost row 3, column 4"),
+    ("mpc.baseMVA = 100;", "mpc.baseMVA = nan;", r"mpc\.baseMVA = nan"),
+], ids=["rateA", "reactance", "Pmax", "Pd", "c1", "NCOST", "baseMVA"])
+def test_non_finite_case_numbers_are_rejected_at_parse(old, new, where):
+    assert CASE9.count(old) == 1
+    with pytest.raises(CaseError, match=where):
+        parse_case(CASE9.replace(old, new))
+
+
+def test_columns_the_parser_ignores_may_be_infinite():
+    # Qmax and Qmin of every generator
+    text = CASE9.replace("\t300\t-300\t", "\tInf\t-Inf\t")
+    assert parse_case(text) == parse_case(CASE9)
+
+
+def test_non_finite_demand_is_rejected():
+    net = parse_case(CASE9)
+    cfg = _tiny_cfg()
+    shape = np.ones((cfg.horizon_days, cfg.subperiods))
+    shape[1, 5] = np.nan
+    with pytest.raises(CaseError, match="non-finite demand entry"):
+        synth_demand(net, cfg, shape=shape)
+
+
 def test_round_trip():
     net = parse_case(CASE9)
     again = parse_case(serialize_case(net))

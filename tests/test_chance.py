@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from gridmaint import solver
-from gridmaint.chance import (FEASIBILITY_TOL, ChanceRule, LinearCut, cover_cut,
-                              extend_cover, safe_block, separate, soc_outer_cuts,
-                              xy_cut_to_master)
+from gridmaint.chance import (FEASIBILITY_TOL, ChanceRule, LinearCut,
+                              SafeApproxBlock, cover_cut, extend_cover, separate,
+                              soc_outer_cuts)
 from gridmaint.pboracle import joint_oracle
 
 from cases import violated_by
@@ -172,14 +172,14 @@ def test_extended_cover_stronger_than_plain():
 def test_safe_block_single_generator_feasible():
     rows = {"g1": [0.02, 0.05]}
     table = table_from_rows(rows, {"g1": "gen"}, {"g1"}, 2)
-    block = safe_block(table, 1, 1, alpha=0.1)
+    block = SafeApproxBlock(table, 1, 1, alpha=0.1)
     assert block.accepts({"g1": 2})  # load 0.05 -> alpha_G = 0.95 >= 0.9
 
 
 def test_safe_block_zero_loads_feasible_any_alpha():
     rows = {"g1": [0.0], "l1": [0.0]}
     table = table_from_rows(rows, {"g1": "gen", "l1": "line"}, {"g1", "l1"}, 1)
-    block = safe_block(table, 1, 1, alpha=0.01)
+    block = SafeApproxBlock(table, 1, 1, alpha=0.01)
     assert block.accepts({"g1": 1, "l1": 1})
 
 
@@ -187,14 +187,14 @@ def test_safe_block_product_infeasibility():
     # loads 0.2 and 0.2: best product (0.8)(0.8) = 0.64 < 0.9
     rows = {"g1": [0.2], "l1": [0.2]}
     table = table_from_rows(rows, {"g1": "gen", "l1": "line"}, {"g1", "l1"}, 1)
-    block = safe_block(table, 1, 1, alpha=0.1)
+    block = SafeApproxBlock(table, 1, 1, alpha=0.1)
     assert not block.accepts({"g1": 1, "l1": 1})
 
 
 def test_safe_block_includes_nonsubset_constants():
     rows = {"g1": [0.1], "g2": [0.3]}
     table = table_from_rows(rows, {"g1": "gen", "g2": "gen"}, {"g1"}, 1)
-    block = safe_block(table, 2, 1, alpha=0.2)
+    block = SafeApproxBlock(table, 2, 1, alpha=0.2)
     x, y = block.loads({"g1": 1})
     assert x == pytest.approx((0.1 + 0.3) / 2)
     assert y == 0.0
@@ -206,7 +206,7 @@ def test_safe_accepted_subset_of_exact_accepted():
     for _ in range(15):
         table = random_table(rng)
         alpha = float(rng.uniform(0.05, 0.5))
-        block = safe_block(table, 1, 1, alpha)
+        block = SafeApproxBlock(table, 1, 1, alpha)
         for sched in all_schedules(sorted(table.schedulable), table.horizon_days + 1):
             if block.accepts(sched):
                 assert joint_oracle(sched, table, 1, 1) >= 1.0 - alpha - 1e-12
@@ -219,10 +219,10 @@ def test_soc_tangent_matches_gradient_example():
     # (0.1, 0.1); the tangent there is 0.9 x + 0.9 y <= 0.18
     cuts = soc_outer_cuts((0.15, 0.15), alpha=0.19)
     assert len(cuts) == 1
-    cut = cuts[0]
-    assert cut.cx == pytest.approx(0.9)
-    assert cut.cy == pytest.approx(0.9)
-    assert cut.rhs == pytest.approx(0.18)
+    cx, cy, rhs = cuts[0]
+    assert cx == pytest.approx(0.9)
+    assert cy == pytest.approx(0.9)
+    assert rhs == pytest.approx(0.18)
 
 
 def test_soc_no_cut_inside_region():
@@ -239,7 +239,7 @@ def test_soc_cut_separates_the_point():
             continue
         cuts = soc_outer_cuts((x, y), alpha)
         assert cuts
-        assert any(c.cx * x + c.cy * y > c.rhs + 1e-12 for c in cuts)
+        assert any(cx * x + cy * y > rhs + 1e-12 for cx, cy, rhs in cuts)
 
 
 def test_soc_cut_valid_on_grid():
@@ -249,9 +249,9 @@ def test_soc_cut_valid_on_grid():
     grid = np.linspace(0.0, 1.0, 1001)
     xs, ys = np.meshgrid(grid, grid)
     inside = (1 - xs) * (1 - ys) >= 1 - alpha
-    for cut in cuts:
-        lhs = cut.cx * xs + cut.cy * ys
-        assert np.all(lhs[inside] <= cut.rhs + 1e-9)
+    for cx, cy, rhs in cuts:
+        lhs = cx * xs + cy * ys
+        assert np.all(lhs[inside] <= rhs + 1e-9)
 
 
 def test_soc_alpha_one_degenerate():
@@ -263,15 +263,15 @@ def test_xy_cut_maps_to_schedule_space():
     rows = {"g1": [0.1, 0.4], "l1": [0.2, 0.3], "g2": [0.0, 0.5]}
     kinds = {"g1": "gen", "g2": "gen", "l1": "line"}
     table = table_from_rows(rows, kinds, {"g1", "l1"}, 2)
-    block = safe_block(table, 1, 1, alpha=0.1)
-    [cut] = soc_outer_cuts((0.4, 0.3), alpha=0.1)
-    master_cut = xy_cut_to_master(cut, block)
+    block = SafeApproxBlock(table, 1, 1, alpha=0.1)
+    [(cx, cy, rhs)] = soc_outer_cuts((0.4, 0.3), alpha=0.1)
+    master_cut = block.row(cx, cy, rhs)
     # evaluating the master cut at a schedule reproduces the xy-space slack
     sched = {"g1": 2, "l1": 1}
     x, y = block.loads(sched)
     point = {(h, t): 1.0 for h, t in sched.items()}
     lhs = sum(c * point.get(pair, 0.0) for pair, c in master_cut.v_coeffs)
-    assert cut.cx * x + cut.cy * y - cut.rhs == pytest.approx(
+    assert cx * x + cy * y - rhs == pytest.approx(
         lhs - master_cut.rhs, abs=1e-12)
 
 

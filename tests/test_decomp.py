@@ -6,7 +6,7 @@ import pytest
 
 from gridmaint import chance, decomp, mastercuts, solver, ucmodel
 from gridmaint.caseio import DemandGrid, RunConfig
-from gridmaint.chance import safe_block
+from gridmaint.chance import SafeApproxBlock
 from gridmaint.degrade import ScenarioSet
 from gridmaint.pboracle import joint_oracle
 from gridmaint.preflow import RedundancyEntry, RedundancyReport
@@ -123,7 +123,7 @@ def test_a_rule_returning_only_pooled_cuts_raises(monkeypatch, mode):
     pooled = chance.LinearCut.make({}, 0.0, name="always")
     monkeypatch.setattr(chance.ChanceRule, "check", lambda self, s: ([pooled], "x"))
     run = decomp.DecompositionRun(inst, scens, inst.cfg)
-    assert run.iterate_once() and run.counters["chance_cuts"] == 1
+    assert run.iterate_once() and len(run.master.chance_cuts) == 1
     with pytest.raises(solver.SolverError, match="chance cuts exclude"):
         run.iterate_once()
 
@@ -134,7 +134,7 @@ def test_safe_mode_schedule_is_conservative():
     report = decomp.solve(inst, scens, cfg)
     if report.status == "infeasible":
         pytest.skip("safe approximation admits no schedule on this draw")
-    block = safe_block(inst.table, cfg.rho_gen, cfg.rho_line, cfg.alpha)
+    block = SafeApproxBlock(inst.table, cfg.rho_gen, cfg.rho_line, cfg.alpha)
     assert block.accepts(report.schedule)
     assert joint_oracle(report.schedule, inst.table, cfg.rho_gen,
                         cfg.rho_line) >= 1 - cfg.alpha
@@ -189,12 +189,11 @@ def test_alias_accounting_partitions_all_cells():
     inst, scens = toy_instance(seed=9)
     report = decomp.solve(inst, scens, inst.cfg)
     cells = scens.size * inst.cfg.horizon_days
-    evaluated = [h for h in report.history if "solved" in h]
-    prev_solved = prev_aliased = 0
+    evaluated = [h for h in report.history if "gap" in h]
+    assert evaluated
     for h in evaluated:
-        delta = (h["solved"] - prev_solved) + (h["aliased"] - prev_aliased)
-        assert delta == cells
-        prev_solved, prev_aliased = h["solved"], h["aliased"]
+        assert h["n_solved"] + h["n_aliased"] == cells
+    assert sum(h["n_aliased"] for h in report.history) == report.counts["aliased"]
 
 
 def test_bounds_are_monotone_across_iterations():
@@ -401,9 +400,13 @@ def test_time_limit_cuts_the_subproblem_round(monkeypatch):
     assert report.status == "limit"
     assert report.elapsed <= cfg.time_limit + pause + 0.2
     assert 0 < len(calls) < 5 and cache.solved == len(calls)
-    # the partial round gives no incumbent and no cut
+    # the partial round gives no incumbent and no cut; its entry shows the
+    # solves it kept and why the run stopped
     assert report.schedule == {} and report.objective == float("inf")
-    assert report.counts["opt_cuts"] == 0 and report.history == []
+    assert report.counts["opt_cuts"] == 0 and len(report.history) == 1
+    [entry] = report.history
+    assert entry["stop"] == "limit" and "gap" not in entry
+    assert entry["n_solved"] == len(calls) and entry["n_aliased"] == 0
 
 
 def test_budget_spent_inside_a_day_milp_ends_limit(monkeypatch):
@@ -428,7 +431,8 @@ def test_budget_spent_inside_a_day_milp_ends_limit(monkeypatch):
     assert report.elapsed <= cfg.time_limit + 0.2
     assert len(limits) == 1 and 0.0 < limits[0] <= cfg.time_limit
     assert cache.psi == {} and cache.solved == 0
-    assert report.schedule == {} and report.history == []
+    assert report.schedule == {} and len(report.history) == report.iterations == 1
+    assert report.history[0]["stop"] == "limit" and report.history[0]["n_solved"] == 0
 
 
 def test_spent_time_limit_stops_before_chance_separation(monkeypatch):
@@ -450,6 +454,30 @@ def test_spent_time_limit_stops_before_chance_separation(monkeypatch):
     assert run.iterate_once() is False
     assert run.status == "limit" and separated == []
     assert run.report().bound > -float("inf")
+
+
+def test_a_limit_run_keeps_an_entry_for_every_iteration(monkeypatch):
+    inst, scens = toy_instance(seed=23)
+    cfg = dataclasses.replace(inst.cfg, time_limit=0.5)
+    real_solve = mastercuts.MasterState.solve
+    solves = []
+
+    def second_is_slow(self, tolerance=1e-9, time_limit=None):
+        solves.append(time_limit)
+        outcome = real_solve(self, tolerance=tolerance, time_limit=time_limit)
+        if len(solves) == 2:
+            time.sleep(0.6)  # an optimal master that ends past the budget
+        return outcome
+
+    monkeypatch.setattr(mastercuts.MasterState, "solve", second_is_slow)
+    report = decomp.solve(inst, scens, cfg)
+    assert report.status == "limit" and report.iterations == 2
+    assert [h["iter"] for h in report.history] == [1, 2]
+    assert report.history[-1]["stop"] == "limit"
+    assert all("stop" not in h for h in report.history[:-1])
+    assert report.history[-1]["t_master"] >= 0.6
+    for phase in ("master", "chance", "subproblems", "cuts"):
+        assert report.timings[phase] == sum(h[f"t_{phase}"] for h in report.history)
 
 
 def test_spent_time_limit_stops_before_the_cut_round(monkeypatch):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,19 @@ def test_build_instance_rejects_a_grid_over_other_buses(nine_bus, rows):
     other = DemandGrid(grid.bus_ids[rows], grid.values[rows])
     with pytest.raises(CaseError, match="do not match"):
         build_instance(net, other, cfg, seed=34)
+
+
+@pytest.mark.parametrize("field, value, error", [
+    ("horizon_days", 5, "cfg.horizon_days is 5 but the demand's day count is 7"),
+    ("subperiods", 12, "cfg.subperiods is 12 but the demand's hour count is 24"),
+])
+def test_build_instance_rejects_a_config_the_demand_does_not_span(nine_bus, field,
+                                                                  value, error):
+    # a 5-day config over a 7-day grid would pick H' from 5-day failure
+    # probabilities and fail only when planned
+    net, grid, cfg = nine_bus
+    with pytest.raises(ValueError, match=error):
+        build_instance(net, grid, dataclasses.replace(cfg, **{field: value}), seed=34)
 
 
 def test_subset_selection_respects_thresholds(nine_bus):

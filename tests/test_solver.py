@@ -212,6 +212,7 @@ def test_backend_error_names_the_spec(monkeypatch, step):
             return getattr(self._inner, name)
 
     monkeypatch.setattr(solver._highs, "_Highs", Failing)
+    solver._local.highs = None  # the next solve builds a Failing instance
     with pytest.raises(solver.SolverError, match=f"knapsack: HiGHS {step}"):
         solver.solve(max_knapsack())
 
@@ -328,6 +329,7 @@ def test_instance_that_failed_is_replaced(monkeypatch):
 
     want = fresh_outcome(max_knapsack, {})
     monkeypatch.setattr(solver._highs, "_Highs", FailsOnce)
+    solver._local.highs = None
     with pytest.raises(solver.SolverError, match="knapsack: HiGHS run"):
         solver.solve(max_knapsack())
     assert full_outcome(solver.solve(max_knapsack())) == want
@@ -380,7 +382,8 @@ def passes(monkeypatch):
 
     monkeypatch.setattr(solver._highs, "_Highs", Counting)
     solver._local.highs = None
-    return passed
+    yield passed
+    solver._local.highs = None  # later tests get an instance of the real class
 
 
 def assert_close(hot, fresh):
