@@ -160,38 +160,33 @@ def day_values(inst: Instance, scenarios: ScenarioSet, cfg: RunConfig,
 
     A scenario-day's down-set is read from its status over ``components``,
     and the scenario-day is keyed by :meth:`Instance.day_key`; each key the
-    cache lacks is solved exactly once, on the first scenario-day that uses
-    it, and stored, and every other scenario-day is counted as aliased.
-    Missing keys are solved in the scenario-major order of their first
-    appearance, each within the budget left before ``deadline`` (a
+    cache lacks is solved exactly once, on the day its demand class names,
+    and stored, and every other scenario-day is counted as aliased.
+    Missing keys are solved in the day-major order of the distinct (day,
+    status row) cells, each within the budget left before ``deadline`` (a
     ``time.perf_counter()`` value).  Once the budget is spent no further key
     is solved and a key whose solve hit it is not stored: the keys solved so
     far stay stored and None is returned.
     """
     n, horizon = scenarios.size, cfg.horizon_days
-    cells = []  # (scan position, day, key) of each distinct (day, status row)
+    cells = []  # the key of each distinct (day, status row)
     cell_ids = np.empty((n, horizon), dtype=np.intp)
     for t in range(1, horizon + 1):
         status = ucmodel.status_vector(schedule, scenarios, t, cfg, components,
                                        inst.kinds)
         first, inverse = _distinct_rows(status)
         cell_ids[:, t - 1] = len(cells) + inverse
-        for scan, row in zip((first * horizon + t - 1).tolist(),
-                             status[first].tolist()):
+        for row in status[first].tolist():
             down = frozenset(c for c, bit in zip(components, row) if not bit)
-            cells.append((scan, t, inst.day_key(t, down)))
-    first_day: dict[DayKey, int] = {}  # in scan order of first appearance
-    for _, t, key in sorted(cells, key=lambda cell: cell[0]):
-        first_day.setdefault(key, t)
+            cells.append(inst.day_key(t, down))
 
     def solve_one(key):
         if deadline is not None and time.perf_counter() > deadline:
             return None  # the budget is spent: no model is built
-        t = first_day[key]
         model = ucmodel.build_subproblem(
-            inst.net, inst.demand.day(t), key.down, cfg,
+            inst.net, inst.demand.day(key.demand_class), key.down, cfg,
             omit_bounds=key.omit_bounds,
-            label=f"day{t}:{','.join(sorted(key.down)) or '-'}")
+            label=f"day{key.demand_class}:{','.join(sorted(key.down)) or '-'}")
         remaining = None if deadline is None \
             else max(0.0, deadline - time.perf_counter())
         outcome = ucmodel.solve_subproblem(model, cfg.subproblem_gap, remaining)
@@ -199,7 +194,7 @@ def day_values(inst: Instance, scenarios: ScenarioSet, cfg: RunConfig,
             return None
         return float(outcome.objective), float(outcome.bound)
 
-    missing = [key for key in first_day if cache.lookup(key) is None]
+    missing = [key for key in dict.fromkeys(cells) if cache.lookup(key) is None]
     results = pooled_map(solve_one, missing, cfg.threads)
     for key, result in zip(missing, results):
         if result is not None:
@@ -207,7 +202,7 @@ def day_values(inst: Instance, scenarios: ScenarioSet, cfg: RunConfig,
     if None in results:
         return None
     cache.aliased += cell_ids.size - len(missing)
-    values = np.array([cache.lookup(key) for _, _, key in cells], dtype=float)
+    values = np.array([cache.lookup(key) for key in cells], dtype=float)
     return values[cell_ids]
 
 

@@ -106,7 +106,7 @@ def simulate_signal(priors: DegradationPriors,
     unit Euler steps.  Raises if the path has not crossed within
     ``max_steps`` (possible only for nonpositive sampled drift).
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     amplitude = rng.normal(priors.mu0, priors.kappa0)
     drift = rng.normal(priors.mu1, priors.kappa1)
     values = [amplitude]
@@ -303,7 +303,7 @@ def sample_scenarios(rlds: dict[str, ComponentRLD | None], n: int, horizon_days:
     """
     if n < 1:
         raise ValueError("need at least one scenario")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     comps = tuple(rlds)
     times = np.full((n, len(comps)), horizon_days + 1, dtype=int)
     days = np.arange(1, horizon_days + 2)  # 1..T plus the no-failure slot T+1

@@ -136,14 +136,14 @@ class _RelaxedFlowLP:
         if self._target is not None:
             self.spec.set_obj(self._target, 0.0)
         self._target = self.fvar[line_id]
-        self.spec.sense = "max" if direction == "ub" else "min"
-        self.spec.set_obj(self._target, 1.0)
+        self.spec.set_obj(self._target, -1.0 if direction == "ub" else 1.0)
         outcome = solver.solve(self.spec, tolerance=1e-9)
         self.iterations += outcome.iterations
         if outcome.status != "optimal":
             raise solver.SolverError(f"flow relaxation for {line_id} ended "
                                      f"{outcome.status}")
-        return float(outcome.objective)
+        # "ub" minimised -f; 0.0 - v, not -v, keeps a zero maximum +0.0
+        return 0.0 - outcome.objective if direction == "ub" else outcome.objective
 
 
 def _cap_vectors(grid: DemandGrid, mode: str):

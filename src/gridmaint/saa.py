@@ -74,7 +74,7 @@ def evaluate_schedule(inst: Instance, schedule: dict[str, int],
                 | (failed[:, ~is_gen].sum(axis=1) > cfg.rho_line))
 
     def expected(per_scenario):
-        return float(scens.probs @ per_scenario)
+        return float(np.sum(scens.probs * per_scenario))
 
     gm = np.zeros(n)
     tlm = np.zeros(n)

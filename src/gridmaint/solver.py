@@ -1,9 +1,10 @@
 """Narrow LP/MILP backend abstraction.
 
 All optimization modules describe models through :class:`ModelSpec` and call
-:func:`solve`.  The single in-process backend is HiGHS, driven through the
-bindings SciPy bundles (``scipy.optimize._highspy._core``); pure LPs go
-through the same call.
+:func:`solve`.  Every model is a minimisation; a caller that wants a maximum
+minimises the negated objective.  The single in-process backend is HiGHS,
+driven through the bindings SciPy bundles (``scipy.optimize._highspy._core``);
+pure LPs go through the same call.
 
 Every solve gets the options ``scipy.optimize.milp`` sets plus two that
 differ from HiGHS's defaults: the root reduced-cost sub-MIP and feasibility
@@ -78,7 +79,7 @@ class SolveOutcome:
 
 
 class ModelSpec:
-    """Incrementally built sparse LP/MILP description.
+    """Incrementally built sparse LP/MILP description of a minimisation.
 
     Variables are referenced by the integer index returned from
     :meth:`add_var`.  Rows are two-sided: ``lb <= a.x <= ub`` and
@@ -89,11 +90,8 @@ class ModelSpec:
     changed (see :func:`milp`).
     """
 
-    def __init__(self, name: str = "model", sense: str = "min"):
-        if sense not in ("min", "max"):
-            raise ValueError(f"unknown sense {sense!r}")
+    def __init__(self, name: str = "model"):
         self.name = name
-        self.sense = sense
         self._lb: list[float] = []
         self._ub: list[float] = []
         self._integer: list[bool] = []
@@ -235,8 +233,7 @@ _untimed_options = functools.lru_cache(maxsize=16)(
     lambda tolerance: _options(tolerance, None))
 
 
-def _pass_lp(highs: _highs._Highs, spec: ModelSpec, cost: list[float],
-             is_mip: bool) -> None:
+def _pass_lp(highs: _highs._Highs, spec: ModelSpec, is_mip: bool) -> None:
     """Pass the whole model, replacing whatever ``highs`` held."""
     if not all(map(math.isfinite, spec._value)):
         raise SolverError(f"{spec.name}: constraint coefficients must be finite")
@@ -250,7 +247,7 @@ def _pass_lp(highs: _highs._Highs, spec: ModelSpec, cost: list[float],
     lp.a_matrix_.start_ = spec._start
     lp.a_matrix_.index_ = spec._index
     lp.a_matrix_.value_ = spec._value
-    lp.col_cost_ = cost
+    lp.col_cost_ = spec._obj
     lp.col_lower_ = spec._lb
     lp.col_upper_ = spec._ub
     lp.row_lower_ = spec._row_lb
@@ -262,12 +259,11 @@ def _pass_lp(highs: _highs._Highs, spec: ModelSpec, cost: list[float],
     _check(spec, "passModel", highs.passModel(lp))
 
 
-def _push_changes(highs: _highs._Highs, spec: ModelSpec, cost: list[float],
-                  kept: _Kept) -> None:
+def _push_changes(highs: _highs._Highs, spec: ModelSpec, kept: _Kept) -> None:
     """Send ``highs``, which holds ``kept``, only the columns whose cost or
     bounds differ from what ``kept`` last sent."""
-    if cost != kept.cost:
-        new = np.array(cost)
+    if spec._obj != kept.cost:
+        new = np.array(spec._obj)
         cols = np.flatnonzero(new != kept.cost).astype(np.int32)
         _check(spec, "changeColsCost",
                highs.changeColsCost(len(cols), cols, new[cols]))
@@ -280,9 +276,7 @@ def _push_changes(highs: _highs._Highs, spec: ModelSpec, cost: list[float],
 
 def milp(spec: ModelSpec, tolerance: float,
          time_limit: float | None) -> SolveOutcome:
-    """Optimise ``spec`` over its rows and variable bounds; HiGHS minimises
-    the objective, negated for a maximum, and the outcome is in ``spec``'s
-    sense.
+    """Minimise ``spec``'s objective over its rows and variable bounds.
 
     Each call passes the options ``scipy.optimize.milp`` sets, with the
     root reduced-cost sub-MIP and feasibility jump heuristics off (see
@@ -299,9 +293,7 @@ def milp(spec: ModelSpec, tolerance: float,
     ``kError`` is dropped, not reused.  HiGHS runs its MIP search serially,
     which keeps results deterministic.
     """
-    sign = 1.0 if spec.sense == "min" else -1.0
-    cost = spec._obj if sign > 0 else [-c for c in spec._obj]
-    if not all(map(math.isfinite, cost)):
+    if not all(map(math.isfinite, spec._obj)):
         raise SolverError(f"{spec.name}: objective coefficients must be finite")
     is_mip = any(spec._integer)
     options = _untimed_options(tolerance) if time_limit is None \
@@ -314,9 +306,9 @@ def milp(spec: ModelSpec, tolerance: float,
     _check(spec, "passOptions", highs.passOptions(options))
     shape = (spec.num_rows, spec.num_vars)
     if kept is not None and kept.spec is spec and kept.shape == shape:
-        _push_changes(highs, spec, cost, kept)
+        _push_changes(highs, spec, kept)
     else:
-        _pass_lp(highs, spec, cost, is_mip)
+        _pass_lp(highs, spec, is_mip)
     _check(spec, "run", highs.run())
 
     status = _MODEL_STATUS.get(highs.getModelStatus(), "error")
@@ -325,7 +317,7 @@ def milp(spec: ModelSpec, tolerance: float,
     iterations = 0 if is_mip else info.simplex_iteration_count
     seconds = highs.getRunTime() - clock
     if status == "optimal" and not is_mip:
-        _local.kept = _Kept(spec, shape, list(cost), list(spec._lb), list(spec._ub))
+        _local.kept = _Kept(spec, shape, list(spec._obj), list(spec._lb), list(spec._ub))
     # an LP solution is read only at optimality; a MIP stopped at a limit
     # keeps its incumbent when it found one
     readable = status == "optimal" or (
@@ -333,10 +325,10 @@ def milp(spec: ModelSpec, tolerance: float,
         and info.objective_function_value != _highs.kHighsInf)
     if not readable:
         return SolveOutcome(status, None, None, None, INF, seconds, nodes, iterations)
-    # adding 0.0 turns the -0.0 of a maximum at zero into 0.0
-    objective = sign * info.objective_function_value + 0.0
+    # adding 0.0 turns a -0.0 from HiGHS into 0.0
+    objective = info.objective_function_value + 0.0
     if is_mip:
-        bound, gap = sign * info.mip_dual_bound + 0.0, info.mip_gap
+        bound, gap = info.mip_dual_bound + 0.0, info.mip_gap
     else:
         bound, gap = objective, 0.0
     return SolveOutcome(status, np.array(highs.getSolution().col_value), objective,

@@ -6,6 +6,10 @@ A name counts as used when some module's code, its own included, loads it
 count.  A name used only by the tests belongs in ``tests/``.
 
 Every name a module imports is loaded by that module's own code.
+
+No module reduces through BLAS (``@``, ``dot``, ``matmul``, ``inner``,
+``vdot``): OpenBLAS splits such a sum across its threads, so its bits
+would follow the BLAS thread count.
 """
 
 import ast
@@ -85,3 +89,30 @@ def test_every_imported_name_is_used():
     unused = sorted((module, name) for module, tree in _trees().items()
                     for name in _unused_imports(tree))
     assert unused == []
+
+
+# reductions OpenBLAS may split across its threads, so that their bits
+# follow the BLAS thread count
+_BLAS_CALLS = {"dot", "matmul", "inner", "vdot"}
+
+
+def _blas_reductions(tree):
+    """Line numbers of ``@`` and of calls to a name in ``_BLAS_CALLS``."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) \
+                and isinstance(node.op, ast.MatMult):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) \
+                else getattr(func, "id", None)
+            if name in _BLAS_CALLS:
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_no_module_reduces_through_blas():
+    found = [f"{module}.py:{line}" for module, tree in _trees().items()
+             for line in _blas_reductions(tree)]
+    assert found == []

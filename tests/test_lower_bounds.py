@@ -166,8 +166,8 @@ def test_without_candidates_the_bound_is_the_day_model_relaxed():
         lb = ucmodel.lp_lower_bound(inst.net, inst.demand, pattern, t, cfg, ())
         day = ucmodel.build_subproblem(inst.net, inst.demand.day(t), frozenset(), cfg)
         spec = day.spec
-        assert (lb.sense, lb._obj, lb._lb, lb._ub, spec_rows(lb)) \
-            == (spec.sense, spec._obj, spec._lb, spec._ub, spec_rows(spec))
+        assert (lb._obj, lb._lb, lb._ub, spec_rows(lb)) \
+            == (spec._obj, spec._lb, spec._ub, spec_rows(spec))
         assert not any(lb._integer)
         assert np.flatnonzero(spec._integer).tolist() == sorted(day.idx["x"].ravel())
 

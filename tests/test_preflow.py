@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -38,6 +39,23 @@ def test_zero_caps_zero_extreme():
     net = build_net(n_bus=2, demands=[0.0, 0.0], flow_limit=100.0)
     assert flow_extreme(net, np.zeros(2), "l1", "ub") == pytest.approx(0.0, abs=1e-8)
     assert flow_extreme(net, np.zeros(2), "l1", "lb") == pytest.approx(0.0, abs=1e-8)
+
+
+def test_a_zero_extreme_is_positive_zero_in_both_directions():
+    # bus 3 is a leaf with no generator and a zero demand cap, so line l2
+    # into it carries no flow either way; the "ub" probe minimises -f and
+    # must not report the -0.0 that negating its optimum would give
+    net = build_net(n_bus=3, demands=[0.0, 40.0, 0.0], flow_limit=100.0)
+    caps = np.array([0.0, 40.0, 0.0])
+    for direction in ("ub", "lb"):
+        f_star = flow_extreme(net, caps, "l2", direction)
+        assert f_star == 0.0 and math.copysign(1.0, f_star) == 1.0
+    report = analyze(net, grid_of(caps[:, None, None]), "I")
+    zeros = [e for e in report.entries if e.line_id == "l2"]
+    assert [(e.direction, e.f_star) for e in zeros] == [("ub", 0.0), ("lb", 0.0)]
+    assert all(math.copysign(1.0, e.f_star) == 1.0 for e in zeros)
+    assert report.to_csv().splitlines()[3:] == ["l2,ub,horizon,0,1",
+                                                "l2,lb,horizon,0,1"]
 
 
 def test_saturating_demand_not_redundant():
@@ -174,8 +192,8 @@ def test_probes_of_one_target_change_only_the_demand_caps(monkeypatch):
 
     def spy(spec, *args, **kwargs):
         outcome = real_solve(spec, *args, **kwargs)
-        calls.append((spec, spec.sense, list(spec._obj), list(spec._lb),
-                      list(spec._ub), outcome.iterations))
+        calls.append((spec, list(spec._obj), list(spec._lb), list(spec._ub),
+                      outcome.iterations))
         return outcome
 
     monkeypatch.setattr(solver, "solve", spy)
@@ -197,9 +215,9 @@ def test_probes_of_one_target_change_only_the_demand_caps(monkeypatch):
     for start in range(0, len(calls), n_caps):
         run = calls[start:start + n_caps]
         for before, after in zip(run, run[1:]):
-            assert after[0] is spec and after[1:3] == before[1:3]
-            assert after[3] == before[3]
-            moved = {i for i, (u, v) in enumerate(zip(before[4], after[4])) if u != v}
+            assert after[0] is spec and after[1] == before[1]
+            assert after[2] == before[2]
+            moved = {i for i, (u, v) in enumerate(zip(before[3], after[3])) if u != v}
             assert moved <= dem
             if not moved:
                 repeats += 1

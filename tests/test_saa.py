@@ -1,5 +1,9 @@
 import dataclasses
+import os
 import statistics
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -372,3 +376,39 @@ def test_run_saa_threaded_replicates():
     par = saa.run_saa(inst, cfg, seed=4)
     assert par.mu_upper == pytest.approx(seq.mu_upper, rel=1e-9)
     assert par.mu_lower == pytest.approx(seq.mu_lower, rel=1e-9)
+
+# one evaluation over 20 000 scenarios of unequal probability; prints every
+# probability-weighted sum as float hex
+_WEIGHTED_SUMS = """
+import numpy as np
+from gridmaint import saa
+from gridmaint.degrade import ScenarioSet
+from cases import toy_instance
+inst, _ = toy_instance(seed=4)
+comps = inst.all_components
+rng = np.random.default_rng(8)
+n = 20_000
+times = rng.integers(1, inst.cfg.horizon_days + 2, size=(n, len(comps)))
+weights = rng.uniform(0.5, 1.5, size=n)
+scens = ScenarioSet(comps, times, weights / weights.sum(), inst.cfg.horizon_days)
+r = saa.evaluate_schedule(inst, {comp: 2 for comp in inst.hprime}, scens)
+print([float(v).hex() for v in (r.gm, r.tlm, r.ops, r.violation_freq,
+                                 *r.avg_failures.values())])
+"""
+
+
+def test_evaluation_sums_do_not_follow_the_blas_thread_count():
+    # a BLAS dot product (probs @ x) splits its sum across OpenBLAS's
+    # threads; on these inputs one and two threads gave gm, tlm and ops
+    # that differed in the last bit
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    sums = []
+    for threads in ("1", "2"):
+        out = subprocess.run(
+            [sys.executable, "-c", _WEIGHTED_SUMS], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
+            timeout=120)
+        assert out.returncode == 0, out.stderr
+        sums.append(out.stdout)
+    assert sums[0] == sums[1]

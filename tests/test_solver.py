@@ -24,13 +24,13 @@ def test_min_bounded_variable():
 
 
 def test_binary_knapsack():
-    m = solver.ModelSpec(sense="max")
-    a = m.add_binary(obj=2.0)
-    b = m.add_binary(obj=3.0)
+    m = solver.ModelSpec()  # max 2a + 3b as min -2a - 3b
+    a = m.add_binary(obj=-2.0)
+    b = m.add_binary(obj=-3.0)
     m.add_le({a: 1.0, b: 1.0}, 1.0)
     res = solver.solve(m)
     assert res.status == "optimal"
-    assert res.objective == pytest.approx(3.0)
+    assert res.objective == pytest.approx(-3.0)
     assert round(res.x[b]) == 1
 
 
@@ -77,12 +77,11 @@ def reference_solve(spec, tolerance=1e-9, time_limit=None):
     (``solver._HEURISTICS_OFF``), and the models compared here still match.
 
     Returns ``(status, x bytes, objective, bound, gap)`` under the status
-    mapping and sign handling of ``solver.solve``.
+    mapping of ``solver.solve``.
     """
     import scipy.sparse as sp
     from scipy.optimize import Bounds, LinearConstraint, milp
 
-    sign = 1.0 if spec.sense == "min" else -1.0
     integrality = np.array(spec._integer, dtype=np.uint8)
     options = {"presolve": True, "mip_rel_gap": tolerance}
     if time_limit is not None:
@@ -92,7 +91,7 @@ def reference_solve(spec, tolerance=1e-9, time_limit=None):
         a = sp.csr_matrix((spec._value, spec._index, spec._start),
                           shape=(spec.num_rows, spec.num_vars))
         constraints = LinearConstraint(a, np.array(spec._row_lb), np.array(spec._row_ub))
-    res = milp(sign * np.array(spec._obj, dtype=float), constraints=constraints,
+    res = milp(np.array(spec._obj, dtype=float), constraints=constraints,
                integrality=integrality,
                bounds=Bounds(np.array(spec._lb, dtype=float),
                              np.array(spec._ub, dtype=float)),
@@ -100,10 +99,10 @@ def reference_solve(spec, tolerance=1e-9, time_limit=None):
     status = {0: "optimal", 1: "limit", 2: "infeasible"}.get(res.status, "error")
     if status in ("infeasible", "error") or res.x is None:
         return status, None, None, None, solver.INF
-    objective = sign * float(res.fun)
+    objective = float(res.fun)
     if integrality.any():
         return (status, res.x.tobytes(), objective,
-                sign * float(res.mip_dual_bound), float(res.mip_gap))
+                float(res.mip_dual_bound), float(res.mip_gap))
     return status, res.x.tobytes(), objective, objective, 0.0
 
 
@@ -131,9 +130,10 @@ def equality_lp():
 
 
 def max_knapsack(n=24):
-    m = solver.ModelSpec("knapsack", sense="max")
-    xs = [m.add_binary(obj=float(i % 7 + 1) + 0.1 * i) for i in range(n)]
-    w = m.add_var(ub=3.5, obj=0.75)
+    # a maximum knapsack, minimising the negated value
+    m = solver.ModelSpec("knapsack")
+    xs = [m.add_binary(obj=-(float(i % 7 + 1) + 0.1 * i)) for i in range(n)]
+    w = m.add_var(ub=3.5, obj=-0.75)
     m.add_le({**{x: float(i % 5 + 2) for i, x in enumerate(xs)}, w: 1.0}, 23.0)
     m.add_le({xs[0]: 1.0, xs[1]: 1.0}, 1.0)
     return m
@@ -158,8 +158,8 @@ def infeasible_lp():
 
 
 def unbounded_lp():
-    m = solver.ModelSpec("unbounded", sense="max")
-    x = m.add_var(obj=1.0)
+    m = solver.ModelSpec("unbounded")  # max x as min -x
+    x = m.add_var(obj=-1.0)
     y = m.add_var()
     m.add_ge({x: 1.0, y: -1.0}, 0.0)
     return m
@@ -410,15 +410,11 @@ def apply_bounds(m):
     m.set_bounds(0, 0.0, 0.0)
 
 
-def apply_sense(m):
-    m.sense = "max"
-
-
 def test_each_hot_start_matches_a_cold_solve_of_a_fresh_copy(passes):
     m = covering_lp()
     assert solver.solve(m).ok
     changes = []
-    for change in (apply_cost, apply_bounds, apply_sense):
+    for change in (apply_cost, apply_bounds):
         change(m)
         changes.append(change)
         hot = solver.solve(m)
@@ -427,7 +423,7 @@ def test_each_hot_start_matches_a_cold_solve_of_a_fresh_copy(passes):
             done(fresh)
         assert_close(hot, solver.solve(fresh))
         solver.solve(m)  # passed whole, as the fresh copy came in between
-    assert len(passes) == 1 + 3 * 2  # no hot start passed the model
+    assert len(passes) == 1 + 2 * 2  # no hot start passed the model
 
 
 def test_infeasible_resolve_then_feasible_resolve(passes):
