@@ -26,7 +26,7 @@ ndtr, log_ndtr = _special_ufuncs.ndtr, _special_ufuncs.log_ndtr
 __all__ = [
     "DegradationPriors", "SignalPath", "SignalObservations", "ComponentRLD",
     "ScenarioSet", "simulate_signal", "observe", "posterior_drift", "rld",
-    "ig_cdf", "bucket_probs", "select_subset", "sample_scenarios",
+    "ig_cdf", "bucket_probs", "select_subset", "sample_scenarios", "group_rows",
     "SingularPosteriorError", "NonDegradingError",
 ]
 
@@ -203,6 +203,25 @@ def select_subset(pfail: dict[str, float], kinds: dict[str, str],
     return hprime, hsecond
 
 
+def group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group equal rows of a 2-D array: the first row of each group, with the
+    groups in sorted order, and every row's group number.
+
+    One stable sort over the columns (column 0 the primary key) and a pass
+    over neighbouring rows; the result equals ``np.unique(rows, axis=0,
+    return_index=True, return_inverse=True)``'s index and inverse.  Rows
+    without columns are all equal.
+    """
+    n, m = rows.shape
+    order = np.lexsort(rows.T[::-1]) if m else np.arange(n)
+    ordered = rows[order]
+    starts = np.ones(n, dtype=bool)
+    starts[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return order[starts], inverse
+
+
 @dataclass(frozen=True)
 class ScenarioSet:
     """Sampled failure days per component; the last slot T+1 means no failure."""
@@ -234,6 +253,18 @@ class ScenarioSet:
     @property
     def size(self) -> int:
         return self.failure_times.shape[0]
+
+    def distinct(self) -> tuple["ScenarioSet", np.ndarray]:
+        """The set with equal rows merged, and each row's index into it.
+
+        The merged set holds the distinct ``failure_times`` rows in sorted
+        order, each with the summed probability of its members, so an
+        expectation over it equals one over this set.
+        """
+        first, inverse = group_rows(self.failure_times)
+        probs = np.bincount(inverse, weights=self.probs, minlength=first.size)
+        return ScenarioSet(self.component_ids, self.failure_times[first], probs,
+                           self.horizon_days), inverse
 
     def failure_days(self, components: tuple[str, ...], never: int) -> np.ndarray:
         """Failure days of ``components`` in every scenario, ``(n, c)`` int16.

@@ -55,6 +55,11 @@ def evaluate_schedule(inst: Instance, schedule: dict[str, int],
     and frequency weights the scenarios by ``scens.probs``;
     ``per_scenario_total`` is each scenario's own total, unweighted.  Recourse
     costs reuse the status cache across scenarios.
+
+    Everything is computed once per distinct row of ``scens``
+    (:meth:`ScenarioSet.distinct`), weighted by the row's summed probability;
+    ``per_scenario_total`` is expanded back to every scenario, and the cache
+    counts each duplicate row's scenario-days as aliased.
     """
     cfg = cfg or inst.cfg
     check_horizon(cfg, inst.demand, scens)
@@ -62,8 +67,9 @@ def evaluate_schedule(inst: Instance, schedule: dict[str, int],
     check_schedule(schedule, inst.table)
     cache = cache if cache is not None else decomp.StatusCache()
     comps = inst.all_components
-    n = scens.size
-    xi = scens.failure_days(comps, cfg.tbar)
+    merged, inverse = scens.distinct()
+    n = merged.size
+    xi = merged.failure_days(comps, cfg.tbar)
     periods = np.array([schedule.get(comp, cfg.tbar) for comp in comps])
     is_gen = np.array([inst.kinds[comp] == "gen" for comp in comps], dtype=bool)
     prime = np.array([comp in inst.hprime for comp in comps], dtype=bool)
@@ -73,8 +79,8 @@ def evaluate_schedule(inst: Instance, schedule: dict[str, int],
     violated = ((failed[:, is_gen].sum(axis=1) > cfg.rho_gen)
                 | (failed[:, ~is_gen].sum(axis=1) > cfg.rho_line))
 
-    def expected(per_scenario):
-        return float(np.sum(scens.probs * per_scenario))
+    def expected(per_row):
+        return float(np.sum(merged.probs * per_row))
 
     gm = np.zeros(n)
     tlm = np.zeros(n)
@@ -87,17 +93,18 @@ def evaluate_schedule(inst: Instance, schedule: dict[str, int],
         else:
             tlm += cost
 
-    day_vals = decomp.day_values(inst, scens, cfg, schedule, comps, cache)
+    day_vals = decomp.day_values(inst, merged, cfg, schedule, comps, cache)
+    cache.aliased += (scens.size - n) * cfg.horizon_days
     ops = day_vals[:, :, 0].sum(axis=1)
     total = gm + tlm + ops
     return EvalReport(
-        n_scenarios=n,
+        n_scenarios=scens.size,
         avg_failures={"gen_prime": expected(failed[:, prime & is_gen].sum(axis=1)),
                       "line_prime": expected(failed[:, prime & ~is_gen].sum(axis=1)),
                       "second": expected(failed[:, ~prime].sum(axis=1))},
         violation_freq=expected(violated),
         gm=expected(gm), tlm=expected(tlm), ops=expected(ops),
-        per_scenario_total=total)
+        per_scenario_total=total[inverse])
 
 
 def deterministic_baseline(inst: Instance,

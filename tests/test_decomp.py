@@ -251,6 +251,20 @@ def without_seconds(entry):
     return {key: value for key, value in entry.items() if not key.startswith("t_")}
 
 
+def test_objective_does_not_follow_the_order_of_the_scenarios():
+    # summed in scenario order, the objective of these 7 scenarios ended in
+    # ...3fb or ...3fc depending on the order
+    inst, scens = toy_instance(seed=3, n_scen=7)
+    base = decomp.solve(inst, scens, inst.cfg)
+    for seed in range(3):
+        order = np.random.default_rng(seed).permutation(scens.size)
+        permuted = ScenarioSet(scens.component_ids, scens.failure_times[order],
+                               scens.probs[order], scens.horizon_days)
+        report = decomp.solve(inst, permuted, inst.cfg)
+        assert report.schedule == base.schedule
+        assert report.objective.hex() == base.objective.hex()
+
+
 def test_threaded_run_matches_sequential():
     inst, scens = toy_instance(seed=19)
     seq = decomp.solve(inst, scens, inst.cfg)

@@ -8,9 +8,9 @@ from scipy import integrate
 from gridmaint.caseio import DegradationPriors
 from gridmaint.degrade import (ComponentRLD, NonDegradingError, ScenarioSet,
                                SignalObservations, SignalPath,
-                               SingularPosteriorError, bucket_probs, ig_cdf,
-                               observe, posterior_drift, rld, sample_scenarios,
-                               select_subset, simulate_signal)
+                               SingularPosteriorError, bucket_probs, group_rows,
+                               ig_cdf, observe, posterior_drift, rld,
+                               sample_scenarios, select_subset, simulate_signal)
 
 from cases import scenario_xi, toy_instance
 
@@ -318,6 +318,47 @@ def test_scenario_probabilities_uniform():
     scen = sample_scenarios({"g1": dist, "g2": dist}, 40, 7, seed=3)
     assert np.allclose(scen.probs, 1.0 / 40)
     assert scenario_xi(scen, 0).keys() == {"g1", "g2"}
+
+
+def _row_cases():
+    rng = np.random.default_rng(41)
+    return {
+        "ints": rng.integers(-2, 2, size=(60, 3)),
+        "ints-wide": rng.integers(1, 9, size=(20, 12))[rng.integers(0, 20, size=200)],
+        "bits": rng.integers(0, 2, size=(80, 5)).astype(np.uint8),
+        "bits-one-column": rng.integers(0, 2, size=(30, 1)).astype(np.uint8),
+        "no-columns": np.zeros((5, 0), dtype=int),
+        "no-rows": np.zeros((0, 3), dtype=int),
+        "one-row": np.array([[4, 1, 7]]),
+        "all-equal": np.full((9, 3), 2),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_row_cases()))
+def test_group_rows_equals_np_unique(name):
+    rows = _row_cases()[name]
+    first, inverse = group_rows(rows)
+    _, want_first, want_inverse = np.unique(rows, axis=0, return_index=True,
+                                            return_inverse=True)
+    assert first.tolist() == want_first.tolist()
+    assert inverse.tolist() == want_inverse.reshape(-1).tolist()
+
+
+def test_distinct_merges_equal_rows_and_sums_their_probabilities():
+    rng = np.random.default_rng(8)
+    times = rng.integers(1, 4, size=(40, 3))
+    weights = rng.uniform(0.1, 1.0, size=40)
+    scens = ScenarioSet(("g1", "l2", "g3"), times, weights / weights.sum(), 2)
+    merged, inverse = scens.distinct()
+    assert merged.component_ids == scens.component_ids
+    assert merged.horizon_days == scens.horizon_days
+    assert np.array_equal(merged.failure_times[inverse], times)
+    rows = [tuple(row) for row in merged.failure_times.tolist()]
+    assert rows == sorted(set(map(tuple, times.tolist())))
+    for i, row in enumerate(rows):
+        members = [k for k in range(40) if tuple(times[k]) == row]
+        assert merged.probs[i] == pytest.approx(sum(scens.probs[members]),
+                                                rel=1e-15)
 
 
 def test_scenario_csv_round_trip():

@@ -160,6 +160,55 @@ def test_evaluate_matches_a_per_scenario_loop():
         assert report.avg_failures == pytest.approx(avg_failures, rel=1e-12)
 
 
+def _expectations(report):
+    return [report.gm, report.tlm, report.ops, report.violation_freq,
+            *report.avg_failures.values()]
+
+
+def test_evaluate_on_duplicate_rows_matches_the_hand_merged_set():
+    inst, _ = toy_instance(seed=11)
+    cfg, comps = inst.cfg, inst.all_components
+    rng = np.random.default_rng(12)
+    distinct = sample_from_table(inst, comps, 6, seed=3).failure_times
+    rows = rng.integers(0, len(distinct), size=50)
+    weights = rng.uniform(0.2, 3.0, size=50)
+    scens = ScenarioSet(comps, distinct[rows], weights / weights.sum(),
+                        cfg.horizon_days)
+    merged_probs = {}
+    for k, row in enumerate(map(tuple, scens.failure_times.tolist())):
+        merged_probs[row] = merged_probs.get(row, 0.0) + float(scens.probs[k])
+    by_hand = ScenarioSet(comps, np.array(list(merged_probs)),
+                          np.array(list(merged_probs.values())), cfg.horizon_days)
+    index = {row: i for i, row in enumerate(merged_probs)}
+    schedule = {"g1": 2, "l1": 1}
+    cache = decomp.StatusCache()
+    report = saa.evaluate_schedule(inst, schedule, scens, cache)
+    merged = saa.evaluate_schedule(inst, schedule, by_hand)
+    assert report.n_scenarios == 50
+    assert _expectations(report) == pytest.approx(_expectations(merged), rel=1e-12)
+    # every scenario gets its own row's total, and every scenario-day counts
+    assert report.per_scenario_total.tolist() == [
+        merged.per_scenario_total[index[row]]
+        for row in map(tuple, scens.failure_times.tolist())]
+    assert cache.solved + cache.aliased == 50 * cfg.horizon_days
+
+
+def test_a_row_permutation_keeps_every_expectation_bit_equal():
+    # equal weights; sums taken in row order gave avg_failures["line_prime"]
+    # last bits that followed the order under permutations 0, 3 and 4, and
+    # ops under permutation 3
+    inst, _ = toy_instance(seed=20)
+    scens = sample_from_table(inst, inst.all_components, 300, seed=7)
+    schedule = {"g1": 2, "l1": 3}
+    base = _expectations(saa.evaluate_schedule(inst, schedule, scens))
+    for seed in range(5):
+        order = np.random.default_rng(seed).permutation(scens.size)
+        permuted = ScenarioSet(scens.component_ids, scens.failure_times[order],
+                               scens.probs[order], scens.horizon_days)
+        report = saa.evaluate_schedule(inst, schedule, permuted)
+        assert [v.hex() for v in _expectations(report)] == [v.hex() for v in base]
+
+
 def test_evaluate_rejects_incomplete_schedule():
     inst, _ = toy_instance(seed=8)
     times = np.full((2, len(inst.all_components)), inst.cfg.tbar, dtype=int)
