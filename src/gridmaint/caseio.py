@@ -14,8 +14,9 @@ import io
 import json
 import logging
 import math
+import numbers
 import re
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 
@@ -539,6 +540,12 @@ class RunConfig:
     priors_line: DegradationPriors = DEFAULT_LINE_PRIORS
 
     def __post_init__(self):
+        for f in fields(self):  # annotations are strings under __future__
+            want = {"int": numbers.Integral, "float": numbers.Real,
+                    "float | None": (numbers.Real, type(None))}.get(f.type)
+            value = getattr(self, f.name)
+            if want and (isinstance(value, bool) or not isinstance(value, want)):
+                raise CaseError(f"{f.name} must be of type {f.type}, got {value!r}")
         if self.horizon_days < 1 or self.subperiods < 1:
             raise CaseError("horizon and subperiods must be at least 1")
         if not (0.0 < self.alpha < 1.0):
@@ -571,11 +578,10 @@ class RunConfig:
             raise CaseError("failure-probability thresholds must lie in [0, 1]")
         if not (0.0 < self.significance < 1.0):
             raise CaseError("significance level must lie in (0, 1)")
-        if self.threads < 1:
-            raise CaseError("thread budget must be at least 1")
-        if self.iteration_limit < 0:
-            raise CaseError(f"iteration_limit must be >= 0, got {self.iteration_limit!r}")
-        for key in ("saa_m", "saa_n", "saa_nprime"):
+        for key in ("seed", "iteration_limit"):
+            if getattr(self, key) < 0:
+                raise CaseError(f"{key} must be >= 0, got {getattr(self, key)!r}")
+        for key in ("saa_m", "saa_n", "saa_nprime", "threads"):
             if getattr(self, key) < 1:
                 raise CaseError(f"{key} must be at least 1, got {getattr(self, key)!r}")
 

@@ -14,6 +14,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -69,10 +70,22 @@ def _write(path: Path, text: str) -> Path:
     return path
 
 
+def _finite(value):
+    """``value`` with every non-finite float in it, at any depth, as None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(item) for item in value]
+    return value
+
+
 def _report_json(payload: dict, config_hash: str) -> str:
-    payload = dict(payload)
-    payload["config_hash"] = config_hash
-    return json.dumps(payload, indent=2, sort_keys=True, default=str)
+    """RFC 8259 JSON: a stopped run's infinite gap is null; ``status`` says why."""
+    payload = _finite(dict(payload, config_hash=config_hash))
+    return json.dumps(payload, indent=2, sort_keys=True, default=str,
+                      allow_nan=False)
 
 
 def _schedule_csv(schedule: dict[str, int]) -> str:
@@ -243,7 +256,6 @@ def make_parser() -> argparse.ArgumentParser:
     plan.add_argument("--cuts", dest="cut_family", choices=CUT_FAMILIES)
     plan.add_argument("--scenarios", type=int, dest="saa_n", metavar="SCENARIOS",
                       help="training sample size")
-    plan.add_argument("--threads", type=int)
     plan.add_argument("--preflow", choices=("off", *preflow.MODES), default="off",
                       help="run flow preprocessing before planning")
     plan.add_argument("--scenario-file", dest="scenario_file",
@@ -267,7 +279,7 @@ def make_parser() -> argparse.ArgumentParser:
                     help="training sample size")
     sa.add_argument("--Nprime", type=int, dest="saa_nprime", metavar="NPRIME",
                     help="evaluation sample size")
-    sa.add_argument("--threads", type=int)
+    sa.add_argument("--threads", type=int, help="replicates solved at once")
     sa.set_defaults(func=cmd_saa)
     return parser
 

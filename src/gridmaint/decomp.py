@@ -19,7 +19,6 @@ from __future__ import annotations
 import logging
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +31,7 @@ from .instance import DayKey, Instance, check_horizon
 log = logging.getLogger(__name__)
 
 __all__ = ["StatusCache", "SolveReport", "DecompositionRun",
-           "compute_lower_bounds", "day_values", "pooled_map", "solve"]
+           "compute_lower_bounds", "day_values", "solve"]
 
 
 class StatusCache:
@@ -85,15 +84,6 @@ def _relative_gap(ub: float, lb: float) -> float:
     return (ub - lb) / abs(ub)
 
 
-def pooled_map(fn, items: list, threads: int) -> list:
-    """``fn`` of every item, in order, on a pool of ``threads`` threads when
-    there are several and more than one item."""
-    if threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 def _distinct_rows(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Group equal rows of a 0/1 array: the first row of each group, in the
     groups' sorted order, and every row's group number.  Packing eight bits
@@ -110,22 +100,22 @@ def compute_lower_bounds(inst: Instance, scenarios: ScenarioSet, cfg: RunConfig,
     distinct rows of its :func:`ucmodel.lower_bound_patterns` in sorted
     order: it sets the row's column bounds and solves once for each
     scenario-day with that row, every solve after the day's first starting
-    from the basis the one before left.  Days are mapped on the pool, each
-    day's rows in sequence on one thread, so the bounds depend neither on
-    the order of the scenarios nor on ``cfg.threads``.  Past ``deadline`` (a
-    ``time.perf_counter()`` value, checked before each row's solves) no
-    further row is solved and the remaining entries stay 0.0, which still
-    bounds the non-negative recourse.  ``counts``, when given, gains
-    ``lb_solved``, ``lb_aliased``, ``lb_models`` (distinct (day, row) LPs
-    solved) and ``lb_iterations`` (simplex iterations over every solve).
+    from the basis the one before left.  Days run one after another on the
+    calling thread, and the sorted order keeps the bounds independent of the
+    order of the scenarios.  Past ``deadline`` (a ``time.perf_counter()`` value, checked
+    before each row's solves) no further row is solved and the remaining
+    entries stay 0.0, which still bounds the non-negative recourse.
+    ``counts``, when given, gains ``lb_solved``, ``lb_aliased``,
+    ``lb_models`` (distinct (day, row) LPs solved) and ``lb_iterations``
+    (simplex iterations over every solve).
     """
-    n, horizon = scenarios.size, cfg.horizon_days
     xi = scenarios.failure_days(inst.hprime, cfg.tbar)
-
-    def bound_day(t):
+    values = np.zeros((scenarios.size, cfg.horizon_days))
+    solved = models = iterations = 0
+    for t in range(1, cfg.horizon_days + 1):
         patterns = ucmodel.lower_bound_patterns(xi, t, cfg, inst.hprime, inst.kinds)
         first, inverse = _distinct_rows(patterns)
-        spec, solved = None, []  # solved: (scenario rows, their solves) per key
+        spec = None
         for key, pattern in enumerate(patterns[first]):
             if deadline is not None and time.perf_counter() > deadline:
                 break
@@ -134,19 +124,11 @@ def compute_lower_bounds(inst: Instance, scenarios: ScenarioSet, cfg: RunConfig,
                                               inst.hprime)
             else:
                 ucmodel.set_lower_bound_pattern(spec, pattern)
-            rows = np.flatnonzero(inverse == key)
-            solved.append((rows, [ucmodel.solve_lower_bound(spec) for _ in rows]))
-        return solved
-
-    days = list(range(1, horizon + 1))
-    values = np.zeros((n, horizon))
-    solved = models = iterations = 0
-    for t, keys in zip(days, pooled_map(bound_day, days, cfg.threads)):
-        for rows, result in keys:
-            values[rows, t - 1] = [value for value, _ in result]
-            iterations += sum(its for _, its in result)
-            solved += len(rows)
-        models += len(keys)
+            for row in np.flatnonzero(inverse == key):
+                values[row, t - 1], its = ucmodel.solve_lower_bound(spec)
+                iterations += its
+                solved += 1
+            models += 1
     if counts is not None:
         counts.update(lb_solved=solved, lb_aliased=0, lb_models=models,
                       lb_iterations=iterations)
@@ -180,7 +162,8 @@ def day_values(inst: Instance, scenarios: ScenarioSet, cfg: RunConfig,
             down = frozenset(c for c, bit in zip(components, row) if not bit)
             cells.append(inst.day_key(t, down))
 
-    def solve_one(key):
+    missing = [key for key in dict.fromkeys(cells) if cache.lookup(key) is None]
+    for key in missing:
         if deadline is not None and time.perf_counter() > deadline:
             return None  # the budget is spent: no model is built
         model = ucmodel.build_subproblem(
@@ -192,15 +175,7 @@ def day_values(inst: Instance, scenarios: ScenarioSet, cfg: RunConfig,
         outcome = ucmodel.solve_subproblem(model, cfg.subproblem_gap, remaining)
         if outcome.status != "optimal":
             return None
-        return float(outcome.objective), float(outcome.bound)
-
-    missing = [key for key in dict.fromkeys(cells) if cache.lookup(key) is None]
-    results = pooled_map(solve_one, missing, cfg.threads)
-    for key, result in zip(missing, results):
-        if result is not None:
-            cache.store(key, *result)
-    if None in results:
-        return None
+        cache.store(key, float(outcome.objective), float(outcome.bound))
     cache.aliased += cell_ids.size - len(missing)
     values = np.array([cache.lookup(key) for key in cells], dtype=float)
     return values[cell_ids]

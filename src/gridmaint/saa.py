@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field, replace
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -176,6 +177,12 @@ def run_saa(inst: Instance, cfg: RunConfig | None = None,
     The test set is sampled with equal weights, and the upper-bound CI and
     each replicate's ``eval_total`` take plain means over
     ``per_scenario_total``, which holds only for an equally weighted set.
+
+    ``cfg.threads`` replicates are solved at once, each on a pool thread,
+    while the calling thread evaluates each finished replicate's schedule,
+    in replicate order; no other thread touches the evaluation cache.  A
+    replicate depends only on its spawned stream, so the report's bits do
+    not depend on ``cfg.threads``.
     """
     cfg = cfg or inst.cfg
     if cfg.saa_m < 2:
@@ -187,29 +194,27 @@ def run_saa(inst: Instance, cfg: RunConfig | None = None,
     streams = rng.spawn(cfg.saa_m + 1)
     test_set = test_scenarios(inst, cfg.saa_nprime, streams[0])
 
-    solve_cfg = replace(cfg, threads=1) if cfg.threads > 1 else cfg
-
     def one_replicate(i: int) -> dict:
         train = training_scenarios(inst, cfg.saa_n, streams[i + 1])
-        report = decomp.solve(inst, train, solve_cfg)
+        report = decomp.solve(inst, train, cfg)
         return {"index": i, "status": report.status, "z": report.objective,
                 "schedule": report.schedule, "iterations": report.iterations}
 
-    replicates = decomp.pooled_map(one_replicate, list(range(cfg.saa_m)),
-                                   cfg.threads)
-
+    eval_cache = decomp.StatusCache()
+    replicates = []
+    with ThreadPoolExecutor(max_workers=min(cfg.threads, cfg.saa_m)) as pool:
+        for r in pool.map(one_replicate, range(cfg.saa_m)):
+            replicates.append(r)
+            if r["status"] != "optimal":
+                log.warning("SAA replicate %d ended %s; excluded", r["index"],
+                            r["status"])
+                continue
+            ev = evaluate_schedule(inst, r["schedule"], test_set, eval_cache, cfg)
+            r["eval_total"] = float(ev.per_scenario_total.mean())
+            r["eval"] = ev
     usable = [r for r in replicates if r["status"] == "optimal"]
-    for r in replicates:
-        if r["status"] != "optimal":
-            log.warning("SAA replicate %d ended %s; excluded", r["index"], r["status"])
     if len(usable) < 2:
         raise solver.SolverError("fewer than two SAA replicates solved to optimality")
-
-    eval_cache = decomp.StatusCache()
-    for r in usable:
-        ev = evaluate_schedule(inst, r["schedule"], test_set, eval_cache, cfg)
-        r["eval_total"] = float(ev.per_scenario_total.mean())
-        r["eval"] = ev
 
     best = min(usable, key=lambda r: r["eval_total"])
     mu_u, sigma_u, ci_u = upper_bound_stats(best["eval"].per_scenario_total,

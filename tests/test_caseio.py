@@ -295,7 +295,8 @@ def test_config_json_round_trip():
     dict(time_limit=float("nan")), dict(curtail_cost=-50.0),
     dict(curtail_cost=float("inf")), dict(curtail_cost=float("nan")),
     dict(iteration_limit=-3), dict(saa_m=0), dict(saa_n=0), dict(saa_nprime=0),
-    dict(saa_n=-1),
+    dict(saa_n=-1), dict(rho_gen=1.5), dict(saa_m=3.5), dict(threads=True),
+    dict(alpha="0.1"), dict(seed=-1),
 ])
 def test_config_invariants(bad):
     with pytest.raises(CaseError):
@@ -306,6 +307,8 @@ def test_config_invariants(bad):
     ("epsilon", float("nan")), ("subproblem_gap", -1.0), ("time_limit", -5.0),
     ("curtail_cost", -50.0), ("curtail_cost", float("inf")),
     ("iteration_limit", -3), ("saa_m", 0), ("saa_n", 0), ("saa_nprime", 0),
+    ("rho_gen", 1.5), ("saa_m", 3.5), ("threads", True), ("alpha", "0.1"),
+    ("seed", -1),
 ])
 def test_config_error_names_the_key(key, value):
     # rejected when the config is built, not deep in a solve after the

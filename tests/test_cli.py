@@ -136,7 +136,6 @@ def test_plan_reproducible_from_seed(workdir):
     ("plan", "--chance", "safe", "chance_mode"),
     ("plan", "--cuts", "optK", "cut_family"),
     ("plan", "--scenarios", 9, "saa_n"),
-    ("plan", "--threads", 2, "threads"),
     ("plan", "--seed", 11, "seed"),
     ("evaluate", "--test-scenarios", 9, "saa_nprime"),
     ("saa", "--M", 3, "saa_m"),
@@ -165,6 +164,24 @@ def test_plan_limit_exit_code(workdir):
     cfg = dict(BASE_CONFIG, iteration_limit=0)
     (workdir / "config.json").write_text(json.dumps(cfg))
     assert run_cli(workdir, "plan") == EXIT_LIMIT
+    # a run stopped before any incumbent has no finite objective, bound or
+    # gap; the report stays RFC 8259 JSON, which has no Infinity or NaN
+    text = (workdir / "out" / "plan_report.json").read_text()
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    report = json.loads(text, parse_constant=reject)
+    assert report["status"] == "limit"
+    assert report["objective"] is None and report["bound"] is None
+    assert report["gap"] is None
+
+
+def test_plan_has_no_threads_flag(capsys):
+    # a plan runs on the calling thread; only saa solves replicates at once
+    with pytest.raises(SystemExit):
+        make_parser().parse_args(["plan", "--case", "c.m", "--threads", "2"])
+    assert "--threads" in capsys.readouterr().err
 
 
 def test_plan_invalid_flag_combination(workdir):

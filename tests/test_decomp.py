@@ -265,15 +265,6 @@ def test_objective_does_not_follow_the_order_of_the_scenarios():
         assert report.objective.hex() == base.objective.hex()
 
 
-def test_threaded_run_matches_sequential():
-    inst, scens = toy_instance(seed=19)
-    seq = decomp.solve(inst, scens, inst.cfg)
-    threaded_cfg = inst.cfg.__class__(**{**inst.cfg.__dict__, "threads": 4})
-    par = decomp.solve(inst, scens, threaded_cfg)
-    assert par.objective == pytest.approx(seq.objective, rel=1e-9)
-    assert par.schedule == seq.schedule
-
-
 def test_infeasible_when_fixed_components_break_the_constraint():
     # two non-candidate generators with near-certain failures push the class
     # count past rho for every schedule: the exact loop must prove infeasible

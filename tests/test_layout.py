@@ -10,6 +10,9 @@ Every name a module imports is loaded by that module's own code.
 No module reduces through BLAS (``@``, ``dot``, ``matmul``, ``inner``,
 ``vdot``): OpenBLAS splits such a sum across its threads, so its bits
 would follow the BLAS thread count.
+
+Only ``saa`` imports ``concurrent.futures`` and only ``solver`` imports
+``threading``.
 """
 
 import ast
@@ -116,3 +119,29 @@ def test_no_module_reduces_through_blas():
     found = [f"{module}.py:{line}" for module, tree in _trees().items()
              for line in _blas_reductions(tree)]
     assert found == []
+
+
+def _importers(trees, package):
+    """The modules that import ``package`` or a module inside it."""
+    found = set()
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name == package or name.startswith(package + ".")
+                   for name in names):
+                found.add(module)
+    return found
+
+
+def test_concurrency_lives_in_saa_and_solver():
+    # SAA replicates are the one thing solved at once; each thread's HiGHS
+    # instance is the one piece of per-thread state.  A pool in the plan or
+    # evaluation path would share the cache, the master and the bound arrays
+    trees = _trees()
+    assert _importers(trees, "concurrent") == {"saa"}
+    assert _importers(trees, "threading") == {"solver"}

@@ -1,9 +1,7 @@
 """The lower-bound phase: one LP built per day, re-solved for each outage class
 and scenario-day."""
 
-import dataclasses
 import itertools
-import sys
 import types
 
 import numpy as np
@@ -36,25 +34,18 @@ def every_failure_row(inst):
                        inst.cfg.horizon_days)
 
 
-@pytest.mark.parametrize("threads", [1, 3])
-def test_grouped_bounds_equal_per_scenario_day_reference(threads):
+def test_grouped_bounds_equal_per_scenario_day_reference():
     # every failure row x day against the per-period LP solved cold; a re-solve
-    # from another class's basis agrees with it to round-off, not bit for bit.
-    # More threads than cores, switching often: the pool shares the HiGHS options
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for inst, _ in instances():
-            scens = every_failure_row(inst)
-            cfg = dataclasses.replace(inst.cfg, threads=threads)
-            got = decomp.compute_lower_bounds(inst, scens, cfg)
-            want = np.array([[reference_lower_bound(inst, row, t, cfg)
-                              for t in range(1, cfg.horizon_days + 1)]
-                             for row in scens.failure_times.tolist()])
-            assert got.shape == (scens.size, cfg.horizon_days)
-            np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
-    finally:
-        sys.setswitchinterval(interval)
+    # from another class's basis agrees with it to round-off, not bit for bit
+    for inst, _ in instances():
+        scens = every_failure_row(inst)
+        cfg = inst.cfg
+        got = decomp.compute_lower_bounds(inst, scens, cfg)
+        want = np.array([[reference_lower_bound(inst, row, t, cfg)
+                          for t in range(1, cfg.horizon_days + 1)]
+                         for row in scens.failure_times.tolist()])
+        assert got.shape == (scens.size, cfg.horizon_days)
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
 
 
 def case9_plan_inputs(n_scen, **cfg_changes):
@@ -66,20 +57,18 @@ def case9_plan_inputs(n_scen, **cfg_changes):
     return inst, training_scenarios(inst, n_scen, seed=5), cfg
 
 
-def test_bounds_do_not_depend_on_scenario_order_or_threads():
+def test_bounds_do_not_depend_on_scenario_order():
     # a day's classes are re-solved hot in sorted order, so the bits of a
     # bound do not depend on which scenario shows a class first
     inst, scens, cfg = case9_plan_inputs(20)
     got = decomp.compute_lower_bounds(inst, scens, cfg)
     rng = np.random.default_rng(0)
-    for threads in (1, 3):
-        for _ in range(3):
-            order = rng.permutation(scens.size)
-            permuted = ScenarioSet(scens.component_ids, scens.failure_times[order],
-                                   scens.probs[order], scens.horizon_days)
-            again = decomp.compute_lower_bounds(
-                inst, permuted, dataclasses.replace(cfg, threads=threads))
-            assert again.tobytes() == got[order].tobytes()
+    for _ in range(3):
+        order = rng.permutation(scens.size)
+        permuted = ScenarioSet(scens.component_ids, scens.failure_times[order],
+                               scens.probs[order], scens.horizon_days)
+        again = decomp.compute_lower_bounds(inst, permuted, cfg)
+        assert again.tobytes() == got[order].tobytes()
 
 
 def test_one_build_per_day_one_solve_per_scenario_day(monkeypatch):

@@ -9,13 +9,15 @@ import numpy as np
 import pytest
 
 from gridmaint import decomp, saa
-from gridmaint.caseio import RunConfig
+from gridmaint.caseio import RunConfig, parse_case, synth_demand
 from gridmaint.degrade import ScenarioSet
+from gridmaint.instance import build_instance
 from gridmaint.pboracle import joint_oracle
 from gridmaint.ucmodel import build_subproblem, solve_subproblem
 
-from cases import (HORIZON_MISMATCHES, build_net, make_instance, reference_status_bit,
-                   scenario_xi, toy_instance, unavailable_components)
+from cases import (CASE9, HORIZON_MISMATCHES, build_net, make_instance,
+                   reference_status_bit, scenario_xi, toy_instance,
+                   unavailable_components)
 from oracle_extform import extensive_solve
 
 
@@ -418,13 +420,31 @@ def test_cache_reuse_matches_fresh_evaluation():
 
 
 def test_run_saa_threaded_replicates():
-    inst = never_failing_instance()
-    cfg = inst.cfg.__class__(**{**inst.cfg.__dict__, "threads": 3})
-    seq = saa.run_saa(inst, seed=4)
-    inst.cfg = cfg
-    par = saa.run_saa(inst, cfg, seed=4)
-    assert par.mu_upper == pytest.approx(seq.mu_upper, rel=1e-9)
-    assert par.mu_lower == pytest.approx(seq.mu_lower, rel=1e-9)
+    # replicates that differ in objective, schedule and iteration count give
+    # the same bits solved one at a time and several at a time, with more
+    # threads than cores switching often: each depends on its own stream and
+    # on nothing the threads share
+    cfg = RunConfig(horizon_days=3, subperiods=4, epsilon=1e-3, subproblem_gap=1e-6,
+                    pfail_gen=0.05, pfail_line=0.05, saa_m=3, saa_n=6, saa_nprime=30)
+    net = parse_case(CASE9, subperiods=cfg.subperiods)
+    inst = build_instance(net, synth_demand(net, cfg, seed=1), cfg, seed=12)
+    seq = saa.run_saa(inst, cfg, seed=4)
+    assert len({r["z"] for r in seq.replicates}) == cfg.saa_m
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for threads in (2, 3):
+            par = saa.run_saa(inst, dataclasses.replace(cfg, threads=threads), seed=4)
+            assert par.gap_pct.hex() == seq.gap_pct.hex()
+            assert par.best_schedule == seq.best_schedule
+            for a, b in zip(par.replicates, seq.replicates, strict=True):
+                assert a["status"] == b["status"]
+                assert a["z"].hex() == b["z"].hex()
+                assert a["schedule"] == b["schedule"]
+                assert a["iterations"] == b["iterations"]
+    finally:
+        sys.setswitchinterval(interval)
+
 
 # one evaluation over 20 000 scenarios of unequal probability; prints every
 # probability-weighted sum as float hex
