@@ -4,7 +4,7 @@ Every command reads a case file, a demand source (CSV, or a synthesized
 profile), and a JSON config; results land in the output directory as CSV and
 JSON artifacts carrying the config hash, so any run is reproducible from its
 inputs and seed alone.  Logs go to stderr.  Exit status: 0 on success, 2 when
-an iteration or time limit stopped a solve, 1 on errors.
+an iteration or time limit stopped a solve, 1 on errors and usage errors.
 """
 
 from __future__ import annotations
@@ -285,7 +285,10 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = make_parser().parse_args(argv)
+    try:
+        args = make_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
+        return EXIT_ERROR if exc.code else EXIT_OK
     logging.basicConfig(stream=sys.stderr,
                         level=logging.DEBUG if args.verbose else logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")

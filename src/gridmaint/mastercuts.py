@@ -225,8 +225,11 @@ class MasterState:
         return True
 
     def add_static_row(self, cut: LinearCut) -> None:
-        """Append ``cut`` to the model as a row."""
-        coeffs = {self.vidx[pair]: c for pair, c in cut.v_coeffs if pair in self.vidx}
+        """Append ``cut`` as a row; naming a pair without a column raises."""
+        missing = [pair for pair, _ in cut.v_coeffs if pair not in self.vidx]
+        if missing:
+            raise ValueError(f"cut {cut.name!r} names {missing}, which the master lacks")
+        coeffs = {self.vidx[pair]: c for pair, c in cut.v_coeffs}
         coeffs.update((self.tidx[key], c) for key, c in cut.theta_coeffs)
         add = self.spec.add_le if cut.sense == "<=" else self.spec.add_ge
         add(coeffs, cut.rhs)

@@ -1,12 +1,12 @@
 """Flow-limit redundancy preprocessing.
 
-A single-period relaxation of the operational problem (switching and
-commitment continuous, start/stop and ramping dropped, demand free below a
-cap) bounds how large each line flow can ever get.  If the relaxed extreme is
-strictly inside a static limit, that limit row can never bind and is dropped
-from every subproblem it covers.  The three modes trade LP count against cap
-tightness: one horizon-wide peak cap, one cap per day, or the exact hourly
-demand.
+A single-period relaxation of the operational problem (switching continuous,
+start/stop and ramping dropped, output in [0, p_max] and served demand in
+[0, cap], the exact projections of commitment and curtailment) bounds each
+line flow.  If the relaxed extreme is strictly inside a static limit, that
+limit row can never bind and is dropped from every subproblem it covers.  The
+three modes trade LP count against cap tightness: one horizon-wide peak cap,
+one cap per day, or the exact hourly demand.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import numpy as np
 
 from . import solver
 from .caseio import DemandGrid, Network, require_grid_buses
+from .degrade import group_rows
 from .ucmodel import add_ohm_row, add_switched_line_rows
 
 log = logging.getLogger(__name__)
@@ -49,14 +50,9 @@ class RedundancyReport:
         """Bound rows deletable on 1-based ``day`` as (line, dir, 0-based hour)."""
         out = set()
         for e in self.entries:
-            if not e.redundant:
-                continue
-            if e.scope == ():
-                out.update((e.line_id, e.direction, s) for s in range(subperiods))
-            elif len(e.scope) == 1 and e.scope[0] == day:
-                out.update((e.line_id, e.direction, s) for s in range(subperiods))
-            elif len(e.scope) == 2 and e.scope[0] == day:
-                out.add((e.line_id, e.direction, e.scope[1] - 1))
+            if e.redundant and e.scope[:1] in ((), (day,)):
+                hours = (e.scope[1] - 1,) if len(e.scope) == 2 else range(subperiods)
+                out.update((e.line_id, e.direction, s) for s in hours)
         return frozenset(out)
 
     def redundancy_ratio(self, direction: str) -> float:
@@ -75,35 +71,25 @@ class RedundancyReport:
 
 class _RelaxedFlowLP:
     """Single-period relaxation, built once and re-solved for every cap vector
-    (the demand variables' upper bounds) and target line (the objective)."""
+    (the served-demand columns' upper bounds) and target line (the objective).
+    With x in [0, 1] and p_min x <= p <= p_max x, x = p / p_max shows that p
+    ranges over [0, p_max]; with 0 <= q <= d <= cap, served load d - q ranges
+    over [0, cap].  So the relaxation has no commitment or curtailment columns."""
 
     def __init__(self, net: Network, candidate_lines: frozenset[str]):
         spec = solver.ModelSpec("flow_relax")
         bus_pos = net.bus_index()
-        n_bus = len(net.buses)
 
         # upper bounds are the demand caps, written by set_caps
         d = [spec.add_var(lb=0.0, ub=0.0) for _ in net.buses]
-        q = [spec.add_var(lb=0.0) for _ in net.buses]
         delta = [spec.add_var(lb=b.delta_min, ub=b.delta_max) for b in net.buses]
-        for i in range(n_bus):
-            spec.add_le({q[i]: 1.0, d[i]: -1.0}, 0.0)  # curtail at most demand
+        p = [spec.add_var(lb=0.0, ub=gen.p_max) for gen in net.generators]
 
-        p = []
-        for gen in net.generators:
-            xv = spec.add_var(lb=0.0, ub=1.0)
-            pv = spec.add_var(lb=0.0)
-            spec.add_le({pv: 1.0, xv: -gen.p_max}, 0.0)
-            spec.add_ge({pv: 1.0, xv: -gen.p_min}, 0.0)
-            p.append(pv)
-
-        self.fvar: dict[str, int] = {}
         f = []
         for line in net.lines:
             b_mw = net.line_susceptance_mw(line)
             fi, ti = bus_pos[line.from_bus], bus_pos[line.to_bus]
             fv = spec.add_var(lb=-solver.INF, ub=solver.INF)
-            self.fvar[line.id] = fv
             f.append(fv)
             if line.id in candidate_lines:
                 # switchable: relaxed on/off with big-M Ohm and linked bounds
@@ -114,13 +100,14 @@ class _RelaxedFlowLP:
                 add_ohm_row(spec, fv, delta[fi], delta[ti], b_mw)
 
         for i, (gens, lines) in enumerate(net.bus_incidence()):
-            coeffs: dict[int, float] = {q[i]: 1.0, d[i]: -1.0}
+            coeffs: dict[int, float] = {d[i]: -1.0}
             for g in gens:
                 coeffs[p[g]] = 1.0
             for j, sign in lines:
                 coeffs[f[j]] = coeffs.get(f[j], 0.0) + sign
             spec.add_eq(coeffs, 0.0)
         self.spec = spec
+        self.fvar = {line.id: fv for line, fv in zip(net.lines, f)}
         self.dem = d
         self._target: int | None = None
         self.iterations = 0  # simplex iterations over every extreme() so far
@@ -169,28 +156,30 @@ def analyze(net: Network, grid: DemandGrid, mode: str,
     bounds and are never probed.
 
     Probes run target-major: for each (line, direction) the relaxation is
-    re-solved over every cap vector, sorted so that equal vectors are
-    adjacent.  A re-solve then changes only the demand caps, which leaves
-    the kept basis dual feasible, so dual simplex restarts from it (and a
-    repeated vector, whose caps are not set again, takes no iteration).
+    re-solved over every cap vector, grouped by :func:`degrade.group_rows`
+    so that equal vectors are adjacent and the caps are set once per group.
+    A re-solve then changes only the demand caps, which leaves the kept
+    basis dual feasible, so dual simplex restarts from it (and a repeated
+    vector, whose caps are not set again, takes no iteration).
     Entries come out scope-major.
     """
     require_grid_buses(net, grid)
     started = time.perf_counter()
     targets = [line for line in net.lines if line.id not in candidate_lines]
     scoped = list(_cap_vectors(grid, mode))
-    by_caps = sorted(range(len(scoped)), key=lambda k: scoped[k][1].tolist())
-    # a sweep sets the caps at its start and then only where they change
-    new_caps = [i == 0 or not np.array_equal(scoped[k][1], scoped[by_caps[i - 1]][1])
-                for i, k in enumerate(by_caps)]
+    caps = np.array([cap for _, cap in scoped])
+    _, group = group_rows(caps)
+    # the scopes of each group of equal cap vectors, groups in sorted order
+    groups = np.split(np.argsort(group, kind="stable"),
+                      np.cumsum(np.bincount(group))[:-1])
     lp = _RelaxedFlowLP(net, candidate_lines)
     f_star: dict[tuple[int, str, str], float] = {}
     for line in targets:
         for direction in ("ub", "lb"):
-            for k, new in zip(by_caps, new_caps):
-                if new:
-                    lp.set_caps(scoped[k][1])
-                f_star[k, line.id, direction] = lp.extreme(line.id, direction)
+            for scopes in groups:
+                lp.set_caps(caps[scopes[0]])
+                for k in scopes:
+                    f_star[k, line.id, direction] = lp.extreme(line.id, direction)
     entries: list[RedundancyEntry] = []
     for k, (scope, _) in enumerate(scoped):
         for line in targets:

@@ -201,6 +201,7 @@ def run_saa(inst: Instance, cfg: RunConfig | None = None,
                 "schedule": report.schedule, "iterations": report.iterations}
 
     eval_cache = decomp.StatusCache()
+    reports: dict[tuple, EvalReport] = {}  # keyed by a schedule's sorted items
     replicates = []
     with ThreadPoolExecutor(max_workers=min(cfg.threads, cfg.saa_m)) as pool:
         for r in pool.map(one_replicate, range(cfg.saa_m)):
@@ -209,9 +210,12 @@ def run_saa(inst: Instance, cfg: RunConfig | None = None,
                 log.warning("SAA replicate %d ended %s; excluded", r["index"],
                             r["status"])
                 continue
-            ev = evaluate_schedule(inst, r["schedule"], test_set, eval_cache, cfg)
-            r["eval_total"] = float(ev.per_scenario_total.mean())
-            r["eval"] = ev
+            key = tuple(sorted(r["schedule"].items()))
+            if key not in reports:
+                reports[key] = evaluate_schedule(inst, r["schedule"], test_set,
+                                                 eval_cache, cfg)
+            r["eval"] = reports[key]
+            r["eval_total"] = float(r["eval"].per_scenario_total.mean())
     usable = [r for r in replicates if r["status"] == "optimal"]
     if len(usable) < 2:
         raise solver.SolverError("fewer than two SAA replicates solved to optimality")

@@ -184,6 +184,14 @@ def test_plan_has_no_threads_flag(capsys):
     assert "--threads" in capsys.readouterr().err
 
 
+
+def test_a_usage_error_exits_as_an_error_not_as_a_limit(capsys):
+    # argparse would exit 2, which is EXIT_LIMIT: a run stopped at its limit
+    assert main(["plan", "--case", "c.m", "--threads", "2"]) == EXIT_ERROR
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+    assert main(["plan", "--help"]) == EXIT_OK
+    assert "--preflow" in capsys.readouterr().out
+
 def test_plan_invalid_flag_combination(workdir):
     cfg = dict(BASE_CONFIG, aggregation="single")
     (workdir / "config.json").write_text(json.dumps(cfg))

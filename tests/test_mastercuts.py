@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -240,6 +241,19 @@ def test_master_cost_coefficients_split():
     coeffs = [master.obj_v[("h1", t)] for t in range(1, 6)]
     assert coeffs == [100.0, 100.0, 300.0, 300.0, 300.0]
 
+
+
+def test_a_row_naming_a_pair_the_master_lacks_raises():
+    # a dropped coefficient would weaken the row, so it is refused whole
+    cfg = RunConfig(horizon_days=3, subperiods=1, cut_family="optK")
+    master = MasterState(("h1",), scen([[4]], 3), cfg, {"h1": (10.0, 30.0)}, KINDS,
+                         np.zeros((1, 3)))
+    rows = master.num_rows
+    for pair in (("h2", 1), ("h1", cfg.tbar + 1)):
+        cut = LinearCut.make({("h1", 1): 1.0, pair: 1.0}, 1.0, name="foreign")
+        with pytest.raises(ValueError, match=re.escape(f"'foreign' names [{pair!r}]")):
+            master.add_static_row(cut)
+        assert master.num_rows == rows
 
 def test_master_solve_honours_theta_floor_and_cuts():
     cfg = RunConfig(horizon_days=2, subperiods=1, cut_family="optK",

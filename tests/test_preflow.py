@@ -25,6 +25,69 @@ def flow_extreme(net, demand_cap, line_id, direction, candidate_lines=frozenset(
     return lp.extreme(line_id, direction)
 
 
+
+def reference_extreme(net, demand_cap, line_id, direction, candidate_lines=frozenset()):
+    """Extreme flow of one line over the relaxation in its original form, as
+    dense matrices for ``scipy.optimize.linprog``: curtailment q <= d at each
+    bus, and relaxed commitment x in [0, 1] with p_min x <= p <= p_max x.
+    ``_RelaxedFlowLP`` projects both out; its extremes must match these."""
+    from scipy.optimize import linprog
+    n_bus, n_gen = len(net.buses), len(net.generators)
+    cand = [j for j, line in enumerate(net.lines) if line.id in candidate_lines]
+    # columns: d, q, delta per bus; x, p per generator; f per line; y per candidate
+    d, q, delta = 0, n_bus, 2 * n_bus
+    x, p = 3 * n_bus, 3 * n_bus + n_gen
+    f = 3 * n_bus + 2 * n_gen
+    y = {j: f + len(net.lines) + i for i, j in enumerate(cand)}
+    n_col = f + len(net.lines) + len(cand)
+    bounds = ([(0.0, float(cap)) for cap in demand_cap] + [(0.0, None)] * n_bus
+              + [(b.delta_min, b.delta_max) for b in net.buses]
+              + [(0.0, 1.0)] * n_gen + [(0.0, None)] * n_gen
+              + [(None, None)] * len(net.lines) + [(0.0, 1.0)] * len(cand))
+    pos = {b.id: i for i, b in enumerate(net.buses)}
+    a_ub, b_ub, a_eq, b_eq = [], [], [], []
+
+    def row(entries):
+        r = np.zeros(n_col)
+        for col, coeff in entries:
+            r[col] += coeff
+        return r
+
+    for i in range(n_bus):
+        a_ub.append(row([(q + i, 1.0), (d + i, -1.0)]))
+        b_ub.append(0.0)
+    for g, gen in enumerate(net.generators):
+        a_ub += [row([(p + g, 1.0), (x + g, -gen.p_max)]),
+                 row([(p + g, -1.0), (x + g, gen.p_min)])]
+        b_ub += [0.0, 0.0]
+    balance = [[(q + i, 1.0), (d + i, -1.0)] for i in range(n_bus)]
+    for g, gen in enumerate(net.generators):
+        balance[pos[gen.bus]].append((p + g, 1.0))
+    for j, line in enumerate(net.lines):
+        fi, ti = pos[line.from_bus], pos[line.to_bus]
+        balance[fi].append((f + j, -1.0))
+        balance[ti].append((f + j, 1.0))
+        b = net.base_mva * line.susceptance
+        ohm = [(f + j, 1.0), (delta + fi, -b), (delta + ti, b)]
+        if j in y:
+            m, lim = line.big_m, line.flow_limit
+            a_ub += [row(ohm + [(y[j], m)]),
+                     -row(ohm + [(y[j], -m)]),
+                     row([(f + j, 1.0), (y[j], -lim)]),
+                     row([(f + j, -1.0), (y[j], -lim)])]
+            b_ub += [m, m, 0.0, 0.0]
+        else:
+            a_eq.append(row(ohm))
+            b_eq.append(0.0)
+    a_eq += [row(entries) for entries in balance]
+    b_eq += [0.0] * n_bus
+    target = f + [line.id for line in net.lines].index(line_id)
+    c = row([(target, -1.0 if direction == "ub" else 1.0)])
+    res = linprog(c, A_ub=np.array(a_ub), b_ub=b_ub, A_eq=np.array(a_eq), b_eq=b_eq,
+                  bounds=bounds, method="highs")
+    assert res.status == 0, res.message
+    return -res.fun if direction == "ub" else res.fun
+
 def test_two_bus_redundant_when_demand_below_limit():
     net = build_net(n_bus=2, demands=[0.0, 50.0], flow_limit=100.0)
     f_star = flow_extreme(net, np.array([0.0, 50.0]), "l1", "ub")
@@ -175,6 +238,27 @@ def test_shared_relaxation_matches_a_fresh_model_per_probe():
                                        else fresh > -limit[e.line_id] + _STRICT_TOL)
                     assert e.redundant == fresh_redundant
 
+
+
+def test_projected_relaxation_matches_the_curtailment_and_commitment_form():
+    # the relaxation carries neither curtailment nor commitment columns; with
+    # p_min > 0 and a switchable line, every line's extreme in each direction
+    # must equal the original form's over zero caps, caps above all
+    # generation, and random caps in between
+    net = build_net(n_bus=4, n_gen=3, lines=[(1, 2), (2, 3), (3, 4), (1, 4), (2, 4)],
+                    flow_limits=[30.0, 50.0, 70.0, 40.0, 60.0], p_min=35.0,
+                    p_max=120.0, gen_buses=[1, 3, 4])
+    assert all(gen.p_min > 0 for gen in net.generators)
+    rng = np.random.default_rng(17)
+    caps = [np.zeros(4), np.full(4, 500.0)] + list(rng.uniform(0, 150, size=(6, 4)))
+    for candidates in (frozenset(), frozenset({"l4"})):
+        for cap in caps:
+            for line in net.lines:
+                for direction in ("ub", "lb"):
+                    got = flow_extreme(net, cap, line.id, direction, candidates)
+                    want = reference_extreme(net, cap, line.id, direction, candidates)
+                    assert abs(got - want) <= 1e-7 * max(1.0, abs(want)), \
+                        (candidates, cap, line.id, direction, got, want)
 
 def test_probes_of_one_target_change_only_the_demand_caps(monkeypatch):
     # target-major order: one (line, direction) is probed over every cap

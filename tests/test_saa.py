@@ -446,6 +446,39 @@ def test_run_saa_threaded_replicates():
         sys.setswitchinterval(interval)
 
 
+
+def test_run_saa_evaluates_each_distinct_schedule_once(monkeypatch):
+    # four replicates return two schedules, each twice; the repeats share the
+    # first one's report, and every figure is what evaluating each replicate
+    # in turn on one cache gives
+    cfg = RunConfig(horizon_days=3, subperiods=4, epsilon=1e-3, subproblem_gap=1e-6,
+                    pfail_gen=0.05, pfail_line=0.05, saa_m=4, saa_n=6, saa_nprime=30)
+    net = parse_case(CASE9, subperiods=cfg.subperiods)
+    inst = build_instance(net, synth_demand(net, cfg, seed=1), cfg, seed=12)
+    real_evaluate = saa.evaluate_schedule
+    calls = []
+
+    def counting(inst, schedule, scens, cache=None, cfg=None):
+        calls.append(scens)
+        return real_evaluate(inst, schedule, scens, cache, cfg)
+
+    monkeypatch.setattr(saa, "evaluate_schedule", counting)
+    report = saa.run_saa(inst, cfg, seed=4)
+    schedules = [tuple(sorted(r["schedule"].items())) for r in report.replicates]
+    assert all(r["status"] == "optimal" for r in report.replicates)
+    assert len(schedules) == 4 and len(set(schedules)) == len(calls) == 2
+    cache = decomp.StatusCache()
+    totals = [float(real_evaluate(inst, r["schedule"], calls[0], cache, cfg)
+                    .per_scenario_total.mean()) for r in report.replicates]
+    assert [r["eval_total"].hex() for r in report.replicates] == \
+        [total.hex() for total in totals]
+    best = report.replicates[totals.index(min(totals))]
+    assert report.best_schedule == best["schedule"]
+    ci_u = saa.upper_bound_stats(best["eval"].per_scenario_total, cfg.significance)[2]
+    ci_l = saa.lower_bound_stats([r["z"] for r in report.replicates],
+                                 cfg.significance)[2]
+    assert report.gap_pct.hex() == (100.0 * (ci_u[1] - ci_l[0]) / ci_u[1]).hex()
+
 # one evaluation over 20 000 scenarios of unequal probability; prints every
 # probability-weighted sum as float hex
 _WEIGHTED_SUMS = """
