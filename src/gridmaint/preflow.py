@@ -109,7 +109,7 @@ class _RelaxedFlowLP:
         self.spec = spec
         self.fvar = {line.id: fv for line, fv in zip(net.lines, f)}
         self.dem = d
-        self._target: int | None = None
+        self._target: tuple[int, float] | None = None  # (column, cost) minimised
         self.iterations = 0  # simplex iterations over every extreme() so far
 
     def set_caps(self, demand_cap: np.ndarray) -> None:
@@ -120,10 +120,12 @@ class _RelaxedFlowLP:
 
     def extreme(self, line_id: str, direction: str) -> float:
         """max f (direction "ub") or min f (direction "lb") over the relaxation."""
-        if self._target is not None:
-            self.spec.set_obj(self._target, 0.0)
-        self._target = self.fvar[line_id]
-        self.spec.set_obj(self._target, -1.0 if direction == "ub" else 1.0)
+        target = (self.fvar[line_id], -1.0 if direction == "ub" else 1.0)
+        if target != self._target:  # probes run target-major: seldom
+            if self._target is not None:
+                self.spec.set_obj(self._target[0], 0.0)
+            self.spec.set_obj(*target)
+            self._target = target
         outcome = solver.solve(self.spec, tolerance=1e-9)
         self.iterations += outcome.iterations
         if outcome.status != "optimal":

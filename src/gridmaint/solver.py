@@ -4,7 +4,10 @@ All optimization modules describe models through :class:`ModelSpec` and call
 :func:`solve`.  Every model is a minimisation; a caller that wants a maximum
 minimises the negated objective.  The single in-process backend is HiGHS,
 driven through the bindings SciPy bundles (``scipy.optimize._highspy._core``);
-pure LPs go through the same call.
+pure LPs go through the same call.  A warm LP re-solve costs HiGHS's run
+plus O(columns changed): it sends only the costs and bounds that changed,
+reads the objective and iteration count alone, and leaves the primal values
+unconverted until :attr:`SolveOutcome.x` is read.
 
 Every solve gets the options ``scipy.optimize.milp`` sets plus two that
 differ from HiGHS's defaults: the root reduced-cost sub-MIP and feasibility
@@ -65,7 +68,9 @@ class SolverError(RuntimeError):
 @dataclass
 class SolveOutcome:
     status: str  # "optimal" | "infeasible" | "limit" | "error"
-    x: np.ndarray | None
+    # HiGHS's copy of the solution, which later solves leave as it is; None
+    # when there is none to read
+    solution: _highs.HighsSolution | None
     objective: float | None
     bound: float | None  # proven bound on the optimum (== objective for LPs)
     gap: float
@@ -77,6 +82,12 @@ class SolveOutcome:
     def ok(self) -> bool:
         return self.status == "optimal"
 
+    @functools.cached_property
+    def x(self) -> np.ndarray | None:
+        """The primal values, converted from ``solution`` when first read (most
+        LP callers read only the objective)."""
+        return None if self.solution is None else np.array(self.solution.col_value)
+
 
 class ModelSpec:
     """Incrementally built sparse LP/MILP description of a minimisation.
@@ -84,10 +95,12 @@ class ModelSpec:
     Variables are referenced by the integer index returned from
     :meth:`add_var`.  Rows are two-sided: ``lb <= a.x <= ub`` and
     append-only; each row's non-zero coefficients go straight onto the
-    row-wise ``_start``/``_index``/``_value`` lists HiGHS reads.  Costs and
-    variable bounds are read by every solve, and a solve that re-solves the
-    LP its thread last solved to optimality sends HiGHS only the ones that
-    changed (see :func:`milp`).
+    row-wise ``_start``/``_index``/``_value`` lists HiGHS reads.
+    :meth:`set_obj` and :meth:`set_bounds` record each column they touch
+    with its cost or bounds as of the spec's last solve, so a solve that
+    re-solves the LP its thread last solved to optimality sends HiGHS only
+    the touched columns whose values differ (see :func:`milp`).  A spec is
+    solved by one thread at a time.
     """
 
     def __init__(self, name: str = "model"):
@@ -95,6 +108,7 @@ class ModelSpec:
         self._lb: list[float] = []
         self._ub: list[float] = []
         self._integer: list[bool] = []
+        self._is_mip = False  # any(self._integer), kept as columns are added
         self._obj: list[float] = []
         # row r's columns and coefficients are _index/_value[_start[r]:_start[r + 1]]
         self._start: list[int] = [0]
@@ -102,6 +116,11 @@ class ModelSpec:
         self._value: list[float] = []
         self._row_lb: list[float] = []
         self._row_ub: list[float] = []
+        # the cost and the (lb, ub) of each column set since the last solve,
+        # as they were at that solve
+        self._cost_was: dict[int, float] = {}
+        self._bounds_was: dict[int, tuple[float, float]] = {}
+        self._solves = 0  # solves begun on this spec, on any thread
 
     # -- variables ---------------------------------------------------------
 
@@ -111,6 +130,7 @@ class ModelSpec:
         self._lb.append(lb)
         self._ub.append(ub)
         self._integer.append(integer)
+        self._is_mip = self._is_mip or integer
         self._obj.append(obj)
         return idx
 
@@ -118,9 +138,11 @@ class ModelSpec:
         return self.add_var(lb=0.0, ub=1.0, obj=obj, integer=True)
 
     def set_obj(self, var: int, coef: float) -> None:
+        self._cost_was.setdefault(var, self._obj[var])
         self._obj[var] = coef
 
     def set_bounds(self, var: int, lb: float, ub: float) -> None:
+        self._bounds_was.setdefault(var, (self._lb[var], self._ub[var]))
         self._lb[var] = lb
         self._ub[var] = ub
 
@@ -162,13 +184,14 @@ class ModelSpec:
 class _Kept:
     """The LP a thread's HiGHS instance holds with an optimal basis: its spec,
     its ``(rows, columns)`` shape when passed (rows and columns are only ever
-    appended, so the shape shows whether one was added since), and the costs
-    and column bounds last sent."""
+    appended, so the shape shows whether one was added since), and the
+    spec's solve count then (a solve on another thread since clears the
+    spec's record of touched columns, so the instance is no longer in step).
+    The costs and bounds HiGHS holds are the spec's, but for the columns
+    the spec records as touched since."""
     spec: ModelSpec
     shape: tuple[int, int]
-    cost: list[float]
-    lb: list[float]
-    ub: list[float]
+    solves: int
 
 
 _MODEL_STATUS = {
@@ -186,12 +209,12 @@ _local = threading.local()
 
 
 def _thread_highs() -> _highs._Highs:
-    """This thread's HiGHS instance; a new one, with no record, when none is
-    kept."""
+    """This thread's HiGHS instance; a new one, with no record and no
+    options passed, when none is kept."""
     highs = getattr(_local, "highs", None)
     if highs is None:
         highs = _local.highs = _highs._Highs()
-        _local.kept = None
+        _local.kept = _local.options = None
     return highs
 
 
@@ -235,6 +258,8 @@ _untimed_options = functools.lru_cache(maxsize=16)(
 
 def _pass_lp(highs: _highs._Highs, spec: ModelSpec, is_mip: bool) -> None:
     """Pass the whole model, replacing whatever ``highs`` held."""
+    if not all(map(math.isfinite, spec._obj)):
+        raise SolverError(f"{spec.name}: objective coefficients must be finite")
     if not all(map(math.isfinite, spec._value)):
         raise SolverError(f"{spec.name}: constraint coefficients must be finite")
     n = spec.num_vars
@@ -259,43 +284,50 @@ def _pass_lp(highs: _highs._Highs, spec: ModelSpec, is_mip: bool) -> None:
     _check(spec, "passModel", highs.passModel(lp))
 
 
-def _push_changes(highs: _highs._Highs, spec: ModelSpec, kept: _Kept) -> None:
-    """Send ``highs``, which holds ``kept``, only the columns whose cost or
-    bounds differ from what ``kept`` last sent."""
-    if spec._obj != kept.cost:
-        new = np.array(spec._obj)
-        cols = np.flatnonzero(new != kept.cost).astype(np.int32)
-        _check(spec, "changeColsCost",
-               highs.changeColsCost(len(cols), cols, new[cols]))
-    if spec._lb != kept.lb or spec._ub != kept.ub:
-        lb, ub = np.array(spec._lb), np.array(spec._ub)
-        cols = np.flatnonzero((lb != kept.lb) | (ub != kept.ub)).astype(np.int32)
+def _push_changes(highs: _highs._Highs, spec: ModelSpec) -> None:
+    """Send ``highs``, which holds ``spec`` as of its last solve, the columns
+    touched since whose cost or bounds differ from what they were then, in
+    ascending order.  Only those costs are checked for finiteness; the rest
+    were checked when they were sent."""
+    obj, lb, ub = spec._obj, spec._lb, spec._ub
+    cols = sorted(j for j, was in spec._cost_was.items() if obj[j] != was)
+    if cols:
+        cost = [obj[j] for j in cols]
+        if not all(map(math.isfinite, cost)):
+            raise SolverError(f"{spec.name}: objective coefficients must be finite")
+        _check(spec, "changeColsCost", highs.changeColsCost(len(cols), cols, cost))
+    cols = sorted(j for j, (was_lb, was_ub) in spec._bounds_was.items()
+                  if lb[j] != was_lb or ub[j] != was_ub)
+    if cols:
         _check(spec, "changeColsBounds",
-               highs.changeColsBounds(len(cols), cols, lb[cols], ub[cols]))
+               highs.changeColsBounds(len(cols), cols, [lb[j] for j in cols],
+                                      [ub[j] for j in cols]))
 
 
 def milp(spec: ModelSpec, tolerance: float,
          time_limit: float | None) -> SolveOutcome:
     """Minimise ``spec``'s objective over its rows and variable bounds.
 
-    Each call passes the options ``scipy.optimize.milp`` sets, with the
-    root reduced-cost sub-MIP and feasibility jump heuristics off (see
-    :func:`_options`), to this thread's HiGHS instance.  An LP solved again
-    on the same spec, with no row or column added, right after its last
-    solve on this thread ended optimal starts from the basis HiGHS kept:
-    only the costs and column bounds that changed are sent, and HiGHS skips
-    presolve and runs dual simplex from that basis.  Everything else (a
-    MILP, a first solve, another spec in between, an added row or column)
-    is passed whole, replacing whatever an earlier solve left: an LP gets
-    the answer ``scipy.optimize.milp`` gives, a MILP the same optimum within
-    the gap, whose objective may differ from ``scipy.optimize.milp``'s by
-    round-off.  An instance that returned
-    ``kError`` is dropped, not reused.  HiGHS runs its MIP search serially,
-    which keeps results deterministic.
+    Each call gives this thread's HiGHS instance the options
+    ``scipy.optimize.milp`` sets, with the root reduced-cost sub-MIP and
+    feasibility jump heuristics off (see :func:`_options`); they are not
+    passed again while the instance last received the same options object.
+    An LP solved again on the same spec, with no row or column added, right
+    after its last solve (on this thread) ended optimal starts from the
+    basis HiGHS kept: only the columns :meth:`ModelSpec.set_obj` and
+    :meth:`ModelSpec.set_bounds` touched since, and whose values changed,
+    are sent, and HiGHS skips presolve and runs dual simplex from that
+    basis.  Everything else (a MILP, a first solve, another spec in between,
+    an added row or column) is passed whole, replacing whatever an earlier
+    solve left: an LP gets the answer ``scipy.optimize.milp`` gives, a MILP
+    the same optimum within the gap, whose objective may differ from
+    ``scipy.optimize.milp``'s by round-off.  An LP's result is read as its
+    objective and iteration count, a MILP's from HiGHS's whole info record;
+    either's primal values are converted only when the outcome's ``x`` is
+    read.  An instance that returned ``kError`` is dropped, not reused.
+    HiGHS runs its MIP search serially, which keeps results deterministic.
     """
-    if not all(map(math.isfinite, spec._obj)):
-        raise SolverError(f"{spec.name}: objective coefficients must be finite")
-    is_mip = any(spec._integer)
+    is_mip = spec._is_mip
     options = _untimed_options(tolerance) if time_limit is None \
         else _options(tolerance, time_limit)
     highs = _thread_highs()
@@ -303,36 +335,41 @@ def milp(spec: ModelSpec, tolerance: float,
     # ends optimal
     kept, _local.kept = _local.kept, None
     clock = highs.getRunTime()  # the instance's run clock adds up over its runs
-    _check(spec, "passOptions", highs.passOptions(options))
+    if options is not _local.options:
+        _check(spec, "passOptions", highs.passOptions(options))
+        _local.options = options
     shape = (spec.num_rows, spec.num_vars)
-    if kept is not None and kept.spec is spec and kept.shape == shape:
-        _push_changes(highs, spec, kept)
+    if (kept is not None and kept.spec is spec and kept.shape == shape
+            and kept.solves == spec._solves):
+        _push_changes(highs, spec)
     else:
         _pass_lp(highs, spec, is_mip)
+    spec._cost_was.clear()
+    spec._bounds_was.clear()
+    spec._solves += 1
     _check(spec, "run", highs.run())
 
     status = _MODEL_STATUS.get(highs.getModelStatus(), "error")
-    info = highs.getInfo()
-    nodes = info.mip_node_count if is_mip else 0
-    iterations = 0 if is_mip else info.simplex_iteration_count
     seconds = highs.getRunTime() - clock
-    if status == "optimal" and not is_mip:
-        _local.kept = _Kept(spec, shape, list(spec._obj), list(spec._lb), list(spec._ub))
-    # an LP solution is read only at optimality; a MIP stopped at a limit
-    # keeps its incumbent when it found one
-    readable = status == "optimal" or (
-        is_mip and status == "limit"
-        and info.objective_function_value != _highs.kHighsInf)
+    if is_mip:
+        info = highs.getInfo()
+        nodes, iterations = info.mip_node_count, 0
+        objective = info.objective_function_value
+        bound, gap = info.mip_dual_bound + 0.0, info.mip_gap
+        # a MIP stopped at a limit keeps its incumbent when it found one
+        readable = status == "optimal" or (
+            status == "limit" and objective != _highs.kHighsInf)
+    else:
+        nodes, (_, iterations) = 0, highs.getInfoValue("simplex_iteration_count")
+        objective, gap = highs.getObjectiveValue(), 0.0
+        readable = status == "optimal"  # an LP solution is read only then
+        if readable:
+            _local.kept = _Kept(spec, shape, spec._solves)
     if not readable:
         return SolveOutcome(status, None, None, None, INF, seconds, nodes, iterations)
-    # adding 0.0 turns a -0.0 from HiGHS into 0.0
-    objective = info.objective_function_value + 0.0
-    if is_mip:
-        bound, gap = info.mip_dual_bound + 0.0, info.mip_gap
-    else:
-        bound, gap = objective, 0.0
-    return SolveOutcome(status, np.array(highs.getSolution().col_value), objective,
-                        bound, gap, seconds, nodes, iterations)
+    objective += 0.0  # turns a -0.0 from HiGHS into 0.0
+    return SolveOutcome(status, highs.getSolution(), objective,
+                        bound if is_mip else objective, gap, seconds, nodes, iterations)
 
 
 def solve(spec: ModelSpec, tolerance: float = 1e-9,

@@ -309,6 +309,24 @@ def test_probes_of_one_target_change_only_the_demand_caps(monkeypatch):
     assert repeats == 2 * 2 * grid.subperiods
 
 
+def test_the_objective_moves_only_when_the_target_does(monkeypatch):
+    # two targets, two directions each: four objectives, each set once, and
+    # the one before zeroed, however many cap vectors each is probed over
+    net = build_net(n_bus=3, n_gen=2, lines=[(1, 2), (1, 3), (2, 3)],
+                    flow_limits=[40.0, 60.0, 50.0], p_max=150.0)
+    grid = grid_of(np.random.default_rng(3).uniform(0, 60, size=(3, 2, 2)))
+    set_obj = []
+    real = solver.ModelSpec.set_obj
+    monkeypatch.setattr(solver.ModelSpec, "set_obj",
+                        lambda spec, var, coef: set_obj.append((var, coef))
+                        or real(spec, var, coef))
+    report = analyze(net, grid, "III", candidate_lines=frozenset({"l3"}))
+    assert len(report.entries) == 2 * 2 * 4
+    l1, l2 = (_RelaxedFlowLP(net, frozenset({"l3"})).fvar[line] for line in ("l1", "l2"))
+    assert set_obj == [(l1, -1.0), (l1, 0.0), (l1, 1.0), (l1, 0.0), (l2, -1.0),
+                       (l2, 0.0), (l2, 1.0)]
+
+
 def test_entries_come_out_scope_major():
     # the probe order is target-major, the report order is not: per scope,
     # every target line's ub then lb, as to_csv and omitted_for_day expect

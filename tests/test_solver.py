@@ -545,3 +545,149 @@ def test_heuristics_off_reach_the_optima_of_highs_defaults(monkeypatch):
         assert got.gap <= tolerance and want.gap <= tolerance, spec.name
         assert abs(got.objective - want.objective) \
             <= 1e-9 * max(1.0, abs(want.objective)), spec.name
+
+
+@pytest.fixture
+def sent(monkeypatch):
+    """The calls this thread's HiGHS instance gets that change columns or pass
+    options, as ``(method, columns, values...)`` tuples; the instance starts
+    fresh and with no record."""
+    calls = []
+
+    class Counting(solver._highs._Highs):
+        def changeColsCost(self, n, cols, cost):
+            calls.append(("cost", list(cols), list(cost)))
+            return super().changeColsCost(n, cols, cost)
+
+        def changeColsBounds(self, n, cols, lb, ub):
+            calls.append(("bounds", list(cols), list(lb), list(ub)))
+            return super().changeColsBounds(n, cols, lb, ub)
+
+        def passOptions(self, options):
+            calls.append(("options", options))
+            return super().passOptions(options)
+
+    monkeypatch.setattr(solver._highs, "_Highs", Counting)
+    solver._local.highs = None
+    yield calls
+    solver._local.highs = None  # later tests get an instance of the real class
+
+
+def column_changes(calls):
+    return [call for call in calls if call[0] != "options"]
+
+
+def test_warm_resolve_sends_only_the_columns_that_changed(sent):
+    m = covering_lp()
+    assert solver.solve(m).ok
+    m.set_obj(3, 0.25)
+    m.set_obj(7, m._obj[7])              # set to the value it has
+    m.set_bounds(5, 0.5, 1.0)
+    m.set_bounds(1, m._lb[1], m._ub[1])  # likewise
+    m.set_bounds(9, 0.0, 1.0)
+    hot = solver.solve(m)
+    assert column_changes(sent) == [("cost", [3], [0.25]),
+                                    ("bounds", [5, 9], [0.5, 0.0], [1.0, 1.0])]
+    fresh = covering_lp()
+    apply_cost(fresh)
+    fresh.set_bounds(5, 0.5, 1.0)
+    fresh.set_bounds(9, 0.0, 1.0)
+    assert_close(hot, solver.solve(fresh))
+
+
+def test_a_column_set_and_set_back_sends_nothing(sent):
+    m = covering_lp()
+    first = solver.solve(m)
+    cost, lb, ub = m._obj[2], m._lb[4], m._ub[4]
+    m.set_obj(2, 9.0)
+    m.set_obj(2, cost)
+    m.set_bounds(4, 0.0, 0.0)
+    m.set_bounds(4, lb, ub)
+    again = solver.solve(m)
+    assert column_changes(sent) == []
+    assert full_outcome(again) == full_outcome(first) and again.iterations == 0
+
+
+def test_changes_before_the_last_solve_are_not_sent_again(sent):
+    m = covering_lp()
+    solver.solve(m)
+    m.set_obj(3, 0.25)
+    solver.solve(m)
+    m.set_bounds(5, 0.5, 1.0)
+    solver.solve(m)
+    assert column_changes(sent) == [("cost", [3], [0.25]),
+                                    ("bounds", [5], [0.5], [1.0])]
+
+
+def test_a_solve_on_another_thread_in_between_passes_the_model_whole(passes):
+    from concurrent.futures import ThreadPoolExecutor
+
+    m = covering_lp()
+    solver.solve(m)                      # kept by this thread's instance
+
+    def elsewhere():
+        m.set_obj(3, 0.25)
+        return solver.solve(m)           # clears the spec's touched columns
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        assert pool.submit(elsewhere).result().ok
+    m.set_bounds(5, 0.5, 1.0)
+    hot = solver.solve(m)
+    assert len(passes) == 3              # not warm: this instance misses the cost
+    fresh = covering_lp()
+    apply_cost(fresh)
+    fresh.set_bounds(5, 0.5, 1.0)
+    assert full_outcome(hot) == full_outcome(solver.solve(fresh))
+
+
+def test_options_are_passed_once_per_instance_and_object(sent):
+    m = covering_lp()
+    for _ in range(3):
+        solver.solve(m)
+    solver.solve(max_knapsack())
+    solver.solve(m, tolerance=1e-6)      # other options
+    solver.solve(m, time_limit=10.0)     # built fresh: always passed
+    solver.solve(m, time_limit=10.0)
+    solver.solve(m)
+    passed = [call[1] for call in sent if call[0] == "options"]
+    untimed = solver._untimed_options(1e-9)
+    assert passed[0] is untimed and passed[1] is solver._untimed_options(1e-6)
+    assert len(passed) == 5 and passed[-1] is untimed
+    assert passed[2] is not passed[3]
+    assert passed[2].time_limit == passed[3].time_limit == 10.0
+    solver._local.highs = None           # a new instance is passed them again
+    solver.solve(m)
+    assert len([call for call in sent if call[0] == "options"]) == 6
+
+
+@pytest.mark.parametrize("bad", [float("inf"), -float("inf"), float("nan")])
+def test_non_finite_cost_set_after_an_optimal_solve_raises(bad, passes):
+    m = covering_lp()
+    want = solver.solve(m)
+    m.set_obj(4, bad)
+    with pytest.raises(solver.SolverError,
+                       match="covering: objective coefficients must be finite"):
+        solver.solve(m)
+    assert len(passes) == 1              # raised on the warm path
+    m.set_obj(4, covering_lp()._obj[4])
+    again = solver.solve(m)              # no record left: passed whole
+    assert len(passes) == 2 and full_outcome(again) == full_outcome(want)
+
+
+@pytest.mark.parametrize("build", [covering_lp, max_knapsack])
+def test_x_read_after_other_solves_has_the_bytes_read_at_once(build):
+    solver._local.highs = None
+    at_once = solver.solve(build()).x.tobytes()
+    solver._local.highs = None
+    late = solver.solve(build())
+    solver.solve(equality_lp())          # the thread's instance moves on
+    solver.solve(max_knapsack(n=12))
+    assert late.x.tobytes() == at_once
+    assert late.x is late.x              # converted once
+
+
+@pytest.mark.parametrize("build, status", [(infeasible_lp, "infeasible"),
+                                           (unbounded_lp, "error")])
+def test_x_is_none_without_a_solution(build, status):
+    res = solver.solve(build())
+    assert res.status == status and res.x is None and res.solution is None
