@@ -499,6 +499,11 @@ class DegradationPriors:
     threshold: float  # failure level
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+                    or not math.isfinite(value):
+                raise CaseError(f"{f.name} must be a finite number, got {value!r}")
         if min(self.kappa0, self.kappa1, self.sigma) < 0:
             raise CaseError("prior standard deviations must be nonnegative")
         if self.threshold <= 0:
@@ -524,7 +529,6 @@ class RunConfig:
     pfail_line: float = 0.2
     epsilon: float = 1e-4
     cut_family: str = "optKT++"
-    aggregation: str = "multi"    # multi | single
     chance_mode: str = "exact"    # exact | safe
     saa_m: int = 5
     saa_n: int = 50
@@ -542,7 +546,8 @@ class RunConfig:
     def __post_init__(self):
         for f in fields(self):  # annotations are strings under __future__
             want = {"int": numbers.Integral, "float": numbers.Real,
-                    "float | None": (numbers.Real, type(None))}.get(f.type)
+                    "float | None": (numbers.Real, type(None)),
+                    "DegradationPriors": DegradationPriors}.get(f.type)
             value = getattr(self, f.name)
             if want and (isinstance(value, bool) or not isinstance(value, want)):
                 raise CaseError(f"{f.name} must be of type {f.type}, got {value!r}")
@@ -567,11 +572,6 @@ class RunConfig:
                 raise CaseError(f"{what} maintenance durations need corr >= pred >= 1")
         if self.cut_family not in CUT_FAMILIES:
             raise CaseError(f"unknown cut family {self.cut_family!r}")
-        if self.aggregation not in ("multi", "single"):
-            raise CaseError(f"unknown aggregation {self.aggregation!r}")
-        if self.cut_family == "optKT++" and self.aggregation == "single":
-            raise CaseError("optKT++ cuts are per-period and cannot be aggregated "
-                            "into a single cut")
         if self.chance_mode not in CHANCE_MODES:
             raise CaseError(f"unknown chance mode {self.chance_mode!r}")
         if not (0.0 <= self.pfail_gen <= 1.0 and 0.0 <= self.pfail_line <= 1.0):
@@ -607,7 +607,10 @@ def load_config(text: str) -> RunConfig:
     known = set(RunConfig.__dataclass_fields__)
     for key in ("priors_gen", "priors_line"):
         if key in raw and isinstance(raw[key], dict):
-            raw[key] = DegradationPriors(**raw[key])
+            try:
+                raw[key] = DegradationPriors(**raw[key])
+            except (TypeError, CaseError) as exc:
+                raise CaseError(f"{key}: {exc}") from exc
     unknown = set(raw) - known
     if unknown:
         raise CaseError(f"unknown config keys: {sorted(unknown)}")

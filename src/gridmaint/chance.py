@@ -22,15 +22,17 @@ __all__ = ["LinearCut", "separate", "extend_cover", "cover_cut",
 
 @dataclass(frozen=True)
 class LinearCut:
-    """Sparse inequality over schedule variables v and recourse variables theta.
+    """Sparse inequality over schedule variables v and at most one recourse
+    variable theta.
 
-    ``v_coeffs`` maps (component, period) to a coefficient; ``theta_coeffs``
-    maps a theta key (scenario index, or (scenario, period) pair) to one.
+    ``v_coeffs`` maps (component, period) to a coefficient.  An optimality
+    cut has coefficient 1 on the theta named by ``theta_key`` (a scenario
+    index, or a (scenario, day) pair); a chance cut has ``theta_key`` None.
     """
     v_coeffs: tuple[tuple[tuple[str, int], float], ...]
     rhs: float
     sense: str = "<="
-    theta_coeffs: tuple[tuple[object, float], ...] = ()
+    theta_key: object = None
     name: str = ""
 
     def __post_init__(self):
@@ -41,17 +43,17 @@ class LinearCut:
 
     @staticmethod
     def make(v_coeffs: dict, rhs: float, sense: str = "<=",
-             theta_coeffs: dict | None = None, name: str = "") -> "LinearCut":
-        return LinearCut(tuple(sorted(v_coeffs.items())), rhs, sense,
-                         tuple(sorted((theta_coeffs or {}).items(), key=repr)), name)
+             theta_key: object = None, name: str = "") -> "LinearCut":
+        return LinearCut(tuple(sorted(v_coeffs.items())), rhs, sense, theta_key, name)
 
     def key(self) -> tuple:
         """Canonical identity for cut-pool deduplication."""
-        return (self.sense, round(self.rhs, 12), self.v_coeffs, self.theta_coeffs)
+        return (self.sense, round(self.rhs, 12), self.v_coeffs, self.theta_key)
 
     def __str__(self):
         terms = [f"{c:+g} v[{h},{t}]" for (h, t), c in self.v_coeffs]
-        terms += [f"{c:+g} theta[{key}]" for key, c in self.theta_coeffs]
+        if self.theta_key is not None:
+            terms.append(f"+1 theta[{self.theta_key}]")
         return f"{self.name or 'cut'}: {' '.join(terms)} {self.sense} {self.rhs:g}"
 
 

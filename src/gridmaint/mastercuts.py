@@ -4,14 +4,15 @@ The master is one model that grows a row at a time: the binary schedule, one
 recourse variable per scenario (or per scenario and day when the per-period
 family is active), the chance-mode rows and the pooled optimality and chance
 cuts.  Its recourse variables and their lower bounds come from the ``(n, T)``
-day bounds.  Every family's cuts come from :func:`cut_over_periods`; from
-weakest to strongest: the classical integer L-shaped cut, the scheduled period
-alone (complement terms dropped), the same-cost sets of periods with identical
-operational cost, and the per-day same-status sets built from status-vector
-equality.  The classical cut is the scheduled-period cut with lower bound
-``2L - q``: on the assignment rows ``sum_t v[c,t] = 1`` its complement terms
-``sum_{t != t*} v[c,t]`` equal ``1 - v[c,t*]``, so it reads
-``theta >= q - 2(q-L)(n - sum_c v[c,t*])``.
+day bounds.  Every family adds one cut per recourse variable, with
+coefficient 1 on that variable, and every cut comes from
+:func:`cut_over_periods`; from weakest to strongest: the classical integer
+L-shaped cut, the scheduled period alone (complement terms dropped), the
+same-cost sets of periods with identical operational cost, and the per-day
+same-status sets built from status-vector equality.  The classical cut is
+the scheduled-period cut with lower bound ``2L - q``: on the assignment rows
+``sum_t v[c,t] = 1`` its complement terms ``sum_{t != t*} v[c,t]`` equal
+``1 - v[c,t*]``, so it reads ``theta >= q - 2(q-L)(n - sum_c v[c,t*])``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .ucmodel import maintenance_cost_coeffs, period_status
 log = logging.getLogger(__name__)
 
 __all__ = ["MasterState", "MasterSolution", "cut_over_periods",
-           "same_cost_periods", "same_status_periods", "aggregate_cuts"]
+           "same_cost_periods", "same_status_periods"]
 
 
 # ---------------------------------------------------------------------------
@@ -54,7 +55,7 @@ def cut_over_periods(schedule: dict[str, int], theta_key, q_value: float,
         for t in periods:
             coeffs[(comp, t)] = -diff
     return LinearCut.make(coeffs, rhs=q_value - diff * len(schedule), sense=">=",
-                          theta_coeffs={theta_key: 1.0}, name=name)
+                          theta_key=theta_key, name=name)
 
 
 def same_cost_periods(schedule: dict[str, int], failure_days: np.ndarray,
@@ -88,24 +89,6 @@ def same_status_periods(schedule: dict[str, int], failure_days: np.ndarray,
              for j, comp in enumerate(comps)} for row in same]
 
 
-def aggregate_cuts(cuts: list[LinearCut], name: str = "single") -> LinearCut:
-    """Sum a family of per-scenario cuts into one row (the single-cut form)."""
-    if not cuts:
-        raise ValueError("nothing to aggregate")
-    v_coeffs: dict[tuple[str, int], float] = {}
-    theta: dict[object, float] = {}
-    rhs = 0.0
-    for cut in cuts:
-        if cut.sense != ">=":
-            raise ValueError("can only aggregate optimality cuts")
-        rhs += cut.rhs
-        for pair, c in cut.v_coeffs:
-            v_coeffs[pair] = v_coeffs.get(pair, 0.0) + c
-        for key, c in cut.theta_coeffs:
-            theta[key] = theta.get(key, 0.0) + c
-    return LinearCut.make(v_coeffs, rhs, ">=", theta, name)
-
-
 # ---------------------------------------------------------------------------
 # Master problem
 # ---------------------------------------------------------------------------
@@ -114,7 +97,6 @@ def aggregate_cuts(cuts: list[LinearCut], name: str = "single") -> LinearCut:
 class MasterSolution:
     status: str
     schedule: dict[str, int]
-    theta: dict[object, float]
     objective: float
     bound: float
 
@@ -160,7 +142,6 @@ class MasterState:
                                  for t, b in enumerate(row, start=1)}
         else:
             self.lower_bounds = {k: sum(row) for k, row in enumerate(bounds)}
-        self.theta_keys = list(self.lower_bounds)
 
         # the model: each component's binaries and its assignment row, then
         # the recourse variables weighted by their scenario's probability
@@ -174,14 +155,14 @@ class MasterState:
         self.tidx = {key: self.spec.add_var(
             lb=float(self.lower_bounds[key]),
             obj=float(scenarios.probs[key[0] if self.per_day else key]))
-            for key in self.theta_keys}
+            for key in self.lower_bounds}
 
     # -- optimality cuts ------------------------------------------------------
 
     def optimality_cuts(self, schedule: dict[str, int],
                         day_vals: np.ndarray) -> list[LinearCut]:
         """The configured family's cuts at ``schedule``, one per recourse
-        variable, or their sum under single aggregation.
+        variable.
 
         ``day_vals`` is the ``(n, T, 2)`` array of :func:`decomp.day_values`;
         its bounds (index 1) are the recourse values the cuts impose.
@@ -208,8 +189,6 @@ class MasterState:
                 lower = 2 * lower - q_value  # the classical cut (module docstring)
             cuts.append(cut_over_periods(schedule, key, q_value, lower, periods,
                                          family))
-        if self.cfg.aggregation == "single":
-            return [aggregate_cuts(cuts, name=f"{family}-single")]
         return cuts
 
     # -- rows and pools -------------------------------------------------------
@@ -230,7 +209,8 @@ class MasterState:
         if missing:
             raise ValueError(f"cut {cut.name!r} names {missing}, which the master lacks")
         coeffs = {self.vidx[pair]: c for pair, c in cut.v_coeffs}
-        coeffs.update((self.tidx[key], c) for key, c in cut.theta_coeffs)
+        if cut.theta_key is not None:
+            coeffs[self.tidx[cut.theta_key]] = 1.0
         add = self.spec.add_le if cut.sense == "<=" else self.spec.add_ge
         add(coeffs, cut.rhs)
 
@@ -259,7 +239,7 @@ class MasterState:
               time_limit: float | None = None) -> MasterSolution:
         outcome = solver.solve(self.spec, tolerance=tolerance, time_limit=time_limit)
         if outcome.status != "optimal":
-            return MasterSolution(outcome.status, {}, {}, float("inf"), -float("inf"))
+            return MasterSolution(outcome.status, {}, float("inf"), -float("inf"))
         schedule = {}
         for comp in self.hprime:
             choices = [t for t in range(1, self.tbar + 1)
@@ -267,6 +247,5 @@ class MasterState:
             if len(choices) != 1:
                 raise solver.SolverError(f"master returned a fractional row for {comp}")
             schedule[comp] = choices[0]
-        theta = {key: float(outcome.x[self.tidx[key]]) for key in self.theta_keys}
-        return MasterSolution("optimal", schedule, theta,
-                              float(outcome.objective), float(outcome.bound))
+        return MasterSolution("optimal", schedule, float(outcome.objective),
+                              float(outcome.bound))

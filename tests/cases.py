@@ -236,7 +236,8 @@ def violated_by(cut, v_values, theta_values=None, tol=1e-9):
     cut's keys to values (absent keys read 0), breaks ``cut`` by more than
     ``tol``."""
     lhs = sum(c * v_values.get(idx, 0.0) for idx, c in cut.v_coeffs)
-    lhs += sum(c * (theta_values or {}).get(key, 0.0) for key, c in cut.theta_coeffs)
+    if cut.theta_key is not None:
+        lhs += (theta_values or {}).get(cut.theta_key, 0.0)
     return lhs > cut.rhs + tol if cut.sense == "<=" else lhs < cut.rhs - tol
 
 
@@ -250,7 +251,7 @@ def cut_int_lshaped(schedule, theta_key, q_value, lower, tbar):
         for t in range(1, tbar + 1):
             coeffs[(comp, t)] = diff if t != t_star else -diff
     return LinearCut.make(coeffs, rhs=q_value - diff * n, sense=">=",
-                          theta_coeffs={theta_key: 1.0}, name="intLS")
+                          theta_key=theta_key, name="intLS")
 
 
 def one_lower_bound(net, demand, xi_map, day, cfg, candidates):

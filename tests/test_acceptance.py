@@ -141,7 +141,7 @@ def test_c03_separation_fixed_point_exact():
             points[r, [column[pair] for pair in sched.items()]] = 1.0
         coeffs = np.zeros((len(column), len(cuts)))
         for j, cut in enumerate(cuts):
-            assert cut.sense == "<=" and not cut.theta_coeffs
+            assert cut.sense == "<=" and cut.theta_key is None
             for pair, c in cut.v_coeffs:
                 coeffs[column[pair], j] = c
         rhs = np.array([cut.rhs for cut in cuts])

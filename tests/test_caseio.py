@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -288,7 +290,7 @@ def test_config_json_round_trip():
 @pytest.mark.parametrize("bad", [
     dict(alpha=0.0), dict(alpha=1.0), dict(rho_gen=0), dict(epsilon=0.0),
     dict(tau_pred_gen=2, tau_corr_gen=1), dict(cut_family="bogus"),
-    dict(cut_family="optKT++", aggregation="single"), dict(chance_mode="x"),
+    dict(chance_mode="x"),
     dict(significance=0.0), dict(significance=1.0), dict(threads=0),
     dict(pfail_gen=1.5), dict(epsilon=float("nan")), dict(subproblem_gap=-1.0),
     dict(subproblem_gap=float("nan")), dict(time_limit=-5.0),
@@ -296,7 +298,7 @@ def test_config_json_round_trip():
     dict(curtail_cost=float("inf")), dict(curtail_cost=float("nan")),
     dict(iteration_limit=-3), dict(saa_m=0), dict(saa_n=0), dict(saa_nprime=0),
     dict(saa_n=-1), dict(rho_gen=1.5), dict(saa_m=3.5), dict(threads=True),
-    dict(alpha="0.1"), dict(seed=-1),
+    dict(alpha="0.1"), dict(seed=-1), dict(priors_gen=[1, 2]),
 ])
 def test_config_invariants(bad):
     with pytest.raises(CaseError):
@@ -308,13 +310,22 @@ def test_config_invariants(bad):
     ("curtail_cost", -50.0), ("curtail_cost", float("inf")),
     ("iteration_limit", -3), ("saa_m", 0), ("saa_n", 0), ("saa_nprime", 0),
     ("rho_gen", 1.5), ("saa_m", 3.5), ("threads", True), ("alpha", "0.1"),
-    ("seed", -1),
+    ("seed", -1), ("priors_gen", [1, 2]),
+    ("priors_line", {"mu0": 1, "kappa0": 1, "mu1": 1, "kappa1": 1, "sigma": 1}),
+    ("priors_gen", {"mu0": 1, "kappa0": 1, "mu1": 1, "kappa1": 1, "sigma": 1,
+                    "threshold": 50, "drift": 2}),
+    ("priors_gen", {"mu0": "x", "kappa0": 1, "mu1": 1, "kappa1": 1, "sigma": 1,
+                    "threshold": 50}),
+    ("priors_line", {"mu0": 1, "kappa0": 1, "mu1": 1, "kappa1": 1, "sigma": 1,
+                     "threshold": float("nan")}),
 ])
 def test_config_error_names_the_key(key, value):
-    # rejected when the config is built, not deep in a solve after the
-    # lower-bound phase
+    # rejected when the config is built or read, not deep in a solve after
+    # the lower-bound phase or in building the instance
     with pytest.raises(CaseError, match=key):
         RunConfig(**{key: value})
+    with pytest.raises(CaseError, match=key):
+        load_config(json.dumps({key: value}))
 
 
 def test_config_limits_at_zero_stay_legal():
@@ -325,7 +336,8 @@ def test_config_limits_at_zero_stay_legal():
 
 
 def test_config_unknown_key():
-    for text in ('{"no_such_option": 1}', '{"soc_mode": "outer"}'):
+    for text in ('{"no_such_option": 1}', '{"soc_mode": "outer"}',
+                 '{"aggregation": "multi"}'):
         with pytest.raises(CaseError, match="unknown config"):
             load_config(text)
 

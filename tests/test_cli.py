@@ -192,10 +192,13 @@ def test_a_usage_error_exits_as_an_error_not_as_a_limit(capsys):
     assert main(["plan", "--help"]) == EXIT_OK
     assert "--preflow" in capsys.readouterr().out
 
-def test_plan_invalid_flag_combination(workdir):
+def test_plan_invalid_flag_combination(workdir, caplog):
+    # every cut family adds one cut per recourse variable; a config that
+    # still asks for a cut form is refused as naming an unknown key
     cfg = dict(BASE_CONFIG, aggregation="single")
     (workdir / "config.json").write_text(json.dumps(cfg))
     assert run_cli(workdir, "plan", "--cuts", "optKT++") == EXIT_ERROR
+    assert "unknown config keys: ['aggregation']" in caplog.text
 
 
 def test_plan_safe_mode(workdir):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gridmaint import chance, decomp, mastercuts, solver, ucmodel
-from gridmaint.caseio import DemandGrid, RunConfig
+from gridmaint.caseio import CUT_FAMILIES, DemandGrid, RunConfig
 from gridmaint.chance import SafeApproxBlock
 from gridmaint.degrade import ScenarioSet
 from gridmaint.pboracle import joint_oracle
@@ -46,22 +46,39 @@ def test_no_candidates_is_pure_unit_commitment():
     assert report.objective == pytest.approx(expected, rel=1e-8)
 
 
-@pytest.mark.parametrize("family,aggregation", [
-    ("intLS", "multi"), ("optK", "multi"), ("optK+", "multi"),
-    ("intLS", "single"), ("optK", "single"), ("optK+", "single"),
-    ("optKT++", "multi"),
-])
-def test_matches_extensive_form(family, aggregation):
+def duplicated_and_merged(scens):
+    """``scens`` with its rows repeated unevenly, and that set merged by
+    ``distinct()``, whose rows carry unequal probabilities."""
+    rows = [0, 0, 1, 2, 2, 2]
+    dup = ScenarioSet(scens.component_ids, scens.failure_times[rows],
+                      np.full(len(rows), 1.0 / len(rows)), scens.horizon_days)
+    return dup, dup.distinct()[0]
+
+
+# every family adds one cut per recourse variable (the multicut form); the
+# weighted cases plan a set with repeated rows and its merge
+@pytest.mark.parametrize("family,weighted", [
+    pytest.param(family, weighted, id=f"{family}-{'weighted' if weighted else 'multi'}")
+    for weighted in (False, True) for family in CUT_FAMILIES])
+def test_matches_extensive_form(family, weighted):
     inst, scens = toy_instance(seed=7, cut_family=family)
-    cfg = inst.cfg.__class__(**{**inst.cfg.__dict__, "cut_family": family,
-                                "aggregation": aggregation})
-    report = decomp.solve(inst, scens, cfg)
-    assert report.ok
-    expected, _ = extensive_solve(inst, scens, cfg, chance="enum")
-    assert report.objective == pytest.approx(expected, rel=1e-6)
-    # and the incumbent really is chance-feasible
-    assert joint_oracle(report.schedule, inst.table, cfg.rho_gen,
-                        cfg.rho_line) >= 1 - cfg.alpha
+    cfg = inst.cfg
+    sets = duplicated_and_merged(scens) if weighted else (scens,)
+    reports = []
+    for s in sets:
+        report = decomp.solve(inst, s, cfg)
+        assert report.ok
+        expected, _ = extensive_solve(inst, s, cfg, chance="enum")
+        assert report.objective == pytest.approx(expected, rel=1e-6)
+        # and the incumbent really is chance-feasible
+        assert joint_oracle(report.schedule, inst.table, cfg.rho_gen,
+                            cfg.rho_line) >= 1 - cfg.alpha
+        reports.append(report)
+    if weighted:
+        (dup, merged), merged_set = reports, sets[1]
+        assert len(set(merged_set.probs.tolist())) > 1
+        assert merged.objective == pytest.approx(dup.objective, rel=1e-9)
+        assert merged.bound == pytest.approx(dup.bound, rel=1e-9)
 
 
 @pytest.mark.parametrize("seed,tau_p,tau_c,horizon,family", [
@@ -299,7 +316,7 @@ def test_infeasible_without_candidates_when_fixed_components_break_it(mode):
 
 def test_a_master_error_raises(monkeypatch):
     inst, scens = toy_instance(seed=23)
-    failed = mastercuts.MasterSolution("error", {}, {}, float("inf"), -float("inf"))
+    failed = mastercuts.MasterSolution("error", {}, float("inf"), -float("inf"))
     monkeypatch.setattr(mastercuts.MasterState, "solve", lambda self, **kw: failed)
     with pytest.raises(solver.SolverError, match="'error'"):
         decomp.solve(inst, scens, inst.cfg)

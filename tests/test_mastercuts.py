@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from gridmaint.caseio import RunConfig
+from gridmaint import solver
+from gridmaint.caseio import CUT_FAMILIES, RunConfig
 from gridmaint.chance import LinearCut, cover_cut
 from gridmaint.degrade import ScenarioSet
-from gridmaint.mastercuts import (MasterState, aggregate_cuts, cut_over_periods,
-                                  same_status_periods)
+from gridmaint.mastercuts import MasterState, cut_over_periods, same_status_periods
 from gridmaint.ucmodel import status_bit
 
 from cases import cut_int_lshaped, one_same_cost, one_same_status, spec_rows
@@ -190,27 +190,6 @@ def test_same_status_rows_match_status_bit_per_scenario():
                 assert sets[comp] == {m for m in periods if bits[m] == bits[sched[comp]]}
 
 
-# -- aggregation -------------------------------------------------------------------
-
-def test_single_cut_equals_scenario_sum():
-    rng = np.random.default_rng(21)
-    scheds = {"h1": 2, "h2": 4}
-    cuts = [cut_over_periods(scheds, k, float(rng.uniform(50, 150)),
-                             float(rng.uniform(0, 40)), singletons(scheds), "optK")
-            for k in range(3)]
-    merged = aggregate_cuts(cuts)
-    for point in all_schedules(["h1", "h2"], 5):
-        assert theta_floor(merged, point) == pytest.approx(
-            sum(theta_floor(c, point) for c in cuts))
-    assert dict(merged.theta_coeffs) == {0: 1.0, 1: 1.0, 2: 1.0}
-
-
-def test_aggregate_rejects_wrong_sense():
-    from gridmaint.chance import LinearCut
-    with pytest.raises(ValueError):
-        aggregate_cuts([LinearCut.make({("h1", 1): 1.0}, 1.0, "<=")])
-
-
 # -- master assembly ----------------------------------------------------------------
 
 def scen(times, horizon):
@@ -265,7 +244,7 @@ def test_master_solve_honours_theta_floor_and_cuts():
     sol = master.solve()
     assert sol.status == "optimal"
     assert sol.schedule["h1"] == 3        # the free no-maintenance slot
-    assert sol.theta[0] == pytest.approx(5.0)
+    assert solver.solve(master.spec).x[master.tidx[0]] == pytest.approx(5.0)
     # pin theta up at the chosen point and re-solve
     cut = cut_over_periods(sol.schedule, 0, 50.0, 5.0, singletons(sol.schedule),
                            "optK")
@@ -273,7 +252,7 @@ def test_master_solve_honours_theta_floor_and_cuts():
     assert not master.add_cut(cut)        # deduplicated
     sol2 = master.solve()
     assert sol2.objective >= sol.objective - 1e-9
-    assert sol2.theta[0] >= 5.0 - 1e-9
+    assert solver.solve(master.spec).x[master.tidx[0]] >= 5.0 - 1e-9
 
 
 def test_master_wrong_day_bound_shape_rejected():
@@ -295,17 +274,14 @@ def test_master_cut_log():
     assert log.count("\n") == 1 and "theta[0]" in log
 
 
-@pytest.mark.parametrize("family,aggregation", [
-    ("intLS", "multi"), ("optK", "multi"), ("optK+", "multi"),
-    ("optKT++", "multi"), ("optK", "single"),
-])
-def test_optimality_cuts_cover_every_theta_once(family, aggregation):
+# every family adds one cut per recourse variable (the multicut form)
+@pytest.mark.parametrize("family", [pytest.param(family, id=f"{family}-multi")
+                                    for family in CUT_FAMILIES])
+def test_optimality_cuts_cover_every_theta_once(family):
     # one round gives each recourse variable exactly one row, tight at the
-    # schedule it was generated for (or one row over all of them, tight at
-    # the summed values, under single aggregation)
+    # schedule it was generated for
     rng = np.random.default_rng(23)
-    cfg = RunConfig(horizon_days=4, subperiods=2, cut_family=family,
-                    aggregation=aggregation)
+    cfg = RunConfig(horizon_days=4, subperiods=2, cut_family=family)
     n = 5
     scens = ScenarioSet(("h1", "h2"), rng.integers(1, cfg.tbar + 1, size=(n, 2)),
                         np.full(n, 1.0 / n), cfg.horizon_days)
@@ -313,8 +289,7 @@ def test_optimality_cuts_cover_every_theta_once(family, aggregation):
     master = MasterState(("h1", "h2"), scens, cfg,
                          {"h1": (100.0, 300.0), "h2": (50.0, 200.0)}, KINDS,
                          day_bounds)
-    assert len(master.theta_keys) == n * (cfg.horizon_days if family == "optKT++"
-                                          else 1)
+    assert len(master.tidx) == n * (cfg.horizon_days if family == "optKT++" else 1)
     day_vals = day_bounds[:, :, None] + rng.uniform(0.0, 50.0,
                                                     size=(n, cfg.horizon_days, 2))
     sched = {"h1": 2, "h2": 4}
@@ -326,27 +301,16 @@ def test_optimality_cuts_cover_every_theta_once(family, aggregation):
             return day_vals[k, t - 1, 1]
         return day_vals[key, :, 1].sum()
 
-    if aggregation == "single":
-        (cut,) = cuts
-        assert dict(cut.theta_coeffs) == {key: 1.0 for key in master.theta_keys}
-        assert theta_floor(cut, sched) == pytest.approx(
-            sum(q_value(key) for key in master.theta_keys))
-        return
-    keys = [key for cut in cuts for key, _ in cut.theta_coeffs]
-    assert sorted(keys) == sorted(master.theta_keys)
+    assert sorted(cut.theta_key for cut in cuts) == sorted(master.tidx)
     for cut in cuts:
-        ((key, coeff),) = cut.theta_coeffs
-        assert coeff == 1.0
-        assert theta_floor(cut, sched) == pytest.approx(q_value(key))
+        assert theta_floor(cut, sched) == pytest.approx(q_value(cut.theta_key))
 
 
-@pytest.mark.parametrize("aggregation", ["multi", "single"])
-def test_int_lshaped_family_matches_the_classical_cut(aggregation):
+def test_int_lshaped_family_matches_the_classical_cut():
     # the intLS cut is the singleton cut with lower bound 2L - q; on the
     # assignment rows it imposes the classical cut's floor at every binary point
     rng = np.random.default_rng(29)
-    cfg = RunConfig(horizon_days=4, subperiods=2, cut_family="intLS",
-                    aggregation=aggregation)
+    cfg = RunConfig(horizon_days=4, subperiods=2, cut_family="intLS")
     n, comps = 4, ("h1", "h2")
     for _ in range(10):
         scens = ScenarioSet(comps, rng.integers(1, cfg.tbar + 1, size=(n, 2)),
@@ -362,12 +326,9 @@ def test_int_lshaped_family_matches_the_classical_cut(aggregation):
                                      master.lower_bounds[k], cfg.tbar)
                      for k in range(n)]
         cuts = master.optimality_cuts(sched, day_vals)
-        assert [cut.name for cut in cuts] == \
-            (["intLS"] * n if aggregation == "multi" else ["intLS-single"])
-        if aggregation == "single":
-            reference = [aggregate_cuts(reference)]
+        assert [cut.name for cut in cuts] == ["intLS"] * n
         for cut, ref in zip(cuts, reference, strict=True):
-            assert cut.theta_coeffs == ref.theta_coeffs
+            assert cut.theta_key == ref.theta_key
             for point in all_schedules(comps, cfg.tbar):
                 assert theta_floor(cut, point) == pytest.approx(
                     theta_floor(ref, point), rel=1e-9, abs=1e-9)
@@ -385,8 +346,8 @@ def expected_row(master, cut):
     coeffs = [0.0] * master.spec.num_vars
     for pair, c in cut.v_coeffs:
         coeffs[master.vidx[pair]] = c
-    for key, c in cut.theta_coeffs:
-        coeffs[master.tidx[key]] = c
+    if cut.theta_key is not None:
+        coeffs[master.tidx[cut.theta_key]] = 1.0
     inf = float("inf")
     return (coeffs, -inf, cut.rhs) if cut.sense == "<=" else (coeffs, cut.rhs, inf)
 
