@@ -1,7 +1,7 @@
 """The joint chance constraint, in the two modes the master loop can enforce.
 
 Exact mode separates lazily: an incumbent schedule whose oracle probability
-falls below the target spawns an extended-cover inequality, which by the
+falls below the target yields an extended-cover inequality, which by the
 monotonicity of the oracle also bans every later-shifted variant of that
 schedule.  Safe mode builds the conservative two-block approximation whose
 only nonlinearity is the bivariate product of the class reliability levels,

@@ -22,7 +22,8 @@ from . import decomp, preflow, saa
 from .caseio import CHANCE_MODES, CUT_FAMILIES, dump_config, load_config, \
     load_demand, parse_case, synth_demand
 from .degrade import ScenarioSet
-from .instance import build_instance, test_scenarios, training_scenarios
+from .instance import build_instance, scenario_stream, test_scenarios, \
+    training_scenarios
 
 log = logging.getLogger("gridmaint")
 
@@ -55,7 +56,7 @@ def _load_context(args):
     if args.demand:
         grid = load_demand(demand_text, net, cfg)
     else:
-        grid = synth_demand(net, cfg, seed=cfg.seed)
+        grid = synth_demand(net, cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     # the effective config (overrides applied) plus every input that shapes the run
@@ -148,7 +149,7 @@ def cmd_plan(args) -> int:
             raise ValueError("scenario file components do not match the "
                              f"maintenance candidates {sorted(inst.hprime)}")
     else:
-        scens = training_scenarios(inst, cfg.saa_n, cfg.seed)
+        scens = training_scenarios(inst, cfg.saa_n, scenario_stream(cfg.seed, 0))
     _write(out_dir / "scenarios.csv", scens.to_csv())
     _write(out_dir / "rld_params.json", json.dumps(
         {comp: json.loads(c.rld.to_json()) if c.rld else None
@@ -180,7 +181,7 @@ def cmd_evaluate(args) -> int:
     net, grid, cfg, out_dir, config_hash = _load_context(args)
     inst = build_instance(net, grid, cfg)
     schedule = _read_schedule(args.schedule)
-    scens = test_scenarios(inst, cfg.saa_nprime, cfg.seed + 1)
+    scens = test_scenarios(inst, cfg.saa_nprime, scenario_stream(cfg.seed))
     cache = decomp.StatusCache()
     ev = saa.evaluate_schedule(inst, schedule, scens, cache, cfg)
     rows = ["model,gen_prime_failures,line_prime_failures,second_failures,"

@@ -249,9 +249,10 @@ class DecompositionRun:
         if ms.status != "optimal":
             self.status = ms.status
             return False
+        # the master is a relaxation, so its bound holds whether or not the
+        # chance rule accepts its point
+        self.lb = max(self.lb, ms.bound)
         if self._past_deadline(clock):
-            # the master is a relaxation, so its bound holds unseparated
-            self.lb = max(self.lb, ms.bound)
             self.status = "limit"
             return False
 
@@ -270,7 +271,6 @@ class DecompositionRun:
             log.info("iter %d: chance rule %s", self.iterations, event)
         clock = self._charge("chance", clock)
 
-        self.lb = max(self.lb, ms.bound)
         solved, aliased = self.cache.solved, self.cache.aliased
         day_vals = None if self._past_deadline(clock) else day_values(
             self.inst, self.scenarios, cfg, ms.schedule, self.inst.hprime,

@@ -241,6 +241,15 @@ class ScenarioSet:
                              f"{float(self.probs[k])!r}; each must be finite and >= 0")
         if abs(float(self.probs.sum()) - 1.0) > 1e-9:
             raise ValueError("scenario probabilities must sum to 1")
+        if self.failure_times.dtype.kind not in "iu":
+            # NaN passes the range check below, and a cast to int truncates
+            times = self.failure_times
+            bad = np.argwhere(~np.isfinite(times) | (times != np.round(times)))
+            if bad.size:
+                k, j = bad[0]
+                raise ValueError(f"scenario row {k} (0-based), component "
+                                 f"{self.component_ids[j]}: failure day "
+                                 f"{float(times[k, j])!r} is not a whole number")
         bad = np.argwhere((self.failure_times < 1)
                           | (self.failure_times > self.horizon_days + 1))
         if bad.size:

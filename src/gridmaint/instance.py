@@ -23,7 +23,8 @@ from .preflow import RedundancyReport
 log = logging.getLogger(__name__)
 
 __all__ = ["Component", "DayKey", "Instance", "build_instance", "check_horizon",
-           "training_scenarios", "test_scenarios", "no_failure_scenarios"]
+           "scenario_stream", "training_scenarios", "test_scenarios",
+           "no_failure_scenarios"]
 
 
 def check_horizon(cfg: RunConfig, demand: DemandGrid,
@@ -172,6 +173,20 @@ def build_instance(net: Network, demand: DemandGrid, cfg: RunConfig,
              sum(1 for c in hprime if kinds[c] == "line"), len(components))
     return Instance(net, demand, cfg, components, tuple(hprime), tuple(hsecond),
                     table)
+
+
+def scenario_stream(seed: int, replicate: int | None = None) -> np.random.Generator:
+    """The stream one sample of the SAA layout for ``seed`` draws from.
+
+    Every sample draws from its own child of ``default_rng(seed)``: child 0
+    draws the test set (``replicate`` None) and child ``i + 1`` replicate
+    ``i``'s training set.  Children are independent of one another and of
+    ``default_rng(seed)`` itself, which :func:`build_instance` draws the
+    degradation histories from, and child ``i`` is the same stream however
+    many children are made.
+    """
+    index = 0 if replicate is None else replicate + 1
+    return np.random.default_rng(seed).spawn(index + 1)[index]
 
 
 def training_scenarios(inst: Instance, n: int, seed) -> degrade.ScenarioSet:

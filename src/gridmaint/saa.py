@@ -20,7 +20,7 @@ from . import decomp, solver, ucmodel
 from .caseio import RunConfig
 from .degrade import ScenarioSet
 from .instance import Instance, check_horizon, no_failure_scenarios, \
-    test_scenarios, training_scenarios
+    scenario_stream, test_scenarios, training_scenarios
 from .pboracle import check_schedule
 
 log = logging.getLogger(__name__)
@@ -170,9 +170,12 @@ class SAAReport:
     elapsed: float = 0.0
 
 
-def run_saa(inst: Instance, cfg: RunConfig | None = None,
-            seed: int | None = None) -> SAAReport:
+def run_saa(inst: Instance, cfg: RunConfig | None = None) -> SAAReport:
     """Replicated training plus common out-of-sample evaluation with CIs.
+
+    The samples follow the layout of :func:`instance.scenario_stream` for
+    ``cfg.seed``: the test set draws from stream 0 and replicate ``i``'s
+    training set from stream ``i + 1``.
 
     The test set is sampled with equal weights, and the upper-bound CI and
     each replicate's ``eval_total`` take plain means over
@@ -181,8 +184,8 @@ def run_saa(inst: Instance, cfg: RunConfig | None = None,
     ``cfg.threads`` replicates are solved at once, each on a pool thread,
     while the calling thread evaluates each finished replicate's schedule,
     in replicate order; no other thread touches the evaluation cache.  A
-    replicate depends only on its spawned stream, so the report's bits do
-    not depend on ``cfg.threads``.
+    replicate depends only on its own stream, so the report's bits do not
+    depend on ``cfg.threads``.
     """
     cfg = cfg or inst.cfg
     if cfg.saa_m < 2:
@@ -190,12 +193,10 @@ def run_saa(inst: Instance, cfg: RunConfig | None = None,
     if cfg.saa_n < 1 or cfg.saa_nprime < cfg.saa_n:
         raise ValueError("need N >= 1 and N' >= N")
     started = time.perf_counter()
-    rng = np.random.default_rng(cfg.seed if seed is None else seed)
-    streams = rng.spawn(cfg.saa_m + 1)
-    test_set = test_scenarios(inst, cfg.saa_nprime, streams[0])
+    test_set = test_scenarios(inst, cfg.saa_nprime, scenario_stream(cfg.seed))
 
     def one_replicate(i: int) -> dict:
-        train = training_scenarios(inst, cfg.saa_n, streams[i + 1])
+        train = training_scenarios(inst, cfg.saa_n, scenario_stream(cfg.seed, i))
         report = decomp.solve(inst, train, cfg)
         return {"index": i, "status": report.status, "z": report.objective,
                 "schedule": report.schedule, "iterations": report.iterations}

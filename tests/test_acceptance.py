@@ -429,7 +429,7 @@ def test_c09_saa_machinery():
                     subproblem_gap=1e-9, saa_m=3, saa_n=1, saa_nprime=1)
     values = np.tile(np.array([0.0, 40.0])[:, None, None], (1, 2, 1))
     inst = make_instance(net, cfg, values, {"g1": np.zeros(2)}, hprime=("g1",))
-    report = saa.run_saa(inst, seed=3)
+    report = saa.run_saa(inst, dataclasses.replace(inst.cfg, seed=3))
     assert report.gap_pct == pytest.approx(0.0, abs=1e-6)
     assert report.sigma_lower == 0.0 and report.sigma_upper == 0.0
     assert report.ci_lower[0] == pytest.approx(report.ci_lower[1], abs=1e-9)

@@ -10,8 +10,10 @@ import pytest
 
 import gridmaint
 import gridmaint.cli
+from gridmaint import saa
 from gridmaint.cli import (EXIT_ERROR, EXIT_LIMIT, EXIT_OK, _load_context,
                            _read_schedule, main, make_parser)
+from gridmaint.instance import build_instance, scenario_stream, training_scenarios
 
 from cases import CASE_SINGLE_BUS
 
@@ -158,6 +160,50 @@ def test_override_flag_sets_its_config_field(workdir, command, flag, value, fiel
     # the flag and the same value in the config file are the same run
     (workdir / "config.json").write_text(json.dumps({**BASE_CONFIG, field: value}))
     assert context() == (cfg, flag_hash)
+
+
+# components observed close to their failure level, so that samples from
+# different streams differ on the two-bus case's two days
+NEAR_FAILURE = {"mu0": 80.0, "kappa0": 5.0, "mu1": 5.0, "kappa1": 0.3,
+                "sigma": 3.0, "threshold": 100.0}
+
+
+def near_failure_instance(workdir, *args):
+    """Write a config with NEAR_FAILURE priors; the instance and config that
+    a command with ``args`` builds from it."""
+    (workdir / "config.json").write_text(json.dumps(
+        dict(BASE_CONFIG, priors_gen=NEAR_FAILURE, priors_line=NEAR_FAILURE)))
+    argv = [*args, "--case", str(workdir / "case.m"), "--config",
+            str(workdir / "config.json"), "--synth-demand", "--out", str(workdir / "out")]
+    net, grid, cfg, _, _ = _load_context(make_parser().parse_args(argv))
+    return build_instance(net, grid, cfg), cfg
+
+
+def test_plan_solves_saa_replicate_zeros_training_set(workdir):
+    # plan used to sample from default_rng(seed), the stream build_instance
+    # draws the degradation histories from
+    inst, cfg = near_failure_instance(workdir, "plan", "--seed", "7")
+    assert run_cli(workdir, "plan", "--seed", "7") == EXIT_OK
+    written = (workdir / "out" / "scenarios.csv").read_text()
+    assert written == training_scenarios(inst, cfg.saa_n, scenario_stream(7, 0)).to_csv()
+    assert written != training_scenarios(inst, cfg.saa_n, 7).to_csv()
+
+
+def test_evaluate_scores_on_the_saa_test_set(workdir, monkeypatch):
+    # evaluate used to sample from seed + 1, a stream no SAA run draws from
+    inst, cfg = near_failure_instance(workdir, "plan", "--seed", "7")
+    assert run_cli(workdir, "plan", "--seed", "7") == EXIT_OK
+    schedule = workdir / "out" / "schedule.csv"
+    assert run_cli(workdir, "evaluate", "--seed", "7",
+                   "--schedule", str(schedule)) == EXIT_OK
+    report = json.loads((workdir / "out" / "evaluation_report.json").read_text())
+    evaluate = saa.evaluate_schedule
+    test_sets = []
+    monkeypatch.setattr(saa, "evaluate_schedule", lambda inst, sched, scens, *rest:
+                        test_sets.append(scens) or evaluate(inst, sched, scens, *rest))
+    saa.run_saa(inst, cfg)
+    assert report["total"] == evaluate(inst, _read_schedule(str(schedule)),
+                                       test_sets[0], None, cfg).total
 
 
 def test_plan_limit_exit_code(workdir):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import time
 
 import numpy as np
@@ -140,7 +141,14 @@ def test_a_rule_returning_only_pooled_cuts_raises(monkeypatch, mode):
     pooled = chance.LinearCut.make({}, 0.0, name="always")
     monkeypatch.setattr(chance.ChanceRule, "check", lambda self, s: ([pooled], "x"))
     run = decomp.DecompositionRun(inst, scens, inst.cfg)
+    solves = []
+    solve = run.master.solve
+    monkeypatch.setattr(run.master, "solve",
+                        lambda **kw: solves.append(solve(**kw)) or solves[-1])
     assert run.iterate_once() and len(run.master.chance_cuts) == 1
+    # the master relaxes the problem, so a point the rule cuts off still
+    # bounds it; the bound used to be taken only from accepted points
+    assert math.isfinite(solves[0].bound) and run.lb == solves[0].bound
     with pytest.raises(solver.SolverError, match="chance cuts exclude"):
         run.iterate_once()
 

@@ -404,6 +404,15 @@ def test_scenario_set_rejects_a_failure_day_outside_the_horizon(day):
         ScenarioSet(("g1", "l1"), times, np.full(3, 1.0 / 3), 7)
 
 
+@pytest.mark.parametrize("day", [np.nan, np.inf, 2.5])
+def test_scenario_set_rejects_a_failure_day_that_is_not_a_whole_number(day):
+    # NaN used to pass the range check and become day 0, and 2.5 day 2
+    times = np.array([[1, 8], [3, day], [day, 2]])
+    with pytest.raises(ValueError, match=rf"row 1 \(0-based\), component l1: "
+                                         rf"failure day {day!r} is not a whole number"):
+        ScenarioSet(("g1", "l1"), times, np.full(3, 1.0 / 3), 7)
+
+
 @pytest.mark.parametrize("k", [0, -5])
 def test_scenario_csv_rejects_an_index_below_one(k):
     # such a row used to be dropped without a word, leaving 2 scenarios

@@ -361,7 +361,7 @@ def never_failing_instance():
 
 def test_run_saa_degenerate_gap_zero():
     inst = never_failing_instance()
-    report = saa.run_saa(inst, seed=3)
+    report = saa.run_saa(inst, dataclasses.replace(inst.cfg, seed=3))
     assert report.sigma_lower == pytest.approx(0.0, abs=1e-9)
     assert report.ci_lower[1] - report.ci_lower[0] == pytest.approx(0.0, abs=1e-7)
     assert report.sigma_upper == pytest.approx(0.0, abs=1e-9)
@@ -374,7 +374,7 @@ def test_run_saa_bounds_are_ordered_on_toy():
     cfg = inst.cfg.__class__(**{**inst.cfg.__dict__, "saa_m": 3, "saa_n": 3,
                                 "saa_nprime": 12, "epsilon": 1e-6})
     inst.cfg = cfg
-    report = saa.run_saa(inst, seed=11)
+    report = saa.run_saa(inst, dataclasses.replace(inst.cfg, seed=11))
     assert report.ci_lower[0] <= report.ci_lower[1]
     assert report.ci_upper[0] <= report.ci_upper[1]
     assert report.ci_overall[0] <= report.ci_overall[1] + 1e-9
@@ -403,7 +403,7 @@ def test_run_saa_excludes_failed_replicates(monkeypatch):
         return report
 
     monkeypatch.setattr(saa.decomp, "solve", flaky)
-    report = saa.run_saa(inst, seed=3)
+    report = saa.run_saa(inst, dataclasses.replace(inst.cfg, seed=3))
     assert sum(1 for r in report.replicates if r["status"] == "optimal") == 2
 
 
@@ -428,13 +428,13 @@ def test_run_saa_threaded_replicates():
                     pfail_gen=0.05, pfail_line=0.05, saa_m=3, saa_n=6, saa_nprime=30)
     net = parse_case(CASE9, subperiods=cfg.subperiods)
     inst = build_instance(net, synth_demand(net, cfg, seed=1), cfg, seed=12)
-    seq = saa.run_saa(inst, cfg, seed=4)
+    seq = saa.run_saa(inst, dataclasses.replace(cfg, seed=4))
     assert len({r["z"] for r in seq.replicates}) == cfg.saa_m
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         for threads in (2, 3):
-            par = saa.run_saa(inst, dataclasses.replace(cfg, threads=threads), seed=4)
+            par = saa.run_saa(inst, dataclasses.replace(cfg, threads=threads, seed=4))
             assert par.gap_pct.hex() == seq.gap_pct.hex()
             assert par.best_schedule == seq.best_schedule
             for a, b in zip(par.replicates, seq.replicates, strict=True):
@@ -463,7 +463,7 @@ def test_run_saa_evaluates_each_distinct_schedule_once(monkeypatch):
         return real_evaluate(inst, schedule, scens, cache, cfg)
 
     monkeypatch.setattr(saa, "evaluate_schedule", counting)
-    report = saa.run_saa(inst, cfg, seed=4)
+    report = saa.run_saa(inst, dataclasses.replace(cfg, seed=4))
     schedules = [tuple(sorted(r["schedule"].items())) for r in report.replicates]
     assert all(r["status"] == "optimal" for r in report.replicates)
     assert len(schedules) == 4 and len(set(schedules)) == len(calls) == 2
