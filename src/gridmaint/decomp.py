@@ -100,10 +100,13 @@ def compute_lower_bounds(inst: Instance, scenarios: ScenarioSet, cfg: RunConfig,
     distinct rows of its :func:`ucmodel.lower_bound_patterns` in sorted
     order: it sets the row's column bounds and solves once for each
     scenario-day with that row, every solve after the day's first starting
-    from the basis the one before left.  Days run one after another on the
-    calling thread, and the sorted order keeps the bounds independent of the
-    order of the scenarios.  Past ``deadline`` (a ``time.perf_counter()`` value, checked
-    before each row's solves) no further row is solved and the remaining
+    from the basis the one before left.  HiGHS runs once per distinct
+    (day, row), ``lb_models`` times: a repeat of the row before is a
+    re-solve with nothing to send, which returns the answer HiGHS holds.
+    Days run one after another on the calling thread, and the sorted order
+    keeps the bounds independent of the order of the scenarios.  Past
+    ``deadline`` (a ``time.perf_counter()`` value, checked before each
+    row's solves) no further row is solved and the remaining
     entries stay 0.0, which still bounds the non-negative recourse.
     ``counts``, when given, gains ``lb_solved``, ``lb_aliased``,
     ``lb_models`` (distinct (day, row) LPs solved) and ``lb_iterations``

@@ -162,7 +162,8 @@ def analyze(net: Network, grid: DemandGrid, mode: str,
     so that equal vectors are adjacent and the caps are set once per group.
     A re-solve then changes only the demand caps, which leaves the kept
     basis dual feasible, so dual simplex restarts from it (and a repeated
-    vector, whose caps are not set again, takes no iteration).
+    vector, whose caps are not set again, runs no HiGHS: the solver returns
+    the answer HiGHS holds).
     Entries come out scope-major.
     """
     require_grid_buses(net, grid)

@@ -7,7 +7,9 @@ driven through the bindings SciPy bundles (``scipy.optimize._highspy._core``);
 pure LPs go through the same call.  A warm LP re-solve costs HiGHS's run
 plus O(columns changed): it sends only the costs and bounds that changed,
 reads the objective and iteration count alone, and leaves the primal values
-unconverted until :attr:`SolveOutcome.x` is read.
+unconverted until :attr:`SolveOutcome.x` is read.  A re-solve that has
+nothing to send costs no HiGHS run at all: HiGHS already holds that LP
+solved, so the last answer is returned, with 0.0 seconds.
 
 Every solve gets the options ``scipy.optimize.milp`` sets plus two that
 differ from HiGHS's defaults: the root reduced-cost sub-MIP and feasibility
@@ -74,7 +76,7 @@ class SolveOutcome:
     objective: float | None
     bound: float | None  # proven bound on the optimum (== objective for LPs)
     gap: float
-    seconds: float  # HiGHS run time
+    seconds: float  # HiGHS run time; 0.0 when an unchanged LP needed no run
     mip_node_count: int  # branch-and-bound nodes; 0 for an LP
     iterations: int = 0  # simplex iterations; 0 for a MILP
 
@@ -184,14 +186,15 @@ class ModelSpec:
 class _Kept:
     """The LP a thread's HiGHS instance holds with an optimal basis: its spec,
     its ``(rows, columns)`` shape when passed (rows and columns are only ever
-    appended, so the shape shows whether one was added since), and the
-    spec's solve count then (a solve on another thread since clears the
-    spec's record of touched columns, so the instance is no longer in step).
-    The costs and bounds HiGHS holds are the spec's, but for the columns
-    the spec records as touched since."""
+    appended, so the shape shows whether one was added since), the spec's
+    solve count then (a solve on another thread since clears the spec's
+    record of touched columns, so the instance is no longer in step), and
+    the outcome of that solve.  The costs and bounds HiGHS holds are the
+    spec's, but for the columns the spec records as touched since."""
     spec: ModelSpec
     shape: tuple[int, int]
     solves: int
+    outcome: SolveOutcome
 
 
 _MODEL_STATUS = {
@@ -284,24 +287,25 @@ def _pass_lp(highs: _highs._Highs, spec: ModelSpec, is_mip: bool) -> None:
     _check(spec, "passModel", highs.passModel(lp))
 
 
-def _push_changes(highs: _highs._Highs, spec: ModelSpec) -> None:
+def _push_changes(highs: _highs._Highs, spec: ModelSpec) -> bool:
     """Send ``highs``, which holds ``spec`` as of its last solve, the columns
     touched since whose cost or bounds differ from what they were then, in
-    ascending order.  Only those costs are checked for finiteness; the rest
-    were checked when they were sent."""
+    ascending order, and return whether there were any.  Only those costs
+    are checked for finiteness; the rest were checked when they were sent."""
     obj, lb, ub = spec._obj, spec._lb, spec._ub
-    cols = sorted(j for j, was in spec._cost_was.items() if obj[j] != was)
-    if cols:
-        cost = [obj[j] for j in cols]
+    costs = sorted(j for j, was in spec._cost_was.items() if obj[j] != was)
+    if costs:
+        cost = [obj[j] for j in costs]
         if not all(map(math.isfinite, cost)):
             raise SolverError(f"{spec.name}: objective coefficients must be finite")
-        _check(spec, "changeColsCost", highs.changeColsCost(len(cols), cols, cost))
+        _check(spec, "changeColsCost", highs.changeColsCost(len(costs), costs, cost))
     cols = sorted(j for j, (was_lb, was_ub) in spec._bounds_was.items()
                   if lb[j] != was_lb or ub[j] != was_ub)
     if cols:
         _check(spec, "changeColsBounds",
                highs.changeColsBounds(len(cols), cols, [lb[j] for j in cols],
                                       [ub[j] for j in cols]))
+    return bool(costs or cols)
 
 
 def milp(spec: ModelSpec, tolerance: float,
@@ -317,10 +321,15 @@ def milp(spec: ModelSpec, tolerance: float,
     basis HiGHS kept: only the columns :meth:`ModelSpec.set_obj` and
     :meth:`ModelSpec.set_bounds` touched since, and whose values changed,
     are sent, and HiGHS skips presolve and runs dual simplex from that
-    basis.  Everything else (a MILP, a first solve, another spec in between,
-    an added row or column) is passed whole, replacing whatever an earlier
-    solve left: an LP gets the answer ``scipy.optimize.milp`` gives, a MILP
-    the same optimum within the gap, whose objective may differ from
+    basis.  When nothing changed and the options object is the one last
+    passed, HiGHS already holds this LP solved, so there is no run: the
+    last outcome is returned as it was (the same status, objective, bound
+    and ``solution``), with 0 iterations and 0.0 seconds.  A time-limited
+    solve builds fresh options, so it always runs.  Everything else (a
+    MILP, a first solve, another spec in between, an added row or column)
+    is passed whole, replacing whatever an earlier solve left: an LP gets
+    the answer ``scipy.optimize.milp`` gives, a MILP the same optimum
+    within the gap, whose objective may differ from
     ``scipy.optimize.milp``'s by round-off.  An LP's result is read as its
     objective and iteration count, a MILP's from HiGHS's whole info record;
     either's primal values are converted only when the outcome's ``x`` is
@@ -334,19 +343,27 @@ def milp(spec: ModelSpec, tolerance: float,
     # taken now, so that a failure leaves no record; kept again if this run
     # ends optimal
     kept, _local.kept = _local.kept, None
-    clock = highs.getRunTime()  # the instance's run clock adds up over its runs
-    if options is not _local.options:
+    same_options = options is _local.options
+    if not same_options:
         _check(spec, "passOptions", highs.passOptions(options))
         _local.options = options
     shape = (spec.num_rows, spec.num_vars)
     if (kept is not None and kept.spec is spec and kept.shape == shape
             and kept.solves == spec._solves):
-        _push_changes(highs, spec)
+        unchanged = not _push_changes(highs, spec) and same_options
     else:
         _pass_lp(highs, spec, is_mip)
+        unchanged = False
     spec._cost_was.clear()
     spec._bounds_was.clear()
     spec._solves += 1
+    if unchanged:  # HiGHS holds this LP solved: its answer again, with no run
+        kept.solves = spec._solves
+        _local.kept = kept
+        last = kept.outcome
+        return SolveOutcome(last.status, last.solution, last.objective, last.bound,
+                            last.gap, 0.0, 0, 0)
+    clock = highs.getRunTime()  # the instance's run clock adds up over its runs
     _check(spec, "run", highs.run())
 
     status = _MODEL_STATUS.get(highs.getModelStatus(), "error")
@@ -363,13 +380,15 @@ def milp(spec: ModelSpec, tolerance: float,
         nodes, (_, iterations) = 0, highs.getInfoValue("simplex_iteration_count")
         objective, gap = highs.getObjectiveValue(), 0.0
         readable = status == "optimal"  # an LP solution is read only then
-        if readable:
-            _local.kept = _Kept(spec, shape, spec._solves)
     if not readable:
         return SolveOutcome(status, None, None, None, INF, seconds, nodes, iterations)
     objective += 0.0  # turns a -0.0 from HiGHS into 0.0
-    return SolveOutcome(status, highs.getSolution(), objective,
-                        bound if is_mip else objective, gap, seconds, nodes, iterations)
+    outcome = SolveOutcome(status, highs.getSolution(), objective,
+                           bound if is_mip else objective, gap, seconds, nodes,
+                           iterations)
+    if not is_mip:
+        _local.kept = _Kept(spec, shape, spec._solves, outcome)
+    return outcome
 
 
 def solve(spec: ModelSpec, tolerance: float = 1e-9,

@@ -123,15 +123,21 @@ def test_plan_writes_schedule_and_report(workdir):
 
 
 def test_plan_reproducible_from_seed(workdir):
-    run_cli(workdir, "plan", "--seed", "13")
-    first = (workdir / "out" / "schedule.csv").read_text()
-    first_obj = json.loads((workdir / "out" / "plan_report.json").read_text())
-    run_cli(workdir, "plan", "--seed", "13")
-    second = (workdir / "out" / "schedule.csv").read_text()
-    second_obj = json.loads((workdir / "out" / "plan_report.json").read_text())
+    write_near_failure_config(workdir)
+    out = workdir / "out"
+    assert run_cli(workdir, "plan", "--seed", "13") == EXIT_OK
+    first = (out / "schedule.csv").read_text()
+    first_scens = (out / "scenarios.csv").read_text()
+    first_obj = json.loads((out / "plan_report.json").read_text())
+    assert run_cli(workdir, "plan", "--seed", "13") == EXIT_OK
+    second = (out / "schedule.csv").read_text()
+    second_obj = json.loads((out / "plan_report.json").read_text())
     assert first == second
+    assert (out / "scenarios.csv").read_text() == first_scens
     assert first_obj["objective"] == second_obj["objective"]
     assert first_obj["schedule_hash"] == second_obj["schedule_hash"]
+    assert run_cli(workdir, "plan", "--seed", "14") == EXIT_OK
+    assert (out / "scenarios.csv").read_text() != first_scens  # the seed is read
 
 
 @pytest.mark.parametrize("command,flag,value,field", [
@@ -168,11 +174,18 @@ NEAR_FAILURE = {"mu0": 80.0, "kappa0": 5.0, "mu1": 5.0, "kappa1": 0.3,
                 "sigma": 3.0, "threshold": 100.0}
 
 
+def write_near_failure_config(workdir):
+    """Write the base config with NEAR_FAILURE priors.  With the default
+    priors every component's failure probability within the two days is
+    below 1e-23, so every sample would be the no-failure world."""
+    (workdir / "config.json").write_text(json.dumps(
+        dict(BASE_CONFIG, priors_gen=NEAR_FAILURE, priors_line=NEAR_FAILURE)))
+
+
 def near_failure_instance(workdir, *args):
     """Write a config with NEAR_FAILURE priors; the instance and config that
     a command with ``args`` builds from it."""
-    (workdir / "config.json").write_text(json.dumps(
-        dict(BASE_CONFIG, priors_gen=NEAR_FAILURE, priors_line=NEAR_FAILURE)))
+    write_near_failure_config(workdir)
     argv = [*args, "--case", str(workdir / "case.m"), "--config",
             str(workdir / "config.json"), "--synth-demand", "--out", str(workdir / "out")]
     net, grid, cfg, _, _ = _load_context(make_parser().parse_args(argv))
@@ -289,14 +302,22 @@ def test_read_schedule_rejects_a_component_scheduled_twice(tmp_path):
 
 
 def test_evaluate_deterministic_rerun(workdir):
-    run_cli(workdir, "plan")
+    write_near_failure_config(workdir)
+    assert run_cli(workdir, "plan") == EXIT_OK
     out = workdir / "out"
-    run_cli(workdir, "evaluate", "--schedule", str(out / "schedule.csv"))
-    first = json.loads((out / "evaluation_report.json").read_text())
-    run_cli(workdir, "evaluate", "--schedule", str(out / "schedule.csv"))
-    second = json.loads((out / "evaluation_report.json").read_text())
+
+    def evaluate(*seed):
+        assert run_cli(workdir, "evaluate", "--schedule", str(out / "schedule.csv"),
+                       *seed) == EXIT_OK
+        return json.loads((out / "evaluation_report.json").read_text())
+
+    first, second = evaluate(), evaluate()
     assert first["total"] == second["total"]
     assert first["violation_freq"] == second["violation_freq"]
+    assert first["avg_failures"] == second["avg_failures"]
+    # evaluate writes no scenarios.csv: another seed's test set shows in its
+    # failure counts
+    assert evaluate("--seed", "8")["avg_failures"] != first["avg_failures"]
 
 
 def test_saa_degenerate_zero_gap(workdir):
@@ -357,6 +378,7 @@ def test_plan_writes_cut_log(workdir):
 
 
 def test_plan_reuses_scenario_file(workdir):
+    write_near_failure_config(workdir)
     assert run_cli(workdir, "plan") == EXIT_OK
     out = workdir / "out"
     first = json.loads((out / "plan_report.json").read_text())
@@ -367,6 +389,9 @@ def test_plan_reuses_scenario_file(workdir):
     second = json.loads((out / "plan_report.json").read_text())
     # identical training scenarios give the identical optimum despite the seed
     assert second["objective"] == pytest.approx(first["objective"], rel=1e-9)
+    assert (out / "scenarios.csv").read_text() == scen_file.read_text()
+    assert run_cli(workdir, "plan", "--seed", "99") == EXIT_OK
+    assert (out / "scenarios.csv").read_text() != scen_file.read_text()
 
 
 def test_plan_writes_rld_parameters(workdir):

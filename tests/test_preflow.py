@@ -260,11 +260,29 @@ def test_projected_relaxation_matches_the_curtailment_and_commitment_form():
                     assert abs(got - want) <= 1e-7 * max(1.0, abs(want)), \
                         (candidates, cap, line.id, direction, got, want)
 
-def test_probes_of_one_target_change_only_the_demand_caps(monkeypatch):
+
+@pytest.fixture
+def highs_runs(monkeypatch):
+    """The number of HiGHS runs so far, as a one-element list; this thread's
+    HiGHS instance starts fresh and counts its runs."""
+    ran = [0]
+
+    class Counting(solver._highs._Highs):
+        def run(self):
+            ran[0] += 1
+            return super().run()
+
+    monkeypatch.setattr(solver._highs, "_Highs", Counting)
+    solver._local.highs = None
+    yield ran
+    solver._local.highs = None  # later tests get an instance of the real class
+
+
+def test_probes_of_one_target_change_only_the_demand_caps(monkeypatch, highs_runs):
     # target-major order: one (line, direction) is probed over every cap
     # vector before the objective moves on, so consecutive re-solves differ
     # only in the demand columns' upper bounds; day 3 repeats day 1, and a
-    # repeated vector re-solves from its own optimal basis in no iteration
+    # repeated vector returns the answer HiGHS holds, with no run
     net = build_net(n_bus=3, n_gen=2, lines=[(1, 2), (1, 3), (2, 3)],
                     flow_limits=[40.0, 60.0, 50.0], p_max=150.0)
     rng = np.random.default_rng(11)
@@ -275,9 +293,10 @@ def test_probes_of_one_target_change_only_the_demand_caps(monkeypatch):
     real_solve = solver.solve
 
     def spy(spec, *args, **kwargs):
+        before = highs_runs[0]
         outcome = real_solve(spec, *args, **kwargs)
         calls.append((spec, list(spec._obj), list(spec._lb), list(spec._ub),
-                      outcome.iterations))
+                      highs_runs[0] - before, outcome.iterations))
         return outcome
 
     monkeypatch.setattr(solver, "solve", spy)
@@ -303,10 +322,31 @@ def test_probes_of_one_target_change_only_the_demand_caps(monkeypatch):
             assert after[2] == before[2]
             moved = {i for i, (u, v) in enumerate(zip(before[3], after[3])) if u != v}
             assert moved <= dem
+            assert after[-2] == (1 if moved else 0)
             if not moved:
                 repeats += 1
                 assert after[-1] == 0
     assert repeats == 2 * 2 * grid.subperiods
+    assert highs_runs[0] == len(calls) - repeats
+
+
+def test_repeated_days_give_the_original_grids_extremes_bit_for_bit(nine_bus_week):
+    # a repeated cap vector runs no HiGHS, so HiGHS meets the distinct
+    # vectors in the same order from the same bases as for the original grid
+    net, grid = nine_bus_week
+    candidates = frozenset({"l3"})
+    original = analyze(net, grid, "III", candidate_lines=candidates)
+    twice = analyze(net, DemandGrid(grid.bus_ids, np.concatenate(
+        [grid.values, grid.values], axis=1)), "III", candidate_lines=candidates)
+    n = len(original.entries)
+    assert len(twice.entries) == 2 * n
+    for e, first, second in zip(original.entries, twice.entries, twice.entries[n:]):
+        day, hour = e.scope
+        assert first.scope == (day, hour) and second.scope == (day + grid.periods, hour)
+        assert (e.line_id, e.direction) == (first.line_id, first.direction) \
+            == (second.line_id, second.direction)
+        assert e.f_star == first.f_star == second.f_star
+    assert twice.iterations == original.iterations
 
 
 def test_the_objective_moves_only_when_the_target_does(monkeypatch):

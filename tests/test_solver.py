@@ -391,14 +391,21 @@ def assert_close(hot, fresh):
     assert abs(hot.objective - fresh.objective) <= 1e-9 * max(1.0, abs(fresh.objective))
 
 
-def test_unchanged_lp_resolves_to_the_same_bits_in_no_iterations(passes):
+def test_unchanged_lp_resolves_to_the_same_bits_in_no_iterations(sent):
     m = covering_lp()
     first = solver.solve(m)
-    again = solver.solve(m)
+    again = solver.solve(m)              # the kept answer, with no run
     assert first.ok and first.iterations > 0
     assert full_outcome(again) == full_outcome(first)
-    assert again.iterations == 0
-    assert len(passes) == 1
+    assert again.iterations == 0 and again.seconds == 0.0
+    assert full_outcome(solver.solve(m)) == full_outcome(first)
+    assert runs(sent) == 1               # the record is kept for the next one
+    # a run on the instance that holds the LP gives the same bits in no iteration
+    highs = solver._local.highs
+    assert highs.run() == solver._highs.HighsStatus.kOk
+    assert highs.getInfoValue("simplex_iteration_count")[1] == 0
+    assert highs.getObjectiveValue() == again.objective
+    assert np.array(highs.getSolution().col_value).tobytes() == again.x.tobytes()
 
 
 def apply_cost(m):
@@ -459,11 +466,14 @@ def test_backend_error_drops_the_record(monkeypatch):
     solver._local.highs = None
     m = covering_lp()
     first = solver.solve(m)
+    lb, ub = m._lb[5], m._ub[5]
+    m.set_bounds(5, 0.5, 1.0)            # a change, so that the re-solve runs
     failing.append(True)
     with pytest.raises(solver.SolverError, match="covering: HiGHS run"):
         solver.solve(m)
     assert solver._local.highs is None and solver._local.kept is None
     failing.clear()
+    m.set_bounds(5, lb, ub)
     again = solver.solve(m)  # on a new instance, which is passed the model whole
     assert full_outcome(again) == full_outcome(first) and again.iterations > 0
 
@@ -549,8 +559,8 @@ def test_heuristics_off_reach_the_optima_of_highs_defaults(monkeypatch):
 
 @pytest.fixture
 def sent(monkeypatch):
-    """The calls this thread's HiGHS instance gets that change columns or pass
-    options, as ``(method, columns, values...)`` tuples; the instance starts
+    """The calls HiGHS instances get that change columns, pass options or run,
+    as ``(method, columns, values...)`` tuples; this thread's instance starts
     fresh and with no record."""
     calls = []
 
@@ -567,6 +577,10 @@ def sent(monkeypatch):
             calls.append(("options", options))
             return super().passOptions(options)
 
+        def run(self):
+            calls.append(("run",))
+            return super().run()
+
     monkeypatch.setattr(solver._highs, "_Highs", Counting)
     solver._local.highs = None
     yield calls
@@ -574,7 +588,11 @@ def sent(monkeypatch):
 
 
 def column_changes(calls):
-    return [call for call in calls if call[0] != "options"]
+    return [call for call in calls if call[0] in ("cost", "bounds")]
+
+
+def runs(calls):
+    return sum(call[0] == "run" for call in calls)
 
 
 def test_warm_resolve_sends_only_the_columns_that_changed(sent):
@@ -604,8 +622,59 @@ def test_a_column_set_and_set_back_sends_nothing(sent):
     m.set_bounds(4, 0.0, 0.0)
     m.set_bounds(4, lb, ub)
     again = solver.solve(m)
-    assert column_changes(sent) == []
+    assert column_changes(sent) == [] and runs(sent) == 1
     assert full_outcome(again) == full_outcome(first) and again.iterations == 0
+
+
+def timed_resolves():
+    m = covering_lp()
+    solver.solve(m)
+    solver.solve(m, time_limit=10.0)     # fresh options each time
+    solver.solve(m, time_limit=10.0)
+    return 3
+
+
+def milp_solved_twice():
+    m = max_knapsack()
+    solver.solve(m)
+    solver.solve(m)
+    return 2
+
+
+def lp_that_ended_infeasible():
+    m = covering_lp()
+    for j in range(m.num_vars):
+        m.set_bounds(j, 0.0, 0.0)
+    assert solver.solve(m).status == "infeasible"
+    assert solver.solve(m).status == "infeasible"
+    return 2
+
+
+def another_spec_in_between():
+    m = covering_lp(0)
+    solver.solve(m)
+    solver.solve(covering_lp(1))
+    solver.solve(m)
+    return 3
+
+
+def another_thread_in_between():
+    from concurrent.futures import ThreadPoolExecutor
+
+    m = covering_lp()
+    solver.solve(m)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        assert pool.submit(solver.solve, m).result().ok
+    solver.solve(m)
+    return 3
+
+
+@pytest.mark.parametrize("solves", [timed_resolves, milp_solved_twice,
+                                    lp_that_ended_infeasible, another_spec_in_between,
+                                    another_thread_in_between])
+def test_a_resolve_runs_unless_the_instance_holds_the_lp_solved(sent, solves):
+    made = solves()
+    assert runs(sent) == made  # every solve ran HiGHS
 
 
 def test_changes_before_the_last_solve_are_not_sent_again(sent):
