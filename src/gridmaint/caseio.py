@@ -22,7 +22,7 @@ import numpy as np
 
 log = logging.getLogger(__name__)
 
-DELTA_BOUND = math.pi  # default voltage-angle box (radians)
+DELTA_BOUND = math.pi  # every bus's voltage angle lies in [-DELTA_BOUND, DELTA_BOUND]
 
 
 class CaseError(ValueError):
@@ -31,15 +31,12 @@ class CaseError(ValueError):
 
 @dataclass(frozen=True)
 class Bus:
+    """A bus; its voltage angle lies in the one box [-DELTA_BOUND, DELTA_BOUND]."""
     id: int
-    delta_min: float = -DELTA_BOUND
-    delta_max: float = DELTA_BOUND
     curtail_cost: float = 0.0  # $/MWh, filled in after gen costs are known
     base_demand: float = 0.0   # Pd from the case file, used by synth_demand
 
     def __post_init__(self):
-        if self.delta_min > self.delta_max:
-            raise CaseError(f"bus {self.id}: delta_min > delta_max")
         if not self.curtail_cost >= 0:
             raise CaseError(f"bus {self.id}: curtail_cost must be >= 0, "
                             f"got {self.curtail_cost!r}")
@@ -85,7 +82,6 @@ class Line:
     to_bus: int
     susceptance: float   # p.u. (1/x)
     flow_limit: float    # MW
-    big_m: float         # MW
     maint_cost_pred: float
     maint_cost_corr: float
 
@@ -98,6 +94,7 @@ class Line:
 
 @dataclass(frozen=True)
 class Network:
+    """Buses, generators and lines; each line's big-M is derived (:meth:`big_m`)."""
     buses: tuple[Bus, ...]
     generators: tuple[Generator, ...]
     lines: tuple[Line, ...]
@@ -123,6 +120,11 @@ class Network:
         """Susceptance scaled to MW per radian."""
         return self.base_mva * line.susceptance
 
+    def big_m(self, line: Line) -> float:
+        """Largest ``B * (angle difference)`` the angle box allows, MW: the
+        big-M of the line's switched Ohm rows."""
+        return self.line_susceptance_mw(line) * (2 * DELTA_BOUND)
+
     def validate(self) -> None:
         ids = [b.id for b in self.buses]
         if len(set(ids)) != len(ids):
@@ -140,13 +142,11 @@ class Network:
             raise CaseError("network graph is not connected")
         # Report (not assume) whether the auto-derived big-M really dominates
         # the flow limit, i.e. whether (1l)-style rows are redundant at y=1.
-        bix = self.bus_index()
         for ln in self.lines:
-            b_mw = self.line_susceptance_mw(ln)
-            span = self.buses[bix[ln.from_bus]].delta_max - self.buses[bix[ln.to_bus]].delta_min
-            if b_mw * span < ln.flow_limit:
+            if self.big_m(ln) < ln.flow_limit:
                 log.warning("line %s: B*(delta span) = %.3f < flow limit %.3f; "
-                            "big-M may be binding", ln.id, b_mw * span, ln.flow_limit)
+                            "big-M may be binding", ln.id, self.big_m(ln),
+                            ln.flow_limit)
 
 
 def _connected(nodes: set[int], edges: list[tuple[int, int]]) -> bool:
@@ -329,11 +329,8 @@ def parse_case(text: str, subperiods: int = 24) -> Network:
         if fbus not in bus_objs or tbus not in bus_objs:
             raise CaseError(f"branch {j + 1} references unknown bus "
                             f"{fbus if fbus not in bus_objs else tbus}")
-        b_pu = 1.0 / x
-        span = bus_objs[fbus].delta_max - bus_objs[tbus].delta_min
-        big_m = base_mva * b_pu * span
-        lines.append(Line(id=f"l{j + 1}", from_bus=fbus, to_bus=tbus, susceptance=b_pu,
-                          flow_limit=rate_a, big_m=big_m,
+        lines.append(Line(id=f"l{j + 1}", from_bus=fbus, to_bus=tbus,
+                          susceptance=1.0 / x, flow_limit=rate_a,
                           maint_cost_pred=line_pred, maint_cost_corr=3.0 * line_pred))
 
     net = Network(buses=tuple(bus_objs.values()),

@@ -67,14 +67,13 @@ def extend_cover(cover: dict[str, int], tbar: int) -> list[tuple[str, int]]:
     return pairs
 
 
-def cover_cut(index_set: list[tuple[str, int]], n_candidates: int,
-              name: str = "cover") -> LinearCut:
+def cover_cut(index_set: list[tuple[str, int]], n_candidates: int) -> LinearCut:
     """sum of v over the index set <= |candidates| - 1.  The empty cover (no
     candidates, so the fixed components alone break the constraint) is the
     row 0 <= -1, which no schedule meets."""
     return LinearCut.make({pair: 1.0 for pair in index_set},
                           rhs=float(n_candidates - 1) if index_set else -1.0,
-                          sense="<=", name=name)
+                          sense="<=", name="cover")
 
 
 def separate(schedule: dict[str, int], table: SuccessProbTable, rho_gen: int,

@@ -1,10 +1,11 @@
 """Command-line pipeline: preprocess, plan, evaluate, saa.
 
-Every command reads a case file, a demand source (CSV, or a synthesized
-profile), and a JSON config; results land in the output directory as CSV and
-JSON artifacts carrying the config hash, so any run is reproducible from its
-inputs and seed alone.  Logs go to stderr.  Exit status: 0 on success, 2 when
-an iteration or time limit stopped a solve, 1 on errors and usage errors.
+Every command reads a case file, a demand source it must name (``--demand``
+CSV or ``--synth-demand``), and a JSON config; results land in the output
+directory as CSV and JSON artifacts carrying the config hash, so any run is
+reproducible from its inputs and seed alone.  Logs go to stderr.  Exit
+status: 0 on success, 2 when an iteration or time limit stopped a solve, 1 on
+errors and usage errors.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ EXIT_OK, EXIT_ERROR, EXIT_LIMIT = 0, 1, 2
 def _common_arguments(sub):
     sub.add_argument("--case", required=True, help="MATPOWER-style case file")
     sub.add_argument("--config", help="JSON run configuration")
-    demand = sub.add_mutually_exclusive_group()
+    demand = sub.add_mutually_exclusive_group(required=True)
     demand.add_argument("--demand", help="demand CSV (bus,t,s,mw)")
     demand.add_argument("--synth-demand", action="store_true",
                         help="synthesize demand from the case loads")
@@ -52,11 +53,9 @@ def _load_context(args):
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)
     net = parse_case(case_text, subperiods=cfg.subperiods)
-    demand_text = Path(args.demand).read_text() if args.demand else ""
-    if args.demand:
-        grid = load_demand(demand_text, net, cfg)
-    else:
-        grid = synth_demand(net, cfg)
+    demand_text = "" if args.synth_demand else Path(args.demand).read_text()
+    grid = synth_demand(net, cfg) if args.synth_demand \
+        else load_demand(demand_text, net, cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     # the effective config (overrides applied) plus every input that shapes the run

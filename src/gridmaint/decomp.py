@@ -84,17 +84,11 @@ def _relative_gap(ub: float, lb: float) -> float:
     return (ub - lb) / abs(ub)
 
 
-def _distinct_rows(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group equal rows of a 0/1 array: the first row of each group, in the
-    groups' sorted order, and every row's group number.  Packing eight bits
-    to a byte keeps that order and sorts fewer columns."""
-    return group_rows(np.packbits(bits, axis=1))
-
-
 def compute_lower_bounds(inst: Instance, scenarios: ScenarioSet, cfg: RunConfig,
-                         deadline: float | None = None,
-                         counts: dict[str, int] | None = None) -> np.ndarray:
-    """LP lower bound of every scenario-day, shape ``(n, T)``, solved up front.
+                         deadline: float | None = None
+                         ) -> tuple[np.ndarray, dict[str, int]]:
+    """LP lower bound of every scenario-day, shape ``(n, T)``, solved up front,
+    and the pass's counts.
 
     Each day builds one LP (:func:`ucmodel.lp_lower_bound`) and walks the
     distinct rows of its :func:`ucmodel.lower_bound_patterns` in sorted
@@ -108,16 +102,16 @@ def compute_lower_bounds(inst: Instance, scenarios: ScenarioSet, cfg: RunConfig,
     ``deadline`` (a ``time.perf_counter()`` value, checked before each
     row's solves) no further row is solved and the remaining
     entries stay 0.0, which still bounds the non-negative recourse.
-    ``counts``, when given, gains ``lb_solved``, ``lb_aliased``,
-    ``lb_models`` (distinct (day, row) LPs solved) and ``lb_iterations``
-    (simplex iterations over every solve).
+    The counts are ``lb_solved``, ``lb_aliased``, ``lb_models`` (distinct
+    (day, row) LPs solved) and ``lb_iterations`` (simplex iterations over
+    every solve).
     """
-    xi = scenarios.failure_days(inst.hprime, cfg.tbar)
+    xi = scenarios.failure_days(inst.hprime)
     values = np.zeros((scenarios.size, cfg.horizon_days))
     solved = models = iterations = 0
     for t in range(1, cfg.horizon_days + 1):
         patterns = ucmodel.lower_bound_patterns(xi, t, cfg, inst.hprime, inst.kinds)
-        first, inverse = _distinct_rows(patterns)
+        first, inverse = group_rows(patterns)
         spec = None
         for key, pattern in enumerate(patterns[first]):
             if deadline is not None and time.perf_counter() > deadline:
@@ -132,10 +126,8 @@ def compute_lower_bounds(inst: Instance, scenarios: ScenarioSet, cfg: RunConfig,
                 iterations += its
                 solved += 1
             models += 1
-    if counts is not None:
-        counts.update(lb_solved=solved, lb_aliased=0, lb_models=models,
-                      lb_iterations=iterations)
-    return values
+    return values, {"lb_solved": solved, "lb_aliased": 0, "lb_models": models,
+                    "lb_iterations": iterations}
 
 
 def day_values(inst: Instance, scenarios: ScenarioSet, cfg: RunConfig,
@@ -159,7 +151,7 @@ def day_values(inst: Instance, scenarios: ScenarioSet, cfg: RunConfig,
     for t in range(1, horizon + 1):
         status = ucmodel.status_vector(schedule, scenarios, t, cfg, components,
                                        inst.kinds)
-        first, inverse = _distinct_rows(status)
+        first, inverse = group_rows(status)
         cell_ids[:, t - 1] = len(cells) + inverse
         for row in status[first].tolist():
             down = frozenset(c for c, bit in zip(components, row) if not bit)
@@ -198,11 +190,10 @@ class DecompositionRun:
         self.inst, self.scenarios, self.cfg = inst, scenarios, cfg
         self.started = time.perf_counter()
         self.cache = cache if cache is not None else StatusCache()
-        self.lb_counts: dict[str, int] = {}  # filled by compute_lower_bounds
         self.deadline = None if cfg.time_limit is None \
             else self.started + cfg.time_limit
-        day_bounds = compute_lower_bounds(inst, scenarios, cfg, self.deadline,
-                                          self.lb_counts)
+        day_bounds, self.lb_counts = compute_lower_bounds(inst, scenarios, cfg,
+                                                          self.deadline)
         self.lb_seconds = time.perf_counter() - self.started
         cost_of = {comp: inst.maint_cost(comp) for comp in inst.hprime}
         self.master = mastercuts.MasterState(inst.hprime, scenarios, cfg, cost_of,

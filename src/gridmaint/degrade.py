@@ -13,6 +13,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -268,22 +269,32 @@ class ScenarioSet:
 
         The merged set holds the distinct ``failure_times`` rows in sorted
         order, each with the summed probability of its members, so an
-        expectation over it equals one over this set.
+        expectation over it equals one over this set.  The merge runs once
+        per set and is kept on it, so every caller gets the same arrays,
+        read-only.
         """
+        return self._merged
+
+    @cached_property
+    def _merged(self) -> tuple["ScenarioSet", np.ndarray]:
         first, inverse = group_rows(self.failure_times)
         probs = np.bincount(inverse, weights=self.probs, minlength=first.size)
-        return ScenarioSet(self.component_ids, self.failure_times[first], probs,
-                           self.horizon_days), inverse
+        merged = ScenarioSet(self.component_ids, self.failure_times[first], probs,
+                             self.horizon_days)
+        for shared in (merged.failure_times, merged.probs, inverse):
+            shared.flags.writeable = False
+        return merged, inverse
 
-    def failure_days(self, components: tuple[str, ...], never: int) -> np.ndarray:
+    def failure_days(self, components: tuple[str, ...]) -> np.ndarray:
         """Failure days of ``components`` in every scenario, ``(n, c)`` int16.
 
-        Columns follow ``components``; one the set does not cover gets ``never``.
-        int16 keeps per-day status derivation over large sets small; a
-        ``never`` beyond its range raises ``OverflowError``.
+        Columns follow ``components``; one the set does not cover never fails
+        (day T+1).  int16 keeps per-day status derivation over large sets
+        small; a horizon beyond its range raises ``OverflowError``.
         """
         col = {comp: j for j, comp in enumerate(self.component_ids)}
-        out = np.full((self.size, len(components)), never, dtype=np.int16)
+        out = np.full((self.size, len(components)), self.horizon_days + 1,
+                      dtype=np.int16)
         for j, comp in enumerate(components):
             if comp in col:
                 out[:, j] = self.failure_times[:, col[comp]]

@@ -126,10 +126,12 @@ class MasterState:
         # expected first-stage cost coefficient per (component, period),
         # accumulated in scenario order
         self.cost_of = cost_of
-        self.xi = scenarios.failure_days(self.hprime, self.tbar)
+        self.xi = scenarios.failure_days(self.hprime)
         self.obj_v: dict[tuple[str, int], float] = {}
+        periods = np.arange(1, self.tbar + 1)
         for j, comp in enumerate(self.hprime):
-            coeffs = maintenance_cost_coeffs(*cost_of[comp], self.xi[:, j], self.tbar)
+            coeffs = maintenance_cost_coeffs(*cost_of[comp], self.xi[:, j, None],
+                                             self.tbar, period=periods)
             expected = np.add.accumulate(scenarios.probs[:, None] * coeffs)[-1]
             for t, value in enumerate(expected.tolist(), start=1):
                 self.obj_v[(comp, t)] = value

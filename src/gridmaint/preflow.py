@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import solver
-from .caseio import DemandGrid, Network, require_grid_buses
+from .caseio import DELTA_BOUND, DemandGrid, Network, require_grid_buses
 from .degrade import group_rows
 from .ucmodel import add_ohm_row, add_switched_line_rows
 
@@ -82,7 +82,7 @@ class _RelaxedFlowLP:
 
         # upper bounds are the demand caps, written by set_caps
         d = [spec.add_var(lb=0.0, ub=0.0) for _ in net.buses]
-        delta = [spec.add_var(lb=b.delta_min, ub=b.delta_max) for b in net.buses]
+        delta = [spec.add_var(lb=-DELTA_BOUND, ub=DELTA_BOUND) for _ in net.buses]
         p = [spec.add_var(lb=0.0, ub=gen.p_max) for gen in net.generators]
 
         f = []
@@ -94,7 +94,8 @@ class _RelaxedFlowLP:
             if line.id in candidate_lines:
                 # switchable: relaxed on/off with big-M Ohm and linked bounds
                 yv = spec.add_var(lb=0.0, ub=1.0)
-                add_switched_line_rows(spec, fv, delta[fi], delta[ti], yv, line, b_mw)
+                add_switched_line_rows(spec, fv, delta[fi], delta[ti], yv,
+                                       line.flow_limit, b_mw)
             else:
                 # static line: Ohm only; its own limit rows are what we probe
                 add_ohm_row(spec, fv, delta[fi], delta[ti], b_mw)

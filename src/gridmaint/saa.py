@@ -70,7 +70,7 @@ def evaluate_schedule(inst: Instance, schedule: dict[str, int],
     comps = inst.all_components
     merged, inverse = scens.distinct()
     n = merged.size
-    xi = merged.failure_days(comps, cfg.tbar)
+    xi = merged.failure_days(comps)
     periods = np.array([schedule.get(comp, cfg.tbar) for comp in comps])
     is_gen = np.array([inst.kinds[comp] == "gen" for comp in comps], dtype=bool)
     prime = np.array([comp in inst.hprime for comp in comps], dtype=bool)

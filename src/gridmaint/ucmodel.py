@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import solver
-from .caseio import DemandGrid, Line, Network, RunConfig
+from .caseio import DELTA_BOUND, DemandGrid, Network, RunConfig
 from .degrade import ScenarioSet
 
 __all__ = ["status_bit", "outage_days", "status_vector", "period_status", "DayModel",
@@ -69,7 +69,7 @@ def status_vector(schedule: dict[str, int], scenarios: ScenarioSet, day: int,
     Unscheduled components are never maintained in the horizon, and
     components the scenario set does not cover never fail.
     """
-    xi = scenarios.failure_days(components, cfg.tbar)
+    xi = scenarios.failure_days(components)
     period = np.array([schedule.get(comp, cfg.tbar) for comp in components], dtype=int)
     tau = outage_days(components, kinds, cfg)
     return status_bit(period, xi, day, tau[:, 0], tau[:, 1], cfg.horizon_days)
@@ -88,17 +88,13 @@ def period_status(failure_days: np.ndarray, day: int, cfg: RunConfig,
                       cfg.horizon_days)
 
 
-def maintenance_cost_coeffs(comp_pred, comp_corr, xi, tbar: int,
-                            period=None) -> np.ndarray:
+def maintenance_cost_coeffs(comp_pred, comp_corr, xi, tbar: int, period) -> np.ndarray:
     """First-stage cost of maintaining in ``period`` under failure time ``xi``.
 
     Predictive cost before the failure time, corrective cost from it on; a
-    component that never fails costs nothing in the no-maintenance slot.
-    Arguments broadcast; without ``period`` a last axis runs over 1..tbar.
+    component that never fails costs nothing in the no-maintenance slot
+    ``tbar``.  Arguments broadcast.
     """
-    if period is None:
-        period = np.arange(1, tbar + 1)
-        xi = np.expand_dims(xi, -1)
     return np.where(period < xi, comp_pred, np.where(xi != tbar, comp_corr, 0.0))
 
 
@@ -156,7 +152,7 @@ def _add_day_network(spec, net, demand_day, cfg, off, integer_x,
     for i, bus in enumerate(net.buses):
         cost = cfg.curtail_cost if cfg.curtail_cost is not None else bus.curtail_cost
         for s in range(s_count):
-            delta[i, s] = spec.add_var(lb=bus.delta_min, ub=bus.delta_max)
+            delta[i, s] = spec.add_var(lb=-DELTA_BOUND, ub=DELTA_BOUND)
             # curtailment pays to shed load, never to fabricate injection
             q[i, s] = spec.add_var(lb=0.0, ub=float(demand_day[i, s]), obj=cost)
 
@@ -189,7 +185,7 @@ def _add_day_network(spec, net, demand_day, cfg, off, integer_x,
             y = spec.add_var(lb=0.0, ub=1.0)
             spec.add_eq({**outage_terms[line.id], y: 1.0}, 1.0)
             add_switched_line_rows(spec, f[j, s], delta[fi, s], delta[ti, s], y,
-                                   line, b_mw)
+                                   line.flow_limit, b_mw)
 
     _add_gen_rows(spec, net, p, x, u, nu, s_count)
     _add_balance_rows(spec, net, demand_day, p, f, q)
@@ -237,17 +233,20 @@ def add_ohm_row(spec: solver.ModelSpec, f: int, d_from: int, d_to: int,
 
 
 def add_switched_line_rows(spec: solver.ModelSpec, f: int, d_from: int, d_to: int,
-                           y: int, line: Line, b_mw: float) -> None:
+                           y: int, flow_limit: float, b_mw: float) -> None:
     """Big-M Ohm rows and on/off-linked flow bounds of a switchable line.
 
-    With ``y`` = 1 the line obeys Ohm's law within its flow limit; with
-    ``y`` = 0 its flow is zero and the angle difference is free up to big-M.
+    With ``y`` = 1 the line obeys Ohm's law within ``flow_limit``; with
+    ``y`` = 0 its flow is zero and the angle difference is free up to big-M,
+    ``b_mw`` times the widest difference the angle box allows
+    (:meth:`Network.big_m`).
     """
+    big_m = b_mw * (2 * DELTA_BOUND)
     ohm = {f: 1.0, d_from: -b_mw, d_to: b_mw}
-    spec.add_le({**ohm, y: line.big_m}, line.big_m)
-    spec.add_ge({**ohm, y: -line.big_m}, -line.big_m)
-    spec.add_le({f: 1.0, y: -line.flow_limit}, 0.0)
-    spec.add_ge({f: 1.0, y: line.flow_limit}, 0.0)
+    spec.add_le({**ohm, y: big_m}, big_m)
+    spec.add_ge({**ohm, y: -big_m}, -big_m)
+    spec.add_le({f: 1.0, y: -flow_limit}, 0.0)
+    spec.add_ge({f: 1.0, y: flow_limit}, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -118,7 +118,6 @@ def build_net(n_bus=2, n_gen=1, lines=None, p_max=200.0, gen_cost=10.0,
     flow_limits = flow_limits or [flow_limit] * len(lines)
     line_objs = tuple(Line(id=f"l{j + 1}", from_bus=u, to_bus=v, susceptance=susceptance,
                            flow_limit=flow_limits[j],
-                           big_m=2.0 * np.pi * susceptance * 100.0,
                            maint_cost_pred=0.1 * maint_pred, maint_cost_corr=0.3 * maint_pred)
                       for j, (u, v) in enumerate(lines))
     net = Network(buses=buses, generators=gens, lines=line_objs)

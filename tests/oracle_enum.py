@@ -33,7 +33,7 @@ def admitted(inst, cfg, mode):
 
 def schedule_value(inst, scens, cfg, schedule, cache):
     """Expected first-stage plus recourse cost of ``schedule`` over ``scens``."""
-    xi = scens.failure_days(inst.hprime, cfg.tbar)
+    xi = scens.failure_days(inst.hprime)
     first = np.zeros(scens.size)
     for j, comp in enumerate(inst.hprime):
         pred, corr = inst.maint_cost(comp)

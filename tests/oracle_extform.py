@@ -11,6 +11,7 @@ deliberately separate from the decomposition path it is used to check.
 import itertools
 
 from gridmaint import solver
+from gridmaint.caseio import DELTA_BOUND
 from gridmaint.pboracle import joint_oracle
 
 from cases import scenario_xi
@@ -93,7 +94,7 @@ def extensive_solve(inst, scenarios, cfg, chance="off", fixed_schedule=None,
                 cost = cfg.curtail_cost if cfg.curtail_cost is not None \
                     else bus.curtail_cost
                 for s in range(s_count):
-                    delta[(i, s)] = spec.add_var(lb=bus.delta_min, ub=bus.delta_max)
+                    delta[(i, s)] = spec.add_var(lb=-DELTA_BOUND, ub=DELTA_BOUND)
                     qv[(i, s)] = spec.add_var(lb=0.0, ub=float(dd[i, s]),
                                               obj=pi * cost)
 
@@ -140,15 +141,14 @@ def extensive_solve(inst, scenarios, cfg, chance="off", fixed_schedule=None,
                     row = dict(line_terms)
                     row[yv] = 1.0
                     spec.add_eq(row, 1.0)
+                    big_m = net.big_m(line)
                     for s in range(s_count):
                         fvar[(j, s)] = spec.add_var(lb=-line.flow_limit,
                                                     ub=line.flow_limit)
                         spec.add_le({fvar[(j, s)]: 1.0, delta[(fi, s)]: -b_mw,
-                                     delta[(ti, s)]: b_mw, yv: line.big_m},
-                                    line.big_m)
+                                     delta[(ti, s)]: b_mw, yv: big_m}, big_m)
                         spec.add_ge({fvar[(j, s)]: 1.0, delta[(fi, s)]: -b_mw,
-                                     delta[(ti, s)]: b_mw, yv: -line.big_m},
-                                    -line.big_m)
+                                     delta[(ti, s)]: b_mw, yv: -big_m}, -big_m)
                         spec.add_le({fvar[(j, s)]: 1.0, yv: -line.flow_limit}, 0.0)
                         spec.add_ge({fvar[(j, s)]: 1.0, yv: line.flow_limit}, 0.0)
                 else:

@@ -192,7 +192,7 @@ def test_c05_cut_validity_and_strength():
         inst, scens = toy_instance(seed=seed)
         cfg = inst.cfg
         tbar = cfg.tbar
-        day_bounds = decomp.compute_lower_bounds(inst, scens, cfg)
+        day_bounds, _ = decomp.compute_lower_bounds(inst, scens, cfg)
         cache = {}
 
         def q_day(schedule, k, t):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -30,10 +31,11 @@ def test_parse_case9_values():
     line = net.lines[0]
     mean_pred = np.mean([g.maint_cost_pred for g in net.generators])
     assert line.maint_cost_pred == pytest.approx(0.1 * mean_pred)
-    # auto-derived big-M covers B * (angle span)
-    bix = net.bus_index()
-    span = net.buses[bix[line.from_bus]].delta_max - net.buses[bix[line.to_bus]].delta_min
-    assert line.big_m == pytest.approx(net.line_susceptance_mw(line) * span)
+    # big-M is B * (angle span), bit for bit as base_mva * (1 / x) * (pi - (-pi))
+    # with x the branch reactance of the case file
+    reactances = [0.0576, 0.092, 0.17, 0.0586, 0.1008, 0.072, 0.0625, 0.161, 0.085]
+    assert [net.big_m(ln) for ln in net.lines] == [
+        net.base_mva * (1.0 / x) * (math.pi - (-math.pi)) for x in reactances]
 
 
 def test_single_bus_degenerate_ok():

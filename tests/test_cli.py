@@ -239,17 +239,29 @@ def test_plan_limit_exit_code(workdir):
 def test_plan_has_no_threads_flag(capsys):
     # a plan runs on the calling thread; only saa solves replicates at once
     with pytest.raises(SystemExit):
-        make_parser().parse_args(["plan", "--case", "c.m", "--threads", "2"])
+        make_parser().parse_args(["plan", "--case", "c.m", "--synth-demand",
+                                  "--threads", "2"])
     assert "--threads" in capsys.readouterr().err
-
 
 
 def test_a_usage_error_exits_as_an_error_not_as_a_limit(capsys):
     # argparse would exit 2, which is EXIT_LIMIT: a run stopped at its limit
-    assert main(["plan", "--case", "c.m", "--threads", "2"]) == EXIT_ERROR
+    assert main(["plan", "--case", "c.m", "--synth-demand",
+                 "--threads", "2"]) == EXIT_ERROR
     assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
     assert main(["plan", "--help"]) == EXIT_OK
     assert "--preflow" in capsys.readouterr().out
+
+
+def test_a_command_must_name_its_demand_source(workdir, capsys):
+    # without a source the run would plan silently on synthetic load
+    argv = ["plan", "--case", str(workdir / "case.m"), "--config",
+            str(workdir / "config.json"), "--out", str(workdir / "out")]
+    assert main(argv) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert "--demand" in err and "--synth-demand" in err
+    assert not (workdir / "out").exists()
+
 
 def test_plan_invalid_flag_combination(workdir, caplog):
     # every cut family adds one cut per recourse variable; a config that

@@ -254,8 +254,12 @@ def test_scenarios_beyond_the_candidates_raise():
 def test_a_bound_above_the_objective_raises(monkeypatch):
     inst, scens = toy_instance(seed=7)
     real = decomp.compute_lower_bounds
-    monkeypatch.setattr(decomp, "compute_lower_bounds",
-                        lambda *args, **kwargs: real(*args, **kwargs) * 20 + 1000)
+
+    def raised(*args, **kwargs):
+        bounds, counts = real(*args, **kwargs)
+        return bounds * 20 + 1000, counts
+
+    monkeypatch.setattr(decomp, "compute_lower_bounds", raised)
     with pytest.raises(solver.SolverError, match="lower bound .* exceeds the objective"):
         decomp.solve(inst, scens, inst.cfg)
 
@@ -612,8 +616,8 @@ def test_time_decomposability_of_fixed_schedule():
                                fixed_schedule=schedule)
     first_stage = sum(
         float(one.probs[0]) * ucmodel.maintenance_cost_coeffs(
-            *inst.maint_cost(comp), xi.get(comp, cfg.tbar),
-            cfg.tbar)[schedule[comp] - 1]
+            *inst.maint_cost(comp), xi.get(comp, cfg.tbar), cfg.tbar,
+            period=schedule[comp])
         for comp in inst.hprime)
     assert day_sum + first_stage == pytest.approx(whole, rel=1e-7)
 

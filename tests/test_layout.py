@@ -11,6 +11,9 @@ No module reduces through BLAS (``@``, ``dot``, ``matmul``, ``inner``,
 ``vdot``): OpenBLAS splits such a sum across its threads, so its bits
 would follow the BLAS thread count.
 
+No module groups equal rows with ``np.unique`` or ``np.packbits``:
+``degrade.group_rows`` is the one grouping.
+
 Only ``saa`` imports ``concurrent.futures`` and only ``solver`` imports
 ``threading``.
 """
@@ -118,6 +121,22 @@ def _blas_reductions(tree):
 def test_no_module_reduces_through_blas():
     found = [f"{module}.py:{line}" for module, tree in _trees().items()
              for line in _blas_reductions(tree)]
+    assert found == []
+
+
+def _row_groupings(tree):
+    """Line numbers of calls to ``np.unique`` or ``np.packbits``."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in ("unique", "packbits")
+                  and getattr(node.func.value, "id", None) == "np")
+
+
+def test_equal_rows_are_grouped_by_group_rows_alone():
+    # degrade.group_rows is the one grouping of equal rows
+    found = [f"{module}.py:{line}" for module, tree in _trees().items()
+             for line in _row_groupings(tree)]
     assert found == []
 
 

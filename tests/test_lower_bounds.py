@@ -40,7 +40,7 @@ def test_grouped_bounds_equal_per_scenario_day_reference():
     for inst, _ in instances():
         scens = every_failure_row(inst)
         cfg = inst.cfg
-        got = decomp.compute_lower_bounds(inst, scens, cfg)
+        got, _ = decomp.compute_lower_bounds(inst, scens, cfg)
         want = np.array([[reference_lower_bound(inst, row, t, cfg)
                           for t in range(1, cfg.horizon_days + 1)]
                          for row in scens.failure_times.tolist()])
@@ -61,13 +61,13 @@ def test_bounds_do_not_depend_on_scenario_order():
     # a day's classes are re-solved hot in sorted order, so the bits of a
     # bound do not depend on which scenario shows a class first
     inst, scens, cfg = case9_plan_inputs(20)
-    got = decomp.compute_lower_bounds(inst, scens, cfg)
+    got, _ = decomp.compute_lower_bounds(inst, scens, cfg)
     rng = np.random.default_rng(0)
     for _ in range(3):
         order = rng.permutation(scens.size)
         permuted = ScenarioSet(scens.component_ids, scens.failure_times[order],
                                scens.probs[order], scens.horizon_days)
-        again = decomp.compute_lower_bounds(inst, permuted, cfg)
+        again, _ = decomp.compute_lower_bounds(inst, permuted, cfg)
         assert again.tobytes() == got[order].tobytes()
 
 
@@ -88,11 +88,10 @@ def test_one_build_per_day_one_solve_per_scenario_day(monkeypatch):
     real_build, real_solve = ucmodel.lp_lower_bound, ucmodel.solve_lower_bound
     monkeypatch.setattr(ucmodel, "lp_lower_bound", build)
     monkeypatch.setattr(ucmodel, "solve_lower_bound", solve)
-    counts = {}
-    decomp.compute_lower_bounds(inst, scens, cfg, counts=counts)
+    _, counts = decomp.compute_lower_bounds(inst, scens, cfg)
     monkeypatch.undo()
 
-    xi = scens.failure_days(inst.hprime, cfg.tbar)
+    xi = scens.failure_days(inst.hprime)
     keys = {(t, tuple(row)) for t in range(1, cfg.horizon_days + 1)
             for row in ucmodel.lower_bound_patterns(xi, t, cfg, inst.hprime,
                                                     inst.kinds).tolist()}
@@ -186,7 +185,7 @@ def test_time_limit_cuts_the_lower_bound_phase(monkeypatch):
 
     # the classes in the order the phase walks them: days in turn, each day's
     # sorted; the deadline is checked before each class's solves
-    xi = scens.failure_days(inst.hprime, cfg.tbar)
+    xi = scens.failure_days(inst.hprime)
     sizes = [size for t in range(1, cfg.horizon_days + 1)
              for size in np.unique(ucmodel.lower_bound_patterns(
                  xi, t, cfg, inst.hprime, inst.kinds), axis=0, return_counts=True)[1]]

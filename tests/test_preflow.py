@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from gridmaint import solver
-from gridmaint.caseio import CaseError, DemandGrid, RunConfig, parse_case, synth_demand
+from gridmaint.caseio import (DELTA_BOUND, CaseError, DemandGrid, RunConfig, parse_case,
+                              synth_demand)
 from gridmaint.preflow import _STRICT_TOL, _cap_vectors, _RelaxedFlowLP, analyze
 from gridmaint.ucmodel import build_subproblem, solve_subproblem
 
@@ -41,7 +42,7 @@ def reference_extreme(net, demand_cap, line_id, direction, candidate_lines=froze
     y = {j: f + len(net.lines) + i for i, j in enumerate(cand)}
     n_col = f + len(net.lines) + len(cand)
     bounds = ([(0.0, float(cap)) for cap in demand_cap] + [(0.0, None)] * n_bus
-              + [(b.delta_min, b.delta_max) for b in net.buses]
+              + [(-DELTA_BOUND, DELTA_BOUND)] * n_bus
               + [(0.0, 1.0)] * n_gen + [(0.0, None)] * n_gen
               + [(None, None)] * len(net.lines) + [(0.0, 1.0)] * len(cand))
     pos = {b.id: i for i, b in enumerate(net.buses)}
@@ -70,7 +71,7 @@ def reference_extreme(net, demand_cap, line_id, direction, candidate_lines=froze
         b = net.base_mva * line.susceptance
         ohm = [(f + j, 1.0), (delta + fi, -b), (delta + ti, b)]
         if j in y:
-            m, lim = line.big_m, line.flow_limit
+            m, lim = net.big_m(line), line.flow_limit
             a_ub += [row(ohm + [(y[j], m)]),
                      -row(ohm + [(y[j], -m)]),
                      row([(f + j, 1.0), (y[j], -lim)]),

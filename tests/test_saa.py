@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gridmaint import decomp, saa
+from gridmaint import decomp, degrade, saa
 from gridmaint.caseio import RunConfig, parse_case, synth_demand
 from gridmaint.degrade import ScenarioSet
 from gridmaint.instance import build_instance
@@ -193,6 +193,30 @@ def test_evaluate_on_duplicate_rows_matches_the_hand_merged_set():
         merged.per_scenario_total[index[row]]
         for row in map(tuple, scens.failure_times.tolist())]
     assert cache.solved + cache.aliased == 50 * cfg.horizon_days
+
+
+def test_two_evaluations_of_one_test_set_merge_it_once(monkeypatch):
+    # the merge is kept on the set, so each schedule evaluated on it reads it
+    inst, _ = toy_instance(seed=20)
+    test_set = sample_from_table(inst, inst.all_components, 40, seed=7)
+    schedules = [{comp: 2 for comp in inst.hprime}, {comp: 1 for comp in inst.hprime}]
+    merges = []
+
+    def counted(rows):
+        merges.append(rows is test_set.failure_times)
+        return real(rows)
+
+    real = degrade.group_rows
+    monkeypatch.setattr(degrade, "group_rows", counted)
+    cache = decomp.StatusCache()
+    reports = [saa.evaluate_schedule(inst, schedule, test_set, cache)
+               for schedule in schedules]
+    assert sum(merges) == 1
+    monkeypatch.undo()
+    for schedule, report in zip(schedules, reports):
+        fresh = saa.evaluate_schedule(inst, schedule, dataclasses.replace(test_set))
+        assert _expectations(report) == _expectations(fresh)
+        assert report.per_scenario_total.tobytes() == fresh.per_scenario_total.tobytes()
 
 
 def test_a_row_permutation_keeps_every_expectation_bit_equal():

@@ -130,26 +130,26 @@ def test_unavailable_components_helper():
 # -- maintenance cost coefficients ----------------------------------------------
 
 def test_cost_coeffs_no_failure():
-    coeffs = maintenance_cost_coeffs(100.0, 300.0, xi=6, tbar=6)
+    coeffs = maintenance_cost_coeffs(100.0, 300.0, xi=6, tbar=6, period=np.arange(1, 7))
     assert list(coeffs) == [100.0] * 5 + [0.0]
 
 
 def test_cost_coeffs_split_at_failure():
-    coeffs = maintenance_cost_coeffs(100.0, 300.0, xi=3, tbar=5)
+    coeffs = maintenance_cost_coeffs(100.0, 300.0, xi=3, tbar=5, period=np.arange(1, 6))
     assert list(coeffs) == [100.0, 100.0, 300.0, 300.0, 300.0]
 
 
 def test_cost_coeffs_at_a_period_match_the_full_vector():
     tbar = 5
-    xi = np.arange(1, tbar + 1)
-    full = maintenance_cost_coeffs(100.0, 300.0, xi, tbar)
+    xi = periods = np.arange(1, tbar + 1)
+    full = maintenance_cost_coeffs(100.0, 300.0, xi[:, None], tbar, period=periods)
     assert full.shape == (tbar, tbar)
     for period in range(1, tbar + 1):
         at = maintenance_cost_coeffs(100.0, 300.0, xi, tbar, period=period)
         assert list(at) == list(full[:, period - 1])
         for x in range(1, tbar + 1):
-            assert list(full[x - 1]) == list(maintenance_cost_coeffs(100.0, 300.0,
-                                                                     x, tbar))
+            assert list(full[x - 1]) == list(maintenance_cost_coeffs(
+                100.0, 300.0, x, tbar, period=periods))
 
 
 # -- one-day subproblems ---------------------------------------------------------
