@@ -4,12 +4,15 @@ All optimization modules describe models through :class:`ModelSpec` and call
 :func:`solve`.  Every model is a minimisation; a caller that wants a maximum
 minimises the negated objective.  The single in-process backend is HiGHS,
 driven through the bindings SciPy bundles (``scipy.optimize._highspy._core``);
-pure LPs go through the same call.  A warm LP re-solve costs HiGHS's run
-plus O(columns changed): it sends only the costs and bounds that changed,
-reads the objective and iteration count alone, and leaves the primal values
-unconverted until :attr:`SolveOutcome.x` is read.  A re-solve that has
-nothing to send costs no HiGHS run at all: HiGHS already holds that LP
-solved, so the last answer is returned, with 0.0 seconds.
+pure LPs go through the same call.  Each spec owns its HiGHS instance,
+made on its first solve, so there is no solver state shared between specs
+or threads, and a spec re-solved after others keeps its basis.  A warm LP
+re-solve costs HiGHS's run plus O(columns changed): it sends only the
+costs and bounds that changed, reads the objective and iteration count
+alone, and leaves the primal values unconverted until
+:attr:`SolveOutcome.x` is read.  A re-solve that has nothing to send costs
+no HiGHS run at all: HiGHS already holds that LP solved, so the last answer
+is returned, with 0.0 seconds.
 
 Every solve gets the options ``scipy.optimize.milp`` sets plus two that
 differ from HiGHS's defaults: the root reduced-cost sub-MIP and feasibility
@@ -24,7 +27,6 @@ from __future__ import annotations
 import functools
 import logging
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,9 +102,10 @@ class ModelSpec:
     row-wise ``_start``/``_index``/``_value`` lists HiGHS reads.
     :meth:`set_obj` and :meth:`set_bounds` record each column they touch
     with its cost or bounds as of the spec's last solve, so a solve that
-    re-solves the LP its thread last solved to optimality sends HiGHS only
-    the touched columns whose values differ (see :func:`milp`).  A spec is
-    solved by one thread at a time.
+    re-solves the LP the spec last solved to optimality sends its HiGHS
+    instance only the touched columns whose values differ (see
+    :func:`milp`).  A spec owns that instance and is solved by one thread
+    at a time.
     """
 
     def __init__(self, name: str = "model"):
@@ -122,7 +125,14 @@ class ModelSpec:
         # as they were at that solve
         self._cost_was: dict[int, float] = {}
         self._bounds_was: dict[int, tuple[float, float]] = {}
-        self._solves = 0  # solves begun on this spec, on any thread
+        # the spec's HiGHS instance (made on its first solve, dropped when it
+        # returns kError), the options object last passed to it, the
+        # (rows, columns) shape last passed whole (rows and columns are only
+        # ever appended), and the last outcome if it was an optimal LP
+        self._highs: _highs._Highs | None = None
+        self._options: _highs.HighsOptions | None = None
+        self._shape: tuple[int, int] | None = None
+        self._last: SolveOutcome | None = None
 
     # -- variables ---------------------------------------------------------
 
@@ -182,21 +192,6 @@ class ModelSpec:
         return self.add_row(coeffs, rhs, INF)
 
 
-@dataclass
-class _Kept:
-    """The LP a thread's HiGHS instance holds with an optimal basis: its spec,
-    its ``(rows, columns)`` shape when passed (rows and columns are only ever
-    appended, so the shape shows whether one was added since), the spec's
-    solve count then (a solve on another thread since clears the spec's
-    record of touched columns, so the instance is no longer in step), and
-    the outcome of that solve.  The costs and bounds HiGHS holds are the
-    spec's, but for the columns the spec records as touched since."""
-    spec: ModelSpec
-    shape: tuple[int, int]
-    solves: int
-    outcome: SolveOutcome
-
-
 _MODEL_STATUS = {
     _highs.HighsModelStatus.kOptimal: "optimal",
     _highs.HighsModelStatus.kTimeLimit: "limit",
@@ -206,24 +201,9 @@ _MODEL_STATUS = {
 }
 
 
-# one HiGHS instance per thread, reused by every solve on that thread, and
-# the _Kept record of the LP it holds (None when it holds none to re-solve)
-_local = threading.local()
-
-
-def _thread_highs() -> _highs._Highs:
-    """This thread's HiGHS instance; a new one, with no record and no
-    options passed, when none is kept."""
-    highs = getattr(_local, "highs", None)
-    if highs is None:
-        highs = _local.highs = _highs._Highs()
-        _local.kept = _local.options = None
-    return highs
-
-
 def _check(spec: ModelSpec, step: str, status) -> None:
     if status == _highs.HighsStatus.kError:
-        _local.highs = None  # an instance that failed is not reused
+        spec._highs = spec._options = None  # an instance that failed is not reused
         raise SolverError(f"{spec.name}: HiGHS {step} returned kError")
 
 
@@ -312,24 +292,24 @@ def milp(spec: ModelSpec, tolerance: float,
          time_limit: float | None) -> SolveOutcome:
     """Minimise ``spec``'s objective over its rows and variable bounds.
 
-    Each call gives this thread's HiGHS instance the options
+    Each call gives the spec's HiGHS instance the options
     ``scipy.optimize.milp`` sets, with the root reduced-cost sub-MIP and
     feasibility jump heuristics off (see :func:`_options`); they are not
     passed again while the instance last received the same options object.
-    An LP solved again on the same spec, with no row or column added, right
-    after its last solve (on this thread) ended optimal starts from the
-    basis HiGHS kept: only the columns :meth:`ModelSpec.set_obj` and
-    :meth:`ModelSpec.set_bounds` touched since, and whose values changed,
-    are sent, and HiGHS skips presolve and runs dual simplex from that
-    basis.  When nothing changed and the options object is the one last
-    passed, HiGHS already holds this LP solved, so there is no run: the
-    last outcome is returned as it was (the same status, objective, bound
-    and ``solution``), with 0 iterations and 0.0 seconds.  A time-limited
-    solve builds fresh options, so it always runs.  Everything else (a
-    MILP, a first solve, another spec in between, an added row or column)
-    is passed whole, replacing whatever an earlier solve left: an LP gets
-    the answer ``scipy.optimize.milp`` gives, a MILP the same optimum
-    within the gap, whose objective may differ from
+    An LP solved again, with no row or column added, after its last solve
+    ended optimal starts from the basis its instance kept, whatever other
+    specs were solved in between: only the columns
+    :meth:`ModelSpec.set_obj` and :meth:`ModelSpec.set_bounds` touched
+    since, and whose values changed, are sent, and HiGHS skips presolve
+    and runs dual simplex from that basis.  When nothing changed and the
+    options object is the one last passed, HiGHS already holds this LP
+    solved, so there is no run: the last outcome is returned as it was
+    (the same status, objective, bound and ``solution``), with 0
+    iterations and 0.0 seconds.  A time-limited solve builds fresh
+    options, so it always runs.  Everything else (a MILP, a first solve,
+    an added row or column) is passed whole, replacing what the spec's
+    last solve left: an LP gets the answer ``scipy.optimize.milp`` gives,
+    a MILP the same optimum within the gap, whose objective may differ from
     ``scipy.optimize.milp``'s by round-off.  An LP's result is read as its
     objective and iteration count, a MILP's from HiGHS's whole info record;
     either's primal values are converted only when the outcome's ``x`` is
@@ -339,28 +319,27 @@ def milp(spec: ModelSpec, tolerance: float,
     is_mip = spec._is_mip
     options = _untimed_options(tolerance) if time_limit is None \
         else _options(tolerance, time_limit)
-    highs = _thread_highs()
-    # taken now, so that a failure leaves no record; kept again if this run
-    # ends optimal
-    kept, _local.kept = _local.kept, None
-    same_options = options is _local.options
+    if spec._highs is None:
+        spec._highs = _highs._Highs()
+    highs = spec._highs
+    # taken now, so that a failure leaves none; kept again if this run ends
+    # optimal
+    last, spec._last = spec._last, None
+    same_options = options is spec._options
     if not same_options:
         _check(spec, "passOptions", highs.passOptions(options))
-        _local.options = options
+        spec._options = options
     shape = (spec.num_rows, spec.num_vars)
-    if (kept is not None and kept.spec is spec and kept.shape == shape
-            and kept.solves == spec._solves):
+    if last is not None and spec._shape == shape:
         unchanged = not _push_changes(highs, spec) and same_options
     else:
         _pass_lp(highs, spec, is_mip)
+        spec._shape = shape
         unchanged = False
     spec._cost_was.clear()
     spec._bounds_was.clear()
-    spec._solves += 1
     if unchanged:  # HiGHS holds this LP solved: its answer again, with no run
-        kept.solves = spec._solves
-        _local.kept = kept
-        last = kept.outcome
+        spec._last = last
         return SolveOutcome(last.status, last.solution, last.objective, last.bound,
                             last.gap, 0.0, 0, 0)
     clock = highs.getRunTime()  # the instance's run clock adds up over its runs
@@ -387,7 +366,7 @@ def milp(spec: ModelSpec, tolerance: float,
                            bound if is_mip else objective, gap, seconds, nodes,
                            iterations)
     if not is_mip:
-        _local.kept = _Kept(spec, shape, spec._solves, outcome)
+        spec._last = outcome
     return outcome
 
 

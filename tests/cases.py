@@ -1,6 +1,9 @@
 """Shared case-file texts and tiny builder helpers for tests."""
 
+from contextlib import contextmanager
+
 import numpy as np
+import pytest
 
 from gridmaint import solver
 from gridmaint.caseio import Bus, DemandGrid, Generator, Line, Network
@@ -295,3 +298,29 @@ def reference_status_bit(period, xi, day, tau_pred, tau_corr, horizon):
         if xi <= day <= xi + tau_corr - 1:
             return 0
     return 1
+
+
+# the HiGHS calls highs_calls records
+RECORDED_CALLS = ("passOptions", "passModel", "changeColsCost", "changeColsBounds", "run")
+
+
+@contextmanager
+def highs_calls():
+    """Record, as ``(instance, method, *args)`` tuples in call order, the
+    ``RECORDED_CALLS`` made on every HiGHS instance built inside the block,
+    ``scipy.optimize.milp``'s included; a test that wants one spec's calls
+    keeps those whose instance is ``spec._highs``."""
+    calls = []
+    real = solver._highs._Highs
+
+    def recorder(name):
+        def method(self, *args):
+            calls.append((self, name, *args))
+            return getattr(real, name)(self, *args)
+        return method
+
+    recording = type("Recording", (real,),
+                     {name: recorder(name) for name in RECORDED_CALLS})
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver._highs, "_Highs", recording)
+        yield calls

@@ -14,7 +14,7 @@ would follow the BLAS thread count.
 No module groups equal rows with ``np.unique`` or ``np.packbits``:
 ``degrade.group_rows`` is the one grouping.
 
-Only ``saa`` imports ``concurrent.futures`` and only ``solver`` imports
+Only ``saa`` imports ``concurrent.futures``, and no module imports
 ``threading``.
 """
 
@@ -157,10 +157,10 @@ def _importers(trees, package):
     return found
 
 
-def test_concurrency_lives_in_saa_and_solver():
-    # SAA replicates are the one thing solved at once; each thread's HiGHS
-    # instance is the one piece of per-thread state.  A pool in the plan or
+def test_concurrency_lives_in_saa():
+    # SAA replicates are the one thing solved at once, and no state is kept
+    # per thread: each spec owns its HiGHS instance.  A pool in the plan or
     # evaluation path would share the cache, the master and the bound arrays
     trees = _trees()
     assert _importers(trees, "concurrent") == {"saa"}
-    assert _importers(trees, "threading") == {"solver"}
+    assert _importers(trees, "threading") == set()

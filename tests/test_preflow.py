@@ -10,7 +10,7 @@ from gridmaint.caseio import (DELTA_BOUND, CaseError, DemandGrid, RunConfig, par
 from gridmaint.preflow import _STRICT_TOL, _cap_vectors, _RelaxedFlowLP, analyze
 from gridmaint.ucmodel import build_subproblem, solve_subproblem
 
-from cases import CASE9, build_net
+from cases import CASE9, build_net, highs_calls
 
 
 def grid_of(values):
@@ -263,20 +263,11 @@ def test_projected_relaxation_matches_the_curtailment_and_commitment_form():
 
 
 @pytest.fixture
-def highs_runs(monkeypatch):
-    """The number of HiGHS runs so far, as a one-element list; this thread's
-    HiGHS instance starts fresh and counts its runs."""
-    ran = [0]
-
-    class Counting(solver._highs._Highs):
-        def run(self):
-            ran[0] += 1
-            return super().run()
-
-    monkeypatch.setattr(solver._highs, "_Highs", Counting)
-    solver._local.highs = None
-    yield ran
-    solver._local.highs = None  # later tests get an instance of the real class
+def highs_runs():
+    """The number of HiGHS runs so far, on any instance (see
+    ``cases.highs_calls``)."""
+    with highs_calls() as calls:
+        yield lambda: sum(call[1] == "run" for call in calls)
 
 
 def test_probes_of_one_target_change_only_the_demand_caps(monkeypatch, highs_runs):
@@ -294,10 +285,10 @@ def test_probes_of_one_target_change_only_the_demand_caps(monkeypatch, highs_run
     real_solve = solver.solve
 
     def spy(spec, *args, **kwargs):
-        before = highs_runs[0]
+        before = highs_runs()
         outcome = real_solve(spec, *args, **kwargs)
         calls.append((spec, list(spec._obj), list(spec._lb), list(spec._ub),
-                      highs_runs[0] - before, outcome.iterations))
+                      highs_runs() - before, outcome.iterations))
         return outcome
 
     monkeypatch.setattr(solver, "solve", spy)
@@ -328,7 +319,7 @@ def test_probes_of_one_target_change_only_the_demand_caps(monkeypatch, highs_run
                 repeats += 1
                 assert after[-1] == 0
     assert repeats == 2 * 2 * grid.subperiods
-    assert highs_runs[0] == len(calls) - repeats
+    assert highs_runs() == len(calls) - repeats
 
 
 def test_repeated_days_give_the_original_grids_extremes_bit_for_bit(nine_bus_week):

@@ -12,7 +12,7 @@ import scipy
 from gridmaint import decomp, solver, ucmodel
 from gridmaint.caseio import RunConfig, parse_case, synth_demand
 
-from cases import CASE9, toy_instance
+from cases import CASE9, highs_calls, toy_instance
 
 
 def test_min_bounded_variable():
@@ -165,6 +165,19 @@ def unbounded_lp():
     return m
 
 
+def covering_lp(seed=0, n=12, m=8):
+    """A dense covering LP that presolve does not finish, so its simplex
+    iterations show."""
+    rng = np.random.default_rng(seed)
+    spec = solver.ModelSpec("covering")
+    xs = [spec.add_var(ub=float(rng.uniform(2.0, 5.0)),
+                       obj=float(rng.uniform(1.0, 3.0))) for _ in range(n)]
+    for _ in range(m):
+        spec.add_ge({x: float(rng.uniform(0.5, 2.0)) for x in xs},
+                    float(rng.uniform(5.0, 10.0)))
+    return spec
+
+
 @pytest.mark.parametrize("build, kwargs, status", [
     (no_row_lp, {}, "optimal"),
     (equality_lp, {}, "optimal"),
@@ -211,8 +224,7 @@ def test_backend_error_names_the_spec(monkeypatch, step):
                 return lambda *args: solver._highs.HighsStatus.kError
             return getattr(self._inner, name)
 
-    monkeypatch.setattr(solver._highs, "_Highs", Failing)
-    solver._local.highs = None  # the next solve builds a Failing instance
+    monkeypatch.setattr(solver._highs, "_Highs", Failing)  # the new spec's instance
     with pytest.raises(solver.SolverError, match=f"knapsack: HiGHS {step}"):
         solver.solve(max_knapsack())
 
@@ -229,7 +241,7 @@ def test_non_finite_model_data_raise(bad):
         solver.solve(m)
 
 
-def test_added_rows_and_columns_pass_the_model_whole(passes):
+def test_added_rows_and_columns_pass_the_model_whole(calls):
     m = solver.ModelSpec("grown")
     x = m.add_var(ub=10.0, obj=-1.0)
     y = m.add_var(ub=10.0, obj=-1.0)
@@ -243,13 +255,13 @@ def test_added_rows_and_columns_pass_the_model_whole(passes):
     second = solver.solve(m)
     assert outcome_fields(second) == reference_solve(m)
     assert second.objective == pytest.approx(-3.0 * 2.0 - 5.0)
-    assert len(passes) == 2              # the new row passed the model whole
+    assert passes(calls, m) == 2         # the new row passed the model whole
     z = m.add_var(ub=1.0, obj=-1.0)      # a new column
     assert solver.solve(m).objective == pytest.approx(-6.0 - 5.0 - 1.0)
-    assert len(passes) == 3              # so did the new column
+    assert passes(calls, m) == 3         # so did the new column
     m.add_le({z: 1.0, y: 1.0}, 5.5)
     assert solver.solve(m).objective == pytest.approx(-6.0 - 5.0 - 0.5)
-    assert len(passes) == 4
+    assert passes(calls, m) == 4
 
 
 def test_missing_bindings_name_the_scipy_version():
@@ -291,49 +303,67 @@ def full_outcome(res):
 
 
 def fresh_outcome(build, kwargs):
-    """``build()`` solved on a HiGHS instance that has run nothing before."""
-    solver._local.highs = None
+    """``build()`` solved once, so on a HiGHS instance that has run nothing
+    before."""
     return full_outcome(solver.solve(build(), **kwargs))
+
+
+def sequence_on_own_specs(rounds):
+    """``REUSE_SEQUENCE`` solved ``rounds`` times over, every solve of one
+    builder on the one spec it built; returns the outcomes and the specs."""
+    specs = {build: build() for build, _ in REUSE_SEQUENCE}
+    outcomes = []
+    for build, kwargs in REUSE_SEQUENCE * rounds:
+        started = time.perf_counter()
+        res = solver.solve(specs[build], **kwargs)
+        # seconds is this run's alone, though the instance's clock adds up
+        assert 0.0 <= res.seconds <= time.perf_counter() - started
+        outcomes.append(full_outcome(res))
+    return outcomes, list(specs.values())
 
 
 def test_reused_instance_gives_fresh_instance_outcomes():
     fresh = [fresh_outcome(build, kwargs) for build, kwargs in REUSE_SEQUENCE]
     assert [out[0] for out in fresh] == ["optimal", "optimal", "infeasible", "error",
                                          "limit", "optimal"]
-    solver._local.highs = None
-    reused = []
-    for build, kwargs in REUSE_SEQUENCE:
-        started = time.perf_counter()
-        res = solver.solve(build(), **kwargs)
-        # seconds is this run's alone, though the instance's clock adds up
-        assert 0.0 <= res.seconds <= time.perf_counter() - started
-        reused.append(full_outcome(res))
-    kept = solver._local.highs
+    reused, specs = sequence_on_own_specs(rounds=1)
+    kept = [spec._highs for spec in specs]
     assert reused == fresh
-    solver.solve(no_row_lp())
-    assert solver._local.highs is kept  # one instance served every solve
+    assert sequence_on_own_specs(rounds=2)[0] == fresh * 2
+    for spec in specs:
+        solver.solve(spec)
+    # one instance per spec served every solve of it
+    assert [spec._highs for spec in specs] == kept
+    assert len(set(map(id, kept))) == len(specs)
 
 
-def test_instance_that_failed_is_replaced(monkeypatch):
-    built = []
+@pytest.mark.parametrize("build", [covering_lp, max_knapsack])
+def test_a_failure_stays_with_its_spec(monkeypatch, build):
+    failing = []
 
-    class FailsOnce(solver._highs._Highs):
-        def __init__(self):
-            super().__init__()
-            built.append(self)
-
+    class FailsOnDemand(solver._highs._Highs):
         def run(self):
-            if len(built) == 1:
-                return solver._highs.HighsStatus.kError
-            return super().run()
+            return solver._highs.HighsStatus.kError if failing else super().run()
 
-    want = fresh_outcome(max_knapsack, {})
-    monkeypatch.setattr(solver._highs, "_Highs", FailsOnce)
-    solver._local.highs = None
-    with pytest.raises(solver.SolverError, match="knapsack: HiGHS run"):
-        solver.solve(max_knapsack())
-    assert full_outcome(solver.solve(max_knapsack())) == want
-    assert len(built) == 2  # the failed instance was dropped, not reused
+    monkeypatch.setattr(solver._highs, "_Highs", FailsOnDemand)
+    a, b = build(), covering_lp(1)
+    with highs_calls() as calls:
+        first, b_first = solver.solve(a), solver.solve(b)
+        failed = a._highs
+        cost = a._obj[0]
+        a.set_obj(0, cost + 1.0)         # a change, so that an LP re-solve runs
+        failing.append(True)
+        with pytest.raises(solver.SolverError, match=f"{a.name}: HiGHS run"):
+            solver.solve(a)
+        assert a._highs is None and a._last is None
+        b_again = solver.solve(b)        # B's kept LP: no run, so no failure
+        assert full_outcome(b_again) == full_outcome(b_first)
+        assert b_again.iterations == 0 and runs(calls, b) == 1
+        failing.clear()
+        a.set_obj(0, cost)
+        again = solver.solve(a)          # a new instance, passed the model whole
+    assert a._highs is not failed and passes(calls, a) == runs(calls, a) == 1
+    assert full_outcome(again) == full_outcome(first)
 
 
 def test_threads_each_get_single_thread_outcomes():
@@ -345,45 +375,43 @@ def test_threads_each_get_single_thread_outcomes():
 
     def one_thread(_):
         start.wait(timeout=60)
-        outcomes = [full_outcome(solver.solve(build(), **kwargs))
-                    for build, kwargs in REUSE_SEQUENCE * 3]
-        return outcomes, id(solver._local.highs)
+        outcomes, specs = sequence_on_own_specs(rounds=3)
+        return outcomes, [spec._highs for spec in specs]
 
     with ThreadPoolExecutor(max_workers=3) as pool:
         results = list(pool.map(one_thread, range(3)))
     assert all(outcomes == want * 3 for outcomes, _ in results)
-    assert len({highs for _, highs in results}) == 3
-
-
-def covering_lp(seed=0, n=12, m=8):
-    """A dense covering LP that presolve does not finish, so its simplex
-    iterations show."""
-    rng = np.random.default_rng(seed)
-    spec = solver.ModelSpec("covering")
-    xs = [spec.add_var(ub=float(rng.uniform(2.0, 5.0)),
-                       obj=float(rng.uniform(1.0, 3.0))) for _ in range(n)]
-    for _ in range(m):
-        spec.add_ge({x: float(rng.uniform(0.5, 2.0)) for x in xs},
-                    float(rng.uniform(5.0, 10.0)))
-    return spec
+    # one instance per spec, none shared between threads
+    instances = [highs for _, kept in results for highs in kept]
+    assert len(set(map(id, instances))) == len(instances) == 3 * 4
 
 
 @pytest.fixture
-def passes(monkeypatch):
-    """The models passed whole to this thread's HiGHS instance, which starts
-    fresh and with no record (``reference_solve``'s instances are not counted)."""
-    passed = []
+def calls():
+    """The calls HiGHS instances get (see ``cases.highs_calls``)."""
+    with highs_calls() as recorded:
+        yield recorded
 
-    class Counting(solver._highs._Highs):
-        def passModel(self, lp):
-            if self is solver._local.highs:
-                passed.append(lp)
-            return super().passModel(lp)
 
-    monkeypatch.setattr(solver._highs, "_Highs", Counting)
-    solver._local.highs = None
-    yield passed
-    solver._local.highs = None  # later tests get an instance of the real class
+def of(calls, spec):
+    """The calls made on ``spec``'s instance, without the instance."""
+    return [call[1:] for call in calls if call[0] is spec._highs]
+
+
+def passes(calls, spec):
+    return sum(call[0] == "passModel" for call in of(calls, spec))
+
+
+def runs(calls, spec=None):
+    return sum(call[1] == "run" and (spec is None or call[0] is spec._highs)
+               for call in calls)
+
+
+def column_changes(calls):
+    """``("cost", columns, costs)`` and ``("bounds", columns, lbs, ubs)``, in
+    call order."""
+    kinds = {"changeColsCost": "cost", "changeColsBounds": "bounds"}
+    return [(kinds[name], *args[1:]) for _, name, *args in calls if name in kinds]
 
 
 def assert_close(hot, fresh):
@@ -391,7 +419,7 @@ def assert_close(hot, fresh):
     assert abs(hot.objective - fresh.objective) <= 1e-9 * max(1.0, abs(fresh.objective))
 
 
-def test_unchanged_lp_resolves_to_the_same_bits_in_no_iterations(sent):
+def test_unchanged_lp_resolves_to_the_same_bits_in_no_iterations(calls):
     m = covering_lp()
     first = solver.solve(m)
     again = solver.solve(m)              # the kept answer, with no run
@@ -399,9 +427,9 @@ def test_unchanged_lp_resolves_to_the_same_bits_in_no_iterations(sent):
     assert full_outcome(again) == full_outcome(first)
     assert again.iterations == 0 and again.seconds == 0.0
     assert full_outcome(solver.solve(m)) == full_outcome(first)
-    assert runs(sent) == 1               # the record is kept for the next one
+    assert runs(calls) == 1              # the record is kept for the next one
     # a run on the instance that holds the LP gives the same bits in no iteration
-    highs = solver._local.highs
+    highs = m._highs
     assert highs.run() == solver._highs.HighsStatus.kOk
     assert highs.getInfoValue("simplex_iteration_count")[1] == 0
     assert highs.getObjectiveValue() == again.objective
@@ -417,7 +445,7 @@ def apply_bounds(m):
     m.set_bounds(0, 0.0, 0.0)
 
 
-def test_each_hot_start_matches_a_cold_solve_of_a_fresh_copy(passes):
+def test_each_hot_start_matches_a_cold_solve_of_a_fresh_copy(calls):
     m = covering_lp()
     assert solver.solve(m).ok
     changes = []
@@ -429,11 +457,10 @@ def test_each_hot_start_matches_a_cold_solve_of_a_fresh_copy(passes):
         for done in changes:
             done(fresh)
         assert_close(hot, solver.solve(fresh))
-        solver.solve(m)  # passed whole, as the fresh copy came in between
-    assert len(passes) == 1 + 2 * 2  # no hot start passed the model
+    assert passes(calls, m) == 1  # no hot start passed the model
 
 
-def test_infeasible_resolve_then_feasible_resolve(passes):
+def test_infeasible_resolve_then_feasible_resolve(calls):
     m = covering_lp()
     want = solver.solve(m)
     saved = [(m._lb[j], m._ub[j]) for j in range(m.num_vars)]
@@ -443,47 +470,43 @@ def test_infeasible_resolve_then_feasible_resolve(passes):
     for j, (lb, ub) in enumerate(saved):
         m.set_bounds(j, lb, ub)
     assert_close(solver.solve(m), want)
-    assert len(passes) == 2  # an LP that did not end optimal leaves no record
+    assert passes(calls, m) == 2  # an LP that did not end optimal leaves no record
 
 
-def test_another_spec_in_between_is_passed_whole(passes):
+def test_another_spec_in_between_is_passed_whole(calls):
+    """The spec solved in between is passed whole to an instance of its own;
+    it sends nothing to the first spec's, which still holds that LP."""
     m, other = covering_lp(0), covering_lp(1)
     first = solver.solve(m)
+    before = len(of(calls, m))
     solver.solve(other)
+    assert passes(calls, other) == 1 and len(of(calls, m)) == before
     again = solver.solve(m)
-    assert len(passes) == 3
+    assert passes(calls, m) == 1
     assert full_outcome(again) == full_outcome(first)
 
 
-def test_backend_error_drops_the_record(monkeypatch):
-    failing = []
-
-    class FailsOnDemand(solver._highs._Highs):
-        def run(self):
-            return solver._highs.HighsStatus.kError if failing else super().run()
-
-    monkeypatch.setattr(solver._highs, "_Highs", FailsOnDemand)
-    solver._local.highs = None
-    m = covering_lp()
-    first = solver.solve(m)
-    lb, ub = m._lb[5], m._ub[5]
-    m.set_bounds(5, 0.5, 1.0)            # a change, so that the re-solve runs
-    failing.append(True)
-    with pytest.raises(solver.SolverError, match="covering: HiGHS run"):
-        solver.solve(m)
-    assert solver._local.highs is None and solver._local.kept is None
-    failing.clear()
-    m.set_bounds(5, lb, ub)
-    again = solver.solve(m)  # on a new instance, which is passed the model whole
-    assert full_outcome(again) == full_outcome(first) and again.iterations > 0
+def test_interleaved_specs_stay_warm(calls):
+    a, b = covering_lp(0), covering_lp(1)
+    first = solver.solve(a)
+    solver.solve(b)
+    again = solver.solve(a)              # B came in between: A's LP is still held
+    assert runs(calls, a) == runs(calls, b) == 1
+    assert full_outcome(again) == full_outcome(first) and again.iterations == 0
+    apply_cost(a)
+    hot = solver.solve(a)
+    assert passes(calls, a) == 1 and runs(calls, a) == 2
+    fresh = covering_lp(0)
+    apply_cost(fresh)
+    assert_close(hot, solver.solve(fresh))
 
 
-def test_milp_solved_twice_matches_scipy_bit_for_bit(passes):
+def test_milp_solved_twice_matches_scipy_bit_for_bit(calls):
     m = max_knapsack()
     want = reference_solve(m)
     assert outcome_fields(solver.solve(m)) == want
     assert outcome_fields(solver.solve(m)) == want
-    assert len(passes) == 2 and solver._local.kept is None
+    assert passes(calls, m) == 2 and m._last is None
 
 
 def test_threads_keep_separate_records():
@@ -497,13 +520,14 @@ def test_threads_keep_separate_records():
         first = solver.solve(m)
         both_solved.wait(timeout=60)  # the other thread's LP is solved by now
         again = solver.solve(m)
-        return first, again, solver._local.kept.spec is m
+        return first, again, m._last is first, m._highs
 
     with ThreadPoolExecutor(max_workers=2) as pool:
         results = list(pool.map(one_thread, (0, 1)))
-    for first, again, own in results:
+    for first, again, own, _ in results:
         assert first.iterations > 0 and again.iterations == 0
         assert full_outcome(again) == full_outcome(first) and own
+    assert results[0][-1] is not results[1][-1]  # one instance per spec
 
 
 def highs_default_options(tolerance):
@@ -557,45 +581,7 @@ def test_heuristics_off_reach_the_optima_of_highs_defaults(monkeypatch):
             <= 1e-9 * max(1.0, abs(want.objective)), spec.name
 
 
-@pytest.fixture
-def sent(monkeypatch):
-    """The calls HiGHS instances get that change columns, pass options or run,
-    as ``(method, columns, values...)`` tuples; this thread's instance starts
-    fresh and with no record."""
-    calls = []
-
-    class Counting(solver._highs._Highs):
-        def changeColsCost(self, n, cols, cost):
-            calls.append(("cost", list(cols), list(cost)))
-            return super().changeColsCost(n, cols, cost)
-
-        def changeColsBounds(self, n, cols, lb, ub):
-            calls.append(("bounds", list(cols), list(lb), list(ub)))
-            return super().changeColsBounds(n, cols, lb, ub)
-
-        def passOptions(self, options):
-            calls.append(("options", options))
-            return super().passOptions(options)
-
-        def run(self):
-            calls.append(("run",))
-            return super().run()
-
-    monkeypatch.setattr(solver._highs, "_Highs", Counting)
-    solver._local.highs = None
-    yield calls
-    solver._local.highs = None  # later tests get an instance of the real class
-
-
-def column_changes(calls):
-    return [call for call in calls if call[0] in ("cost", "bounds")]
-
-
-def runs(calls):
-    return sum(call[0] == "run" for call in calls)
-
-
-def test_warm_resolve_sends_only_the_columns_that_changed(sent):
+def test_warm_resolve_sends_only_the_columns_that_changed(calls):
     m = covering_lp()
     assert solver.solve(m).ok
     m.set_obj(3, 0.25)
@@ -604,8 +590,8 @@ def test_warm_resolve_sends_only_the_columns_that_changed(sent):
     m.set_bounds(1, m._lb[1], m._ub[1])  # likewise
     m.set_bounds(9, 0.0, 1.0)
     hot = solver.solve(m)
-    assert column_changes(sent) == [("cost", [3], [0.25]),
-                                    ("bounds", [5, 9], [0.5, 0.0], [1.0, 1.0])]
+    assert column_changes(calls) == [("cost", [3], [0.25]),
+                                     ("bounds", [5, 9], [0.5, 0.0], [1.0, 1.0])]
     fresh = covering_lp()
     apply_cost(fresh)
     fresh.set_bounds(5, 0.5, 1.0)
@@ -613,7 +599,7 @@ def test_warm_resolve_sends_only_the_columns_that_changed(sent):
     assert_close(hot, solver.solve(fresh))
 
 
-def test_a_column_set_and_set_back_sends_nothing(sent):
+def test_a_column_set_and_set_back_sends_nothing(calls):
     m = covering_lp()
     first = solver.solve(m)
     cost, lb, ub = m._obj[2], m._lb[4], m._ub[4]
@@ -622,7 +608,7 @@ def test_a_column_set_and_set_back_sends_nothing(sent):
     m.set_bounds(4, 0.0, 0.0)
     m.set_bounds(4, lb, ub)
     again = solver.solve(m)
-    assert column_changes(sent) == [] and runs(sent) == 1
+    assert column_changes(calls) == [] and runs(calls) == 1
     assert full_outcome(again) == full_outcome(first) and again.iterations == 0
 
 
@@ -654,8 +640,8 @@ def another_spec_in_between():
     m = covering_lp(0)
     solver.solve(m)
     solver.solve(covering_lp(1))
-    solver.solve(m)
-    return 3
+    solver.solve(m)                      # m's instance still holds its LP
+    return 2
 
 
 def another_thread_in_between():
@@ -664,92 +650,108 @@ def another_thread_in_between():
     m = covering_lp()
     solver.solve(m)
     with ThreadPoolExecutor(max_workers=1) as pool:
-        assert pool.submit(solver.solve, m).result().ok
+        assert pool.submit(solver.solve, m).result().ok  # the instance goes along
     solver.solve(m)
-    return 3
+    return 1
 
 
 @pytest.mark.parametrize("solves", [timed_resolves, milp_solved_twice,
                                     lp_that_ended_infeasible, another_spec_in_between,
                                     another_thread_in_between])
-def test_a_resolve_runs_unless_the_instance_holds_the_lp_solved(sent, solves):
+def test_a_resolve_runs_unless_the_instance_holds_the_lp_solved(calls, solves):
     made = solves()
-    assert runs(sent) == made  # every solve ran HiGHS
+    assert runs(calls) == made  # the solves that HiGHS had to run
 
 
-def test_changes_before_the_last_solve_are_not_sent_again(sent):
+def test_changes_before_the_last_solve_are_not_sent_again(calls):
     m = covering_lp()
     solver.solve(m)
     m.set_obj(3, 0.25)
     solver.solve(m)
     m.set_bounds(5, 0.5, 1.0)
     solver.solve(m)
-    assert column_changes(sent) == [("cost", [3], [0.25]),
-                                    ("bounds", [5], [0.5], [1.0])]
+    assert column_changes(calls) == [("cost", [3], [0.25]),
+                                     ("bounds", [5], [0.5], [1.0])]
 
 
-def test_a_solve_on_another_thread_in_between_passes_the_model_whole(passes):
+def test_a_spec_solved_on_another_thread_resolves_warm(calls):
     from concurrent.futures import ThreadPoolExecutor
 
     m = covering_lp()
-    solver.solve(m)                      # kept by this thread's instance
-
-    def elsewhere():
-        m.set_obj(3, 0.25)
-        return solver.solve(m)           # clears the spec's touched columns
-
     with ThreadPoolExecutor(max_workers=1) as pool:
-        assert pool.submit(elsewhere).result().ok
+        assert pool.submit(solver.solve, m).result().ok
+    m.set_obj(3, 0.25)
     m.set_bounds(5, 0.5, 1.0)
-    hot = solver.solve(m)
-    assert len(passes) == 3              # not warm: this instance misses the cost
+    hot = solver.solve(m)                # on this thread, from the kept basis
+    assert passes(calls, m) == 1 and runs(calls, m) == 2
+    assert column_changes(calls) == [("cost", [3], [0.25]),
+                                     ("bounds", [5], [0.5], [1.0])]
     fresh = covering_lp()
     apply_cost(fresh)
     fresh.set_bounds(5, 0.5, 1.0)
-    assert full_outcome(hot) == full_outcome(solver.solve(fresh))
+    assert_close(hot, solver.solve(fresh))
 
 
-def test_options_are_passed_once_per_instance_and_object(sent):
+def test_a_solve_on_another_thread_in_between_passes_the_model_whole(calls):
+    """Another spec solved on a pool thread in between is passed whole to its
+    own instance; the spec solved here is left alone and re-solves warm."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    m, other = covering_lp(0), covering_lp(1)
+    solver.solve(m)
+    before = len(of(calls, m))
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        assert pool.submit(solver.solve, other).result().ok
+    assert passes(calls, other) == runs(calls, other) == 1
+    assert other._highs is not m._highs and len(of(calls, m)) == before
+    m.set_bounds(5, 0.5, 1.0)
+    hot = solver.solve(m)
+    assert passes(calls, m) == 1 and runs(calls, m) == 2
+    fresh = covering_lp(0)
+    fresh.set_bounds(5, 0.5, 1.0)
+    assert_close(hot, solver.solve(fresh))
+
+
+def test_options_are_passed_once_per_instance_and_object(calls):
     m = covering_lp()
     for _ in range(3):
         solver.solve(m)
-    solver.solve(max_knapsack())
+    k = max_knapsack()
+    solver.solve(k)                      # its own instance is passed them too
     solver.solve(m, tolerance=1e-6)      # other options
     solver.solve(m, time_limit=10.0)     # built fresh: always passed
     solver.solve(m, time_limit=10.0)
     solver.solve(m)
-    passed = [call[1] for call in sent if call[0] == "options"]
+    passed = [call[1] for call in of(calls, m) if call[0] == "passOptions"]
     untimed = solver._untimed_options(1e-9)
     assert passed[0] is untimed and passed[1] is solver._untimed_options(1e-6)
     assert len(passed) == 5 and passed[-1] is untimed
     assert passed[2] is not passed[3]
     assert passed[2].time_limit == passed[3].time_limit == 10.0
-    solver._local.highs = None           # a new instance is passed them again
-    solver.solve(m)
-    assert len([call for call in sent if call[0] == "options"]) == 6
+    assert [call[1] for call in of(calls, k) if call[0] == "passOptions"] == [untimed]
 
 
 @pytest.mark.parametrize("bad", [float("inf"), -float("inf"), float("nan")])
-def test_non_finite_cost_set_after_an_optimal_solve_raises(bad, passes):
+def test_non_finite_cost_set_after_an_optimal_solve_raises(bad, calls):
     m = covering_lp()
     want = solver.solve(m)
     m.set_obj(4, bad)
     with pytest.raises(solver.SolverError,
                        match="covering: objective coefficients must be finite"):
         solver.solve(m)
-    assert len(passes) == 1              # raised on the warm path
+    assert passes(calls, m) == 1         # raised on the warm path
     m.set_obj(4, covering_lp()._obj[4])
     again = solver.solve(m)              # no record left: passed whole
-    assert len(passes) == 2 and full_outcome(again) == full_outcome(want)
+    assert passes(calls, m) == 2 and full_outcome(again) == full_outcome(want)
 
 
 @pytest.mark.parametrize("build", [covering_lp, max_knapsack])
 def test_x_read_after_other_solves_has_the_bytes_read_at_once(build):
-    solver._local.highs = None
     at_once = solver.solve(build()).x.tobytes()
-    solver._local.highs = None
-    late = solver.solve(build())
-    solver.solve(equality_lp())          # the thread's instance moves on
+    spec = build()
+    late = solver.solve(spec)
+    spec.set_obj(0, spec._obj[0] + 1.0)
+    solver.solve(spec)                   # the spec's instance moves on
     solver.solve(max_knapsack(n=12))
     assert late.x.tobytes() == at_once
     assert late.x is late.x              # converted once
