@@ -581,6 +581,12 @@ class RunConfig:
         for key in ("saa_m", "saa_n", "saa_nprime", "threads"):
             if getattr(self, key) < 1:
                 raise CaseError(f"{key} must be at least 1, got {getattr(self, key)!r}")
+        for key in ("priors_gen", "priors_line"):
+            # a zero signal sd leaves no inverse-Gaussian lifetime to fit
+            sigma = getattr(self, key).sigma
+            if not sigma > 0:
+                raise CaseError(f"{key}.sigma must be positive to fit a remaining "
+                                f"lifetime, got {sigma!r}")
 
     @property
     def tbar(self) -> int:

@@ -151,7 +151,7 @@ def cmd_plan(args) -> int:
         scens = training_scenarios(inst, cfg.saa_n, scenario_stream(cfg.seed, 0))
     _write(out_dir / "scenarios.csv", scens.to_csv())
     _write(out_dir / "rld_params.json", json.dumps(
-        {comp: json.loads(c.rld.to_json()) if c.rld else None
+        {comp: dataclasses.asdict(c.rld) if c.rld else None
          for comp, c in inst.components.items()}, indent=2, sort_keys=True))
     report = decomp.solve(inst, scens, cfg)
     payload = {

@@ -71,10 +71,6 @@ class SolveReport:
     elapsed: float = 0.0
     cut_log: str = ""
 
-    @property
-    def ok(self) -> bool:
-        return self.status == "optimal"
-
 
 def _relative_gap(ub: float, lb: float) -> float:
     if ub == float("inf"):
@@ -210,11 +206,11 @@ class DecompositionRun:
         self.status: str | None = None
         self.iterations = 0
 
-    def iterate_once(self) -> bool:
+    def iterate_once(self) -> None:
         """One master solve plus its chance/second-stage follow-up.
 
-        Returns True while the loop should continue; on termination
-        ``self.status`` holds the outcome.  Each iteration appends its history
+        ``self.status`` stays None while the loop should continue; on
+        termination it holds the outcome.  Each iteration appends its history
         entry when it starts: the iteration's phase seconds (``t_master``,
         ``t_chance``, ``t_subproblems``, ``t_cuts``; 0.0 for a phase it did
         not reach), the day models it solved and the scenario-days it aliased
@@ -242,13 +238,13 @@ class DecompositionRun:
             raise solver.SolverError(f"master solve ended with status {ms.status!r}")
         if ms.status != "optimal":
             self.status = ms.status
-            return False
+            return
         # the master is a relaxation, so its bound holds whether or not the
         # chance rule accepts its point
         self.lb = max(self.lb, ms.bound)
         if self._past_deadline(clock):
             self.status = "limit"
-            return False
+            return
 
         cuts, event = self.rule.check(ms.schedule) if self.rule else ([], "")
         if cuts:
@@ -259,7 +255,7 @@ class DecompositionRun:
                                          f"chance cuts exclude ({event})")
             self._record(event=event)
             log.info("iter %d: chance-infeasible schedule, %s", self.iterations, event)
-            return True
+            return
         if event:  # accepted within the master's feasibility tolerance
             self._record(accepted=event)
             log.info("iter %d: chance rule %s", self.iterations, event)
@@ -274,7 +270,7 @@ class DecompositionRun:
         clock = self._charge("subproblems", clock)
         if day_vals is None:
             self.status = "limit"  # the budget ran out before or in the round
-            return False
+            return
         first_stage = self.master.first_stage_costs(ms.schedule).tolist()
         # a correctly rounded sum, so the order of the scenarios cannot move it
         upper = math.fsum(float(self.scenarios.probs[k])
@@ -301,7 +297,6 @@ class DecompositionRun:
             self.status = "optimal"
         elif out_of_time:
             self.status = "limit"  # no time left for the cut round
-        return not (converged or out_of_time)
 
     def _past_deadline(self, clock: float) -> bool:
         return self.deadline is not None and clock > self.deadline

@@ -10,7 +10,6 @@ distributions.
 from __future__ import annotations
 
 import io
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -92,10 +91,6 @@ class ComponentRLD:
 
     def cdf(self, t: float) -> float:
         return ig_cdf(t, self.shape_mu, self.scale_lambda)
-
-    def to_json(self) -> str:
-        return json.dumps({"shape_mu": self.shape_mu,
-                           "scale_lambda": self.scale_lambda, "t_obs": self.t_obs})
 
 
 def simulate_signal(priors: DegradationPriors,
@@ -191,17 +186,14 @@ def bucket_probs(dist: ComponentRLD, horizon_days: int) -> np.ndarray:
 
 
 def select_subset(pfail: dict[str, float], kinds: dict[str, str],
-                  threshold_gen: float, threshold_line: float) -> tuple[list[str], list[str]]:
-    """Split components into the maintenance-candidate set and the rest.
+                  threshold_gen: float, threshold_line: float) -> list[str]:
+    """The maintenance candidates, in the order of ``pfail``.
 
     A component is a candidate when its within-horizon failure probability
-    reaches its class threshold.  The two lists partition the input.
+    reaches its class threshold.
     """
-    hprime, hsecond = [], []
-    for comp, p in pfail.items():
-        bar = threshold_gen if kinds[comp] == "gen" else threshold_line
-        (hprime if p >= bar else hsecond).append(comp)
-    return hprime, hsecond
+    return [comp for comp, p in pfail.items()
+            if p >= (threshold_gen if kinds[comp] == "gen" else threshold_line)]
 
 
 def group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -64,7 +64,6 @@ class Instance:
     cfg: RunConfig
     components: dict[str, Component]
     hprime: tuple[str, ...]
-    hsecond: tuple[str, ...]
     table: SuccessProbTable
     preflow_report: RedundancyReport | None = None
     kinds: dict[str, str] = field(init=False, repr=False)
@@ -164,15 +163,13 @@ def build_instance(net: Network, demand: DemandGrid, cfg: RunConfig,
 
     pfail = {c.id: c.p_fail for c in components.values()}
     kinds = {c.id: c.kind for c in components.values()}
-    hprime, hsecond = degrade.select_subset(pfail, kinds, cfg.pfail_gen,
-                                            cfg.pfail_line)
+    hprime = degrade.select_subset(pfail, kinds, cfg.pfail_gen, cfg.pfail_line)
     table = SuccessProbTable.from_rlds({c.id: c.rld for c in components.values()},
                                        kinds, hprime, cfg.horizon_days)
     log.info("instance: |G'|=%d |L'|=%d of %d components",
              sum(1 for c in hprime if kinds[c] == "gen"),
              sum(1 for c in hprime if kinds[c] == "line"), len(components))
-    return Instance(net, demand, cfg, components, tuple(hprime), tuple(hsecond),
-                    table)
+    return Instance(net, demand, cfg, components, tuple(hprime), table)
 
 
 def scenario_stream(seed: int, replicate: int | None = None) -> np.random.Generator:

@@ -97,7 +97,6 @@ def same_status_periods(schedule: dict[str, int], failure_days: np.ndarray,
 class MasterSolution:
     status: str
     schedule: dict[str, int]
-    objective: float
     bound: float
 
 
@@ -127,14 +126,14 @@ class MasterState:
         # accumulated in scenario order
         self.cost_of = cost_of
         self.xi = scenarios.failure_days(self.hprime)
-        self.obj_v: dict[tuple[str, int], float] = {}
+        obj_v: dict[tuple[str, int], float] = {}
         periods = np.arange(1, self.tbar + 1)
         for j, comp in enumerate(self.hprime):
             coeffs = maintenance_cost_coeffs(*cost_of[comp], self.xi[:, j, None],
                                              self.tbar, period=periods)
             expected = np.add.accumulate(scenarios.probs[:, None] * coeffs)[-1]
             for t, value in enumerate(expected.tolist(), start=1):
-                self.obj_v[(comp, t)] = value
+                obj_v[(comp, t)] = value
 
         # one recourse variable per scenario-day (optKT++) or per scenario,
         # bounded below by its day bounds
@@ -151,7 +150,7 @@ class MasterState:
         self.vidx: dict[tuple[str, int], int] = {}
         for comp in self.hprime:
             for t in range(1, self.tbar + 1):
-                self.vidx[(comp, t)] = self.spec.add_binary(obj=self.obj_v[(comp, t)])
+                self.vidx[(comp, t)] = self.spec.add_binary(obj=obj_v[(comp, t)])
             self.spec.add_eq({self.vidx[(comp, t)]: 1.0
                               for t in range(1, self.tbar + 1)}, 1.0)
         self.tidx = {key: self.spec.add_var(
@@ -241,7 +240,7 @@ class MasterState:
               time_limit: float | None = None) -> MasterSolution:
         outcome = solver.solve(self.spec, tolerance=tolerance, time_limit=time_limit)
         if outcome.status != "optimal":
-            return MasterSolution(outcome.status, {}, float("inf"), -float("inf"))
+            return MasterSolution(outcome.status, {}, -float("inf"))
         schedule = {}
         for comp in self.hprime:
             choices = [t for t in range(1, self.tbar + 1)
@@ -249,5 +248,4 @@ class MasterState:
             if len(choices) != 1:
                 raise solver.SolverError(f"master returned a fractional row for {comp}")
             schedule[comp] = choices[0]
-        return MasterSolution("optimal", schedule, float(outcome.objective),
-                              float(outcome.bound))
+        return MasterSolution("optimal", schedule, float(outcome.bound))

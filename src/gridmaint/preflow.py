@@ -14,7 +14,7 @@ from __future__ import annotations
 import io
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,15 +45,26 @@ class RedundancyReport:
     entries: list[RedundancyEntry]
     elapsed: float
     iterations: int = 0   # simplex iterations over all probes
+    # omitted_for_day's sets, by (day, subperiods)
+    _omitted: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     def omitted_for_day(self, day: int, subperiods: int) -> frozenset:
-        """Bound rows deletable on 1-based ``day`` as (line, dir, 0-based hour)."""
-        out = set()
-        for e in self.entries:
-            if e.redundant and e.scope[:1] in ((), (day,)):
-                hours = (e.scope[1] - 1,) if len(e.scope) == 2 else range(subperiods)
-                out.update((e.line_id, e.direction, s) for s in hours)
-        return frozenset(out)
+        """Bound rows deletable on 1-based ``day`` as (line, dir, 0-based hour).
+
+        The entries are scanned on a day's first request; the set is kept on
+        the report, so ``entries`` must not change after that.
+        """
+        key = (day, subperiods)
+        if key not in self._omitted:
+            out = set()
+            for e in self.entries:
+                if e.redundant and e.scope[:1] in ((), (day,)):
+                    hours = (e.scope[1] - 1,) if len(e.scope) == 2 \
+                        else range(subperiods)
+                    out.update((e.line_id, e.direction, s) for s in hours)
+            self._omitted[key] = frozenset(out)
+        return self._omitted[key]
 
     def redundancy_ratio(self, direction: str) -> float:
         hits = [e.redundant for e in self.entries if e.direction == direction]

@@ -12,7 +12,7 @@ costs and bounds that changed, reads the objective and iteration count
 alone, and leaves the primal values unconverted until
 :attr:`SolveOutcome.x` is read.  A re-solve that has nothing to send costs
 no HiGHS run at all: HiGHS already holds that LP solved, so the last answer
-is returned, with 0.0 seconds.
+is returned, with 0 iterations.
 
 Every solve gets the options ``scipy.optimize.milp`` sets plus two that
 differ from HiGHS's defaults: the root reduced-cost sub-MIP and feasibility
@@ -77,14 +77,8 @@ class SolveOutcome:
     solution: _highs.HighsSolution | None
     objective: float | None
     bound: float | None  # proven bound on the optimum (== objective for LPs)
-    gap: float
-    seconds: float  # HiGHS run time; 0.0 when an unchanged LP needed no run
     mip_node_count: int  # branch-and-bound nodes; 0 for an LP
-    iterations: int = 0  # simplex iterations; 0 for a MILP
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "optimal"
+    iterations: int  # simplex iterations; 0 for a MILP or an LP with no run
 
     @functools.cached_property
     def x(self) -> np.ndarray | None:
@@ -305,10 +299,9 @@ def milp(spec: ModelSpec, tolerance: float,
     options object is the one last passed, HiGHS already holds this LP
     solved, so there is no run: the last outcome is returned as it was
     (the same status, objective, bound and ``solution``), with 0
-    iterations and 0.0 seconds.  A time-limited solve builds fresh
-    options, so it always runs.  Everything else (a MILP, a first solve,
-    an added row or column) is passed whole, replacing what the spec's
-    last solve left: an LP gets the answer ``scipy.optimize.milp`` gives,
+    iterations.  A time-limited solve builds fresh options, so it always
+    runs.  Everything else (a MILP, a first solve, an added row or column)
+    is passed whole, replacing what the spec's last solve left: an LP gets the answer ``scipy.optimize.milp`` gives,
     a MILP the same optimum within the gap, whose objective may differ from
     ``scipy.optimize.milp``'s by round-off.  An LP's result is read as its
     objective and iteration count, a MILP's from HiGHS's whole info record;
@@ -341,30 +334,27 @@ def milp(spec: ModelSpec, tolerance: float,
     if unchanged:  # HiGHS holds this LP solved: its answer again, with no run
         spec._last = last
         return SolveOutcome(last.status, last.solution, last.objective, last.bound,
-                            last.gap, 0.0, 0, 0)
-    clock = highs.getRunTime()  # the instance's run clock adds up over its runs
+                            0, 0)
     _check(spec, "run", highs.run())
 
     status = _MODEL_STATUS.get(highs.getModelStatus(), "error")
-    seconds = highs.getRunTime() - clock
     if is_mip:
         info = highs.getInfo()
         nodes, iterations = info.mip_node_count, 0
         objective = info.objective_function_value
-        bound, gap = info.mip_dual_bound + 0.0, info.mip_gap
+        bound = info.mip_dual_bound + 0.0
         # a MIP stopped at a limit keeps its incumbent when it found one
         readable = status == "optimal" or (
             status == "limit" and objective != _highs.kHighsInf)
     else:
         nodes, (_, iterations) = 0, highs.getInfoValue("simplex_iteration_count")
-        objective, gap = highs.getObjectiveValue(), 0.0
+        objective = highs.getObjectiveValue()
         readable = status == "optimal"  # an LP solution is read only then
     if not readable:
-        return SolveOutcome(status, None, None, None, INF, seconds, nodes, iterations)
+        return SolveOutcome(status, None, None, None, nodes, iterations)
     objective += 0.0  # turns a -0.0 from HiGHS into 0.0
     outcome = SolveOutcome(status, highs.getSolution(), objective,
-                           bound if is_mip else objective, gap, seconds, nodes,
-                           iterations)
+                           bound if is_mip else objective, nodes, iterations)
     if not is_mip:
         spec._last = outcome
     return outcome

@@ -145,11 +145,10 @@ def make_instance(net, cfg, demand_values, q_rows, hprime=()):
         rows[comp] = arr
         components[comp] = Component(comp, kinds[comp], None, float(arr[-1]))
     hprime = tuple(c for c in order if c in set(hprime))
-    hsecond = tuple(c for c in order if c not in set(hprime))
     table = SuccessProbTable(rows, kinds, frozenset(hprime), horizon)
     demand = DemandGrid(tuple(b.id for b in net.buses),
                         np.asarray(demand_values, dtype=float))
-    return Instance(net, demand, cfg, components, hprime, hsecond, table)
+    return Instance(net, demand, cfg, components, hprime, table)
 
 
 def toy_instance(seed, horizon=3, subperiods=2, n_scen=3, alpha=0.3,

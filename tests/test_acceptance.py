@@ -54,7 +54,7 @@ def test_c01_extensive_form_equivalence():
             cfg = dataclasses.replace(cfg, tau_pred_gen=2, tau_corr_gen=3,
                                       tau_pred_line=2, tau_corr_line=2)
         report = decomp.solve(inst, scens, cfg)
-        assert report.ok, f"decomposition failed on {variant}"
+        assert report.status == "optimal", f"decomposition failed on {variant}"
         expected, _ = extensive_solve(inst, scens, cfg, chance="enum")
         rel = abs(report.objective - expected) / max(1.0, abs(expected))
         assert rel <= 1e-6, f"{variant}: rel diff {rel}"
@@ -263,7 +263,7 @@ def test_c06_status_cache_soundness():
     inst, scens = toy_instance(seed=11, subperiods=1, shared_days=True)
     cfg = inst.cfg
     report = decomp.solve(inst, scens, cfg)
-    assert report.ok
+    assert report.status == "optimal"
     assert report.counts["solved"] <= report.counts["psi_total"] \
         <= report.iterations * scens.size * cfg.horizon_days
 
@@ -473,7 +473,7 @@ def test_c10_directional_nine_bus_study():
     sp_safe = decomp.solve(inst, train,
                            dataclasses.replace(cfg, chance_mode="safe"))
     dm = saa.deterministic_baseline(inst)
-    assert sp_exact.ok and sp_safe.ok and dm.ok
+    assert sp_exact.status == sp_safe.status == dm.status == "optimal"
 
     tests = evaluation_scenarios(inst, cfg.saa_nprime, seed=99)
     cache = decomp.StatusCache()

@@ -37,7 +37,7 @@ def traced(call):
 def test_traced_solve_counts_match_program_counters():
     inst, scens = toy_instance(seed=7)
     report, layers = traced(lambda: decomp.solve(inst, scens, inst.cfg))
-    assert report.ok
+    assert report.status == "optimal"
     assert layers["solver.uc_n"] == report.counts["solved"] > 0
     # the highs.milp spans inside the day solves carry HiGHS time and nodes
     assert layers["solver.uc_nodes"] > 0 and layers["solver.uc_highs_s"] > 0

@@ -330,6 +330,21 @@ def test_config_error_names_the_key(key, value):
         load_config(json.dumps({key: value}))
 
 
+@pytest.mark.parametrize("key", ["priors_gen", "priors_line"])
+@pytest.mark.parametrize("sds", [{"sigma": 0.0},
+                                 {"kappa0": 0.0, "kappa1": 0.0, "sigma": 0.0}])
+def test_priors_that_cannot_fit_a_lifetime_are_rejected_on_load(key, sds):
+    # building the instance used to fail instead: "remaining lifetime needs a
+    # positive signal sd", naming no key, or SingularPosteriorError when all
+    # three sds are 0.  The priors alone stay legal (deterministic paths)
+    priors = {"mu0": 15.0, "kappa0": 5.0, "mu1": 3.0, "kappa1": 0.3, "sigma": 1.0,
+              "threshold": 100.0, **sds}
+    with pytest.raises(CaseError, match=rf"{key}\.sigma must be positive"):
+        load_config(json.dumps({key: priors}))
+    with pytest.raises(CaseError, match=rf"{key}\.sigma must be positive"):
+        RunConfig(**{key: DegradationPriors(**priors)})
+
+
 def test_config_limits_at_zero_stay_legal():
     # iteration_limit=0 is how a run asks to stop at once (exit code 2)
     cfg = RunConfig(iteration_limit=0, time_limit=0.0, subproblem_gap=0.0,

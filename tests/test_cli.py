@@ -182,14 +182,20 @@ def write_near_failure_config(workdir):
         dict(BASE_CONFIG, priors_gen=NEAR_FAILURE, priors_line=NEAR_FAILURE)))
 
 
-def near_failure_instance(workdir, *args):
-    """Write a config with NEAR_FAILURE priors; the instance and config that
-    a command with ``args`` builds from it."""
-    write_near_failure_config(workdir)
+def command_instance(workdir, *args):
+    """The instance and config that a command with ``args`` builds from the
+    workdir's case and config."""
     argv = [*args, "--case", str(workdir / "case.m"), "--config",
             str(workdir / "config.json"), "--synth-demand", "--out", str(workdir / "out")]
     net, grid, cfg, _, _ = _load_context(make_parser().parse_args(argv))
     return build_instance(net, grid, cfg), cfg
+
+
+def near_failure_instance(workdir, *args):
+    """Write a config with NEAR_FAILURE priors; the instance and config that
+    a command with ``args`` builds from it."""
+    write_near_failure_config(workdir)
+    return command_instance(workdir, *args)
 
 
 def test_plan_solves_saa_replicate_zeros_training_set(workdir):
@@ -412,6 +418,12 @@ def test_plan_writes_rld_parameters(workdir):
     assert set(params) == {"g1", "g2", "l1"}
     fitted = [p for p in params.values() if p is not None]
     assert fitted and all(p["shape_mu"] > 0 for p in fitted)
+    # each entry holds exactly the fitted law of the instance plan builds
+    inst, _ = command_instance(workdir, "plan")
+    for comp, c in inst.components.items():
+        assert params[comp] == (None if c.rld is None else {
+            "shape_mu": c.rld.shape_mu, "scale_lambda": c.rld.scale_lambda,
+            "t_obs": c.rld.t_obs}), comp
 
 
 def test_saa_writes_summary_table(workdir):

@@ -39,7 +39,7 @@ def test_no_candidates_is_pure_unit_commitment():
     inst = make_instance(net, cfg, values, {}, hprime=())
     scens = ScenarioSet((), np.empty((1, 0), dtype=int), np.array([1.0]), 2)
     report = decomp.solve(inst, scens, cfg)
-    assert report.ok
+    assert report.status == "optimal"
     expected = 0.0
     for day in (1, 2):
         model = ucmodel.build_subproblem(net, inst.demand.day(day), frozenset(), cfg)
@@ -68,7 +68,7 @@ def test_matches_extensive_form(family, weighted):
     reports = []
     for s in sets:
         report = decomp.solve(inst, s, cfg)
-        assert report.ok
+        assert report.status == "optimal"
         expected, _ = extensive_solve(inst, s, cfg, chance="enum")
         assert report.objective == pytest.approx(expected, rel=1e-6)
         # and the incumbent really is chance-feasible
@@ -109,7 +109,7 @@ def test_matches_extensive_form_other_durations(seed, tau_p, tau_c, horizon,
     times = rng.integers(1, horizon + 2, size=(3, 2))
     scens = ScenarioSet(inst.hprime, times, np.full(3, 1 / 3), horizon)
     report = decomp.solve(inst, scens, cfg)
-    assert report.ok
+    assert report.status == "optimal"
     expected, _ = extensive_solve(inst, scens, cfg, chance="enum")
     assert report.objective == pytest.approx(expected, rel=1e-6)
 
@@ -120,7 +120,7 @@ def test_exact_and_safe_agree_when_constraint_void():
     safe_cfg = inst.cfg.__class__(**{**inst.cfg.__dict__, "chance_mode": "safe"})
     safe = decomp.solve(inst, scens, safe_cfg)
     off = decomp.solve(inst, scens, inst.cfg, enforce_chance=False)
-    assert exact.ok and safe.ok and off.ok
+    assert exact.status == safe.status == off.status == "optimal"
     assert exact.objective == pytest.approx(off.objective, rel=1e-8)
     assert safe.objective == pytest.approx(off.objective, rel=1e-8)
 
@@ -131,7 +131,7 @@ def test_safe_mode_counts_points_accepted_within_the_tolerance(monkeypatch):
     y = 1.0 - (target - 5e-7) / 0.9  # every point is 5e-7 short of the product target
     monkeypatch.setattr(chance.SafeApproxBlock, "loads", lambda self, s: (0.1, y))
     report = decomp.solve(inst, scens, inst.cfg)
-    assert report.ok and report.counts["chance_cuts"] == 0
+    assert report.status == "optimal" and report.counts["chance_cuts"] == 0
     assert report.counts["boundary_accepts"] == report.iterations >= 1
 
 
@@ -145,7 +145,8 @@ def test_a_rule_returning_only_pooled_cuts_raises(monkeypatch, mode):
     solve = run.master.solve
     monkeypatch.setattr(run.master, "solve",
                         lambda **kw: solves.append(solve(**kw)) or solves[-1])
-    assert run.iterate_once() and len(run.master.chance_cuts) == 1
+    run.iterate_once()
+    assert run.status is None and len(run.master.chance_cuts) == 1
     # the master relaxes the problem, so a point the rule cuts off still
     # bounds it; the bound used to be taken only from accepted points
     assert math.isfinite(solves[0].bound) and run.lb == solves[0].bound
@@ -177,7 +178,7 @@ def test_iterate_once_branches():
         opt_before = len(run.master.opt_cuts)
         chance_before = len(run.master.chance_cuts)
         solved_before = run.cache.solved + run.cache.aliased
-        more = run.iterate_once()
+        run.iterate_once()
         last = run.history[-1]
         if "event" in last:
             # chance-infeasible branch: the cover pool grows by one, the
@@ -192,7 +193,7 @@ def test_iterate_once_branches():
             delta = run.cache.solved + run.cache.aliased - solved_before
             assert delta == cells
         assert run.iterations < 500
-        if not more:
+        if run.status is not None:
             break
     assert run.status == "optimal" and seen_cover and seen_eval
     report = run.report()
@@ -246,7 +247,7 @@ def test_scenarios_beyond_the_candidates_raise():
     # a set over part of H' stays legal: the uncovered candidate never fails
     report = decomp.solve(inst, ScenarioSet(("g1",), times[:, :1], probs, horizon),
                           inst.cfg)
-    assert report.ok
+    assert report.status == "optimal"
     assert report.objective == pytest.approx(11898.014546427898, rel=1e-9)
     assert report.bound <= report.objective + 1e-6
 
@@ -328,7 +329,7 @@ def test_infeasible_without_candidates_when_fixed_components_break_it(mode):
 
 def test_a_master_error_raises(monkeypatch):
     inst, scens = toy_instance(seed=23)
-    failed = mastercuts.MasterSolution("error", {}, float("inf"), -float("inf"))
+    failed = mastercuts.MasterSolution("error", {}, -float("inf"))
     monkeypatch.setattr(mastercuts.MasterState, "solve", lambda self, **kw: failed)
     with pytest.raises(solver.SolverError, match="'error'"):
         decomp.solve(inst, scens, inst.cfg)
@@ -354,10 +355,9 @@ def test_master_gets_only_the_remaining_time_budget(monkeypatch):
 
     monkeypatch.setattr(mastercuts.MasterState, "solve", spy)
     run = decomp.DecompositionRun(inst, scens, cfg)
-    going = True
-    while going:
+    while run.status is None:
         elapsed = time.perf_counter() - run.started
-        going = run.iterate_once()
+        run.iterate_once()
         assert limits[-1] <= cfg.time_limit - elapsed
     assert run.status == "optimal" and len(limits) == run.iterations >= 2
 
@@ -378,7 +378,7 @@ def test_spent_time_limit_stops_before_the_subproblem_round(monkeypatch):
     monkeypatch.setattr(decomp, "day_values",
                         lambda *a, **k: rounds.append(a) or real_day_values(*a, **k))
     run = decomp.DecompositionRun(inst, scens, cfg, enforce_chance=False)
-    assert run.iterate_once() is False
+    run.iterate_once()
     assert run.status == "limit" and rounds == []
     report = run.report()
     assert report.status == "limit" and report.bound > -float("inf")
@@ -455,8 +455,7 @@ def test_budget_spent_inside_a_day_milp_ends_limit(monkeypatch):
         # a day MILP that needs more time than it is given
         limits.append(time_limit)
         time.sleep(10.0 if time_limit is None else time_limit)
-        return solver.SolveOutcome("limit", None, None, None, solver.INF,
-                                   time_limit or 0.0, 0)
+        return solver.SolveOutcome("limit", None, None, None, 0, 0)
 
     monkeypatch.setattr(solver, "solve", sleeping)
     cache = decomp.StatusCache()
@@ -485,7 +484,7 @@ def test_spent_time_limit_stops_before_chance_separation(monkeypatch):
     monkeypatch.setattr(chance, "separate",
                         lambda *a: separated.append(a) or real_separate(*a))
     run = decomp.DecompositionRun(inst, scens, cfg)
-    assert run.iterate_once() is False
+    run.iterate_once()
     assert run.status == "limit" and separated == []
     assert run.report().bound > -float("inf")
 
@@ -548,7 +547,7 @@ def test_iterations_record_their_phases(monkeypatch):
 
     monkeypatch.setattr(solver, "solve", spy)
     report = decomp.solve(inst, scens, inst.cfg)
-    assert report.ok and len(report.history) == report.iterations
+    assert report.status == "optimal" and len(report.history) == report.iterations
     assert any("event" in h for h in report.history)
     phases = ("master", "chance", "subproblems", "cuts")
     for entry, rows in zip(report.history, master_rows, strict=True):
@@ -582,7 +581,7 @@ def test_cache_alias_values_match_fresh_solves():
     inst, scens = toy_instance(seed=31)
     cache = decomp.StatusCache()
     report = decomp.solve(inst, scens, inst.cfg, cache=cache)
-    assert report.ok
+    assert report.status == "optimal"
     rng = np.random.default_rng(0)
     checked = 0
     for key, (objective, _) in cache.psi.items():
@@ -625,7 +624,7 @@ def test_time_decomposability_of_fixed_schedule():
 def test_separation_loop_reaches_exact_acceptance_set():
     inst, scens = toy_instance(seed=41, alpha=0.35)
     report = decomp.solve(inst, scens, inst.cfg)
-    assert report.ok
+    assert report.status == "optimal"
     feasible = chance_feasible_set(inst, inst.cfg)
     assert any(report.schedule == f for f in feasible)
     # the optimum over the exact acceptance set can be no better than ours
@@ -678,7 +677,7 @@ def test_plan_with_shared_days_matches_extensive_form(seed):
     inst, scens = toy_instance(seed=seed, shared_days=True)
     cache = decomp.StatusCache()
     report = decomp.solve(inst, scens, inst.cfg, cache=cache)
-    assert report.ok
+    assert report.status == "optimal"
     expected, _ = extensive_solve(inst, scens, inst.cfg, chance="enum")
     assert report.objective == pytest.approx(expected, rel=1e-6)
     assert any(key.demand_class == 1 for key in cache.psi)

@@ -251,23 +251,25 @@ def test_rld_cdf_vs_first_passage_monte_carlo():
 def test_select_subset_threshold_zero_takes_all():
     pfail = {"g1": 0.0, "l1": 0.5}
     kinds = {"g1": "gen", "l1": "line"}
-    hp, hs = select_subset(pfail, kinds, 0.0, 0.0)
-    assert set(hp) == {"g1", "l1"} and hs == []
+    assert select_subset(pfail, kinds, 0.0, 0.0) == ["g1", "l1"]
 
 
 def test_select_subset_threshold_one():
     pfail = {"g1": 1.0, "g2": 0.999, "l1": 1.0}
     kinds = {"g1": "gen", "g2": "gen", "l1": "line"}
-    hp, hs = select_subset(pfail, kinds, 1.0, 1.0)
-    assert set(hp) == {"g1", "l1"} and hs == ["g2"]
+    assert select_subset(pfail, kinds, 1.0, 1.0) == ["g1", "l1"]
 
 
 def test_select_subset_partition():
     rng = np.random.default_rng(2)
     pfail = {f"c{i}": float(rng.random()) for i in range(30)}
     kinds = {c: ("gen" if i % 2 else "line") for i, c in enumerate(pfail)}
-    hp, hs = select_subset(pfail, kinds, 0.3, 0.6)
-    assert set(hp) | set(hs) == set(pfail) and not set(hp) & set(hs)
+    hp = select_subset(pfail, kinds, 0.3, 0.6)
+    # the candidates are the components at or above their bar, in input order
+    bar = {"gen": 0.3, "line": 0.6}
+    assert all(pfail[c] >= bar[kinds[c]] for c in hp)
+    assert all(pfail[c] < bar[kinds[c]] for c in set(pfail) - set(hp))
+    assert hp == [c for c in pfail if c in hp] and 0 < len(hp) < len(pfail)
 
 
 def test_sample_scenarios_never_fails():

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from gridmaint import decomp, preflow
 from gridmaint.caseio import CaseError, DemandGrid, RunConfig, parse_case, synth_demand
 from gridmaint.instance import build_instance, no_failure_scenarios, \
     training_scenarios
@@ -24,8 +25,8 @@ def test_build_instance_covers_every_component(nine_bus):
     net, grid, cfg = nine_bus
     inst = build_instance(net, grid, cfg, seed=34)
     assert len(inst.components) == 12
-    assert set(inst.hprime) | set(inst.hsecond) == set(inst.components)
-    assert not set(inst.hprime) & set(inst.hsecond)
+    assert set(inst.hprime) <= set(inst.components)
+    assert len(set(inst.hprime)) == len(inst.hprime)
     for comp in inst.components.values():
         if comp.rld is not None:
             assert comp.rld.shape_mu > 0 and comp.rld.scale_lambda > 0
@@ -61,7 +62,7 @@ def test_subset_selection_respects_thresholds(nine_bus):
     for comp in inst.hprime:
         bar = cfg.pfail_gen if inst.kinds[comp] == "gen" else cfg.pfail_line
         assert inst.components[comp].p_fail >= bar
-    for comp in inst.hsecond:
+    for comp in set(inst.components) - set(inst.hprime):
         bar = cfg.pfail_gen if inst.kinds[comp] == "gen" else cfg.pfail_line
         assert inst.components[comp].p_fail < bar
 
@@ -112,9 +113,34 @@ def test_omit_bounds_guard_for_nonsubset_line_outage(nine_bus):
     inst.preflow_report = RedundancyReport("I", [entry], 0.0)
     some_day = 1
     assert inst.omit_bounds_for(some_day, frozenset()) != frozenset()
-    second_line = next(c for c in inst.hsecond if inst.kinds[c] == "line")
+    second_line = next(c for c in inst.components
+                       if inst.kinds[c] == "line" and c not in inst.hprime)
     assert inst.omit_bounds_for(some_day, frozenset({second_line})) == frozenset()
     # candidate outages keep the deletions (the relaxation covers them)
     cand = next((c for c in inst.hprime if inst.kinds[c] == "line"), None)
     if cand:
         assert inst.omit_bounds_for(some_day, frozenset({cand})) != frozenset()
+
+
+def test_a_plan_scans_the_preflow_entries_once_per_day(nine_bus):
+    # day_key asks for a day's deletions once per distinct (day, status row)
+    # cell of every round; the report works each day's set out once
+    net, grid, cfg = nine_bus
+    inst = build_instance(net, grid, cfg, seed=34)
+    lines = frozenset(c for c in inst.hprime if inst.kinds[c] == "line")
+    fresh = preflow.analyze(net, grid, "III", lines)
+    scans = []
+
+    class Entries(list):
+        def __iter__(self):
+            scans.append(1)
+            return super().__iter__()
+
+    inst.preflow_report = dataclasses.replace(fresh, entries=Entries(fresh.entries))
+    report = decomp.solve(inst, training_scenarios(inst, 20, seed=5), cfg)
+    assert report.status == "optimal" and report.counts["solved"] > 0
+    assert len(scans) == cfg.horizon_days
+    days = range(1, cfg.horizon_days + 1)
+    kept = [inst.preflow_report.omitted_for_day(t, cfg.subperiods) for t in days]
+    assert kept == [fresh.omitted_for_day(t, cfg.subperiods) for t in days]
+    assert any(kept) and len(scans) == cfg.horizon_days  # kept: no new scan

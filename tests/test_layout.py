@@ -5,6 +5,13 @@ A name counts as used when some module's code, its own included, loads it
 ``class`` line, the ``__all__`` entry and mentions in docstrings do not
 count.  A name used only by the tests belongs in ``tests/``.
 
+Every public member of a ``gridmaint`` class (method, property, annotated
+field, or ``self.`` attribute set in ``__init__``) is read by name, as an
+attribute, somewhere in ``src/`` or ``perfbench/``.  A member only the tests
+read belongs in ``tests/``.  The check works on names alone, not types: a
+member whose name some other object's attribute shares (a ``gap`` field on
+two classes, say) passes while that other one is read.
+
 Every name a module imports is loaded by that module's own code.
 
 No module reduces through BLAS (``@``, ``dot``, ``matmul``, ``inner``,
@@ -21,7 +28,9 @@ Only ``saa`` imports ``concurrent.futures``, and no module imports
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "gridmaint"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "gridmaint"
+PERFBENCH = ROOT / "perfbench"
 
 # exported names kept in src/ with no caller there yet, and why
 ALLOWED_UNUSED = {
@@ -74,6 +83,57 @@ def test_allowed_unused_names_are_still_exported_and_unused():
     used = _used_names(trees)
     for module, name in ALLOWED_UNUSED:
         assert name in _exports(trees[module]) and name not in used
+
+
+# public class members kept in src/ that no code there or in perfbench/
+# reads, and why
+ALLOWED_UNREAD_MEMBERS = {
+    # the safe-mode referee that the C4 check and oracle_enum compare the
+    # safe block's cuts against
+    ("chance", "SafeApproxBlock", "accepts"),
+    # the column map the day-model tests read a solution through
+    ("ucmodel", "DayModel", "idx"),
+}
+
+
+def _members(cls):
+    """The public methods, properties and annotated fields of ``cls``, and
+    the public ``self.`` attributes its ``__init__`` sets."""
+    names = set()
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef):
+            names.add(node.name)
+            if node.name == "__init__":
+                names.update(target.attr for target in ast.walk(node)
+                             if isinstance(target, ast.Attribute)
+                             and isinstance(target.ctx, ast.Store)
+                             and getattr(target.value, "id", None) == "self")
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return {name for name in names if not name.startswith("_")}
+
+
+def _read_attributes(trees):
+    """Every attribute name some code reads."""
+    return {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def _unread_members():
+    trees = _trees()
+    perfbench = [ast.parse(path.read_text()) for path in sorted(PERFBENCH.glob("*.py"))]
+    read = _read_attributes([*trees.values(), *perfbench])
+    return {(module, cls.name, name) for module, tree in trees.items()
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for name in _members(cls) if name not in read}
+
+
+def test_every_class_member_is_read_in_src_or_perfbench():
+    assert sorted(_unread_members() - ALLOWED_UNREAD_MEMBERS) == []
+
+
+def test_allowed_unread_members_are_still_members_and_unread():
+    assert ALLOWED_UNREAD_MEMBERS <= _unread_members()
 
 
 def _unused_imports(tree):

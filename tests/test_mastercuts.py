@@ -208,7 +208,7 @@ def test_master_cost_coefficients_no_failure():
     scens = scen([[6]], 5)
     master = MasterState(("h1",), scens, cfg, {"h1": (100.0, 300.0)}, KINDS,
                          np.zeros((1, 5)))
-    coeffs = [master.obj_v[("h1", t)] for t in range(1, 7)]
+    coeffs = [master.spec._obj[master.vidx[("h1", t)]] for t in range(1, 7)]
     assert coeffs == [100.0] * 5 + [0.0]
 
 
@@ -217,7 +217,7 @@ def test_master_cost_coefficients_split():
     scens = scen([[3]], 4)
     master = MasterState(("h1",), scens, cfg, {"h1": (100.0, 300.0)}, KINDS,
                          np.zeros((1, 4)))
-    coeffs = [master.obj_v[("h1", t)] for t in range(1, 6)]
+    coeffs = [master.spec._obj[master.vidx[("h1", t)]] for t in range(1, 6)]
     assert coeffs == [100.0, 100.0, 300.0, 300.0, 300.0]
 
 
@@ -251,7 +251,7 @@ def test_master_solve_honours_theta_floor_and_cuts():
     assert master.add_cut(cut)
     assert not master.add_cut(cut)        # deduplicated
     sol2 = master.solve()
-    assert sol2.objective >= sol.objective - 1e-9
+    assert sol2.bound >= sol.bound - 1e-9
     assert solver.solve(master.spec).x[master.tidx[0]] >= 5.0 - 1e-9
 
 
@@ -400,4 +400,4 @@ def test_master_model_grows_one_row_per_added_row_in_order():
     grown, built = master.solve(), fresh.solve()
     assert grown.status == built.status == "optimal"
     assert grown.schedule == built.schedule
-    assert grown.objective == pytest.approx(built.objective, rel=1e-9, abs=1e-9)
+    assert grown.bound == pytest.approx(built.bound, rel=1e-9, abs=1e-9)

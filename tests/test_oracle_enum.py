@@ -50,7 +50,7 @@ def test_plan_meets_the_enumerated_optimum(referee, mode, family):
     inputs, cache, optima = referee
     cfg = dataclasses.replace(inputs.cfg, chance_mode=mode, cut_family=family)
     report = decomp.solve(inputs.inst, inputs.scenarios, cfg)
-    assert report.ok
+    assert report.status == "optimal"
     assert report.schedule in list(admitted(inputs.inst, cfg, mode))
     best, _, _ = optima[mode]
     assert abs(report.objective - best) <= cfg.epsilon * abs(best)

@@ -273,7 +273,7 @@ def test_evaluate_rejects_components_outside_the_candidates():
 def test_violation_frequency_respects_binomial_bound():
     inst, scens_train = toy_instance(seed=10, alpha=0.3)
     report = decomp.solve(inst, scens_train, inst.cfg)
-    assert report.ok
+    assert report.status == "optimal"
     pv = joint_oracle(report.schedule, inst.table, inst.cfg.rho_gen,
                       inst.cfg.rho_line)
     assert pv >= 1 - inst.cfg.alpha
@@ -288,7 +288,7 @@ def test_violation_frequency_respects_binomial_bound():
 def test_deterministic_baseline_matches_extensive():
     inst, _ = toy_instance(seed=12)
     report = saa.deterministic_baseline(inst)
-    assert report.ok
+    assert report.status == "optimal"
     from gridmaint.instance import no_failure_scenarios
     scens = no_failure_scenarios(inst)
     expected, _ = extensive_solve(inst, scens, inst.cfg, chance="off")
@@ -310,7 +310,7 @@ def test_baseline_violates_more_than_stochastic():
     inst, scens_train = toy_instance(seed=16, alpha=0.2)
     sp = decomp.solve(inst, scens_train, inst.cfg)
     dm = saa.deterministic_baseline(inst)
-    assert sp.ok and dm.ok
+    assert sp.status == "optimal" and dm.status == "optimal"
     test_set = sample_from_table(inst, inst.all_components, 600, seed=5)
     cache = decomp.StatusCache()
     sp_eval = saa.evaluate_schedule(inst, sp.schedule, test_set, cache)

@@ -2,7 +2,6 @@ import os
 import re
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -57,7 +56,7 @@ def test_milp_gap_and_bound():
     res = solver.solve(m, tolerance=1e-9)
     assert res.status == "optimal"
     assert res.objective == pytest.approx(-12.0)  # pick 5+4+3
-    assert res.gap <= 1e-6
+    assert relative_gap(res) <= 1e-6
     assert res.bound <= res.objective + 1e-9
 
 
@@ -76,8 +75,8 @@ def reference_solve(spec, tolerance=1e-9, time_limit=None):
     it bit for bit; for a MILP ``solver.solve`` also turns two heuristics off
     (``solver._HEURISTICS_OFF``), and the models compared here still match.
 
-    Returns ``(status, x bytes, objective, bound, gap)`` under the status
-    mapping of ``solver.solve``.
+    Returns ``(status, x bytes, objective, bound)`` under the status mapping
+    of ``solver.solve``.
     """
     import scipy.sparse as sp
     from scipy.optimize import Bounds, LinearConstraint, milp
@@ -98,17 +97,22 @@ def reference_solve(spec, tolerance=1e-9, time_limit=None):
                options=options)
     status = {0: "optimal", 1: "limit", 2: "infeasible"}.get(res.status, "error")
     if status in ("infeasible", "error") or res.x is None:
-        return status, None, None, None, solver.INF
+        return status, None, None, None
     objective = float(res.fun)
     if integrality.any():
-        return (status, res.x.tobytes(), objective,
-                float(res.mip_dual_bound), float(res.mip_gap))
-    return status, res.x.tobytes(), objective, objective, 0.0
+        return status, res.x.tobytes(), objective, float(res.mip_dual_bound)
+    return status, res.x.tobytes(), objective, objective
 
 
 def outcome_fields(res):
     return (res.status, None if res.x is None else res.x.tobytes(),
-            res.objective, res.bound, res.gap)
+            res.objective, res.bound)
+
+
+def relative_gap(res):
+    """The gap HiGHS closes to ``mip_rel_gap``: objective minus bound over
+    the objective's magnitude."""
+    return (res.objective - res.bound) / abs(res.objective)
 
 
 def no_row_lp():
@@ -194,12 +198,12 @@ def test_outcome_matches_scipy_milp_bit_for_bit(build, kwargs, status):
     assert got[0] == status
 
 
-def test_outcome_reports_seconds_and_nodes():
+def test_outcome_reports_nodes_and_iterations():
     mip = solver.solve(max_knapsack())
-    lp = solver.solve(equality_lp())
-    assert mip.ok and lp.ok
+    lp = solver.solve(covering_lp())  # presolve alone does not solve it
+    assert mip.status == "optimal" and lp.status == "optimal"
     assert mip.mip_node_count >= 1 and lp.mip_node_count == 0
-    assert mip.seconds >= 0.0 and lp.seconds >= 0.0
+    assert mip.iterations == 0 and lp.iterations >= 1
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -314,11 +318,7 @@ def sequence_on_own_specs(rounds):
     specs = {build: build() for build, _ in REUSE_SEQUENCE}
     outcomes = []
     for build, kwargs in REUSE_SEQUENCE * rounds:
-        started = time.perf_counter()
-        res = solver.solve(specs[build], **kwargs)
-        # seconds is this run's alone, though the instance's clock adds up
-        assert 0.0 <= res.seconds <= time.perf_counter() - started
-        outcomes.append(full_outcome(res))
+        outcomes.append(full_outcome(solver.solve(specs[build], **kwargs)))
     return outcomes, list(specs.values())
 
 
@@ -423,9 +423,9 @@ def test_unchanged_lp_resolves_to_the_same_bits_in_no_iterations(calls):
     m = covering_lp()
     first = solver.solve(m)
     again = solver.solve(m)              # the kept answer, with no run
-    assert first.ok and first.iterations > 0
+    assert first.status == "optimal" and first.iterations > 0
     assert full_outcome(again) == full_outcome(first)
-    assert again.iterations == 0 and again.seconds == 0.0
+    assert again.iterations == 0
     assert full_outcome(solver.solve(m)) == full_outcome(first)
     assert runs(calls) == 1              # the record is kept for the next one
     # a run on the instance that holds the LP gives the same bits in no iteration
@@ -447,7 +447,7 @@ def apply_bounds(m):
 
 def test_each_hot_start_matches_a_cold_solve_of_a_fresh_copy(calls):
     m = covering_lp()
-    assert solver.solve(m).ok
+    assert solver.solve(m).status == "optimal"
     changes = []
     for change in (apply_cost, apply_bounds):
         change(m)
@@ -576,14 +576,15 @@ def test_heuristics_off_reach_the_optima_of_highs_defaults(monkeypatch):
     for spec, got in zip(specs, ours):
         want = solver.solve(spec, tolerance=tolerance)
         assert got.status == want.status == "optimal", spec.name
-        assert got.gap <= tolerance and want.gap <= tolerance, spec.name
+        assert relative_gap(got) <= tolerance and relative_gap(want) <= tolerance, \
+            spec.name
         assert abs(got.objective - want.objective) \
             <= 1e-9 * max(1.0, abs(want.objective)), spec.name
 
 
 def test_warm_resolve_sends_only_the_columns_that_changed(calls):
     m = covering_lp()
-    assert solver.solve(m).ok
+    assert solver.solve(m).status == "optimal"
     m.set_obj(3, 0.25)
     m.set_obj(7, m._obj[7])              # set to the value it has
     m.set_bounds(5, 0.5, 1.0)
@@ -650,7 +651,8 @@ def another_thread_in_between():
     m = covering_lp()
     solver.solve(m)
     with ThreadPoolExecutor(max_workers=1) as pool:
-        assert pool.submit(solver.solve, m).result().ok  # the instance goes along
+        # the instance goes along
+        assert pool.submit(solver.solve, m).result().status == "optimal"
     solver.solve(m)
     return 1
 
@@ -679,7 +681,7 @@ def test_a_spec_solved_on_another_thread_resolves_warm(calls):
 
     m = covering_lp()
     with ThreadPoolExecutor(max_workers=1) as pool:
-        assert pool.submit(solver.solve, m).result().ok
+        assert pool.submit(solver.solve, m).result().status == "optimal"
     m.set_obj(3, 0.25)
     m.set_bounds(5, 0.5, 1.0)
     hot = solver.solve(m)                # on this thread, from the kept basis
@@ -701,7 +703,7 @@ def test_a_solve_on_another_thread_in_between_passes_the_model_whole(calls):
     solver.solve(m)
     before = len(of(calls, m))
     with ThreadPoolExecutor(max_workers=1) as pool:
-        assert pool.submit(solver.solve, other).result().ok
+        assert pool.submit(solver.solve, other).result().status == "optimal"
     assert passes(calls, other) == runs(calls, other) == 1
     assert other._highs is not m._highs and len(of(calls, m)) == before
     m.set_bounds(5, 0.5, 1.0)
